@@ -12,16 +12,19 @@ package ssjoin
 //     per-instance table downstream is a plain slice indexed by id.
 //   - flatProbe: the pooled per-shard buffer block — posting-list arena
 //     (one contiguous postEntry slab per side plus per-id offset/fill
-//     tables), dense epoch-stamped pair states, event-heap and position
-//     scratch — reused across probes and configs through probePool with
-//     no clearing of the pair-state table (the epoch stamp makes stale
-//     entries invisible).
+//     tables), packed pair states, event-heap and position scratch —
+//     reused across probes and configs through probePool. Pair states
+//     live in a dense epoch-stamped table (never cleared: the epoch
+//     stamp makes stale entries invisible) or, past denseStateLimit, in
+//     a pairTable sized to the pairs the probe touches.
 //
-// Sizing (ensure/grow) and the arena count pass allocate; they run in
-// the index phase of each probe. The probe loop itself only indexes
-// into these buffers — see join_flat.go for the //mc:hotpath methods.
+// Sizing (wire/grow) and the arena count pass allocate; they run in the
+// index phase of each probe. The probe loop itself only indexes into
+// these buffers — see join_flat.go for the //mc:hotpath methods — except
+// that a pairTable doubles, out of line, when the probe outgrows it.
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -86,11 +89,9 @@ type postEntry struct {
 	rec, pos int32
 }
 
-// Candidate pair-state sentinels shared by both probe paths: non-negative
-// values count common prefix instances; the sentinels mark pairs already
-// scored, present in C, or killed by a strict pair filter. Untyped so
-// they fit both the legacy map's int32 states and the arena's packed
-// int8 states.
+// Candidate pair-state sentinels: non-negative values count common
+// prefix instances; the sentinels mark pairs already scored, present in
+// C, or killed by a strict pair filter.
 const (
 	pairScored     = -1
 	pairSuppressed = -2
@@ -109,63 +110,31 @@ const (
 // pay one nil check per kill.
 var filterKillHook func(a, b int32, tier int8)
 
-// Probe-path selection. probeAuto picks the flat arena kernel unless the
-// config's full pair space exceeds denseStateLimit (the dense pair-state
-// table is the one structure that scales with |A|×|B| rather than with
-// work done, so huge corpora keep the paper's flat-memory map path).
-// The force values are the temporary build seam the differential harness
-// flips to prove the two kernels compute the identical pure function.
-const (
-	probeAuto = iota
-	probeForceFlat
-	probeForceLegacy
-)
-
-// probePathOverride is written only by tests, between runs.
-var probePathOverride = probeAuto
-
 // denseStateLimit bounds the dense pair-state table: a config whose full
-// pair space (sharded-side length × other-side length) exceeds this many
-// pairs probes through the legacy map kernel instead. At one packed byte
-// per pair, 32Mi pairs keep the table at 32 MiB for the whole config
-// regardless of shard count (the per-shard tables tile the pair space) —
-// small enough to stay largely cache-resident, which is what makes the
-// flat path win. The perf-gate M2 workload (25M pairs at scale 0.1)
-// fits; the paper's full-scale corpora (billions of pairs) stay on the
-// flat-memory map kernel. Var, not const: the differential tests shrink
-// it to drive both kernels over the same corpora.
+// pair space (|A| × |B|) exceeds this many pairs keeps its pair states
+// in the hashed pairTable instead. At one packed byte per pair, 32Mi
+// pairs keep the dense tables at 32 MiB for the whole config regardless
+// of shard count (the per-shard tables tile the pair space) — small
+// enough to stay largely cache-resident, which is what makes the dense
+// store win. The perf-gate M2 workload (25M pairs at scale 0.1) fits;
+// the paper's full-scale corpora (billions of pairs) take the hashed
+// store, whose memory scales with the pairs touched. Var, not const: the
+// tests shrink it to drive both stores over the same corpora.
 var denseStateLimit = 32 << 20
 
-// flatProbeMaxQ bounds q on the flat path: packed states count common
-// prefix instances in four bits (three sentinels plus counts up to 12),
-// so runs deferring more than 12 common instances per pair fall back to
-// the map kernel (q beyond the auto-selection range is a hand-tuned
-// corner, not the hot path).
-const flatProbeMaxQ = 12
-
-// useFlatProbe decides the kernel for one config join.
-func useFlatProbe(sideLen, otherLen, q int) bool {
-	switch probePathOverride {
-	case probeForceFlat:
-		return true
-	case probeForceLegacy:
-		return false
-	}
-	if q > flatProbeMaxQ {
-		return false
-	}
-	if sideLen == 0 || otherLen == 0 {
-		return true
-	}
-	return sideLen <= denseStateLimit/otherLen
-}
+// maxPackedQ bounds q: packed states count common prefix instances in
+// four bits (three sentinels plus counts up to 12). runJoin clamps q to
+// it, which cannot change the output: the join is exact for every q, so
+// q decides only when a pair is scored.
+const maxPackedQ = 12
 
 // flatProbe is one shard's map-free probe state: every lookup the event
-// loop performs is a slice index. The struct doubles as the pooled
-// scratch block — ensure() grows the buffers to the probe's sizes and
-// resets per-probe state, and release() drops the per-probe references
-// (corpus lists, scorer, heaps) while keeping the buffers and the pair
-// epoch for the next probe.
+// loop performs is a slice index (or, past denseStateLimit, a flat
+// open-addressing probe). The struct doubles as the pooled scratch
+// block — wire() grows the buffers to the probe's sizes and resets
+// per-probe state, and release() drops the per-probe references (corpus
+// lists, scorer, heaps) while keeping the buffers and the pair epoch for
+// the next probe.
 type flatProbe struct {
 	// Per-probe wiring (cleared on release).
 	q       int
@@ -183,20 +152,24 @@ type flatProbe struct {
 
 	// Shard geometry: the sharded side's records are dealt round-robin
 	// (rec mod div == shard owns it); rowOff maps an owned sharded-side
-	// record to its dense pair-state row base (local index × otherLen).
+	// record to its pair-index row base (local index × otherLen, 64-bit:
+	// past denseStateLimit the shard-local pair space outgrows int32).
 	side     int8
 	shard    int32
 	div      int32
 	otherLen int32
 
-	// Pooled buffers (kept across probes). touched records the pair-state
-	// index of every pair that reached a positive common-instance count,
-	// so the exactness flush can visit candidates directly instead of
-	// scanning the whole pair space when few pairs were touched (sorted
-	// ascending, the list reproduces the dense scan order exactly).
+	// Pooled buffers (kept across probes). touched records the pair index
+	// of every pair that reached a positive common-instance count, so the
+	// exactness flush can visit candidates directly instead of scanning
+	// the whole pair space (sorted ascending, the list reproduces the
+	// dense scan order exactly). Dense indices fit int32; the hashed
+	// store's 64-bit ones go to touchedKeys, so the dense list — which a
+	// fresh pooled probe regrows on every config — stays half the size.
 	posA, posB   []int32
-	rowOff       []int32
+	rowOff       []int64
 	touched      []int32
+	touchedKeys  []int64
 	events       eventHeap
 	offA, fillA  []int32
 	offB, fillB  []int32
@@ -205,16 +178,20 @@ type flatProbe struct {
 	// Dense pair state, one packed byte per pair: the high nibble is the
 	// epoch stamp, the low nibble a signed state (common-instance count
 	// or a pair* sentinel, offset-encoded). One byte per pair keeps the
-	// whole table cache-resident for the corpora the flat path accepts —
-	// the probe loop's one random load per touch is the kernel's
-	// bottleneck. An entry is meaningful only while its stamp equals
-	// epoch, so reuse across probes never clears the table — resetPairs
-	// bumps the epoch and every stale entry reads as unseen. A nibble of
-	// epoch means a real wraparound every 15 probes; the wrap path
-	// (clear + restart at 1) is therefore exercised constantly, not just
-	// in the white-box test.
+	// whole table cache-resident up to denseStateLimit — the probe loop's
+	// one random load per touch is the kernel's bottleneck. An entry is
+	// meaningful only while its stamp equals epoch, so reuse across
+	// probes never clears the table — resetPairs bumps the epoch and
+	// every stale entry reads as unseen. A nibble of epoch means a real
+	// wraparound every 15 probes; the wrap path (clear + restart at 1) is
+	// therefore exercised constantly, not just in the white-box test.
 	pairs []uint8
 	epoch uint8
+
+	// hashed selects the hashed store for this probe: table holds the
+	// same packed bytes keyed by pair index, and pairs is left alone.
+	hashed bool
+	table  pairTable
 }
 
 // probePool recycles flatProbe buffer blocks across probes and configs
@@ -257,14 +234,35 @@ func growEntries(s []postEntry, n int) []postEntry {
 	return make([]postEntry, n)
 }
 
-// resetPairs prepares the dense pair-state table for a probe over
-// pairSpace pairs. The normal path is O(1): bump the epoch so every
-// stale entry reads as unseen. Growth and epoch wraparound are the two
-// slow paths that must re-zero the table — the classic dense-reset bug
-// is forgetting one of them (TestEpochReset pins both). A fresh table is
-// all zeros, which no live entry ever aliases because the epoch restarts
-// at 1, never 0.
-func (p *flatProbe) resetPairs(pairSpace int) {
+func growInt64(s []int64, n int) []int64 {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]int64, n)
+}
+
+// resetPairs prepares the pair-state store for a probe over pairSpace
+// pairs. For the dense table the normal path is O(1): bump the epoch so
+// every stale entry reads as unseen. Growth and epoch wraparound are the
+// two slow paths that must re-zero the table — the classic dense-reset
+// bug is forgetting one of them (TestEpochReset pins both). A fresh
+// table is all zeros, which no live entry ever aliases because the epoch
+// restarts at 1, never 0.
+//
+// The hashed store is cleared instead, and leaves the epoch alone: the
+// pooled dense table's stamps are all <= epoch, and resetting the epoch
+// without clearing that table would let the next dense probe alias them.
+// Its fresh slots read as zero bytes (stamp 0), so the epoch only has to
+// be nonzero.
+func (p *flatProbe) resetPairs(pairSpace int, hashed bool) {
+	p.hashed = hashed
+	if hashed {
+		p.table.reset()
+		if p.epoch == 0 {
+			p.epoch = 1
+		}
+		return
+	}
 	if cap(p.pairs) < pairSpace {
 		p.pairs = make([]uint8, pairSpace)
 		p.epoch = 1
@@ -288,3 +286,93 @@ func (p *flatProbe) resetPairs(pairSpace int) {
 func pairPack(ep uint8, st int8) uint8 { return ep<<4 | uint8(st-pairKilled) }
 func pairState(v uint8) int8           { return int8(v&15) + pairKilled }
 func pairEpoch(v uint8) uint8          { return v >> 4 }
+
+// pairTable is the hashed pair-state store for pair spaces past
+// denseStateLimit: open addressing with linear probing over a
+// power-of-two slot array, keyed by the shard-local pair index (the
+// index the dense table would use). A slot holds the same packed byte a
+// dense entry does; a fresh slot's byte is zero, which reads as unseen
+// exactly like a stale dense entry. Load stays at most ½ — the insert
+// that would pass it doubles the table — so the table is sized to the
+// pairs the probe touches, never to |A|×|B|. The slots survive pooling;
+// reset clears them.
+type pairTable struct {
+	slots []pairSlot
+	shift uint8 // 64 - log2(len(slots))
+	used  int
+}
+
+// pairSlot is one table entry: the pair index plus one (so the zero
+// slot is empty), split into 32-bit halves so a slot packs into 12
+// bytes instead of 16, and the state byte.
+type pairSlot struct {
+	lo, hi uint32
+	v      uint8
+}
+
+func (s *pairSlot) key() uint64 { return uint64(s.hi)<<32 | uint64(s.lo) }
+
+// minPairSlots is a fresh table's size; growth takes it from there.
+const minPairSlots = 1 << 12
+
+// slot is key's home slot: Fibonacci hashing, whose multiply spreads
+// the row-major pair indices (runs of consecutive keys) over the table.
+func (t *pairTable) slot(key uint64) int {
+	return int(key * 0x9E3779B97F4A7C15 >> t.shift)
+}
+
+// cell returns pair idx's state byte, inserting a fresh (zero) slot on
+// the first lookup. The pointer is valid until the next insert.
+//
+//mc:hotpath
+func (t *pairTable) cell(idx int64) *uint8 {
+	key := uint64(idx) + 1
+	mask := len(t.slots) - 1
+	for i := t.slot(key); ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		switch s.key() {
+		case key:
+			return &s.v
+		case 0:
+			if 2*(t.used+1) > len(t.slots) {
+				t.grow()
+				return t.cell(idx)
+			}
+			t.used++
+			s.lo, s.hi = uint32(key), uint32(key>>32)
+			return &s.v
+		}
+	}
+}
+
+// grow doubles the table and rehashes every occupied slot into it.
+func (t *pairTable) grow() {
+	old := t.slots
+	t.alloc(2 * len(old))
+	mask := len(t.slots) - 1
+	for _, s := range old {
+		if s.key() == 0 {
+			continue
+		}
+		i := t.slot(s.key())
+		for t.slots[i].key() != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = s
+	}
+}
+
+func (t *pairTable) alloc(n int) {
+	t.slots = make([]pairSlot, n)
+	t.shift = uint8(64 - bits.TrailingZeros(uint(n)))
+}
+
+// reset empties the table for the next probe, keeping its size.
+func (t *pairTable) reset() {
+	if t.slots == nil {
+		t.alloc(minPairSlots)
+	} else if t.used > 0 {
+		clear(t.slots)
+	}
+	t.used = 0
+}

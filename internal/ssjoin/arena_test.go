@@ -1,16 +1,17 @@
 package ssjoin
 
 // The flat-arena kernel's differential and white-box harness. The
-// kernel seam (probePathOverride) is the load-bearing test surface: the
-// flat-arena and legacy map kernels must compute the identical pure
-// function — same top-k bytes AND same runStats counter stream — so the
-// harness byte-compares both across kernel × pool-state × worker grids,
-// with BruteForce as the filter-free third oracle (the legacy kernel
-// carries the same strict pair filters, so only brute force proves the
-// filters themselves sound end to end). The white-box half pins the
-// dense pair-state machinery directly: epoch-stamped reset (growth,
-// bump, nibble wraparound), poisoned pool reuse, and the zero-alloc
-// probe path.
+// kernel keeps pair states in one of two stores — the dense
+// epoch-stamped table, or the hashed pairTable past denseStateLimit —
+// and the choice must be invisible: same top-k bytes AND same runStats
+// counter stream. The harness shrinks denseStateLimit to drive the
+// hashed store over the same corpora the dense store runs, and
+// byte-compares both across store × pool-state × worker grids, with
+// BruteForce as the filter-free oracle (both stores run the same strict
+// pair filters, so only brute force proves the filters themselves sound
+// end to end). The white-box half pins the pair-state machinery
+// directly: epoch-stamped reset (growth, bump, nibble wraparound),
+// 64-bit pair keys, poisoned pool reuse, and the zero-alloc probe path.
 
 import (
 	"fmt"
@@ -22,22 +23,30 @@ import (
 	"matchcatcher/internal/simfunc"
 )
 
-// forceProbePath pins the kernel seam for one test and restores it on
-// cleanup. Tests in this package run sequentially, so the package-level
-// override is safe to flip here.
-func forceProbePath(t *testing.T, mode int) {
+// defaultDenseStateLimit is the production bound, read before any test
+// shrinks it.
+var defaultDenseStateLimit = denseStateLimit
+
+// useHashedStore sends the next joins' pair states to the hashed store
+// (hashed) or back under the production dense bound, restoring the
+// bound on cleanup. Tests in this package run sequentially, so the
+// package-level var is safe to flip here.
+func useHashedStore(t testing.TB, hashed bool) {
 	t.Helper()
-	prev := probePathOverride
-	probePathOverride = mode
-	t.Cleanup(func() { probePathOverride = prev })
+	prev := denseStateLimit
+	denseStateLimit = defaultDenseStateLimit
+	if hashed {
+		denseStateLimit = 0
+	}
+	t.Cleanup(func() { denseStateLimit = prev })
 }
 
-// TestKernelSeamDifferential is the core arena-axis oracle: over a
-// seeds × configs × q × k grid, the flat-arena kernel, the legacy map
-// kernel, and BruteForce must return bit-identical lists. Brute force
-// is the essential third leg — both kernels implement the strict pair
-// filters, so only a filter-free oracle can prove the filters never
-// drop a retained pair.
+// TestKernelSeamDifferential is the core store-axis oracle: over a
+// seeds × configs × q × k grid, the dense store, the hashed store, and
+// BruteForce must return bit-identical lists. Brute force is the
+// essential third leg — both stores run the strict pair filters, so
+// only a filter-free oracle can prove the filters never drop a retained
+// pair.
 func TestKernelSeamDifferential(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		rng := rand.New(rand.NewSource(300 + seed))
@@ -47,12 +56,12 @@ func TestKernelSeamDifferential(t *testing.T) {
 				for _, k := range []int{5, 20} {
 					label := fmt.Sprintf("seed=%d mask=%b q=%d k=%d", seed, mask, q, k)
 					want := BruteForce(cor, mask, c, k, simfunc.Jaccard)
-					forceProbePath(t, probeForceLegacy)
-					legacy := JoinOne(cor, mask, c, Options{K: k, Q: q})
-					forceProbePath(t, probeForceFlat)
-					flat := JoinOne(cor, mask, c, Options{K: k, Q: q})
-					requireIdentical(t, label+" legacy vs brute", legacy, want)
-					requireIdentical(t, label+" flat vs legacy", flat, legacy)
+					useHashedStore(t, false)
+					dense := JoinOne(cor, mask, c, Options{K: k, Q: q})
+					useHashedStore(t, true)
+					hashed := JoinOne(cor, mask, c, Options{K: k, Q: q})
+					requireIdentical(t, label+" dense vs brute", dense, want)
+					requireIdentical(t, label+" hashed vs dense", hashed, dense)
 				}
 			}
 		}
@@ -61,27 +70,27 @@ func TestKernelSeamDifferential(t *testing.T) {
 
 // TestKernelSeamStatsIdentical extends the differential to the counter
 // stream: canonical reports embed the ssjoin.Stats counters, so the two
-// kernels must agree on every count, not just on the lists. Checked
-// end to end through JoinAll across the Workers × ProbeWorkers grid
-// (sharded probes fold per-shard stats; the kernels must agree shard by
+// stores must agree on every count, not just on the lists. Checked end
+// to end through JoinAll across the Workers × ProbeWorkers grid
+// (sharded probes fold per-shard stats; the stores must agree shard by
 // shard for the folded totals to match).
 func TestKernelSeamStatsIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	cor, _, c := randomCorpus(t, rng, 32, 28)
-	run := func(mode, w, pw int) ([]TopKList, Stats) {
-		forceProbePath(t, mode)
+	run := func(hashed bool, w, pw int) ([]TopKList, Stats) {
+		useHashedStore(t, hashed)
 		res := JoinAll(cor, c, Options{K: 12, Q: 2, Workers: w, ProbeWorkers: pw})
 		return res.Lists, res.Stats
 	}
 	for _, w := range []int{1, 3} {
 		for _, pw := range []int{1, 4} {
 			label := fmt.Sprintf("workers=%d probeworkers=%d", w, pw)
-			legacyLists, legacyStats := run(probeForceLegacy, w, pw)
-			flatLists, flatStats := run(probeForceFlat, w, pw)
-			requireIdenticalLists(t, label, flatLists, legacyLists)
-			if !reflect.DeepEqual(flatStats, legacyStats) {
-				t.Errorf("%s: counter streams diverge across the kernel seam:\nflat:   %+v\nlegacy: %+v",
-					label, flatStats, legacyStats)
+			denseLists, denseStats := run(false, w, pw)
+			hashedLists, hashedStats := run(true, w, pw)
+			requireIdenticalLists(t, label, hashedLists, denseLists)
+			if !reflect.DeepEqual(hashedStats, denseStats) {
+				t.Errorf("%s: counter streams diverge across the pair stores:\nhashed: %+v\ndense:  %+v",
+					label, hashedStats, denseStats)
 			}
 		}
 	}
@@ -89,21 +98,24 @@ func TestKernelSeamStatsIdentical(t *testing.T) {
 
 // TestPoolReusePoisonInvisible proves pooled probe reuse cannot leak
 // state between probes: the pool is pre-seeded with probes whose
-// buffers hold adversarial garbage — pair-state bytes stamped at every
-// nibble epoch (including the probe's next epoch), stale slabs, stale
-// heaps — and the join must still match the cold-pool reference bit for
-// bit. This is the "pool warm vs cold" axis in its strongest form.
+// buffers hold adversarial garbage — dense pair-state bytes stamped at
+// every nibble epoch (including the probe's next epoch), hashed-table
+// slots, stale slabs, stale heaps — and joins alternating
+// dense → hashed → dense → hashed through that pool must still match the
+// reference bit for bit, counters included. The alternation guards the
+// epoch the two stores share: a hashed probe that reset the epoch
+// without clearing the dense table would let the next dense probe read
+// old stamps as live.
 func TestPoolReusePoisonInvisible(t *testing.T) {
 	rng := rand.New(rand.NewSource(400))
-	cor, res, c := randomCorpus(t, rng, 30, 30)
-	mask := res.Root.Mask
-	forceProbePath(t, probeForceFlat)
-	ref := JoinOne(cor, mask, c, Options{K: 10, Q: 2})
+	cor, _, c := randomCorpus(t, rng, 30, 30)
+	opt := Options{K: 10, Q: 2, Workers: 1}
+	ref := JoinAll(cor, c, opt)
 
 	for trial := 0; trial < 4; trial++ {
 		for i := 0; i < 3; i++ {
 			p := &flatProbe{}
-			p.resetPairs(64 * 1024)
+			p.resetPairs(64*1024, false)
 			p.epoch = uint8(1 + rng.Intn(15))
 			// Stamps stay <= the probe's epoch: that is the table's
 			// invariant (a stamp equal to a FUTURE epoch is unreachable —
@@ -113,14 +125,26 @@ func TestPoolReusePoisonInvisible(t *testing.T) {
 			for j := range p.pairs {
 				p.pairs[j] = pairPack(uint8(rng.Intn(int(p.epoch)+1)), int8(rng.Intn(16)+pairKilled))
 			}
+			p.table.reset()
+			for j := 0; j < 500; j++ {
+				*p.table.cell(int64(rng.Intn(30 * 30))) = uint8(rng.Intn(256))
+			}
 			p.events.items = append(p.events.items, event{cap: 9, side: 0, rec: 7})
 			p.slabA = append(p.slabA, postEntry{rec: 3, pos: 3})
 			p.touched = append(p.touched, 11, 7, 5)
+			p.touchedKeys = append(p.touchedKeys, 13, 2)
 			p.posA = append(p.posA, 42)
 			probePool.Put(p)
 		}
-		got := JoinOne(cor, mask, c, Options{K: 10, Q: 2})
-		requireIdentical(t, fmt.Sprintf("poisoned pool trial %d", trial), got, ref)
+		for step, hashed := range []bool{false, true, false, true} {
+			useHashedStore(t, hashed)
+			got := JoinAll(cor, c, opt)
+			label := fmt.Sprintf("poisoned pool trial %d step %d (hashed=%v)", trial, step, hashed)
+			requireIdenticalLists(t, label, got.Lists, ref.Lists)
+			if !reflect.DeepEqual(got.Stats, ref.Stats) {
+				t.Fatalf("%s: counters diverge:\ngot:  %+v\nwant: %+v", label, got.Stats, ref.Stats)
+			}
+		}
 	}
 }
 
@@ -153,7 +177,6 @@ func TestRowPermutationMetamorphic(t *testing.T) {
 	}
 	cor, res := corpusFor(t, []string{"v"}, rowsA, rowsB)
 	mask := res.Root.Mask
-	forceProbePath(t, probeForceFlat)
 	const k = 10
 	ref := JoinOne(cor, mask, nil, Options{K: k, Q: 2})
 
@@ -211,7 +234,6 @@ func TestFilterKillsStrictlyBelowKth(t *testing.T) {
 		kills = append(kills, kill{a, b, tier})
 	}
 	t.Cleanup(func() { filterKillHook = nil })
-	forceProbePath(t, probeForceFlat)
 
 	tierTotals := map[int8]int{}
 	for seed := int64(0); seed < 4; seed++ {
@@ -266,7 +288,6 @@ func TestPrefixFilterKillsCraftedPair(t *testing.T) {
 	var tiers []int8
 	filterKillHook = func(a, b int32, tier int8) { tiers = append(tiers, tier) }
 	t.Cleanup(func() { filterKillHook = nil })
-	forceProbePath(t, probeForceFlat)
 
 	// Pair (A0, B0) scores 2/4 = 0.5 and fills the k=1 list. A1 and B1
 	// (12 tokens each) share cc plus the f-fillers; their rank orders put
@@ -300,20 +321,21 @@ func TestPrefixFilterKillsCraftedPair(t *testing.T) {
 	requireIdentical(t, "crafted corpus vs brute force", got, want)
 }
 
-// TestEpochReset white-boxes resetPairs across its three paths: growth
+// TestEpochReset white-boxes resetPairs across its paths: growth
 // (fresh zeroed table, epoch restarts at 1), the O(1) bump (stale
-// entries become invisible without a clear), and the nibble wraparound
-// (the table must be cleared or epoch-1 garbage would alias as live).
+// entries become invisible without a clear), the nibble wraparound (the
+// table must be cleared or epoch-1 garbage would alias as live), and
+// the hashed store, which must leave the dense table's epoch alone.
 func TestEpochReset(t *testing.T) {
 	p := &flatProbe{}
-	p.resetPairs(100)
+	p.resetPairs(100, false)
 	if p.epoch != 1 || len(p.pairs) != 100 {
 		t.Fatalf("growth path: epoch=%d len=%d", p.epoch, len(p.pairs))
 	}
 	p.pairs[7] = pairPack(p.epoch, 3)
 	p.pairs[8] = pairPack(p.epoch, pairSuppressed)
 
-	p.resetPairs(100)
+	p.resetPairs(100, false)
 	if p.epoch != 2 {
 		t.Fatalf("bump path: epoch=%d", p.epoch)
 	}
@@ -327,16 +349,27 @@ func TestEpochReset(t *testing.T) {
 		t.Fatalf("roundtrip: state=%d epoch=%d", pairState(p.pairs[7]), pairEpoch(p.pairs[7]))
 	}
 
-	// Drive to the wraparound: epochs 3..15, then the 16th reset wraps.
+	// A hashed probe in between keeps the epoch and the dense table: the
+	// next dense reset must still bump past every stamp written so far.
+	p.resetPairs(1<<40, true)
+	if p.epoch != 2 || !p.hashed || pairEpoch(p.pairs[7]) != 2 {
+		t.Fatalf("hashed reset: epoch=%d hashed=%v stamp7=%d", p.epoch, p.hashed, pairEpoch(p.pairs[7]))
+	}
+	p.resetPairs(100, false)
+	if p.epoch != 3 || p.hashed || pairEpoch(p.pairs[7]) == p.epoch {
+		t.Fatalf("dense after hashed: epoch=%d hashed=%v", p.epoch, p.hashed)
+	}
+
+	// Drive to the wraparound: epochs 4..15, then the 16th reset wraps.
 	for p.epoch < 15 {
 		p.pairs[9] = pairPack(p.epoch, 1) // garbage at every epoch
-		p.resetPairs(100)
+		p.resetPairs(100, false)
 	}
 	if p.epoch != 15 {
 		t.Fatalf("pre-wrap epoch=%d", p.epoch)
 	}
 	p.pairs[3] = pairPack(15, 7)
-	p.resetPairs(100)
+	p.resetPairs(100, false)
 	if p.epoch != 1 {
 		t.Fatalf("wrap path: epoch=%d, want 1", p.epoch)
 	}
@@ -348,13 +381,21 @@ func TestEpochReset(t *testing.T) {
 
 	// Shrink+regrow within capacity must keep the epoch discipline.
 	p.pairs[0] = pairPack(p.epoch, 2)
-	p.resetPairs(10)
+	p.resetPairs(10, false)
 	if len(p.pairs) != 10 || pairEpoch(p.pairs[0]) == p.epoch {
 		t.Fatalf("shrink: len=%d epoch0=%d cur=%d", len(p.pairs), pairEpoch(p.pairs[0]), p.epoch)
 	}
-	p.resetPairs(4096)
+	p.resetPairs(4096, false)
 	if len(p.pairs) != 4096 || p.epoch != 1 {
 		t.Fatalf("regrow: len=%d epoch=%d", len(p.pairs), p.epoch)
+	}
+
+	// A probe whose first run is hashed starts the epoch at 1, so fresh
+	// (zero) slots read as unseen.
+	h := &flatProbe{}
+	h.resetPairs(1<<40, true)
+	if h.epoch != 1 || pairEpoch(*h.cell(5)) == h.epoch {
+		t.Fatalf("fresh hashed probe: epoch=%d", h.epoch)
 	}
 }
 
@@ -367,10 +408,9 @@ func TestEpochWraparoundEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(700))
 	cor, res, c := randomCorpus(t, rng, 25, 25)
 	mask := res.Root.Mask
-	forceProbePath(t, probeForceFlat)
 
 	parked := &flatProbe{}
-	parked.resetPairs(25 * 25)
+	parked.resetPairs(25*25, false)
 	parked.epoch = 15
 	for j := range parked.pairs {
 		parked.pairs[j] = pairPack(15, int8(j%16+pairKilled))
@@ -384,43 +424,129 @@ func TestEpochWraparoundEndToEnd(t *testing.T) {
 	}
 }
 
-// TestAutoKernelSelection pins useFlatProbe's auto policy: the dense
-// path only when the pair space fits denseStateLimit and q fits the
-// packed state nibble — and the choice must be invisible in the output
-// (auto vs both forced kernels agree on a corpus near the boundary).
+// TestAutoKernelSelection pins the pair-store policy: the dense table
+// only while the config's whole pair space fits denseStateLimit — for
+// every shard alike, even when one shard's slice would fit — and the
+// choice must be invisible in the output.
 func TestAutoKernelSelection(t *testing.T) {
-	if !useFlatProbe(100, 100, 2) {
-		t.Error("small corpus should take the flat path")
+	storeFor := func(nA, nB int, view shardView) bool {
+		ids := denseInstances{a: make([][]int32, nA), b: make([][]int32, nB)}
+		p := &flatProbe{}
+		p.wire(runOpts{q: 2}, view, ids, nil, nil, nil, nil, nil, nil)
+		return p.hashed
 	}
-	if useFlatProbe(100, 100, flatProbeMaxQ+1) {
-		t.Error("q beyond the packed-state range must fall back to the map kernel")
+	if storeFor(100, 100, shardView{}) {
+		t.Error("small corpus should use the dense store")
 	}
-	prev := denseStateLimit
-	t.Cleanup(func() { denseStateLimit = prev })
 	denseStateLimit = 64
-	if useFlatProbe(9, 9, 2) { // 81 pairs > 64
-		t.Error("pair space beyond denseStateLimit must fall back")
+	t.Cleanup(func() { denseStateLimit = defaultDenseStateLimit })
+	if !storeFor(9, 9, shardView{}) { // 81 pairs > 64
+		t.Error("pair space beyond denseStateLimit must use the hashed store")
 	}
-	if !useFlatProbe(8, 8, 2) {
-		t.Error("pair space within denseStateLimit should take the flat path")
+	if storeFor(8, 8, shardView{}) {
+		t.Error("pair space within denseStateLimit should use the dense store")
+	}
+	if !storeFor(9, 9, shardView{side: 0, shard: 1, shards: 4}) { // 2×9 pairs per shard
+		t.Error("the store must follow the config's pair space, not the shard's")
 	}
 
 	rng := rand.New(rand.NewSource(800))
 	cor, res, cset := randomCorpus(t, rng, 20, 20)
 	mask := res.Root.Mask
-	forceProbePath(t, probeAuto)
-	auto := JoinOne(cor, mask, cset, Options{K: 10, Q: 2}) // 400 pairs: legacy under the shrunken limit
-	denseStateLimit = prev
-	auto2 := JoinOne(cor, mask, cset, Options{K: 10, Q: 2}) // flat under the real limit
-	requireIdentical(t, "auto across the limit boundary", auto2, auto)
+	hashed := JoinOne(cor, mask, cset, Options{K: 10, Q: 2}) // 400 pairs: hashed under the shrunken limit
+	denseStateLimit = defaultDenseStateLimit
+	dense := JoinOne(cor, mask, cset, Options{K: 10, Q: 2})
+	requireIdentical(t, "across the limit boundary", hashed, dense)
+}
+
+// TestLargeQClamped covers q beyond the packed-state range: runJoin
+// clamps it, and since q never changes an exact join's output, every
+// such q must still return the brute-force list, on both stores.
+func TestLargeQClamped(t *testing.T) {
+	rng := rand.New(rand.NewSource(850))
+	cor, res, c := randomCorpus(t, rng, 30, 25)
+	for _, mask := range res.Configs() {
+		want := BruteForce(cor, mask, c, 15, simfunc.Jaccard)
+		for _, q := range []int{13, 20, 100} {
+			for _, hashed := range []bool{false, true} {
+				useHashedStore(t, hashed)
+				got := JoinOne(cor, mask, c, Options{K: 15, Q: q})
+				requireIdentical(t, fmt.Sprintf("mask=%b q=%d hashed=%v", mask, q, hashed), got, want)
+			}
+		}
+	}
+}
+
+// TestPairKeyBeyondInt32 white-boxes the hashed store's 64-bit keying
+// on a pair space of 10G pairs (empty records, so nothing is built but
+// the geometry): a shard-local pair index past 2^32 must neither wrap
+// nor alias the key 2^32 below it, and pairOf must invert pairIdx.
+func TestPairKeyBeyondInt32(t *testing.T) {
+	const n = 100000
+	ids := denseInstances{a: make([][]int32, n), b: make([][]int32, n)}
+	p := &flatProbe{}
+	p.wire(runOpts{q: 2}, shardView{side: 0, shard: 1, shards: 2}, ids, nil, nil, nil, nil, nil, nil)
+	if !p.hashed {
+		t.Fatal("a 10G-pair space must use the hashed store")
+	}
+	a, b := int32(n-1), int32(n-2) // odd, so shard 1's local row (n-1)/2
+	idx := p.pairIdx(a, b)
+	if want := int64((n-1)/2)*n + int64(n-2); idx != want || idx < 1<<32 {
+		t.Fatalf("pairIdx(%d,%d) = %d, want %d (> 2^32)", a, b, idx, want)
+	}
+	if ga, gb := p.pairOf(idx); ga != a || gb != b {
+		t.Fatalf("pairOf(%d) = (%d,%d), want (%d,%d)", idx, ga, gb, a, b)
+	}
+	*p.cell(idx) = pairPack(p.epoch, 4)
+	alias := idx - 1<<32
+	if got := *p.cell(alias); got != 0 {
+		t.Fatalf("key %d aliases key %d: state %#x", alias, idx, got)
+	}
+	*p.cell(alias) = pairPack(p.epoch, 2)
+	if pairState(*p.cell(idx)) != 4 || pairState(*p.cell(alias)) != 2 {
+		t.Fatal("keys 2^32 apart share a slot")
+	}
+	if ga, gb := p.pairOf(alias); p.pairIdx(ga, gb) != alias {
+		t.Fatalf("pairOf/pairIdx do not round-trip %d", alias)
+	}
+}
+
+// TestPairTableGrowth drives the hashed store through several doublings
+// with keys spread past 2^32: every key keeps its own state, the load
+// stays at most ½, and reset empties the table but keeps its size.
+func TestPairTableGrowth(t *testing.T) {
+	var tb pairTable
+	tb.reset()
+	const keys = 20000
+	key := func(i int) int64 { return int64(i)*(1<<20+7) + 1<<33 }
+	for i := 0; i < keys; i++ {
+		*tb.cell(key(i)) = uint8(i)
+	}
+	if tb.used != keys || 2*tb.used > len(tb.slots) || len(tb.slots)&(len(tb.slots)-1) != 0 {
+		t.Fatalf("used=%d slots=%d", tb.used, len(tb.slots))
+	}
+	for i := 0; i < keys; i++ {
+		if v := *tb.cell(key(i)); v != uint8(i) {
+			t.Fatalf("key %d: state %d, want %d", key(i), v, uint8(i))
+		}
+	}
+	if tb.used != keys {
+		t.Fatalf("lookups inserted: used=%d", tb.used)
+	}
+	size := len(tb.slots)
+	tb.reset()
+	if tb.used != 0 || len(tb.slots) != size || *tb.cell(key(7)) != 0 {
+		t.Fatalf("reset: used=%d slots=%d (was %d)", tb.used, len(tb.slots), size)
+	}
 }
 
 // TestFlatProbePathZeroAllocs pins the tentpole's allocation contract
 // dynamically: with warm pooled buffers, the whole probe path —
-// wire, absorb, seed, probe, finish — allocates nothing. (The static
-// half is mclint's hotalloc/-escapes gate; testing.AllocsPerRun catches
-// what escape analysis can't, e.g. amortized append growth would show
-// up here as a fractional count.)
+// wire, absorb, seed, probe, finish — allocates nothing, on the dense
+// store and on a hashed store already grown by an earlier probe. (The
+// static half is mclint's hotalloc/-escapes gate; testing.AllocsPerRun
+// catches what escape analysis can't, e.g. amortized append growth
+// would show up here as a fractional count.)
 func TestFlatProbePathZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(900))
 	cor, res, c := randomCorpus(t, rng, 40, 40)
@@ -428,33 +554,40 @@ func TestFlatProbePathZeroAllocs(t *testing.T) {
 	instA, instB := tokenizeInstances(cor, mask, 1)
 	ids := buildDenseInstances(instA, instB)
 
-	rs := &runStats{}
-	opt := runOpts{k: 10, q: 2, m: simfunc.Jaccard, c: c}
-	score := makeScorer(cor, mask, nil, nil, simfunc.Jaccard)(rs)
-	top := newTopkHeap(opt.k)
-	p := &flatProbe{}
-	runProbe := func() {
-		top.items = top.items[:0]
-		p.wire(opt, shardView{}, ids, rs, score, top, nil, nil, nil)
-		p.absorb(nil)
-		p.seed()
-		p.probe()
-		p.finish()
-	}
-	runProbe() // warm the buffers (growth is index-phase, allowed to allocate)
-	if allocs := testing.AllocsPerRun(20, runProbe); allocs != 0 {
-		t.Errorf("warm probe path allocated %.2f times per run, want 0", allocs)
-	}
-	if top.Len() == 0 {
-		t.Fatal("probe produced no pairs — the zero-alloc run measured nothing")
+	for _, hashed := range []bool{false, true} {
+		useHashedStore(t, hashed)
+		rs := &runStats{}
+		opt := runOpts{k: 10, q: 2, m: simfunc.Jaccard, c: c}
+		score := makeScorer(cor, mask, nil, nil, simfunc.Jaccard)(rs)
+		top := newTopkHeap(opt.k)
+		p := &flatProbe{}
+		runProbe := func() {
+			top.items = top.items[:0]
+			p.wire(opt, shardView{}, ids, rs, score, top, nil, nil, nil)
+			p.absorb(nil)
+			p.seed()
+			p.probe()
+			p.finish()
+		}
+		runProbe() // warm the buffers (growth is allowed to allocate)
+		if p.hashed != hashed {
+			t.Fatalf("hashed=%v: probe ran the wrong store", hashed)
+		}
+		if allocs := testing.AllocsPerRun(20, runProbe); allocs != 0 {
+			t.Errorf("hashed=%v: warm probe path allocated %.2f times per run, want 0", hashed, allocs)
+		}
+		if top.Len() == 0 {
+			t.Fatalf("hashed=%v: probe produced no pairs — the zero-alloc run measured nothing", hashed)
+		}
 	}
 }
 
-// FuzzPrefixFilter feeds arbitrary corpora through the flat kernel
+// FuzzPrefixFilter feeds arbitrary corpora through both pair stores
 // (filters live) against BruteForce (no filters): any input where the
 // length or positional prefix filter kills a pair that belonged in the
-// top-k — tie boundaries, equal scores, degenerate records — shows up
-// as a list mismatch. Registered in the Makefile fuzz-smoke target.
+// top-k — tie boundaries, equal scores, degenerate records — or where
+// the stores disagree shows up as a list mismatch. Registered in the
+// Makefile fuzz-smoke target.
 func FuzzPrefixFilter(f *testing.F) {
 	f.Add(uint8(1), uint8(2), []byte("abc\ndef g\nhij"))
 	f.Add(uint8(3), uint8(1), []byte("a b c d e f g h i\nz\na b\nq r s"))
@@ -468,15 +601,18 @@ func FuzzPrefixFilter(f *testing.F) {
 			return
 		}
 		half := len(rows) / 2
-		cor, res := corpusFor(t, []string{"v"}, rows[:half], rows[half:])
+		cor, res, err := buildCorpus([]string{"v"}, rows[:half], rows[half:])
+		if err != nil {
+			return // no config to join: the generator rejected the tables
+		}
 		mask := res.Root.Mask
 		want := BruteForce(cor, mask, nil, k, simfunc.Jaccard)
-		forceProbePath(t, probeForceFlat)
-		flat := JoinOne(cor, mask, nil, Options{K: k, Q: q})
-		forceProbePath(t, probeForceLegacy)
-		legacy := JoinOne(cor, mask, nil, Options{K: k, Q: q})
-		requireIdentical(t, fmt.Sprintf("flat vs brute k=%d q=%d", k, q), flat, want)
-		requireIdentical(t, fmt.Sprintf("flat vs legacy k=%d q=%d", k, q), flat, legacy)
+		useHashedStore(t, false)
+		dense := JoinOne(cor, mask, nil, Options{K: k, Q: q})
+		useHashedStore(t, true)
+		hashed := JoinOne(cor, mask, nil, Options{K: k, Q: q})
+		requireIdentical(t, fmt.Sprintf("dense vs brute k=%d q=%d", k, q), dense, want)
+		requireIdentical(t, fmt.Sprintf("hashed vs dense k=%d q=%d", k, q), hashed, dense)
 	})
 }
 
@@ -512,8 +648,8 @@ func decodeFuzzRows(data []byte) [][]string {
 // sink guards against dead-code elimination in benchmarks below.
 var sinkList TopKList
 
-// BenchmarkJoinOneKernel compares the two kernels on the same corpus
-// (run with -bench to see the arena speedup on a mid-size join).
+// BenchmarkJoinOneKernel compares the two pair stores on the same
+// corpus (the hashed sub-benchmark shrinks denseStateLimit to reach it).
 func BenchmarkJoinOneKernel(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	words := []string{"ka", "ri", "ton", "mel", "sor", "vin", "da", "lo", "pex", "tra"}
@@ -534,14 +670,13 @@ func BenchmarkJoinOneKernel(b *testing.B) {
 		rowsB = append(rowsB, row())
 	}
 	cor, res := corpusFor(&testing.T{}, []string{"v"}, rowsA, rowsB)
-	for _, bench := range []struct {
-		name string
-		mode int
-	}{{"flat", probeForceFlat}, {"legacy", probeForceLegacy}} {
-		b.Run(bench.name, func(b *testing.B) {
-			prev := probePathOverride
-			probePathOverride = bench.mode
-			defer func() { probePathOverride = prev }()
+	for _, hashed := range []bool{false, true} {
+		name := "dense"
+		if hashed {
+			name = "hashed"
+		}
+		b.Run(name, func(b *testing.B) {
+			useHashedStore(b, hashed)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sinkList = JoinOne(cor, res.Root.Mask, nil, Options{K: 50, Q: 2})

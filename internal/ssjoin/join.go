@@ -138,13 +138,6 @@ type shardView struct {
 	shards int  // total shard count; <= 1 disables sharding
 }
 
-func (v shardView) owns(side int8, rec int32) bool {
-	if v.shards <= 1 || side != v.side {
-		return true
-	}
-	return int(rec)%v.shards == v.shard
-}
-
 // runJoin executes QJoin (Section 4.1) for one config: an event heap pops
 // the prefix extension with the highest score cap; each extension joins
 // the new token instance against the opposite side's current prefixes via
@@ -164,9 +157,9 @@ func (v shardView) owns(side int8, rec int32) bool {
 // merged under the same total order) and still return bytes identical to
 // the serial join.
 func runJoin(cor *Corpus, mask config.Mask, opt runOpts) TopKList {
-	if opt.q < 1 {
-		opt.q = 1
-	}
+	// q only decides when a pair is scored, so clamping it to the range
+	// the packed pair state can count cannot change the output.
+	opt.q = min(max(opt.q, 1), maxPackedQ)
 	if opt.stats == nil {
 		opt.stats = &runStats{}
 	}
@@ -203,22 +196,18 @@ func runJoin(cor *Corpus, mask config.Mask, opt runOpts) TopKList {
 	tokSpan.End()
 
 	// Dense instance ids are built once per config (the only map work
-	// left in the join) and shared read-only by every shard; both probe
-	// kernels consume them. Kernel choice is a pure function of the
-	// corpus shape (plus the test seam), identical across shards, so the
-	// output and the counter stream never depend on it.
+	// left in the join) and shared read-only by every shard.
 	ids := buildDenseInstances(instA, instB)
-	useFlat := useFlatProbe(sideLen, nA+nB-sideLen, opt.q)
 
 	opt.prog.configStarted()
 	defer opt.prog.configDone()
 	if shards <= 1 {
-		top := joinShard(opt, shardView{}, ids, useFlat,
+		top := joinShard(opt, shardView{}, ids,
 			opt.stats, opt.score(opt.stats), opt.seeds, opt.mergeCh,
 			opt.span, opt.prog.slot(0))
 		return top.list(mask)
 	}
-	return runJoinSharded(mask, opt, side, shards, ids, useFlat)
+	return runJoinSharded(mask, opt, side, shards, ids)
 }
 
 // runJoinSharded fans one config's probe out over a bounded worker pool:
@@ -228,7 +217,7 @@ func runJoin(cor *Corpus, mask config.Mask, opt runOpts) TopKList {
 // insert path uses. Because every shard is exact on its (disjoint) slice
 // of the pair space, the merged list is the exact global top-k — bytes
 // identical to the serial join for every worker and shard count.
-func runJoinSharded(mask config.Mask, opt runOpts, side int8, shards int, ids denseInstances, useFlat bool) TopKList {
+func runJoinSharded(mask config.Mask, opt runOpts, side int8, shards int, ids denseInstances) TopKList {
 	rs := opt.stats
 	seeds := opt.seeds
 	// Fold an already-delivered parent list into the seeds. Later
@@ -269,7 +258,7 @@ func runJoinSharded(mask config.Mask, opt runOpts, side int8, shards int, ids de
 					telemetry.L("shard", strconv.Itoa(s)),
 					telemetry.L("shards", strconv.Itoa(shards)))
 				view := shardView{side: side, shard: s, shards: shards}
-				heaps[s] = joinShard(opt, view, ids, useFlat,
+				heaps[s] = joinShard(opt, view, ids,
 					srs, opt.score(srs), seedsFor[s], nil, ssp, opt.prog.slot(s))
 				ssp.End()
 			}
@@ -334,21 +323,4 @@ func mergeTopK(k int, lists ...[]ScoredPair) *topkHeap {
 		}
 	}
 	return top
-}
-
-// joinShard dispatches one shard's exact probe to a kernel: the
-// flat-arena kernel (join_flat.go) whenever the dense pair-state table
-// fits the memory budget, the map kernel (join_legacy.go) otherwise.
-// Both are exact on the shard's (disjoint) slice of the pair space and
-// mirror each other's counter stream, so the choice is invisible in the
-// output — a property the differential harness enforces by forcing each
-// side of the seam in turn.
-func joinShard(opt runOpts, view shardView, ids denseInstances, useFlat bool,
-	rs *runStats, score scorer, seeds []ScoredPair,
-	mergeCh <-chan []ScoredPair, span *telemetry.TraceSpan,
-	pc *shardCounters) *topkHeap {
-	if useFlat {
-		return joinShardFlat(opt, view, ids, rs, score, seeds, mergeCh, span, pc)
-	}
-	return joinShardLegacy(opt, view, ids, rs, score, seeds, mergeCh, span, pc)
 }

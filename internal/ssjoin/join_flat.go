@@ -1,25 +1,23 @@
 package ssjoin
 
 // The flat-arena probe kernel (DESIGN.md "Flat-arena join kernel"): the
-// QJoin prefix-event loop of join.go's runJoin with every map lookup
-// replaced by a slice index, plus the ShallowBlocker-style length and
-// positional prefix filters as two additional strict prunes. The kernel
-// computes the same pure function as the legacy map kernel in
-// join_legacy.go — identical top-k bytes AND identical runStats counter
-// stream (canonical reports embed the counters, and the differential
-// harness byte-compares reports across the kernel seam), so every
-// branch here mirrors the legacy loop's structure and increment order
-// exactly. The only intended differences are data layout and the probe
-// buffers' pooled lifetime.
+// QJoin prefix-event loop of Section 4.1 with every lookup a slice
+// index, plus the ShallowBlocker-style length and positional prefix
+// filters as two additional strict prunes. Canonical reports embed the
+// runStats counters, so the two pair-state stores must produce the same
+// counter stream as well as the same top-k bytes: they differ only in
+// where a pair's state byte lives, never in the order anything is
+// visited.
 //
 // Layout recap (arena.go holds the structures):
 //
 //	posting arena   offX[id], fillX[id] index a postEntry slab per side;
 //	                the index-phase count pass sizes each id's region, so
 //	                the probe loop appends with one store + one increment.
-//	pair state      pairs[rowOff[sharded]+other], an epoch stamp packed
-//	                with a signed state byte; reset between probes is one
-//	                epoch bump, never a clear.
+//	pair state      one packed byte (epoch stamp + signed state) per pair
+//	                index rowOff[sharded]+other: pairs[idx] in the dense
+//	                table, reset between probes by one epoch bump; or a
+//	                pairTable slot past denseStateLimit, cleared on reset.
 //
 // Everything on the pop→touch→score path carries //mc:hotpath: mclint's
 // hotalloc analyzer plus the -escapes compile prove the loop stays
@@ -34,12 +32,12 @@ import (
 )
 
 // wire binds the probe to one shard's run and sizes the pooled buffers:
-// geometry normalization, pair-state epoch reset, position/arena-table
-// sizing, and the pair-state row bases for the owned sharded-side
+// geometry normalization, pair-store choice and reset, position/arena-
+// table sizing, and the pair-index row bases for the owned sharded-side
 // records. It runs before the seed absorb (seeds must warm the top-k
-// heap before event seeding so the push-cap prune sees them, exactly as
-// the legacy kernel orders it). May allocate, but only on buffer
-// growth — steady-state reuse through the pool allocates nothing.
+// heap before event seeding so the push-cap prune sees them). May
+// allocate, but only on buffer growth — steady-state reuse through the
+// pool allocates nothing.
 func (p *flatProbe) wire(opt runOpts, view shardView, ids denseInstances,
 	rs *runStats, score scorer, top *topkHeap, pc *shardCounters,
 	mergeCh <-chan []ScoredPair, span *telemetry.TraceSpan) {
@@ -74,13 +72,16 @@ func (p *flatProbe) wire(opt runOpts, view shardView, ids denseInstances,
 	if p.div > 1 {
 		owned = (sideLen - int(p.shard) + int(p.div) - 1) / int(p.div)
 	}
-	p.resetPairs(owned * otherLen)
+	// The store follows the config's whole pair space, so every shard of
+	// one config picks the same one and the dense tables of all shards
+	// together stay within denseStateLimit bytes.
+	p.resetPairs(owned*otherLen, nA*nB > denseStateLimit)
 
 	p.posA = growInt32(p.posA, nA)
 	clear(p.posA)
 	p.posB = growInt32(p.posB, nB)
 	clear(p.posB)
-	p.rowOff = growInt32(p.rowOff, sideLen)
+	p.rowOff = growInt64(p.rowOff, sideLen)
 	p.offA = growInt32(p.offA, ids.n)
 	p.fillA = growInt32(p.fillA, ids.n)
 	clear(p.fillA)
@@ -89,20 +90,57 @@ func (p *flatProbe) wire(opt runOpts, view shardView, ids denseInstances,
 	clear(p.fillB)
 	p.events.items = p.events.items[:0]
 	p.touched = p.touched[:0]
+	p.touchedKeys = p.touchedKeys[:0]
 
-	local := int32(0)
+	local := int64(0)
 	for i := p.shard; i < int32(sideLen); i += p.div {
-		p.rowOff[i] = local * p.otherLen
+		p.rowOff[i] = local * int64(otherLen)
 		local++
 	}
 }
 
+// pairIdx is pair (a, b)'s shard-local pair index: the owned
+// sharded-side record's row base plus the other record's id. Row-major,
+// so ascending indices visit (owned record asc, other record asc).
+//
+//mc:hotpath
+func (p *flatProbe) pairIdx(a, b int32) int64 {
+	if p.side == 0 {
+		return p.rowOff[a] + int64(b)
+	}
+	return p.rowOff[b] + int64(a)
+}
+
+// pairOf inverts pairIdx.
+//
+//mc:hotpath
+func (p *flatProbe) pairOf(idx int64) (a, b int32) {
+	row := idx / int64(p.otherLen)
+	o := int32(idx - row*int64(p.otherLen))
+	rec := p.shard + int32(row)*p.div
+	if p.side == 0 {
+		return rec, o
+	}
+	return o, rec
+}
+
+// cell returns pair idx's packed state byte. The dense branch is one
+// index and stays inlined at every call site; the hashed lookup (with
+// its growth path) is out of line.
+//
+//mc:hotpath
+func (p *flatProbe) cell(idx int64) *uint8 {
+	if p.hashed {
+		return p.table.cell(idx)
+	}
+	return &p.pairs[idx]
+}
+
 // seed is the index phase: one pass over each side counting owned
 // instances per dense id (into the fill tables, converted to slab
-// offsets below) and pushing each owned record's first prefix event —
-// the same owned-record visit order as the legacy kernel (A ascending,
-// then B ascending). Returns the owned-instance total for the progress
-// tracker.
+// offsets below) and pushing each owned record's first prefix event, A
+// ascending then B ascending. Returns the owned-instance total for the
+// progress tracker.
 func (p *flatProbe) seed() int64 {
 	var ownedInstances int64
 	for i := int32(0); i < int32(len(p.idsA)); i++ {
@@ -144,8 +182,7 @@ func sumToOffsets(off, cnt []int32) int {
 }
 
 // push queues a record's next prefix-extension event unless its score
-// cap proves no new top-k pair can come from the remaining tail. Mirror
-// of the legacy kernel's push closure.
+// cap proves no new top-k pair can come from the remaining tail.
 //
 //mc:hotpath
 func (p *flatProbe) push(side int8, rec int32) {
@@ -197,18 +234,14 @@ func (p *flatProbe) push(side int8, rec int32) {
 //
 //mc:hotpath
 func (p *flatProbe) touch(a, b, pa, pb int32) {
-	var idx int32
-	if p.side == 0 {
-		idx = p.rowOff[a] + b
-	} else {
-		idx = p.rowOff[b] + a
-	}
-	v := p.pairs[idx]
+	idx := p.pairIdx(a, b)
+	cell := p.cell(idx)
+	v := *cell
 	st := int32(pairState(v))
 	if pairEpoch(v) != p.epoch {
 		st = 0
 		if p.c.Contains(int(a), int(b)) {
-			p.pairs[idx] = pairPack(p.epoch, pairSuppressed)
+			*cell = pairPack(p.epoch, pairSuppressed)
 			p.rs.suppressedPairs++
 			return
 		}
@@ -217,7 +250,7 @@ func (p *flatProbe) touch(a, b, pa, pb int32) {
 			kth := p.top.kthScore()
 			mo := min(lx, ly)
 			if p.m.FromOverlap(mo, lx, ly) < kth {
-				p.pairs[idx] = pairPack(p.epoch, pairKilled)
+				*cell = pairPack(p.epoch, pairKilled)
 				p.rs.killsLengthFilter++
 				if filterKillHook != nil {
 					filterKillHook(a, b, tierLengthFilter)
@@ -226,7 +259,7 @@ func (p *flatProbe) touch(a, b, pa, pb int32) {
 			}
 			if rem := 1 + min(lx-int(pa)-1, ly-int(pb)-1); rem < mo {
 				if p.m.FromOverlap(rem, lx, ly) < kth {
-					p.pairs[idx] = pairPack(p.epoch, pairKilled)
+					*cell = pairPack(p.epoch, pairKilled)
 					p.rs.killsPrefixPos++
 					if filterKillHook != nil {
 						filterKillHook(a, b, tierPrefixPos)
@@ -240,46 +273,44 @@ func (p *flatProbe) touch(a, b, pa, pb int32) {
 	}
 	st++
 	if int(st) >= p.q {
-		p.pairs[idx] = pairPack(p.epoch, pairScored)
+		*cell = pairPack(p.epoch, pairScored)
 		p.top.offer(ScoredPair{A: a, B: b, Score: p.score(a, b)})
 		return
 	}
-	p.pairs[idx] = pairPack(p.epoch, int8(st))
+	*cell = pairPack(p.epoch, int8(st))
 	if st == 1 {
 		// First positive count: remember the pair for the exactness
 		// flush (states never return to zero within an epoch, so each
 		// deferred pair is recorded exactly once). Amortized append into
 		// a pooled buffer — steady state allocates nothing.
-		p.touched = append(p.touched, idx)
+		if p.hashed {
+			p.touchedKeys = append(p.touchedKeys, idx)
+		} else {
+			p.touched = append(p.touched, int32(idx))
+		}
 	}
 }
 
 // absorb folds a parent config's top-k pairs into this run, rescoring
 // each pair under this config (scores do not transfer across configs;
 // the scorer answers from the parent's overlap DB when reuse is on).
-// Mirror of the legacy kernel's absorb closure, including the silent
-// suppression of unseen C pairs.
+// Unseen C pairs are suppressed silently (no counter).
 func (p *flatProbe) absorb(list []ScoredPair) {
 	if len(list) > 0 {
 		p.span.Event("absorb", telemetry.L("pairs", strconv.Itoa(len(list))))
 	}
 	for _, pr := range list {
-		var idx int32
-		if p.side == 0 {
-			idx = p.rowOff[pr.A] + pr.B
-		} else {
-			idx = p.rowOff[pr.B] + pr.A
-		}
-		v := p.pairs[idx]
+		cell := p.cell(p.pairIdx(pr.A, pr.B))
+		v := *cell
 		if pairEpoch(v) != p.epoch {
 			if p.c.Contains(int(pr.A), int(pr.B)) {
-				p.pairs[idx] = pairPack(p.epoch, pairSuppressed)
+				*cell = pairPack(p.epoch, pairSuppressed)
 				continue
 			}
 		} else if pairState(v) < 0 {
 			continue
 		}
-		p.pairs[idx] = pairPack(p.epoch, pairScored)
+		*cell = pairPack(p.epoch, pairScored)
 		p.top.offer(ScoredPair{A: pr.A, B: pr.B, Score: p.score(pr.A, pr.B)})
 	}
 }
@@ -288,7 +319,7 @@ func (p *flatProbe) absorb(list []ScoredPair) {
 // returns true). Pop the highest-cap extension, join the new instance
 // against the opposite side's arena region, append self, requeue. The
 // stride-1023 checkpoint carries progress flushes, cancellation, and
-// mid-run merge arrivals, exactly like the legacy loop.
+// mid-run merge arrivals.
 //
 //mc:hotpath
 func (p *flatProbe) probe() bool {
@@ -359,7 +390,7 @@ func (p *flatProbe) probe() bool {
 // at least one final prefix, so overlap <= count + (lx-px) + (ly-py).
 //
 //mc:hotpath
-func (p *flatProbe) flushPair(a, b, idx, st int32) {
+func (p *flatProbe) flushPair(a, b, st int32) {
 	p.rs.deferredPairs++
 	lx, ly := len(p.idsA[a]), len(p.idsB[b])
 	oMax := int(st) + (lx - int(p.posA[a])) + (ly - int(p.posB[b]))
@@ -371,81 +402,67 @@ func (p *flatProbe) flushPair(a, b, idx, st int32) {
 		return
 	}
 	p.rs.flushedPairs++
-	p.pairs[idx] = pairPack(p.epoch, pairScored)
 	p.top.offer(ScoredPair{A: a, B: b, Score: p.score(a, b)})
+}
+
+// flushIdx flushes pair idx if it is still deferred.
+//
+//mc:hotpath
+func (p *flatProbe) flushIdx(idx int64) {
+	v := *p.cell(idx)
+	if st := int32(pairState(v)); pairEpoch(v) == p.epoch && st > 0 {
+		a, b := p.pairOf(idx)
+		p.flushPair(a, b, st)
+	}
 }
 
 // finish is the exactness flush: pending pairs (seen < q common
 // instances) may still belong in the top-k. The deterministic visit
-// order both kernels share is the dense storage order — (owned
-// sharded-side record asc, other record asc), i.e. ascending pair-state
-// index (the k-th score rises as flushed pairs are admitted, so the
-// visit order shapes the counters; the list itself is order-independent
-// by the total-order retention). When few pairs were touched relative
-// to the pair space, sorting the touched-index list reproduces that
-// exact order without scanning the table; dense probes fall back to the
-// straight scan, which needs no sort because the scan IS the order.
+// order is ascending pair index — (owned sharded-side record asc, other
+// record asc) — whichever store holds the states (the k-th score rises
+// as flushed pairs are admitted, so the visit order shapes the counters;
+// the list itself is order-independent by the total-order retention).
+// Each pair is visited once, so its state needs no update. Sorting the
+// touched list reproduces that order without scanning the pair space;
+// the hashed store always takes it, and a dense probe takes it unless
+// it touched so much of its table that the straight scan, which needs
+// no sort because the scan IS the order, is cheaper.
 //
 //mc:hotpath
 func (p *flatProbe) finish() {
-	n := int32(len(p.pairs))
 	if p.otherLen == 0 {
 		return
 	}
-	// Crossover: the dense scan is sequential 2-byte loads (memory
-	// bandwidth), the sparse path pays a sort plus scattered loads —
-	// roughly two orders of magnitude more per entry visited.
-	if int64(len(p.touched))*64 < int64(n) {
-		slices.Sort(p.touched)
-		for _, idx := range p.touched {
-			v := p.pairs[idx]
-			st := int32(pairState(v))
-			if pairEpoch(v) != p.epoch || st <= 0 {
-				continue
-			}
-			row := idx / p.otherLen
-			o := idx - row*p.otherLen
-			rec := p.shard + row*p.div
-			var a, b int32
-			if p.side == 0 {
-				a, b = rec, o
-			} else {
-				a, b = o, rec
-			}
-			p.flushPair(a, b, idx, st)
+	if p.hashed {
+		slices.Sort(p.touchedKeys)
+		for _, idx := range p.touchedKeys {
+			p.flushIdx(idx)
 		}
 		return
 	}
-	rec := p.shard
-	for base := int32(0); base < n; base += p.otherLen {
-		for o := int32(0); o < p.otherLen; o++ {
-			idx := base + o
-			v := p.pairs[idx]
-			if pairEpoch(v) != p.epoch {
-				continue
-			}
-			st := int32(pairState(v))
-			if st <= 0 {
-				continue
-			}
-			var a, b int32
-			if p.side == 0 {
-				a, b = rec, o
-			} else {
-				a, b = o, rec
-			}
-			p.flushPair(a, b, idx, st)
+	n := int64(len(p.pairs))
+	// Crossover: the dense scan is sequential byte loads (memory
+	// bandwidth), the sparse path pays a sort plus scattered loads —
+	// roughly two orders of magnitude more per entry visited.
+	if int64(len(p.touched))*64 < n {
+		slices.Sort(p.touched)
+		for _, idx := range p.touched {
+			p.flushIdx(int64(idx))
 		}
-		rec += p.div
+		return
+	}
+	for idx := int64(0); idx < n; idx++ {
+		if v := p.pairs[idx]; pairEpoch(v) == p.epoch && pairState(v) > 0 {
+			p.flushIdx(idx)
+		}
 	}
 }
 
-// joinShardFlat is the flat-arena counterpart of joinShardLegacy: one
-// shard's exact QJoin (Section 4.1) restricted to the records the view
-// owns, probing through the pooled arena kernel. Span structure,
-// progress flushes, and counter increments mirror the legacy kernel so
-// the two are interchangeable bit-for-bit.
-func joinShardFlat(opt runOpts, view shardView, ids denseInstances,
+// joinShard is one shard's exact QJoin (Section 4.1) restricted to the
+// records the view owns, probing through a pooled flatProbe. Shards are
+// exact on their (disjoint) slices of the pair space, so the merged
+// result is the exact top-k whatever the shard count.
+func joinShard(opt runOpts, view shardView, ids denseInstances,
 	rs *runStats, score scorer, seeds []ScoredPair,
 	mergeCh <-chan []ScoredPair, span *telemetry.TraceSpan,
 	pc *shardCounters) *topkHeap {
@@ -461,6 +478,14 @@ func joinShardFlat(opt runOpts, view shardView, ids denseInstances,
 		pc.probesTotal.Add(owned)
 	}
 	idxSpan.SetAttrInt("events_seeded", int64(p.events.Len()))
+	// Which pair-state store runs this probe, and its slot count: the
+	// dense pair space, or the hashed table's size as the probe starts.
+	store, slots := "dense", len(p.pairs)
+	if p.hashed {
+		store, slots = "hashed", len(p.table.slots)
+	}
+	idxSpan.SetAttr("pair_store", store)
+	idxSpan.SetAttrInt("pair_slots", int64(slots))
 	idxSpan.End()
 
 	probeSpan := span.Child("ssjoin.probe")

@@ -17,6 +17,16 @@ import (
 // corpusFor builds a corpus from string-valued tables, generating configs.
 func corpusFor(t *testing.T, attrs []string, rowsA, rowsB [][]string) (*Corpus, *config.Result) {
 	t.Helper()
+	cor, res, err := buildCorpus(attrs, rowsA, rowsB)
+	if err != nil {
+		t.Fatalf("config.Generate: %v", err)
+	}
+	return cor, res
+}
+
+// buildCorpus is corpusFor for callers that must tolerate the config
+// generator rejecting the tables (fuzz inputs).
+func buildCorpus(attrs []string, rowsA, rowsB [][]string) (*Corpus, *config.Result, error) {
 	a := table.MustNew("A", attrs)
 	for _, r := range rowsA {
 		a.MustAppend(r)
@@ -27,9 +37,9 @@ func corpusFor(t *testing.T, attrs []string, rowsA, rowsB [][]string) (*Corpus, 
 	}
 	res, err := config.Generate(a, b, config.Options{})
 	if err != nil {
-		t.Fatalf("config.Generate: %v", err)
+		return nil, nil, err
 	}
-	return NewCorpus(a, b, res), res
+	return NewCorpus(a, b, res), res, nil
 }
 
 // TestFigure6Example reproduces the worked example of Section 4.1: strings
@@ -252,8 +262,9 @@ func TestJoinAllMatchesIndividual(t *testing.T) {
 func TestJoinAllReuseGate(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	cor, _, c := randomCorpus(t, rng, 20, 20)
+	// Workers: 1 — at Workers > 1, whether a child finds its parent's H_γ filled is timing.
 	// Short tuples: default gate (20 tokens) keeps reuse off.
-	jr := JoinAll(cor, c, Options{K: 10, Q: 2})
+	jr := JoinAll(cor, c, Options{K: 10, Q: 2, Workers: 1})
 	if jr.Stats.ReuseActive {
 		t.Error("reuse should be gated off for short tuples")
 	}
@@ -261,7 +272,7 @@ func TestJoinAllReuseGate(t *testing.T) {
 		t.Error("no reused scores expected with gate off")
 	}
 	// Forcing the gate low activates reuse and some scores come from H.
-	jr2 := JoinAll(cor, c, Options{K: 10, Q: 2, ReuseMinAvgTokens: 1})
+	jr2 := JoinAll(cor, c, Options{K: 10, Q: 2, Workers: 1, ReuseMinAvgTokens: 1})
 	if !jr2.Stats.ReuseActive {
 		t.Fatal("reuse should be active")
 	}

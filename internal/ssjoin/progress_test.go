@@ -116,9 +116,10 @@ func TestProgressPruneTierSplit(t *testing.T) {
 func TestProgressShardSkew(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	cor, _, c := randomCorpus(t, rng, 60, 80)
+	// Workers: 1 — at Workers > 1 the list-reuse handoff, so the shard work, is timing.
 	run := func() (Stats, ProgressSnapshot) {
 		prog := NewProgress()
-		res := JoinAll(cor, c, Options{K: 10, Q: 2, ProbeWorkers: 4, Progress: prog})
+		res := JoinAll(cor, c, Options{K: 10, Q: 2, Workers: 1, ProbeWorkers: 4, Progress: prog})
 		return res.Stats, prog.Snapshot()
 	}
 	st, snap := run()
