@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet mclint lint-hotalloc lint vuln fuzz-smoke perf-baseline perf-check parallel-bench serve-smoke serve-overhead-bench serve-overhead-baseline serve-overhead-check progress-overhead-bench progress-overhead-baseline progress-overhead-check shard-skew-bench
+.PHONY: all build test race vet fmt-check mclint lint-hotalloc lint vuln fuzz-smoke perf-baseline perf-check parallel-bench serve-smoke serve-overhead-bench serve-overhead-baseline serve-overhead-check progress-overhead-bench progress-overhead-baseline progress-overhead-check shard-skew-bench
 
 all: build test
 
@@ -20,6 +20,12 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when any Go file differs from gofmt's output, and
+# lists the files that do.
+fmt-check:
+	@files=$$(gofmt -l .); \
+	if [ -n "$$files" ]; then echo "gofmt needed:"; echo "$$files"; exit 1; fi
 
 # mclint enforces the determinism/telemetry/concurrency invariants
 # (mapiter, seededrand, metricname, spanend, floatcmp, lockorder,
@@ -39,7 +45,7 @@ mclint:
 lint-hotalloc:
 	$(GO) run ./cmd/mclint -escapes -only hotalloc -summary ./...
 
-lint: vet mclint lint-hotalloc
+lint: vet fmt-check mclint lint-hotalloc
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
@@ -65,6 +71,7 @@ fuzz-smoke:
 	$(GO) test ./internal/blocker -run '^$$' -fuzz FuzzSoundex -fuzztime 10s
 	$(GO) test ./internal/ssjoin -run '^$$' -fuzz FuzzMergeTopK -fuzztime 10s
 	$(GO) test ./internal/ssjoin -run '^$$' -fuzz FuzzPrefixFilter -fuzztime 10s
+	$(GO) test ./internal/config -run '^$$' -fuzz FuzzColumnHelpers -fuzztime 10s
 
 # Performance regression observability (DESIGN.md "Performance
 # Regression Observability"). perf-baseline reruns the pinned perf-gate

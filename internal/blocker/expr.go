@@ -2,6 +2,7 @@ package blocker
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"matchcatcher/internal/floats"
@@ -214,8 +215,11 @@ func (at Atom) Holds(a *table.Table, ra int, b *table.Table, rb int) bool {
 	return at.Op.holds(at.Feature.Eval(a, ra, b, rb), at.Value)
 }
 
+// String renders the atom in the rule syntax Parse reads. The threshold
+// is written in plain decimal: %g would give 1e+06, which the lexer's
+// digits-and-dots numbers cannot read back.
 func (at Atom) String() string {
-	return fmt.Sprintf("%s%s%g", at.Feature, at.Op, at.Value)
+	return fmt.Sprintf("%s%s%s", at.Feature, at.Op, strconv.FormatFloat(at.Value, 'f', -1, 64))
 }
 
 // Expr is a boolean expression over atoms: an Atom leaf or an AND/OR/NOT

@@ -63,9 +63,11 @@ func classifyColumn(t *table.Table, attr string, maxUnique int) AttrClass {
 		nonMissing++
 		norm := strings.ToLower(strings.TrimSpace(v))
 		uniq[norm] = struct{}{}
-		totalTokens += len(strings.Fields(norm))
-		if _, err := strconv.ParseFloat(norm, 64); err == nil {
-			numeric++
+		totalTokens += table.CountFields(norm)
+		if mayParseFloat(norm) {
+			if _, err := strconv.ParseFloat(norm, 64); err == nil {
+				numeric++
+			}
 		}
 		if !boolTokens[norm] {
 			allBool = false
@@ -85,6 +87,22 @@ func classifyColumn(t *table.Table, attr string, maxUnique int) AttrClass {
 		return ClassCategorical
 	}
 	return ClassString
+}
+
+// mayParseFloat is a sound prefilter for strconv.ParseFloat: it is false
+// only for strings ParseFloat rejects. After an optional sign, every
+// accepted form starts with a digit (decimal, hex 0x, underscores), a
+// '.', or the i/n of inf, infinity and nan in either case. Skipping the
+// parse of a text value saves the *NumError each failure allocates.
+func mayParseFloat(s string) bool {
+	if len(s) > 0 && (s[0] == '+' || s[0] == '-') {
+		s = s[1:]
+	}
+	if len(s) == 0 {
+		return false
+	}
+	c := s[0]
+	return '0' <= c && c <= '9' || c == '.' || c == 'i' || c == 'I' || c == 'n' || c == 'N'
 }
 
 // Classify classifies an attribute across both tables, taking the "wider"

@@ -50,8 +50,8 @@ type FieldSpec struct {
 	LongTailPct   float64
 	LongTailWords int
 	Lo, Hi        float64 // FieldInt / FieldFloat
-	DirtA        Dirt    // error model for table A renderings
-	DirtB        Dirt    // error model for table B renderings
+	DirtA         Dirt    // error model for table A renderings
+	DirtB         Dirt    // error model for table B renderings
 }
 
 // Profile declares a synthetic dataset: sizes, schema, and dirt. The

@@ -6,7 +6,7 @@
 // cmd/mclint e2e tests instead.
 package hotalloc
 
-func take(v any)        {}
+func take(v any)         {}
 func variadic(vs ...any) {}
 
 // sumMap iterates a map on the hot path.

@@ -43,9 +43,9 @@ type BaselineSource struct {
 // workload's sample distributions, pinned to the environment and build
 // that produced them.
 type Baseline struct {
-	Schema      string                    `json:"schema"`
-	Description string                    `json:"description,omitempty"`
-	GeneratedBy string                    `json:"generated_by"`
+	Schema      string `json:"schema"`
+	Description string `json:"description,omitempty"`
+	GeneratedBy string `json:"generated_by"`
 	// Date is the timestamp of the newest contributing record — a pure
 	// function of the ledger, so regenerating from the same ledger is
 	// byte-identical.

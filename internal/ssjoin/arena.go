@@ -7,9 +7,10 @@ package ssjoin
 // misses and allocation once the heaps were de-boxed. This file holds
 // the replacement substrate:
 //
-//   - denseInstances: token instances remapped from sparse int64 keys
-//     (tok<<4|occ) to dense int32 ids, once per config, so every
-//     per-instance table downstream is a plain slice indexed by id.
+//   - denseInstances: each config's token instances numbered with dense
+//     int32 ids straight from the records' rank-sorted entries (no map),
+//     so every per-instance table downstream is a plain slice indexed by
+//     id. The buffer is reused across the configs one join worker runs.
 //   - flatProbe: the pooled per-shard buffer block — posting-list arena
 //     (one contiguous postEntry slab per side plus per-id offset/fill
 //     tables), packed pair states, event-heap and position scratch —
@@ -29,55 +30,101 @@ import (
 	"sync/atomic"
 
 	"matchcatcher/internal/blocker"
+	"matchcatcher/internal/config"
 	"matchcatcher/internal/simfunc"
 	"matchcatcher/internal/telemetry"
 )
 
-// denseInstances is one config's token-instance lists remapped to dense
-// int32 ids (0..n-1, first-occurrence order over A's records then B's).
-// The remap is a pure function of (corpus, mask), so every shard of a
-// sharded probe shares one denseInstances read-only.
+// denseInstances holds one config's token-instance lists as dense int32
+// ids. Under config γ a record's entry for the token of rank t expands
+// into popcount(mask∧γ) instances; instance (t, occ) gets id
+// base[t]+occ, where base is the prefix sum over ranks of
+// popcount(Corpus.tokMask[t]∧γ): a bijection on (t, occ) into [0, n),
+// with no map. Nothing in the join orders by id, so the numbering cannot
+// reach the output (DESIGN.md "Flat-arena join kernel"). Ids no record
+// uses get empty posting regions.
+//
+// It is a reusable buffer: tokenize overwrites everything it hands out,
+// so a JoinAll worker passes one to each config it runs in turn. The
+// shards of one probe read it; concurrent joins must not share it.
 type denseInstances struct {
-	a, b [][]int32
-	n    int // distinct instance count
+	a, b    [][]int32 // lists split into A's records and B's
+	n       int       // every id lies in [0, n)
+	lists   [][]int32 // per record, A's then B's: its ids, in backing
+	base    []int32   // per token rank: its first id
+	lens    []int32   // per record: its instance count
+	backing []int32
 }
 
-// buildDenseInstances remaps the int64 instance keys produced by
-// tokenizeInstances to dense int32 ids. It runs once per config join, in
-// the index phase: the map lives and dies here so the probe loop that
-// follows never touches one. Ids are assigned in first-occurrence order
-// scanning A's records then B's, each list front to back — deterministic
-// for a fixed corpus and mask.
-func buildDenseInstances(instA, instB [][]int64) denseInstances {
+// tokenize fills d with both sides' ids under mask. Each record's ids
+// are written straight from its rank-sorted entries, so they strictly
+// ascend. That pass is a pure function of each record, so it fans out
+// over record ranges with no effect on the output; workers <= 1 runs
+// inline, where a warm buffer allocates nothing.
+func (d *denseInstances) tokenize(cor *Corpus, mask config.Mask, workers int) {
+	mm := uint16(mask)
+	d.base = grow(d.base, len(cor.tokMask))
+	n := int32(0)
+	for t, tm := range cor.tokMask {
+		d.base[t] = n
+		n += int32(bits.OnesCount16(tm & mm))
+	}
+	d.n = int(n)
+
+	recs := len(cor.recsA) + len(cor.recsB)
+	d.lens = grow(d.lens, recs)
 	total := 0
-	for _, l := range instA {
-		total += len(l)
+	for i := range d.lens {
+		l := cor.rec(i).lenUnder(mask)
+		d.lens[i] = int32(l)
+		total += l
 	}
-	for _, l := range instB {
-		total += len(l)
+	d.backing = grow(d.backing, total)
+	d.lists = grow(d.lists, recs)
+	off := 0
+	for i, l := range d.lens {
+		end := off + int(l)
+		d.lists[i] = d.backing[off:end:end]
+		off = end
 	}
-	ids := make(map[int64]int32, total)
-	backing := make([]int32, total)
-	remap := func(lists [][]int64) [][]int32 {
-		out := make([][]int32, len(lists))
-		for i, l := range lists {
-			dst := backing[:len(l):len(l)]
-			backing = backing[len(l):]
-			for j, key := range l {
-				id, ok := ids[key]
-				if !ok {
-					id = int32(len(ids))
-					ids[key] = id
-				}
+	d.a, d.b = d.lists[:len(cor.recsA)], d.lists[len(cor.recsA):]
+
+	if workers <= 1 || recs < 2*minParallelTokenize {
+		d.fill(cor, mm, 0, recs)
+		return
+	}
+	workers = min(workers, recs)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		lo, hi := recs*w/workers, recs*(w+1)/workers
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			d.fill(cor, mm, lo, hi)
+		}()
+	}
+	wg.Wait()
+}
+
+// minParallelTokenize is the per-worker record count under which spawning
+// tokenize goroutines costs more than it saves.
+const minParallelTokenize = 256
+
+// fill writes the ids of records [lo, hi).
+//
+//mc:hotpath
+func (d *denseInstances) fill(cor *Corpus, mm uint16, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		dst, j := d.lists[i], 0
+		for _, e := range cor.rec(i).entries {
+			id := d.base[e.tok]
+			for occ := bits.OnesCount16(e.mask & mm); occ > 0; occ-- {
 				dst[j] = id
+				id++
+				j++
 			}
-			out[i] = dst
 		}
-		return out
 	}
-	a := remap(instA)
-	b := remap(instB)
-	return denseInstances{a: a, b: b, n: len(ids)}
 }
 
 // postEntry is one posting-list entry: a record plus the prefix position
@@ -218,27 +265,13 @@ func (p *flatProbe) release() {
 	p.idsB = nil
 }
 
-// growInt32 returns s resized to n, reusing capacity when it suffices.
+// grow returns s resized to n, reusing capacity when it suffices.
 // Contents are unspecified — callers clear or overwrite what they read.
-func growInt32(s []int32, n int) []int32 {
+func grow[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	return make([]int32, n)
-}
-
-func growEntries(s []postEntry, n int) []postEntry {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]postEntry, n)
-}
-
-func growInt64(s []int64, n int) []int64 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]int64, n)
+	return make([]T, n)
 }
 
 // resetPairs prepares the pair-state store for a probe over pairSpace

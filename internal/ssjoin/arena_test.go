@@ -430,7 +430,7 @@ func TestEpochWraparoundEndToEnd(t *testing.T) {
 // choice must be invisible in the output.
 func TestAutoKernelSelection(t *testing.T) {
 	storeFor := func(nA, nB int, view shardView) bool {
-		ids := denseInstances{a: make([][]int32, nA), b: make([][]int32, nB)}
+		ids := &denseInstances{a: make([][]int32, nA), b: make([][]int32, nB)}
 		p := &flatProbe{}
 		p.wire(runOpts{q: 2}, view, ids, nil, nil, nil, nil, nil, nil)
 		return p.hashed
@@ -483,7 +483,7 @@ func TestLargeQClamped(t *testing.T) {
 // nor alias the key 2^32 below it, and pairOf must invert pairIdx.
 func TestPairKeyBeyondInt32(t *testing.T) {
 	const n = 100000
-	ids := denseInstances{a: make([][]int32, n), b: make([][]int32, n)}
+	ids := &denseInstances{a: make([][]int32, n), b: make([][]int32, n)}
 	p := &flatProbe{}
 	p.wire(runOpts{q: 2}, shardView{side: 0, shard: 1, shards: 2}, ids, nil, nil, nil, nil, nil, nil)
 	if !p.hashed {
@@ -551,8 +551,8 @@ func TestFlatProbePathZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(900))
 	cor, res, c := randomCorpus(t, rng, 40, 40)
 	mask := res.Root.Mask
-	instA, instB := tokenizeInstances(cor, mask, 1)
-	ids := buildDenseInstances(instA, instB)
+	ids := &denseInstances{}
+	ids.tokenize(cor, mask, 1)
 
 	for _, hashed := range []bool{false, true} {
 		useHashedStore(t, hashed)

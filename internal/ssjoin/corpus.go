@@ -59,6 +59,11 @@ type Corpus struct {
 	Res   *config.Result
 	recsA []record
 	recsB []record
+	// tokMask[t] is the OR over both tables' records of the attribute
+	// mask of the token of rank t. Under config γ no record holds more
+	// than popcount(tokMask[t]∧γ) instances of it, which bounds the id
+	// range each token needs (see denseInstances).
+	tokMask []uint16
 	// AvgTokens is the average multiset token length per tuple under the
 	// full config, across both tables; it gates overlap reuse
 	// (Section 4.2: reuse only pays off for long tuples).
@@ -131,31 +136,38 @@ func NewCorpus(a, b *table.Table, res *config.Result) *Corpus {
 		rank[id] = int32(r)
 	}
 
+	tokMask := make([]uint16, len(df))
 	finish := func(raw []rawRec) []record {
 		recs := make([]record, len(raw))
 		for i, rr := range raw {
 			entries := make([]tokenEntry, len(rr.toks))
 			for j, id := range rr.toks {
 				entries[j] = tokenEntry{tok: rank[id], mask: rr.masks[j]}
+				tokMask[rank[id]] |= rr.masks[j]
 			}
 			sort.Slice(entries, func(x, y int) bool { return entries[x].tok < entries[y].tok })
 			recs[i] = record{entries: entries, attrLen: rr.attrs}
 		}
 		return recs
 	}
-	c := &Corpus{Res: res, recsA: finish(rawA), recsB: finish(rawB)}
+	c := &Corpus{Res: res, recsA: finish(rawA), recsB: finish(rawB), tokMask: tokMask}
 	full := config.Mask(1)<<uint(len(res.Promising)) - 1
-	total := 0
-	for i := range c.recsA {
-		total += c.recsA[i].lenUnder(full)
+	n, total := len(c.recsA)+len(c.recsB), 0
+	for i := 0; i < n; i++ {
+		total += c.rec(i).lenUnder(full)
 	}
-	for i := range c.recsB {
-		total += c.recsB[i].lenUnder(full)
-	}
-	if n := len(c.recsA) + len(c.recsB); n > 0 {
+	if n > 0 {
 		c.AvgTokens = float64(total) / float64(n)
 	}
 	return c
+}
+
+// rec returns record i, numbering A's records first, then B's.
+func (c *Corpus) rec(i int) *record {
+	if i < len(c.recsA) {
+		return &c.recsA[i]
+	}
+	return &c.recsB[i-len(c.recsA)]
 }
 
 // NumA and NumB return the table sizes.

@@ -1,7 +1,6 @@
 package ssjoin
 
 import (
-	"math/bits"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -64,68 +63,11 @@ type runOpts struct {
 	// The tracker is observe-only — it never feeds back into the join,
 	// so attaching it cannot change any output bit.
 	prog *Progress
+	// ids is the instance-id buffer this run's tokenize fills; nil gets a
+	// fresh one. A JoinAll worker passes its own buffer to every config
+	// it runs, one after another; concurrent runs never share a buffer.
+	ids *denseInstances
 }
-
-// instKey packs a token rank and a duplicate-occurrence number.
-func instKey(tok int32, occ int) int64 { return int64(tok)<<4 | int64(occ) }
-
-// instances renders a record's token-instance list under the config:
-// entries with popcount(mask∧γ) = m expand into m instances, preserving
-// the global rare-first order.
-func instances(r *record, m config.Mask) []int64 {
-	mm := uint16(m)
-	out := make([]int64, 0, len(r.entries))
-	for _, e := range r.entries {
-		pc := bits.OnesCount16(e.mask & mm)
-		for occ := 0; occ < pc; occ++ {
-			out = append(out, instKey(e.tok, occ))
-		}
-	}
-	return out
-}
-
-// tokenizeInstances materializes both sides' token-instance lists. Each
-// record's list is a pure function of the record and the mask, so the
-// work parallelizes over contiguous record ranges with no effect on the
-// output; workers <= 1 runs inline.
-func tokenizeInstances(cor *Corpus, mask config.Mask, workers int) (instA, instB [][]int64) {
-	instA = make([][]int64, len(cor.recsA))
-	instB = make([][]int64, len(cor.recsB))
-	fill := func(lo, hi int) {
-		// Records are numbered A first, then B, so one range covers both.
-		for i := lo; i < hi; i++ {
-			if i < len(instA) {
-				instA[i] = instances(&cor.recsA[i], mask)
-			} else {
-				instB[i-len(instA)] = instances(&cor.recsB[i-len(instA)], mask)
-			}
-		}
-	}
-	n := len(instA) + len(instB)
-	if workers <= 1 || n < 2*minParallelTokenize {
-		fill(0, n)
-		return instA, instB
-	}
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := n * w / workers
-		hi := n * (w + 1) / workers
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fill(lo, hi)
-		}()
-	}
-	wg.Wait()
-	return instA, instB
-}
-
-// minParallelTokenize is the per-worker record count under which spawning
-// tokenize goroutines costs more than it saves.
-const minParallelTokenize = 256
 
 // shardView restricts which records seed probe events in one shard. The
 // sharded side's records are dealt round-robin (rec mod shards); the
@@ -190,14 +132,18 @@ func runJoin(cor *Corpus, mask config.Mask, opt runOpts) TopKList {
 		shards = 1
 	}
 
+	// Dense instance ids are built once per config and shared read-only
+	// by every shard.
+	ids := opt.ids
+	if ids == nil {
+		ids = &denseInstances{}
+	}
 	tokSpan := opt.span.Child("ssjoin.tokenize")
-	instA, instB := tokenizeInstances(cor, mask, opt.probeWorkers)
+	ids.tokenize(cor, mask, opt.probeWorkers)
 	tokSpan.SetAttrInt("records", int64(nA+nB))
+	tokSpan.SetAttrInt("instances", int64(len(ids.backing)))
+	tokSpan.SetAttrInt("ids", int64(ids.n))
 	tokSpan.End()
-
-	// Dense instance ids are built once per config (the only map work
-	// left in the join) and shared read-only by every shard.
-	ids := buildDenseInstances(instA, instB)
 
 	opt.prog.configStarted()
 	defer opt.prog.configDone()
@@ -217,7 +163,7 @@ func runJoin(cor *Corpus, mask config.Mask, opt runOpts) TopKList {
 // insert path uses. Because every shard is exact on its (disjoint) slice
 // of the pair space, the merged list is the exact global top-k — bytes
 // identical to the serial join for every worker and shard count.
-func runJoinSharded(mask config.Mask, opt runOpts, side int8, shards int, ids denseInstances) TopKList {
+func runJoinSharded(mask config.Mask, opt runOpts, side int8, shards int, ids *denseInstances) TopKList {
 	rs := opt.stats
 	seeds := opt.seeds
 	// Fold an already-delivered parent list into the seeds. Later

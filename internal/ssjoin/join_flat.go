@@ -38,7 +38,7 @@ import (
 // heap before event seeding so the push-cap prune sees them). May
 // allocate, but only on buffer growth — steady-state reuse through the
 // pool allocates nothing.
-func (p *flatProbe) wire(opt runOpts, view shardView, ids denseInstances,
+func (p *flatProbe) wire(opt runOpts, view shardView, ids *denseInstances,
 	rs *runStats, score scorer, top *topkHeap, pc *shardCounters,
 	mergeCh <-chan []ScoredPair, span *telemetry.TraceSpan) {
 
@@ -77,16 +77,16 @@ func (p *flatProbe) wire(opt runOpts, view shardView, ids denseInstances,
 	// together stay within denseStateLimit bytes.
 	p.resetPairs(owned*otherLen, nA*nB > denseStateLimit)
 
-	p.posA = growInt32(p.posA, nA)
+	p.posA = grow(p.posA, nA)
 	clear(p.posA)
-	p.posB = growInt32(p.posB, nB)
+	p.posB = grow(p.posB, nB)
 	clear(p.posB)
-	p.rowOff = growInt64(p.rowOff, sideLen)
-	p.offA = growInt32(p.offA, ids.n)
-	p.fillA = growInt32(p.fillA, ids.n)
+	p.rowOff = grow(p.rowOff, sideLen)
+	p.offA = grow(p.offA, ids.n)
+	p.fillA = grow(p.fillA, ids.n)
 	clear(p.fillA)
-	p.offB = growInt32(p.offB, ids.n)
-	p.fillB = growInt32(p.fillB, ids.n)
+	p.offB = grow(p.offB, ids.n)
+	p.fillB = grow(p.fillB, ids.n)
 	clear(p.fillB)
 	p.events.items = p.events.items[:0]
 	p.touched = p.touched[:0]
@@ -163,8 +163,8 @@ func (p *flatProbe) seed() int64 {
 		ownedInstances += int64(len(p.idsB[i]))
 		p.push(1, i)
 	}
-	p.slabA = growEntries(p.slabA, sumToOffsets(p.offA, p.fillA))
-	p.slabB = growEntries(p.slabB, sumToOffsets(p.offB, p.fillB))
+	p.slabA = grow(p.slabA, sumToOffsets(p.offA, p.fillA))
+	p.slabB = grow(p.slabB, sumToOffsets(p.offB, p.fillB))
 	return ownedInstances
 }
 
@@ -462,7 +462,7 @@ func (p *flatProbe) finish() {
 // records the view owns, probing through a pooled flatProbe. Shards are
 // exact on their (disjoint) slices of the pair space, so the merged
 // result is the exact top-k whatever the shard count.
-func joinShard(opt runOpts, view shardView, ids denseInstances,
+func joinShard(opt runOpts, view shardView, ids *denseInstances,
 	rs *runStats, score scorer, seeds []ScoredPair,
 	mergeCh <-chan []ScoredPair, span *telemetry.TraceSpan,
 	pc *shardCounters) *topkHeap {

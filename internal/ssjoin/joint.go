@@ -386,6 +386,9 @@ func JoinAll(cor *Corpus, c *blocker.PairSet, opt Options) *JoinResult {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// One instance-id buffer per worker, reused by each config it
+			// runs: runJoin is done with it before the next job starts.
+			ids := &denseInstances{}
 			for i := range jobs {
 				n := nodes[i]
 				var parentH *hdb
@@ -408,6 +411,7 @@ func JoinAll(cor *Corpus, c *blocker.PairSet, opt Options) *JoinResult {
 					span:         csp,
 					probeWorkers: opt.ProbeWorkers,
 					prog:         opt.Progress,
+					ids:          ids,
 				}
 				if n.Parent != nil && !opt.DisableListReuse {
 					if pi := idxOf[n.Parent]; done[pi].Load() {

@@ -101,43 +101,43 @@ type sink struct {
 	killsLengthFilter *telemetry.Counter
 	killsPrefixPos    *telemetry.Counter
 	probesSkipped     *telemetry.Counter
-	progressSamples *telemetry.Counter
-	skewConfigs     *telemetry.Counter
-	skewWorkMin     *telemetry.Gauge
-	skewWorkMax     *telemetry.Gauge
-	skewWorkP50     *telemetry.Gauge
-	skewImbalance   *telemetry.Gauge
-	reg             *telemetry.Registry
+	progressSamples   *telemetry.Counter
+	skewConfigs       *telemetry.Counter
+	skewWorkMin       *telemetry.Gauge
+	skewWorkMax       *telemetry.Gauge
+	skewWorkP50       *telemetry.Gauge
+	skewImbalance     *telemetry.Gauge
+	reg               *telemetry.Registry
 }
 
 func newSink(reg *telemetry.Registry) *sink {
 	return &sink{
-		scratch:         reg.Counter("mc_ssjoin_scratch_scores_total"),
-		reused:          reg.Counter("mc_ssjoin_reused_scores_total"),
-		reuseHits:       reg.Counter("mc_ssjoin_reuse_hits_total"),
-		reuseMisses:     reg.Counter("mc_ssjoin_reuse_misses_total"),
-		prefixEvents:    reg.Counter("mc_ssjoin_prefix_events_total"),
-		pruneKills:      reg.Counter("mc_ssjoin_prune_kills_total"),
-		deferred:        reg.Counter("mc_ssjoin_deferred_pairs_total"),
-		flushed:         reg.Counter("mc_ssjoin_flushed_pairs_total"),
-		suppressed:      reg.Counter("mc_ssjoin_suppressed_pairs_total"),
-		probeShards:     reg.Counter("mc_ssjoin_probe_shards_total"),
-		shardMergePairs: reg.Counter("mc_ssjoin_shard_merge_pairs_total"),
-		configJoins:     reg.Counter("mc_ssjoin_config_joins_total"),
-		joinSeconds:     reg.Histogram("mc_ssjoin_join_seconds"),
+		scratch:           reg.Counter("mc_ssjoin_scratch_scores_total"),
+		reused:            reg.Counter("mc_ssjoin_reused_scores_total"),
+		reuseHits:         reg.Counter("mc_ssjoin_reuse_hits_total"),
+		reuseMisses:       reg.Counter("mc_ssjoin_reuse_misses_total"),
+		prefixEvents:      reg.Counter("mc_ssjoin_prefix_events_total"),
+		pruneKills:        reg.Counter("mc_ssjoin_prune_kills_total"),
+		deferred:          reg.Counter("mc_ssjoin_deferred_pairs_total"),
+		flushed:           reg.Counter("mc_ssjoin_flushed_pairs_total"),
+		suppressed:        reg.Counter("mc_ssjoin_suppressed_pairs_total"),
+		probeShards:       reg.Counter("mc_ssjoin_probe_shards_total"),
+		shardMergePairs:   reg.Counter("mc_ssjoin_shard_merge_pairs_total"),
+		configJoins:       reg.Counter("mc_ssjoin_config_joins_total"),
+		joinSeconds:       reg.Histogram("mc_ssjoin_join_seconds"),
 		killsPushCap:      reg.Counter("mc_ssjoin_progress_prune_kills_total", telemetry.L("tier", "push_cap")),
 		killsLoopBreak:    reg.Counter("mc_ssjoin_progress_prune_kills_total", telemetry.L("tier", "loop_break")),
 		killsFlushBound:   reg.Counter("mc_ssjoin_progress_prune_kills_total", telemetry.L("tier", "flush_bound")),
 		killsLengthFilter: reg.Counter("mc_ssjoin_progress_prune_kills_total", telemetry.L("tier", "length_filter")),
 		killsPrefixPos:    reg.Counter("mc_ssjoin_progress_prune_kills_total", telemetry.L("tier", "prefix_pos")),
-		probesSkipped:   reg.Counter("mc_ssjoin_progress_skipped_instances_total"),
-		progressSamples: reg.Counter("mc_ssjoin_progress_samples_total"),
-		skewConfigs:     reg.Counter("mc_ssjoin_shard_skew_configs_total"),
-		skewWorkMin:     reg.Gauge("mc_ssjoin_shard_skew_work_min"),
-		skewWorkMax:     reg.Gauge("mc_ssjoin_shard_skew_work_max"),
-		skewWorkP50:     reg.Gauge("mc_ssjoin_shard_skew_work_p50"),
-		skewImbalance:   reg.Gauge("mc_ssjoin_shard_skew_imbalance_ratio"),
-		reg:             reg,
+		probesSkipped:     reg.Counter("mc_ssjoin_progress_skipped_instances_total"),
+		progressSamples:   reg.Counter("mc_ssjoin_progress_samples_total"),
+		skewConfigs:       reg.Counter("mc_ssjoin_shard_skew_configs_total"),
+		skewWorkMin:       reg.Gauge("mc_ssjoin_shard_skew_work_min"),
+		skewWorkMax:       reg.Gauge("mc_ssjoin_shard_skew_work_max"),
+		skewWorkP50:       reg.Gauge("mc_ssjoin_shard_skew_work_p50"),
+		skewImbalance:     reg.Gauge("mc_ssjoin_shard_skew_imbalance_ratio"),
+		reg:               reg,
 	}
 }
 

@@ -390,10 +390,12 @@ func TestTokenizeInstancesParallelIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	cor, res, _ := randomCorpus(t, rng, 300, 280)
 	for _, mask := range res.Configs() {
-		a1, b1 := tokenizeInstances(cor, mask, 1)
+		var ref denseInstances
+		ref.tokenize(cor, mask, 1)
 		for _, workers := range []int{2, 4, 7} {
-			aw, bw := tokenizeInstances(cor, mask, workers)
-			if !reflect.DeepEqual(a1, aw) || !reflect.DeepEqual(b1, bw) {
+			var got denseInstances
+			got.tokenize(cor, mask, workers)
+			if got.n != ref.n || !reflect.DeepEqual(ref.a, got.a) || !reflect.DeepEqual(ref.b, got.b) {
 				t.Fatalf("mask=%b workers=%d: tokenize output differs", mask, workers)
 			}
 		}

@@ -53,18 +53,18 @@ const progressStride = 1024
 // eventually accounted as popped (probesDone) or written off by a prune
 // (probesSkipped), which is what makes Fraction converge to 1.
 type shardCounters struct {
-	probesDone      atomic.Int64 // prefix events popped off the event heap
-	probesSkipped   atomic.Int64 // instances written off by pruning
-	probesTotal     atomic.Int64 // instances owned (set once per config at seeding)
+	probesDone        atomic.Int64 // prefix events popped off the event heap
+	probesSkipped     atomic.Int64 // instances written off by pruning
+	probesTotal       atomic.Int64 // instances owned (set once per config at seeding)
 	killsPushCap      atomic.Int64 // prune tier a: extension cap < k-th at push
 	killsLoopBreak    atomic.Int64 // prune tier b: root cap < k-th ends the loop
 	killsFlushBound   atomic.Int64 // prune tier c: deferred pair's bound < k-th at flush
 	killsLengthFilter atomic.Int64 // pair filter: length bound < k-th at first touch
 	killsPrefixPos    atomic.Int64 // pair filter: positional prefix bound < k-th at first touch
-	mergeOffers     atomic.Int64 // shard-heap pairs offered to the top-k merge
-	heapLive        atomic.Int64 // event-heap size at the last sample
-	topkLive        atomic.Int64 // top-k heap size at the last sample
-	samples         atomic.Int64 // stride flushes taken
+	mergeOffers       atomic.Int64 // shard-heap pairs offered to the top-k merge
+	heapLive          atomic.Int64 // event-heap size at the last sample
+	topkLive          atomic.Int64 // top-k heap size at the last sample
+	samples           atomic.Int64 // stride flushes taken
 }
 
 // paddedShardCounters pads each slot to a 128-byte multiple (two cache
@@ -229,10 +229,10 @@ type ProgressSnapshot struct {
 	// proved they can never reach the running top-k.
 	PruneKillLengthFilter int64 `json:"prune_kill_length_filter"`
 	PruneKillPrefixPos    int64 `json:"prune_kill_prefix_pos"`
-	MergeOffers         int64 `json:"merge_offers"`
-	EventHeapLive       int64 `json:"event_heap_live"`
-	TopKLive            int64 `json:"topk_live"`
-	Samples             int64 `json:"samples"`
+	MergeOffers           int64 `json:"merge_offers"`
+	EventHeapLive         int64 `json:"event_heap_live"`
+	TopKLive              int64 `json:"topk_live"`
+	Samples               int64 `json:"samples"`
 	// Fraction estimates run completion in [0, 1]; ETASeconds is -1 until
 	// enough work has been accounted to extrapolate.
 	Fraction   float64         `json:"fraction"`

@@ -1,8 +1,6 @@
 package table
 
-import (
-	"strings"
-)
+import "unicode"
 
 // AttrStats summarizes one attribute of one table. These statistics drive
 // the e-score (Definition 3.1 of the paper) and the long-attribute check
@@ -59,7 +57,7 @@ func (t *Table) AttrStatsFor(attr string) AttrStats {
 		}
 		s.NonMissing++
 		seen[v] = struct{}{}
-		totalTokens += len(strings.Fields(v))
+		totalTokens += CountFields(v)
 	}
 	s.Unique = len(seen)
 	if n := len(t.rows); n > 0 {
@@ -96,9 +94,25 @@ func (t *Table) AvgTupleTokenLen(attrs []string) float64 {
 	for _, row := range t.rows {
 		for _, j := range cols {
 			if row[j] != Missing {
-				total += len(strings.Fields(row[j]))
+				total += CountFields(row[j])
 			}
 		}
 	}
 	return float64(total) / float64(t.NumRows())
+}
+
+// CountFields returns len(strings.Fields(s)) without building the
+// fields: the number of maximal runs of runes that are not
+// unicode.IsSpace (an invalid UTF-8 byte counts as a non-space rune).
+func CountFields(s string) int {
+	n := 0
+	inField := false
+	for _, r := range s {
+		space := unicode.IsSpace(r)
+		if !space && !inField {
+			n++
+		}
+		inField = !space
+	}
+	return n
 }

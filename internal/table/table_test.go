@@ -233,3 +233,31 @@ func TestTableString(t *testing.T) {
 		t.Errorf("Row = %v", row)
 	}
 }
+
+// TestCountFieldsMatchesFields: the allocation-free counter must agree
+// with strings.Fields on every space class — ASCII, the Latin-1 NEL and
+// NBSP, wider Unicode spaces — on invalid UTF-8, and on random mixes of
+// them.
+func TestCountFieldsMatchesFields(t *testing.T) {
+	cases := []string{
+		"", " ", "a", " a ", "a b", "a  b\tc\nd",
+		"x\u0085y", "x y", "x　y", " a b​c",
+		"\xff", "a\xffb", "\xff \xfe", "caf\xc3", " \u0085",
+		"\v\f\r a",
+	}
+	parts := []string{"a", "bc", " ", "\t", "\u0085", " ", "　", "\xff", "\xc3", "é", "​"}
+	seed := uint32(1)
+	for i := 0; i < 2000; i++ {
+		var sb strings.Builder
+		for j := 0; j < 8; j++ {
+			seed = seed*1664525 + 1013904223
+			sb.WriteString(parts[seed>>16%uint32(len(parts))])
+		}
+		cases = append(cases, sb.String())
+	}
+	for _, s := range cases {
+		if got, want := CountFields(s), len(strings.Fields(s)); got != want {
+			t.Errorf("CountFields(%q) = %d, strings.Fields gives %d", s, got, want)
+		}
+	}
+}
