@@ -104,27 +104,27 @@ perf-check:
 # (BENCH_serve_overhead.json): the paired internal/serve benchmarks run
 # the full HTTP envelope with the recorder on and off. -cpu 1 pins the
 # benchmark names (no -N suffix) so ledger keys stay stable across
-# hosts. scripts/serve_overhead_bench.sh runs the whole set
-# SERVE_COUNT times so each invocation's On rep pairs with an Off rep
-# taken seconds later under correlated load, and retries once after a
-# cooldown if a load burst shifted the window; serve-overhead-check is
-# the gate: the median paired on/off ratio must stay inside the 5%
-# budget (scripts/serve_overhead.py — same-process ratios, so
-# meaningful on any machine), and mcperf check blocks on absolute
-# drift when the host matches the committed baseline's fingerprint.
+# hosts. scripts/overhead_bench.sh runs the whole set SERVE_COUNT
+# times so each invocation's On rep pairs with an Off rep taken seconds
+# later under correlated load, and retries once after a cooldown if a
+# load burst shifted the window; serve-overhead-check is the gate: the
+# median paired on/off ratio must stay inside the 5% budget (mcperf
+# overhead — same-process ratios, so meaningful on any machine), and
+# mcperf check blocks on absolute drift when the host matches the
+# committed baseline's fingerprint.
 SERVE_BENCH_OUT ?= serve-bench.out
 SERVE_LEDGER    ?= serve-overhead-ledger.jsonl
 SERVE_COUNT     ?= 6
 
 serve-overhead-bench:
-	bash scripts/serve_overhead_bench.sh $(SERVE_BENCH_OUT) $(SERVE_COUNT)
+	bash scripts/overhead_bench.sh ./internal/serve Recorder $(SERVE_BENCH_OUT) $(SERVE_COUNT)
 	rm -f $(SERVE_LEDGER)
 	$(GO) run ./cmd/mcperf record -ledger $(SERVE_LEDGER) -from-bench \
 		-exp serve-overhead -seed 1 < $(SERVE_BENCH_OUT)
 
 serve-overhead-baseline: serve-overhead-bench
 	$(GO) run ./cmd/mcperf report -ledger $(SERVE_LEDGER) -format json \
-		-desc "serve request envelope with the flight recorder on vs off: full HTTP stack (mux, envelope, metrics, canonical log) via httptest on GET /healthz and GET /v1/sessions/<id>, -cpu 1, $(SERVE_COUNT) paired invocations; budget: recorder adds <5% on the median paired on/off ratio (gated by scripts/serve_overhead.py)" \
+		-desc "serve request envelope with the flight recorder on vs off: full HTTP stack (mux, envelope, metrics, canonical log) via httptest on GET /healthz and GET /v1/sessions/<id>, -cpu 1, $(SERVE_COUNT) paired invocations; budget: recorder adds <5% on the median paired on/off ratio (gated by mcperf overhead)" \
 		-out BENCH_serve_overhead.json
 
 serve-overhead-check: serve-overhead-bench
@@ -137,22 +137,22 @@ serve-overhead-check: serve-overhead-bench
 # attached. Same methodology as the serve-overhead gate: the set runs
 # PROGRESS_COUNT times so each On rep pairs with an Off rep taken
 # seconds later under correlated load, the median paired on/off ratio
-# must stay inside the 5% budget (scripts/serve_overhead.py, the
-# generic On/Off pairing gate), and mcperf check blocks on absolute
+# must stay inside the 5% budget (mcperf overhead, the generic On/Off
+# pairing gate), and mcperf check blocks on absolute
 # drift when the host matches the committed baseline's fingerprint.
 PROGRESS_BENCH_OUT ?= progress-bench.out
 PROGRESS_LEDGER    ?= progress-overhead-ledger.jsonl
 PROGRESS_COUNT     ?= 6
 
 progress-overhead-bench:
-	bash scripts/progress_overhead_bench.sh $(PROGRESS_BENCH_OUT) $(PROGRESS_COUNT)
+	bash scripts/overhead_bench.sh ./internal/ssjoin JoinProgress $(PROGRESS_BENCH_OUT) $(PROGRESS_COUNT)
 	rm -f $(PROGRESS_LEDGER)
 	$(GO) run ./cmd/mcperf record -ledger $(PROGRESS_LEDGER) -from-bench \
 		-exp progress-overhead -seed 1 < $(PROGRESS_BENCH_OUT)
 
 progress-overhead-baseline: progress-overhead-bench
 	$(GO) run ./cmd/mcperf report -ledger $(PROGRESS_LEDGER) -format json \
-		-desc "JoinAll with a Progress tracker attached vs not: 900x900 synthetic corpus, city blocker, k=500, probe workers 2, -cpu 1, $(PROGRESS_COUNT) paired invocations; budget: the tracker adds <5% on the median paired on/off ratio (gated by scripts/serve_overhead.py via scripts/progress_overhead_bench.sh)" \
+		-desc "JoinAll with a Progress tracker attached vs not: 900x900 synthetic corpus, city blocker, k=500, probe workers 2, -cpu 1, $(PROGRESS_COUNT) paired invocations; budget: the tracker adds <5% on the median paired on/off ratio (gated by mcperf overhead via scripts/overhead_bench.sh)" \
 		-out BENCH_progress_overhead.json
 
 progress-overhead-check: progress-overhead-bench

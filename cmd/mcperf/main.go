@@ -7,6 +7,7 @@
 //	mcperf diff old.jsonl new.jsonl
 //	mcperf check -baseline BENCH_perf_gate.json -ledger runs.jsonl
 //	mcperf report -ledger runs.jsonl -format json -out BENCH_perf_gate.json
+//	go test -bench 'On$|Off$' | mcperf overhead
 //
 // diff compares two ledgers arm-by-arm (median, ~95% CI, Mann–Whitney
 // p) and is purely informational. check compares a ledger against a
@@ -16,9 +17,11 @@
 // (same GOOS/GOARCH/CPU model — cross-machine nanosecond comparisons
 // are statistically meaningless), or always under -strict-env. report
 // regenerates the committed BENCH_*.json baseline format (or a
-// markdown trend table) mechanically from the ledger.
+// markdown trend table) mechanically from the ledger. overhead gates
+// paired …On/…Off benchmarks against the on/off overhead budget.
 //
-// Exit codes: 0 ok, 1 regression found (check), 2 usage or I/O error.
+// Exit codes: 0 ok, 1 regression found (check) or over budget
+// (overhead), 2 usage or I/O error, or (overhead) no complete pair.
 package main
 
 import (
@@ -51,6 +54,9 @@ commands:
            significant regression
   report   regenerate the baseline JSON (BENCH_*.json) or a markdown
            trend table from a ledger
+  overhead read repeated 'go test -bench' output of …On/…Off benchmark
+           pairs on stdin; exit 1 when a pair's median paired on/off
+           ratio is over the 5% budget
 
 run 'mcperf <command> -h' for the command's flags.
 `)
@@ -70,6 +76,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return cmdCheck(args[1:], stdout, stderr)
 	case "report":
 		return cmdReport(args[1:], stdout, stderr)
+	case "overhead":
+		return cmdOverhead(args[1:], stdin, stdout, stderr)
 	case "help", "-h", "-help", "--help":
 		usage(stdout)
 		return 0
@@ -515,4 +523,105 @@ func markdownTrend(recs []runlog.Record) string {
 		sb.WriteString("\n")
 	}
 	return sb.String()
+}
+
+// overheadBudgetPct is the on/off overhead budget of every paired gate:
+// the median paired On/Off ratio may exceed 1 by at most this percent.
+const overheadBudgetPct = 5.0
+
+// cmdOverhead enforces the overhead budget on paired benchmarks. It
+// reads concatenated `go test -bench` output from several invocations
+// of a benchmark set in which every "…On" benchmark has an "…Off" twin
+// (BenchmarkServeRequestRecorderOn/Off, BenchmarkJoinProgressOn/Off),
+// pairs the k-th On sample with the k-th Off sample, and gates the
+// median of the per-invocation ratios.
+//
+// Why this keeps a 5% gate honest on shared, noisy runners: both arms
+// run in one process on one machine, so their ratio is meaningful where
+// absolute nanoseconds are not; one invocation runs an On rep and its
+// Off twin seconds apart, so the k-th samples were taken under
+// correlated load (a single `go test -count N` run is not paired like
+// this: it runs all N On reps before the N Off reps, and load drift
+// biases every statistic); and the median discards invocations where a
+// load spike landed on one arm. scripts/overhead_bench.sh drives the
+// invocations.
+func cmdOverhead(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mcperf overhead", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	recs, err := parseBenchOutput(stdin, "mcperf", "overhead", 0, "")
+	if err != nil {
+		fmt.Fprintf(stderr, "mcperf overhead: %v\n", err)
+		return 2
+	}
+	// ns/op samples per benchmark (GOMAXPROCS suffix dropped), in input
+	// order, and the pair bases seen on either arm.
+	samples := map[string][]float64{}
+	bases := map[string]bool{}
+	for _, r := range recs {
+		bench, _ := r.Config["benchmark"].(string)
+		v, ok := r.Metrics["bench/"+bench+":time_ns"]
+		if !ok {
+			continue
+		}
+		name := trimProcs(bench)
+		samples[name] = append(samples[name], v)
+		if base, ok := strings.CutSuffix(name, "On"); ok {
+			bases[base] = true
+		} else if base, ok := strings.CutSuffix(name, "Off"); ok {
+			bases[base] = true
+		}
+	}
+	if len(bases) == 0 {
+		fmt.Fprintln(stderr, "mcperf overhead: no paired On/Off benchmarks in input")
+		return 2
+	}
+	sorted := make([]string, 0, len(bases))
+	for b := range bases {
+		sorted = append(sorted, b)
+	}
+	sort.Strings(sorted)
+	over := false
+	for _, base := range sorted {
+		on, off := samples[base+"On"], samples[base+"Off"]
+		var ratios []float64
+		for i := 0; i < min(len(on), len(off)); i++ {
+			if off[i] > 0 {
+				ratios = append(ratios, on[i]/off[i])
+			}
+		}
+		if len(ratios) == 0 {
+			fmt.Fprintf(stderr, "mcperf overhead: %s is missing an arm (%d On, %d Off samples)\n",
+				base, len(on), len(off))
+			return 2
+		}
+		pct := (perfstat.Summarize(ratios).Median - 1) * 100
+		verdict := "ok"
+		if pct > overheadBudgetPct {
+			verdict, over = "OVER BUDGET", true
+		}
+		fmt.Fprintf(stdout, "%s: median paired on/off ratio over %d invocation(s): overhead %+.1f%% (budget %.1f%%) %s\n",
+			base, len(ratios), pct, overheadBudgetPct, verdict)
+	}
+	if over {
+		return 1
+	}
+	return 0
+}
+
+// trimProcs drops the "-N" GOMAXPROCS suffix go test appends to a
+// benchmark name when -cpu is not 1.
+func trimProcs(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	for _, r := range name[i+1:] {
+		if r < '0' || r > '9' {
+			return name
+		}
+	}
+	return name[:i]
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -300,5 +301,63 @@ func TestReportFormatsAndUsage(t *testing.T) {
 	}
 	if code, _, _ := runCmd(t, "", "help"); code != 0 {
 		t.Error("help should exit 0")
+	}
+}
+
+// benchLines renders one `go test -bench` result line per sample.
+func benchLines(name string, nsPerOp ...float64) string {
+	var sb strings.Builder
+	for _, ns := range nsPerOp {
+		sb.WriteString(name + "  \t     100\t  " + strconv.FormatFloat(ns, 'f', -1, 64) + " ns/op\t  64 B/op\t  2 allocs/op\n")
+	}
+	return sb.String()
+}
+
+// TestOverheadGate drives `mcperf overhead` through its verdicts: the
+// k-th On sample pairs with the k-th Off sample, the median paired
+// ratio is gated at 5%, and input with no complete pair exits 2.
+func TestOverheadGate(t *testing.T) {
+	off := []float64{1000, 1010, 990, 1005, 995, 1000}
+	scaled := func(f float64) []float64 {
+		out := make([]float64, len(off))
+		for i, v := range off {
+			out[i] = v * f
+		}
+		return out
+	}
+	spiked := scaled(1.02)
+	spiked[2] *= 1.5 // a load burst on one On rep
+	cases := []struct {
+		name  string
+		input string
+		code  int
+		want  string
+	}{
+		{"plus3pct passes", benchLines("BenchmarkXOn", scaled(1.03)...) + benchLines("BenchmarkXOff", off...),
+			0, "BenchmarkX: median paired on/off ratio over 6 invocation(s): overhead +3.0% (budget 5.0%) ok"},
+		{"plus7pct fails", benchLines("BenchmarkXOn", scaled(1.07)...) + benchLines("BenchmarkXOff", off...),
+			1, "overhead +7.0% (budget 5.0%) OVER BUDGET"},
+		{"median absorbs a spike", benchLines("BenchmarkXOn", spiked...) + benchLines("BenchmarkXOff", off...),
+			0, "overhead +2.0%"},
+		{"procs suffix pairs", benchLines("BenchmarkXOn-8", scaled(1.01)...) + benchLines("BenchmarkXOff-8", off...),
+			0, "BenchmarkX: median"},
+		{"one pair over fails the gate", benchLines("BenchmarkAOn", scaled(1.01)...) + benchLines("BenchmarkAOff", off...) +
+			benchLines("BenchmarkBOn", scaled(1.09)...) + benchLines("BenchmarkBOff", off...),
+			1, "BenchmarkB: median paired on/off ratio over 6 invocation(s): overhead +9.0%"},
+		{"missing Off arm", benchLines("BenchmarkXOn", off...), 2, ""},
+		{"missing On arm", benchLines("BenchmarkXOff", off...), 2, ""},
+		{"no pairs", benchLines("BenchmarkPlain", off...), 2, ""},
+		{"no benchmark lines", "PASS\nok  \tpkg\t1.0s\n", 2, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			code, out, errb := runCmd(t, tc.input, "overhead")
+			if code != tc.code {
+				t.Fatalf("exit %d, want %d\nstdout: %s\nstderr: %s", code, tc.code, out, errb)
+			}
+			if !strings.Contains(out, tc.want) {
+				t.Errorf("stdout lacks %q:\n%s", tc.want, out)
+			}
+		})
 	}
 }

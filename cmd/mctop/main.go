@@ -248,6 +248,8 @@ type joinProgress struct {
 		PushCap        int64   `json:"prune_kill_push_cap"`
 		LoopBreak      int64   `json:"prune_kill_loop_break"`
 		FlushBound     int64   `json:"prune_kill_flush_bound"`
+		LengthFilter   int64   `json:"prune_kill_length_filter"`
+		PrefixPos      int64   `json:"prune_kill_prefix_pos"`
 		Fraction       float64 `json:"fraction"`
 		ETASeconds     float64 `json:"eta_seconds"`
 		Done           bool    `json:"done"`
@@ -491,7 +493,7 @@ func (f *frame) render(w io.Writer, prev *frame) {
 			line := fmt.Sprintf("  %-8s %5.1f%%  configs %d/%d  probes %.2g/%.2g  pruned %.2g",
 				jp.Session, j.Fraction*100, j.ConfigsDone, j.ConfigsTotal,
 				float64(j.ProbesDone+j.ProbesSkipped), float64(j.ProbesTotal),
-				float64(j.PushCap+j.LoopBreak+j.FlushBound))
+				float64(j.PushCap+j.LoopBreak+j.FlushBound+j.LengthFilter+j.PrefixPos))
 			if j.Skew.Shards > 1 {
 				line += fmt.Sprintf("  shards %d imb %.2f", j.Skew.Shards, j.Skew.ImbalanceRatio)
 			}

@@ -150,7 +150,8 @@ func TestOnceAgainstLiveServer(t *testing.T) {
 
 // TestRunningJoinsPane feeds gatherJoins a fake in-flight table and a
 // stub progress endpoint, and checks the pane renders one line per
-// distinct joining session.
+// distinct joining session, its "pruned" total summing all five prune
+// tiers (40+9+3+12+7), as mcdebug -progress does.
 func TestRunningJoinsPane(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/sessions/s000001/progress", func(w http.ResponseWriter, r *http.Request) {
@@ -161,6 +162,7 @@ func TestRunningJoinsPane(t *testing.T) {
 				"elapsed_seconds": 1.5, "configs_total": 7, "configs_done": 3,
 				"probes_done": 600, "probes_skipped": 150, "probes_total": 1500,
 				"prune_kill_push_cap": 40, "prune_kill_loop_break": 9, "prune_kill_flush_bound": 3,
+				"prune_kill_length_filter": 12, "prune_kill_prefix_pos": 7,
 				"fraction": 0.5, "eta_seconds": 1.5, "done": false, "cancelled": false,
 				"skew": {"shards": 4, "work_min": 100, "work_max": 250, "work_p50": 160, "imbalance_ratio": 1.67}
 			}
@@ -187,7 +189,7 @@ func TestRunningJoinsPane(t *testing.T) {
 	f := &frame{at: time.Now(), joins: joins}
 	f.render(&out, nil)
 	text := out.String()
-	for _, want := range []string{"running joins (1)", "s000001", "50.0%", "configs 3/7", "shards 4 imb 1.67", "eta"} {
+	for _, want := range []string{"running joins (1)", "s000001", "50.0%", "configs 3/7", "pruned 71", "shards 4 imb 1.67", "eta"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("pane lacks %q:\n%s", want, text)
 		}

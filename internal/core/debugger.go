@@ -155,12 +155,10 @@ func New(a, b *table.Table, c *blocker.PairSet, opt Options) (*Debugger, error) 
 		session.End()
 		return nil, fmt.Errorf("core: join cancelled: %w", err)
 	}
-	//lint:allow atomicmix JoinAll's worker pool is joined before it returns; the counters are quiescent here
-	scratch, reused := join.Stats.ScratchScores, join.Stats.ReusedScores
 	logg.InfoContext(ctx, "joins complete",
 		"configs", len(join.Lists),
-		"scratch_scores", scratch,
-		"reused_scores", reused)
+		"scratch_scores", join.Stats.ScratchScores,
+		"reused_scores", join.Stats.ReusedScores)
 
 	vsp := session.Child("verifier.prepare")
 	ext := feature.NewExtractor(cor)

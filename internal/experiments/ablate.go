@@ -156,7 +156,6 @@ func (e *Env) RunJointAblation(specs []Spec, opt DebugOptions) ([]JointRow, erro
 		if joint > 0 {
 			row.SpeedupX = indiv / joint
 		}
-		//lint:allow atomicmix JoinAll's worker pool is joined before it returns; the counters are quiescent here
 		reused, scratch := jr.Stats.ReusedScores, jr.Stats.ScratchScores
 		if total := reused + scratch; total > 0 {
 			row.ReusedPct = 100 * float64(reused) / float64(total)

@@ -40,7 +40,6 @@ func TestRepoClean(t *testing.T) {
 	// when a new suppression is added with a reviewed reason.
 	wantSuppressed := map[string]int{
 		"metricname": 2, // mc_stage_seconds cross-package rollup (telemetry)
-		"atomicmix":  4, // quiescent ssjoin.Stats reads after JoinAll (core, experiments)
 	}
 	gotSuppressed := map[string]int{}
 	for _, f := range res.Suppressed() {

@@ -221,7 +221,7 @@ func runJoinSharded(mask config.Mask, opt runOpts, side int8, shards int, ids *d
 	for s := range shardStats {
 		rs.fold(&shardStats[s])
 	}
-	rs.probeShards += int64(shards)
+	rs.n[cProbeShards] += int64(shards)
 
 	// Per-config shard-skew summary: work units are popped prefix
 	// events, which partition with the sharded side and so expose any
@@ -229,7 +229,7 @@ func runJoinSharded(mask config.Mask, opt runOpts, side int8, shards int, ids *d
 	// shard count — the counts are fold-order-independent per shard.
 	works := make([]int64, shards)
 	for s := range shardStats {
-		works[s] = shardStats[s].prefixEvents
+		works[s] = shardStats[s].n[cPrefixEvents]
 	}
 	sk := skewOf(works)
 	rs.shardWorkMin = sk.WorkMin
@@ -248,7 +248,7 @@ func runJoinSharded(mask config.Mask, opt runOpts, side int8, shards int, ids *d
 		}
 	}
 	top := mergeTopK(opt.k, lists...)
-	rs.shardMergePairs += int64(merged)
+	rs.n[cShardMergePairs] += int64(merged)
 	msp.SetAttrInt("pairs", int64(merged))
 	msp.SetAttrInt("shards", int64(shards))
 	msp.End()

@@ -198,11 +198,10 @@ func (p *flatProbe) push(side int8, rec int32) {
 	}
 	cap := p.m.ExtendCap(int(pos), l)
 	if p.top.full() && cap < p.top.kthScore() {
-		p.rs.pruneKills++
-		p.rs.killsPushCap++
+		p.rs.n[cKillsPushCap]++
 		// The record's remaining tail dies with the kill: it is never
 		// re-pushed, so those instances are accounted as skipped.
-		p.rs.probesSkipped += int64(l - int(pos))
+		p.rs.n[cProbesSkipped] += int64(l - int(pos))
 		return // this string can never produce a new top-k pair
 	}
 	p.events.push(event{cap: cap, side: side, rec: rec})
@@ -242,7 +241,7 @@ func (p *flatProbe) touch(a, b, pa, pb int32) {
 		st = 0
 		if p.c.Contains(int(a), int(b)) {
 			*cell = pairPack(p.epoch, pairSuppressed)
-			p.rs.suppressedPairs++
+			p.rs.n[cSuppressedPairs]++
 			return
 		}
 		if p.top.full() {
@@ -251,7 +250,7 @@ func (p *flatProbe) touch(a, b, pa, pb int32) {
 			mo := min(lx, ly)
 			if p.m.FromOverlap(mo, lx, ly) < kth {
 				*cell = pairPack(p.epoch, pairKilled)
-				p.rs.killsLengthFilter++
+				p.rs.n[cKillsLengthFilter]++
 				if filterKillHook != nil {
 					filterKillHook(a, b, tierLengthFilter)
 				}
@@ -260,7 +259,7 @@ func (p *flatProbe) touch(a, b, pa, pb int32) {
 			if rem := 1 + min(lx-int(pa)-1, ly-int(pb)-1); rem < mo {
 				if p.m.FromOverlap(rem, lx, ly) < kth {
 					*cell = pairPack(p.epoch, pairKilled)
-					p.rs.killsPrefixPos++
+					p.rs.n[cKillsPrefixPos]++
 					if filterKillHook != nil {
 						filterKillHook(a, b, tierPrefixPos)
 					}
@@ -342,22 +341,21 @@ func (p *flatProbe) probe() bool {
 		}
 		ev := p.events.items[0]
 		if p.top.full() && ev.cap < p.top.kthScore() {
-			p.rs.pruneKills += int64(p.events.Len())
-			p.rs.killsLoopBreak += int64(p.events.Len())
+			p.rs.n[cKillsLoopBreak] += int64(p.events.Len())
 			// Every record still in the heap dies here; account its
 			// unpopped tail so done+skipped still converges to the
 			// owned-instance total. One pass over the heap, once per shard.
 			for _, dead := range p.events.items {
 				if dead.side == 0 {
-					p.rs.probesSkipped += int64(len(p.idsA[dead.rec]) - int(p.posA[dead.rec]))
+					p.rs.n[cProbesSkipped] += int64(len(p.idsA[dead.rec]) - int(p.posA[dead.rec]))
 				} else {
-					p.rs.probesSkipped += int64(len(p.idsB[dead.rec]) - int(p.posB[dead.rec]))
+					p.rs.n[cProbesSkipped] += int64(len(p.idsB[dead.rec]) - int(p.posB[dead.rec]))
 				}
 			}
 			return false
 		}
 		p.events.pop()
-		p.rs.prefixEvents++
+		p.rs.n[cPrefixEvents]++
 		if ev.side == 0 {
 			pos := p.posA[ev.rec]
 			inst := p.idsA[ev.rec][pos]
@@ -391,17 +389,17 @@ func (p *flatProbe) probe() bool {
 //
 //mc:hotpath
 func (p *flatProbe) flushPair(a, b, st int32) {
-	p.rs.deferredPairs++
+	p.rs.n[cDeferredPairs]++
 	lx, ly := len(p.idsA[a]), len(p.idsB[b])
 	oMax := int(st) + (lx - int(p.posA[a])) + (ly - int(p.posB[b]))
 	if m := min(lx, ly); oMax > m {
 		oMax = m
 	}
 	if p.top.full() && p.m.FromOverlap(oMax, lx, ly) < p.top.kthScore() {
-		p.rs.killsFlushBound++
+		p.rs.n[cKillsFlushBound]++
 		return
 	}
-	p.rs.flushedPairs++
+	p.rs.n[cFlushedPairs]++
 	p.top.offer(ScoredPair{A: a, B: b, Score: p.score(a, b)})
 }
 
@@ -496,8 +494,8 @@ func joinShard(opt runOpts, view shardView, ids *denseInstances,
 		putFlatProbe(p)
 		return top
 	}
-	probeSpan.SetAttrInt("prefix_events", rs.prefixEvents)
-	probeSpan.SetAttrInt("prune_kills", rs.pruneKills)
+	probeSpan.SetAttrInt("prefix_events", rs.n[cPrefixEvents])
+	probeSpan.SetAttrInt("prune_kills", rs.pruneKills())
 	probeSpan.End()
 
 	// Drain any merge list that arrived after the loop ended.
@@ -511,8 +509,8 @@ func joinShard(opt runOpts, view shardView, ids *denseInstances,
 
 	topkSpan := span.Child("ssjoin.topk")
 	p.finish()
-	topkSpan.SetAttrInt("deferred_pairs", rs.deferredPairs)
-	topkSpan.SetAttrInt("flushed_pairs", rs.flushedPairs)
+	topkSpan.SetAttrInt("deferred_pairs", rs.n[cDeferredPairs])
+	topkSpan.SetAttrInt("flushed_pairs", rs.n[cFlushedPairs])
 	topkSpan.End()
 	// Terminal flush: publish the final counters and zero the live heap
 	// gauge (the shard is done; residual dead events are not a live heap).

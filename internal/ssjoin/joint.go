@@ -114,7 +114,7 @@ type Stats struct {
 	ReusedScores    int64 // pair scores answered by a parent's overlap DB (H_γ hits)
 	ReuseMisses     int64 // scratch scores taken while a parent H_γ existed
 	PrefixEvents    int64 // prefix-extension events processed
-	PruneKills      int64 // extensions pruned by the score-cap bound
+	PruneKills      int64 // extensions pruned by the score-cap bound (push cap + loop break)
 	DeferredPairs   int64 // pairs still below q common instances at flush time
 	FlushedPairs    int64 // deferred pairs the exactness flush had to score
 	SuppressedPairs int64 // pairs skipped because they are in C
@@ -216,16 +216,16 @@ func makeShardScorer(cor *Corpus, mask config.Mask, parentH, ownH *hdb, m simfun
 				if ownH != nil {
 					ownH.put(key, mp)
 				}
-				rs.reusedScores++
+				rs.n[cReusedScores]++
 				return m.FromOverlap(o, lx, ly)
 			}
-			rs.reuseMisses++
+			rs.n[cReuseMisses]++
 		}
 		o, mp := overlapUnder(ra, rb, mask, ownH != nil)
 		if ownH != nil {
 			ownH.put(key, mp)
 		}
-		rs.scratchScores++
+		rs.n[cScratchScores]++
 		return m.FromOverlap(o, lx, ly)
 	}
 }
@@ -365,8 +365,8 @@ func JoinAll(cor *Corpus, c *blocker.PairSet, opt Options) *JoinResult {
 		idxOf[n] = i
 	}
 	lists := make([]TopKList, len(nodes))
-	// Per-node runStats survive the pool so the shard-skew summaries can
-	// be folded deterministically (node order) after the workers join.
+	// Per-node runStats survive the pool so Stats is folded plainly and
+	// deterministically (node order) after the workers join.
 	nodeStats := make([]*runStats, len(nodes))
 	done := make([]atomic.Bool, len(nodes))
 	dbs := make([]*hdb, len(nodes))
@@ -424,11 +424,10 @@ func JoinAll(cor *Corpus, c *blocker.PairSet, opt Options) *JoinResult {
 				}
 				start := time.Now()
 				lists[i] = runJoin(cor, n.Mask, ro)
-				csp.SetAttrInt("scratch_scores", rs.scratchScores)
-				csp.SetAttrInt("reused_scores", rs.reusedScores)
+				csp.SetAttrInt("scratch_scores", rs.n[cScratchScores])
+				csp.SetAttrInt("reused_scores", rs.n[cReusedScores])
 				csp.End()
 				snk.record(rs, time.Since(start))
-				res.Stats.add(rs)
 				recordJoinProvenance(opt.Provenance, cor, n.Mask, c, lists[i], opt.Measure)
 				done[i].Store(true)
 				for _, ch := range n.Children {
@@ -449,12 +448,12 @@ func JoinAll(cor *Corpus, c *blocker.PairSet, opt Options) *JoinResult {
 	}
 	close(jobs)
 	wg.Wait()
-	// Skew summaries merge after the pool joins, in node order, keeping
-	// the worst-imbalance config — deterministic however the workers
-	// interleaved.
+	// Stats folds after the pool joins, in node order: the counts are
+	// order-free sums and the worst-imbalance skew winner is
+	// deterministic however the workers interleaved.
 	for _, rs := range nodeStats {
 		if rs != nil {
-			res.Stats.mergeSkew(rs)
+			res.Stats.add(rs)
 		}
 	}
 	res.Lists = lists

@@ -48,23 +48,18 @@ const progressShardSlots = 64
 // sampling rides a branch the loop already takes.
 const progressStride = 1024
 
-// shardCounters is one shard slot. probesTotal counts the token
-// instances the shard's owned records can pop; every instance is
-// eventually accounted as popped (probesDone) or written off by a prune
-// (probesSkipped), which is what makes Fraction converge to 1.
+// shardCounters is one shard slot. n holds the published runStats
+// counters (n[cPrefixEvents] is the probes done). probesTotal counts the
+// token instances the shard's owned records can pop; every instance is
+// eventually accounted as popped or written off by a prune
+// (n[cProbesSkipped]), which is what makes Fraction converge to 1.
 type shardCounters struct {
-	probesDone        atomic.Int64 // prefix events popped off the event heap
-	probesSkipped     atomic.Int64 // instances written off by pruning
-	probesTotal       atomic.Int64 // instances owned (set once per config at seeding)
-	killsPushCap      atomic.Int64 // prune tier a: extension cap < k-th at push
-	killsLoopBreak    atomic.Int64 // prune tier b: root cap < k-th ends the loop
-	killsFlushBound   atomic.Int64 // prune tier c: deferred pair's bound < k-th at flush
-	killsLengthFilter atomic.Int64 // pair filter: length bound < k-th at first touch
-	killsPrefixPos    atomic.Int64 // pair filter: positional prefix bound < k-th at first touch
-	mergeOffers       atomic.Int64 // shard-heap pairs offered to the top-k merge
-	heapLive          atomic.Int64 // event-heap size at the last sample
-	topkLive          atomic.Int64 // top-k heap size at the last sample
-	samples           atomic.Int64 // stride flushes taken
+	n           [numPublished]atomic.Int64
+	probesTotal atomic.Int64 // instances owned (set once per config at seeding)
+	mergeOffers atomic.Int64 // shard-heap pairs offered to the top-k merge
+	heapLive    atomic.Int64 // event-heap size at the last sample
+	topkLive    atomic.Int64 // top-k heap size at the last sample
+	samples     atomic.Int64 // stride flushes taken
 }
 
 // paddedShardCounters pads each slot to a 128-byte multiple (two cache
@@ -124,18 +119,13 @@ func (p *Progress) slot(shard int) *shardCounters {
 	return &p.shards[shard%progressShardSlots].shardCounters
 }
 
-// progCursor carries the probe loop's last-flushed view of its runStats
-// counters, so each stride flush publishes only the delta. It lives on
-// joinShard's stack; a nil slot turns every flush into a nil check.
+// progCursor carries the probe loop's last-flushed view of its published
+// runStats counters, so each stride flush publishes only the delta. It
+// lives on joinShard's stack; a nil slot turns every flush into a nil
+// check.
 type progCursor struct {
-	slot              *shardCounters
-	probesDone        int64
-	probesSkipped     int64
-	killsPushCap      int64
-	killsLoopBreak    int64
-	killsFlushBound   int64
-	killsLengthFilter int64
-	killsPrefixPos    int64
+	slot *shardCounters
+	last [numPublished]int64
 }
 
 // flush publishes the counters accumulated since the previous flush,
@@ -147,38 +137,16 @@ func (c *progCursor) flush(rs *runStats, heapLive, topkLive int) {
 	if c.slot == nil {
 		return
 	}
-	if d := rs.prefixEvents - c.probesDone; d != 0 {
-		c.slot.probesDone.Add(d)
-		c.probesDone = rs.prefixEvents
-	}
-	if d := rs.probesSkipped - c.probesSkipped; d != 0 {
-		c.slot.probesSkipped.Add(d)
-		c.probesSkipped = rs.probesSkipped
-	}
-	if d := rs.killsPushCap - c.killsPushCap; d != 0 {
-		c.slot.killsPushCap.Add(d)
-		c.killsPushCap = rs.killsPushCap
-	}
-	if d := rs.killsLoopBreak - c.killsLoopBreak; d != 0 {
-		c.slot.killsLoopBreak.Add(d)
-		c.killsLoopBreak = rs.killsLoopBreak
-	}
-	if d := rs.killsFlushBound - c.killsFlushBound; d != 0 {
-		c.slot.killsFlushBound.Add(d)
-		c.killsFlushBound = rs.killsFlushBound
-	}
-	if d := rs.killsLengthFilter - c.killsLengthFilter; d != 0 {
-		c.slot.killsLengthFilter.Add(d)
-		c.killsLengthFilter = rs.killsLengthFilter
-	}
-	if d := rs.killsPrefixPos - c.killsPrefixPos; d != 0 {
-		c.slot.killsPrefixPos.Add(d)
-		c.killsPrefixPos = rs.killsPrefixPos
+	for k := counter(0); k < numPublished; k++ {
+		if d := rs.n[k] - c.last[k]; d != 0 {
+			c.slot.n[k].Add(d)
+			c.last[k] = rs.n[k]
+		}
 	}
 	c.slot.heapLive.Store(int64(heapLive))
 	c.slot.topkLive.Store(int64(topkLive))
 	c.slot.samples.Add(1)
-	rs.progressSamples++
+	rs.n[cProgressSamples]++
 }
 
 // ShardProgress is one shard slot's view in a snapshot.
@@ -262,22 +230,22 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 	snap.Cancelled = p.cancelled.Load()
 
 	works := make([]int64, 0, progressShardSlots)
+	fields := snap.counterFields()
 	for i := range p.shards {
 		c := &p.shards[i].shardCounters
+		var n [numPublished]int64
+		for k := range n {
+			n[k] = c.n[k].Load()
+		}
 		total := c.probesTotal.Load()
-		done := c.probesDone.Load()
-		skipped := c.probesSkipped.Load()
+		done, skipped := n[cPrefixEvents], n[cProbesSkipped]
 		if total == 0 && done == 0 && skipped == 0 {
 			continue // slot never activated
 		}
-		snap.ProbesDone += done
-		snap.ProbesSkipped += skipped
+		for k, f := range fields {
+			*f += n[k]
+		}
 		snap.ProbesTotal += total
-		snap.PruneKillPushCap += c.killsPushCap.Load()
-		snap.PruneKillLoopBreak += c.killsLoopBreak.Load()
-		snap.PruneKillFlushBound += c.killsFlushBound.Load()
-		snap.PruneKillLengthFilter += c.killsLengthFilter.Load()
-		snap.PruneKillPrefixPos += c.killsPrefixPos.Load()
 		snap.MergeOffers += c.mergeOffers.Load()
 		snap.EventHeapLive += c.heapLive.Load()
 		snap.TopKLive += c.topkLive.Load()
@@ -295,6 +263,20 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 	snap.Skew = skewOf(works)
 	snap.Fraction, snap.ETASeconds = estimate(&snap)
 	return snap
+}
+
+// counterFields maps each published counter to the snapshot field that
+// totals it across shard slots.
+func (s *ProgressSnapshot) counterFields() [numPublished]*int64 {
+	return [numPublished]*int64{
+		cPrefixEvents:      &s.ProbesDone,
+		cProbesSkipped:     &s.ProbesSkipped,
+		cKillsPushCap:      &s.PruneKillPushCap,
+		cKillsLoopBreak:    &s.PruneKillLoopBreak,
+		cKillsFlushBound:   &s.PruneKillFlushBound,
+		cKillsLengthFilter: &s.PruneKillLengthFilter,
+		cKillsPrefixPos:    &s.PruneKillPrefixPos,
+	}
 }
 
 // skewOf summarizes a work distribution (one value per active shard).

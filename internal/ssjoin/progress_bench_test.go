@@ -10,10 +10,9 @@ import (
 
 // The paired progress-overhead benchmarks: the same JoinAll workload
 // with and without a Progress tracker attached. They exist for the
-// blocking CI gate (scripts/progress_overhead_bench.sh pairs each On
-// invocation with its Off twin and bounds the median ratio at 5%), so
-// their names must keep the On/Off suffix convention the pairing
-// script keys on.
+// blocking CI gate (`mcperf overhead` pairs each On invocation with its
+// Off twin and bounds the median ratio at 5%), so their names must keep
+// the On/Off suffix convention the pairing keys on.
 
 var progressBenchState struct {
 	cor *Corpus

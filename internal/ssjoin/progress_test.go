@@ -85,12 +85,12 @@ func TestProgressAccountingConverges(t *testing.T) {
 
 // TestProgressPruneTierSplit: the per-tier kill counters partition the
 // legacy PruneKills total (tiers a and b; the flush bound is counted
-// separately because flush skips were never in PruneKills).
+// separately because flush skips were never in PruneKills). That every
+// tier reaches the snapshot is TestCountersReachEverySurface's job.
 func TestProgressPruneTierSplit(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	cor, _, c := randomCorpus(t, rng, 40, 50)
-	prog := NewProgress()
-	res := JoinAll(cor, c, Options{K: 5, Q: 2, ProbeWorkers: 2, Progress: prog})
+	res := JoinAll(cor, c, Options{K: 5, Q: 2, ProbeWorkers: 2})
 	st := res.Stats
 	if st.PruneKillsPushCap+st.PruneKillsLoopBreak != st.PruneKills {
 		t.Fatalf("tier split %d + %d != PruneKills %d",
@@ -99,14 +99,6 @@ func TestProgressPruneTierSplit(t *testing.T) {
 	if st.PruneKillsFlushBound != st.DeferredPairs-st.FlushedPairs {
 		t.Fatalf("flush-bound kills %d != deferred %d - flushed %d",
 			st.PruneKillsFlushBound, st.DeferredPairs, st.FlushedPairs)
-	}
-	snap := prog.Snapshot()
-	if snap.PruneKillPushCap != st.PruneKillsPushCap ||
-		snap.PruneKillLoopBreak != st.PruneKillsLoopBreak ||
-		snap.PruneKillFlushBound != st.PruneKillsFlushBound {
-		t.Fatalf("snapshot tiers (%d,%d,%d) != Stats tiers (%d,%d,%d)",
-			snap.PruneKillPushCap, snap.PruneKillLoopBreak, snap.PruneKillFlushBound,
-			st.PruneKillsPushCap, st.PruneKillsLoopBreak, st.PruneKillsFlushBound)
 	}
 }
 
@@ -227,9 +219,9 @@ func TestProgressFlushAllocs(t *testing.T) {
 	cur := progCursor{slot: p.slot(0)}
 	rs := &runStats{}
 	allocs := testing.AllocsPerRun(1000, func() {
-		rs.prefixEvents += 17
-		rs.probesSkipped += 3
-		rs.killsPushCap++
+		rs.n[cPrefixEvents] += 17
+		rs.n[cProbesSkipped] += 3
+		rs.n[cKillsPushCap]++
 		cur.flush(rs, 5, 9)
 	})
 	if allocs != 0 {
@@ -255,7 +247,7 @@ func TestProgressConcurrentFlushers(t *testing.T) {
 			cur := progCursor{slot: slot}
 			rs := &runStats{}
 			for i := 0; i < perG; i++ {
-				rs.prefixEvents++
+				rs.n[cPrefixEvents]++
 				cur.flush(rs, i, i)
 			}
 			p.configDone()
