@@ -1,9 +1,13 @@
 package blocker
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
+	"unicode/utf8"
 
 	"matchcatcher/internal/floats"
 	"matchcatcher/internal/simfunc"
@@ -53,17 +57,20 @@ func (r *Rule) Block(a, b *table.Table) (*PairSet, error) {
 	return out, nil
 }
 
-// compiler caches per-column derived data (token sets, normalized strings,
-// parsed floats) shared by every atom over the same feature.
+// compiler caches per-column derived data (token-id sets, normalized
+// strings, parsed floats) shared by every atom over the same feature.
 type compiler struct {
 	a, b  *table.Table
 	cache map[Feature]*columnData
 }
 
 type columnData struct {
-	aToks, bToks [][]string // FeatSetSim / FeatOverlapCount
-	aNorm, bNorm []string   // FeatEqual / FeatEditDist
-	aNum, bNum   []float64  // FeatAbsDiff (NaN when missing)
+	// FeatSetSim / FeatOverlapCount: both sides tokenized into ids of one
+	// dictionary of nIDs tokens, each row a distinct ascending id set.
+	aIDs, bIDs   idRows
+	nIDs         int
+	aNorm, bNorm []string  // FeatEqual / FeatEditDist
+	aNum, bNum   []float64 // FeatAbsDiff (NaN when missing)
 	haveTok      bool
 	haveNorm     bool
 	haveNum      bool
@@ -97,8 +104,10 @@ func (c *compiler) data(f Feature) *columnData {
 	switch f.Kind {
 	case FeatSetSim, FeatOverlapCount:
 		if !d.haveTok {
-			d.aToks = tokenizeColumn(c.a, f)
-			d.bToks = tokenizeColumn(c.b, f)
+			dict := make(map[string]int32)
+			d.aIDs = idColumn(c.a, f, dict)
+			d.bIDs = idColumn(c.b, f, dict)
+			d.nIDs = len(dict)
 			d.haveTok = true
 		}
 	case FeatEqual, FeatEditDist, FeatJaro, FeatJaroWinkler:
@@ -139,11 +148,12 @@ func (c *compiler) compile(at Atom) compiled {
 	case FeatSetSim:
 		m := at.Feature.Measure
 		holds = func(ra, rb int) bool {
-			return at.Op.holds(m.Score(d.aToks[ra], d.bToks[rb]), at.Value)
+			x, y := d.aIDs.row(ra), d.bIDs.row(rb)
+			return at.Op.holds(m.FromOverlap(intersectCount(x, y), len(x), len(y)), at.Value)
 		}
 	case FeatOverlapCount:
 		holds = func(ra, rb int) bool {
-			return at.Op.holds(float64(simfunc.OverlapCount(d.aToks[ra], d.bToks[rb])), at.Value)
+			return at.Op.holds(float64(intersectCount(d.aIDs.row(ra), d.bIDs.row(rb))), at.Value)
 		}
 	case FeatEditDist:
 		holds = func(ra, rb int) bool {
@@ -171,12 +181,99 @@ func (c *compiler) compile(at Atom) compiled {
 	return compiled{at: at, data: d, holds: holds}
 }
 
-func tokenizeColumn(t *table.Table, f Feature) [][]string {
-	out := make([][]string, t.NumRows())
-	for i := range out {
-		out[i] = f.Tok.Tokens(featValue(t, i, f))
+// intersectCount returns |x ∩ y| for two ascending id sets by merging
+// them.
+//
+//mc:hotpath
+func intersectCount(x, y []int32) int {
+	o, i, j := 0, 0, 0
+	for i < len(x) && j < len(y) {
+		switch {
+		case x[i] < y[j]:
+			i++
+		case x[i] > y[j]:
+			j++
+		default:
+			o++
+			i++
+			j++
+		}
 	}
-	return out
+	return o
+}
+
+// overlapReaches reports whether two ascending id sets share at least
+// need ids, merging only until the answer is certain.
+//
+//mc:hotpath
+func overlapReaches(x, y []int32, need int) bool {
+	o, i, j := 0, 0, 0
+	for o < need {
+		if o+min(len(x)-i, len(y)-j) < need {
+			return false
+		}
+		switch {
+		case x[i] < y[j]:
+			i++
+		case x[i] > y[j]:
+			j++
+		default:
+			o++
+			i++
+			j++
+		}
+	}
+	return true
+}
+
+// idRows holds one side's token-id sets in CSR form: row i is
+// ids[off[i]:off[i+1]].
+type idRows struct {
+	off []int32
+	ids []int32
+}
+
+func (r idRows) rows() int { return len(r.off) - 1 }
+
+func (r idRows) row(i int) []int32 { return r.ids[r.off[i]:r.off[i+1]] }
+
+// head is row i's first prefix(len) ids, or the whole row when prefix is
+// nil.
+func (r idRows) head(i int, prefix func(l int) int) []int32 {
+	row := r.row(i)
+	if prefix != nil {
+		row = row[:prefix(len(row))]
+	}
+	return row
+}
+
+// addRow tokenizes s with tok straight into dict's ids, adding unseen
+// tokens, and appends the distinct ids in ascending order as the next row.
+func (r *idRows) addRow(dict map[string]int32, tok tokenize.Tokenizer, s string) {
+	start := len(r.ids)
+	tokenize.Each(tok, s, func(t string) {
+		id, ok := dict[t]
+		if !ok {
+			id = int32(len(dict))
+			dict[t] = id
+		}
+		r.ids = append(r.ids, id)
+	})
+	row := r.ids[start:]
+	slices.Sort(row)
+	r.ids = r.ids[:start+len(slices.Compact(row))]
+	r.off = append(r.off, int32(len(r.ids)))
+}
+
+func newIDRows(n int) idRows { return idRows{off: make([]int32, 1, n+1)} }
+
+// idColumn compiles feature f's tokens of every row of t into dict's ids.
+func idColumn(t *table.Table, f Feature, dict map[string]int32) idRows {
+	r := newIDRows(t.NumRows())
+	for i := 0; i < t.NumRows(); i++ {
+		r.addRow(dict, f.Tok, featValue(t, i, f))
+	}
+	return r
 }
 
 func normColumn(t *table.Table, f Feature) []string {
@@ -187,10 +284,12 @@ func normColumn(t *table.Table, f Feature) []string {
 	return out
 }
 
+// numColumn parses each value as Feature.Eval does: trimmed, NaN when
+// missing or unparseable.
 func numColumn(t *table.Table, f Feature) []float64 {
 	out := make([]float64, t.NumRows())
 	for i := range out {
-		v, err := strconv.ParseFloat(featValue(t, i, f), 64)
+		v, err := strconv.ParseFloat(strings.TrimSpace(featValue(t, i, f)), 64)
 		if err != nil {
 			v = math.NaN()
 		}
@@ -342,101 +441,156 @@ func minOverlap(m simfunc.SetMeasure, t float64, lx int) int {
 	return mo
 }
 
-// tokenOrder assigns each token a global rank by increasing document
-// frequency across both token lists, so prefixes hold the rarest tokens.
-func tokenOrder(lists ...[][]string) map[string]int {
-	freq := make(map[string]int)
-	for _, ls := range lists {
-		for _, toks := range ls {
-			for _, t := range toks {
-				freq[t]++
-			}
-		}
-	}
-	toks := make([]string, 0, len(freq))
-	for t := range freq {
-		toks = append(toks, t)
-	}
-	sort.Slice(toks, func(i, j int) bool {
-		if freq[toks[i]] != freq[toks[j]] {
-			return freq[toks[i]] < freq[toks[j]]
-		}
-		return toks[i] < toks[j]
-	})
-	order := make(map[string]int, len(toks))
-	for i, t := range toks {
-		order[t] = i
-	}
-	return order
+// postings inverts id rows into CSR posting lists: the rows holding id
+// t, ascending, are rows[start[t]:start[t+1]].
+type postings struct {
+	start []int32
+	rows  []int32
 }
 
-// drivePrefixFilter generates candidates for measure(f) >= t using prefix
-// filtering, then verifies exactly via emit. It sorts copies of the token
-// columns so the shared cache keeps its original order.
-func drivePrefixFilter(drv compiled, t float64, emit func(ra, rb int)) {
-	m := drv.at.Feature.Measure
-	order := tokenOrder(drv.data.aToks, drv.data.bToks)
-	sortToks := func(col [][]string) [][]string {
-		out := make([][]string, len(col))
-		for i, toks := range col {
-			cp := append([]string(nil), toks...)
-			sort.Slice(cp, func(x, y int) bool { return order[cp[x]] < order[cp[y]] })
-			out[i] = cp
+func (p postings) list(t int32) []int32 { return p.rows[p.start[t]:p.start[t+1]] }
+
+// headFreq counts, per id, the rows of r holding it among their first
+// prefix(len(row)) ids (every id when prefix is nil).
+func headFreq(r idRows, nIDs int, prefix func(l int) int) []int32 {
+	freq := make([]int32, nIDs+1)
+	for i := 0; i < r.rows(); i++ {
+		for _, t := range r.head(i, prefix) {
+			freq[t]++
+		}
+	}
+	return freq
+}
+
+// invert builds the postings of each row's first prefix(len(row)) ids
+// (every id when prefix is nil): count, then place rows last to first so
+// each list comes out ascending.
+func invert(r idRows, nIDs int, prefix func(l int) int) postings {
+	p := postings{start: headFreq(r, nIDs, prefix)}
+	for t := 1; t <= nIDs; t++ {
+		p.start[t] += p.start[t-1]
+	}
+	// start[t] is now the end of t's list; placing walks it back to the
+	// list's first slot.
+	p.rows = make([]int32, p.start[nIDs])
+	for i := r.rows() - 1; i >= 0; i-- {
+		for _, t := range r.head(i, prefix) {
+			p.start[t]--
+			p.rows[p.start[t]] = int32(i)
+		}
+	}
+	return p
+}
+
+// rankRows relabels both sides' ids by increasing document frequency
+// (ties by id) and re-sorts each row, so a row's prefix holds its rarest
+// tokens. Prefix filtering is sound under any global order; this one
+// keeps posting lists short.
+func rankRows(d *columnData) (a, b idRows) {
+	df, dfB := headFreq(d.aIDs, d.nIDs, nil), headFreq(d.bIDs, d.nIDs, nil)
+	for t := range df {
+		df[t] += dfB[t]
+	}
+	order := make([]int32, d.nIDs)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(x, y int32) int {
+		if c := cmp.Compare(df[x], df[y]); c != 0 {
+			return c
+		}
+		return cmp.Compare(x, y)
+	})
+	rank := make([]int32, d.nIDs)
+	for r, t := range order {
+		rank[t] = int32(r)
+	}
+	relabel := func(r idRows) idRows {
+		out := idRows{off: r.off, ids: make([]int32, len(r.ids))}
+		for k, t := range r.ids {
+			out.ids[k] = rank[t]
+		}
+		for i := 0; i < out.rows(); i++ {
+			slices.Sort(out.row(i))
 		}
 		return out
 	}
-	aToks := sortToks(drv.data.aToks)
-	bToks := sortToks(drv.data.bToks)
-	idx := make(map[string][]int)
-	for ra, toks := range aToks {
-		lx := len(toks)
-		if lx == 0 {
-			continue
+	return relabel(d.aIDs), relabel(d.bIDs)
+}
+
+// drivePrefixFilter generates candidates for measure(f) >= t by prefix
+// filtering over frequency-ranked id rows. A qualifying pair shares at
+// least max(minOverlap(lx), minOverlap(ly)) tokens; a bounded merge
+// checks that before emit verifies the pair exactly.
+func drivePrefixFilter(drv compiled, t float64, emit func(ra, rb int)) {
+	m := drv.at.Feature.Measure
+	prefix := func(l int) int {
+		if l == 0 {
+			return 0
 		}
-		p := lx - minOverlap(m, t, lx) + 1
-		for _, tok := range toks[:p] {
-			idx[tok] = append(idx[tok], ra)
-		}
+		return l - minOverlap(m, t, l) + 1
 	}
-	seen := make(map[int]int) // candidate ra -> stamp of last rb processed
-	for rb, toks := range bToks {
-		ly := len(toks)
-		if ly == 0 {
-			continue
-		}
-		p := ly - minOverlap(m, t, ly) + 1
-		for _, tok := range toks[:p] {
-			for _, ra := range idx[tok] {
-				if seen[ra] == rb+1 {
+	a, b := rankRows(drv.data)
+	idx := invert(a, drv.data.nIDs, prefix)
+	seen := make([]int32, a.rows()) // candidate ra -> stamp rb+1 of the last probe that reached it
+	for rb := 0; rb < b.rows(); rb++ {
+		y := b.row(rb)
+		stamp := int32(rb + 1)
+		for _, tok := range y[:prefix(len(y))] {
+			for _, ra := range idx.list(tok) {
+				if seen[ra] == stamp {
 					continue
 				}
-				seen[ra] = rb + 1
-				emit(ra, rb)
+				seen[ra] = stamp
+				x := a.row(int(ra))
+				if overlapReaches(x, y, max(minOverlap(m, t, len(x)), minOverlap(m, t, len(y)))) {
+					emit(int(ra), rb)
+				}
 			}
 		}
 	}
 }
 
-// driveOverlapCount generates candidates sharing at least cnt tokens via
-// an inverted index with per-candidate counting.
-func driveOverlapCount(drv compiled, cnt int, emit func(ra, rb int)) {
-	idx := make(map[string][]int)
-	for ra, toks := range drv.data.aToks {
-		for _, tok := range toks {
-			idx[tok] = append(idx[tok], ra)
+// countProbe counts how many ids each A row shares with one probing row:
+// counts is dense over A, touched lists the rows with a nonzero count in
+// first-touch order.
+type countProbe struct {
+	idx     postings
+	counts  []int32
+	touched []int32
+}
+
+func newCountProbe(a idRows, nIDs int) *countProbe {
+	return &countProbe{idx: invert(a, nIDs, nil), counts: make([]int32, a.rows())}
+}
+
+// count clears the previous probe, counts row against the index, and
+// returns the touched A rows; counts holds their shared-id counts.
+func (p *countProbe) count(row []int32) []int32 {
+	for _, ra := range p.touched {
+		p.counts[ra] = 0
+	}
+	p.touched = p.touched[:0]
+	for _, t := range row {
+		for _, ra := range p.idx.list(t) {
+			if p.counts[ra] == 0 {
+				p.touched = append(p.touched, ra)
+			}
+			p.counts[ra]++
 		}
 	}
-	counts := make(map[int]int)
-	for rb, toks := range drv.data.bToks {
-		clear(counts)
-		for _, tok := range toks {
-			for _, ra := range idx[tok] {
-				counts[ra]++
-			}
-		}
-		for ra, n := range counts {
-			if n >= cnt {
-				emit(ra, rb)
+	return p.touched
+}
+
+// driveOverlapCount generates candidates sharing at least cnt tokens,
+// counting shared ids through full postings of A.
+func driveOverlapCount(drv compiled, cnt int, emit func(ra, rb int)) {
+	d := drv.data
+	p := newCountProbe(d.aIDs, d.nIDs)
+	for rb := 0; rb < d.bIDs.rows(); rb++ {
+		for _, ra := range p.count(d.bIDs.row(rb)) {
+			if int(p.counts[ra]) >= cnt {
+				emit(int(ra), rb)
 			}
 		}
 	}
@@ -444,56 +598,56 @@ func driveOverlapCount(drv compiled, cnt int, emit func(ra, rb int)) {
 
 // driveEditDistance generates candidates within edit distance d using
 // 3-gram count filtering with a length filter, falling back to a
-// length-filtered scan for strings too short for the gram filter.
+// length-filtered scan for strings too short for the gram filter. Edit
+// distance and grams count runes, so the length filter does too.
 func driveEditDistance(drv compiled, d int, emit func(ra, rb int)) {
 	if d < 0 {
 		return
 	}
 	const q = 3
+	gram := tokenize.QGramTokenizer{Q: q}
 	aNorm, bNorm := drv.data.aNorm, drv.data.bNorm
-	aGrams := make([][]string, len(aNorm))
-	idx := make(map[string][]int)
-	for ra, n := range aNorm {
-		g := tokenize.QGramSet(n, q)
-		aGrams[ra] = g
-		for _, gram := range g {
-			idx[gram] = append(idx[gram], ra)
-		}
+	dict := make(map[string]int32)
+	aGrams, bGrams := newIDRows(len(aNorm)), newIDRows(len(bNorm))
+	for _, n := range aNorm {
+		aGrams.addRow(dict, gram, n)
 	}
-	counts := make(map[int]int)
-	for rb, nb := range bNorm {
-		gb := tokenize.QGramSet(nb, q)
+	for _, n := range bNorm {
+		bGrams.addRow(dict, gram, n)
+	}
+	aLen, bLen := runeLens(aNorm), runeLens(bNorm)
+	lenOK := func(ra, rb int) bool {
+		dl := int(aLen[ra]) - int(bLen[rb])
+		return dl <= d && -dl <= d
+	}
+	p := newCountProbe(aGrams, len(dict))
+	for rb := range bNorm {
+		gb := bGrams.row(rb)
 		// Each edit destroys at most q grams of b's gram set.
 		need := len(gb) - q*d
 		if need >= 1 {
-			clear(counts)
-			for _, gram := range gb {
-				for _, ra := range idx[gram] {
-					counts[ra]++
-				}
-			}
-			for ra, n := range counts {
-				if n >= need && lenDiffOK(aNorm[ra], nb, d) {
-					emit(ra, rb)
+			for _, ra := range p.count(gb) {
+				if int(p.counts[ra]) >= need && lenOK(int(ra), rb) {
+					emit(int(ra), rb)
 				}
 			}
 			continue
 		}
 		// Too short to filter by grams: scan with the length filter only.
 		for ra := range aNorm {
-			if lenDiffOK(aNorm[ra], nb, d) {
+			if lenOK(ra, rb) {
 				emit(ra, rb)
 			}
 		}
 	}
 }
 
-func lenDiffOK(x, y string, d int) bool {
-	dx := len(x) - len(y)
-	if dx < 0 {
-		dx = -dx
+func runeLens(col []string) []int32 {
+	out := make([]int32, len(col))
+	for i, s := range col {
+		out[i] = int32(utf8.RuneCountInString(s))
 	}
-	return dx <= d
+	return out
 }
 
 // driveNumericRange generates candidates with |x-y| <= v by sorting A's

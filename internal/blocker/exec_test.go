@@ -67,28 +67,11 @@ func randomProductTable(name string, n int, rng *rand.Rand) *table.Table {
 // index-driven executor: for a zoo of rules spanning every driver kind,
 // Block produces exactly the brute-force keep set.
 func TestRuleExecutionMatchesBruteForce(t *testing.T) {
-	rules := []string{
-		"title_overlap_word<2",
-		"title_jac_word<0.4",
-		"title_cos_word<0.5",
-		"title_dice_word<0.5",
-		"brand_jac_3gram<0.6",
-		"attr_equal_brand",
-		"price_absdiff>20",
-		"price_absdiff>20 OR title_jac_word<0.5",
-		"title_jac_word<0.2 AND brand_jac_3gram<0.4",
-		"(title_cos_word<0.5 AND brand_jac_3gram<0.7) OR title_jac_word<0.3",
-		"year_absdiff>2 OR title_cos_word<0.7",
-		"title_editdist>4",
-		"lastword(title)_ed>1",
-		"NOT attr_equal_brand AND title_overlap_word<1",
-		"title_overlapcoeff_word<0.5",
-	}
 	for seed := int64(0); seed < 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		a := randomProductTable("A", 40, rng)
 		b := randomProductTable("B", 50, rng)
-		for _, src := range rules {
+		for _, src := range ruleZoo {
 			expr := MustParse(src)
 			for _, mode := range []string{"drop", "keep"} {
 				var r *Rule
@@ -107,6 +90,176 @@ func TestRuleExecutionMatchesBruteForce(t *testing.T) {
 						seed, r.Name(), got.Len(), want.Len())
 				}
 			}
+		}
+	}
+	// Second case: the zoo on larger, dirtier tables (accented and
+	// non-Latin titles, empty titles, padded prices), serially and
+	// through Concurrent.
+	for seed := int64(0); seed < 3; seed++ {
+		t.Run(fmt.Sprintf("dirty200x300/seed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			rng := rand.New(rand.NewSource(seed))
+			a := dirtyProductTable("A", 200, rng)
+			b := dirtyProductTable("B", 300, rng)
+			for _, src := range ruleZoo {
+				expr := MustParse(src)
+				// The drop rule keeps exactly the pairs the keep rule drops.
+				hits := bruteForceKeep(a, b, expr)
+				misses := NewPairSet()
+				for ra := 0; ra < a.NumRows(); ra++ {
+					for rb := 0; rb < b.NumRows(); rb++ {
+						if !hits.Contains(ra, rb) {
+							misses.Add(ra, rb)
+						}
+					}
+				}
+				for _, c := range []struct {
+					r    *Rule
+					want *PairSet
+				}{{DropRule("drop:"+src, expr), misses}, {KeepRule("keep:"+src, expr), hits}} {
+					for _, q := range []Blocker{c.r, &Concurrent{Inner: c.r, Workers: 3}} {
+						got, err := q.Block(a, b)
+						if err != nil {
+							t.Fatalf("%s: %v", q.Name(), err)
+						}
+						if !samePairSet(got, c.want) {
+							t.Errorf("%s: got %d pairs, want %d", q.Name(), got.Len(), c.want.Len())
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// dirtyProductTable is randomProductTable with the values that trip
+// byte-vs-rune and raw-vs-trimmed bugs: accented and non-Latin titles,
+// empty titles, and whitespace-padded prices.
+func dirtyProductTable(name string, n int, rng *rand.Rand) *table.Table {
+	words := []string{"usb", "cable", "Fast", "pro", "mini", "café", "crème", "naïve", "日本", "hub", "hd", "über", "o'brien", "x-1"}
+	brands := []string{"acme", "Acme ", "globex", "zürich", "", "  "}
+	pads := []string{"", " ", "  ", "\t"}
+	t := table.MustNew(name, []string{"title", "brand", "price", "year"})
+	for i := 0; i < n; i++ {
+		var title []string
+		if rng.Intn(10) > 0 {
+			for w := 1 + rng.Intn(4); w > 0; w-- {
+				title = append(title, words[rng.Intn(len(words))])
+			}
+		}
+		price := pads[rng.Intn(len(pads))] + fmt.Sprintf("%d", rng.Intn(60)) + pads[rng.Intn(len(pads))]
+		if rng.Intn(8) == 0 {
+			price = ""
+		}
+		t.MustAppend([]string{
+			strings.Join(title, " "),
+			brands[rng.Intn(len(brands))],
+			price,
+			fmt.Sprintf("%d", 2000+rng.Intn(10)),
+		})
+	}
+	return t
+}
+
+// ruleZoo spans every driver kind (equality, set similarity, overlap
+// count, edit distance, numeric range, nested loop) alone and combined.
+var ruleZoo = []string{
+	"title_overlap_word<2",
+	"title_jac_word<0.4",
+	"title_cos_word<0.5",
+	"title_dice_word<0.5",
+	"brand_jac_3gram<0.6",
+	"attr_equal_brand",
+	"price_absdiff>20",
+	"price_absdiff>20 OR title_jac_word<0.5",
+	"title_jac_word<0.2 AND brand_jac_3gram<0.4",
+	"(title_cos_word<0.5 AND brand_jac_3gram<0.7) OR title_jac_word<0.3",
+	"year_absdiff>2 OR title_cos_word<0.7",
+	"title_editdist>4",
+	"lastword(title)_ed>1",
+	"NOT attr_equal_brand AND title_overlap_word<1",
+	"title_overlapcoeff_word<0.5",
+}
+
+// oneColumnTables builds single-attribute tables A and B.
+func oneColumnTables(attr string, a, b []string) (*table.Table, *table.Table) {
+	ta := table.MustNew("A", []string{attr})
+	for _, v := range a {
+		ta.MustAppend([]string{v})
+	}
+	tb := table.MustNew("B", []string{attr})
+	for _, v := range b {
+		tb.MustAppend([]string{v})
+	}
+	return ta, tb
+}
+
+// TestAbsDiffTrimsPaddedNumbers: Feature.Eval trims before parsing, so
+// the compiled numeric column must too.
+func TestAbsDiffTrimsPaddedNumbers(t *testing.T) {
+	a, b := oneColumnTables("price", []string{" 12"}, []string{"13 "})
+	r := MustParseDropRule("r", "price_absdiff>5")
+	got, err := r.Block(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := bruteForceKeep(a, b, r.Keep); want.Len() != 1 || !samePairSet(got, want) {
+		t.Errorf("got %v, want %v (one pair)", got.SortedPairs(), want.SortedPairs())
+	}
+}
+
+// TestAbsDiffNaNCountsAsMissing: "nan" parses as a float, so Feature.Eval
+// must map a NaN difference to +Inf like a missing value; otherwise a
+// negated atom is not the atom's complement and DNF changes the rule.
+func TestAbsDiffNaNCountsAsMissing(t *testing.T) {
+	a, b := oneColumnTables("price", []string{"nan", "inf", "3"}, []string{"5", "Inf", ""})
+	for _, src := range []string{"price_absdiff>20", "price_absdiff<=20"} {
+		for _, r := range []*Rule{MustParseDropRule("drop:"+src, src), MustParseKeepRule("keep:"+src, src)} {
+			got, err := r.Block(a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := bruteForceKeep(a, b, r.Keep); !samePairSet(got, want) {
+				t.Errorf("%s: got %v, want %v", r.Name(), got.SortedPairs(), want.SortedPairs())
+			}
+		}
+	}
+}
+
+// TestEditDistanceLengthFilterCountsRunes: edit distance is over runes,
+// so "éééa" (4 runes, 7 bytes) is within 4 edits of "a".
+func TestEditDistanceLengthFilterCountsRunes(t *testing.T) {
+	a, b := oneColumnTables("title", []string{"éééa"}, []string{"a"})
+	r := MustParseDropRule("r", "title_editdist>4")
+	got, err := r.Block(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := bruteForceKeep(a, b, r.Keep); want.Len() != 1 || !samePairSet(got, want) {
+		t.Errorf("got %v, want %v (one pair)", got.SortedPairs(), want.SortedPairs())
+	}
+}
+
+// TestRuleVerifyZeroAllocs pins the set-token verifier: a compiled
+// set-similarity or overlap-count atom checks a pair by merging two
+// sorted id rows, with no allocation.
+func TestRuleVerifyZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	a := randomProductTable("A", 20, rng)
+	b := randomProductTable("B", 20, rng)
+	c := newCompiler(a, b)
+	for _, src := range []string{"title_jac_word>=0.4", "brand_cos_3gram>0.5", "title_overlap_word>=2"} {
+		atom := MustParse(src).(Atom)
+		comp := c.compile(atom)
+		ra, rb, kept := 0, 0, 0
+		allocs := testing.AllocsPerRun(200, func() {
+			if comp.holds(ra, rb) {
+				kept++
+			}
+			ra, rb = (ra+1)%a.NumRows(), (rb+7)%b.NumRows()
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocs per verified pair, want 0", src, allocs)
 		}
 	}
 }

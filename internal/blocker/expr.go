@@ -2,6 +2,7 @@ package blocker
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -94,7 +95,13 @@ func (f Feature) Eval(a *table.Table, ra int, b *table.Table, rb int) float64 {
 	case FeatEditDist:
 		return float64(simfunc.Levenshtein(tokenize.Normalize(va), tokenize.Normalize(vb)))
 	case FeatAbsDiff:
-		return simfunc.AbsDiff(strings.TrimSpace(va), strings.TrimSpace(vb))
+		x := simfunc.AbsDiff(strings.TrimSpace(va), strings.TrimSpace(vb))
+		if math.IsNaN(x) {
+			// "nan" parses, and |Inf-Inf| is NaN: count both as missing,
+			// or a negated atom would not be the atom's complement.
+			return math.Inf(1)
+		}
+		return x
 	case FeatJaro:
 		return simfunc.Jaro(tokenize.Normalize(va), tokenize.Normalize(vb))
 	case FeatJaroWinkler:

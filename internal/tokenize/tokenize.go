@@ -6,6 +6,7 @@ package tokenize
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Normalize lowercases s and collapses runs of whitespace into single
@@ -21,6 +22,13 @@ func Normalize(s string) string {
 // lowercased. Punctuation separates tokens ("O'Brien" -> ["o", "brien"]).
 func Words(s string) []string {
 	var toks []string
+	eachWord(s, func(tok string) { toks = append(toks, tok) })
+	return toks
+}
+
+// eachWord calls fn on each word token of s in order, duplicates
+// included. Tokens are substrings of the lowercased s.
+func eachWord(s string, fn func(tok string)) {
 	start := -1
 	lower := strings.ToLower(s)
 	for i, r := range lower {
@@ -31,14 +39,13 @@ func Words(s string) []string {
 			continue
 		}
 		if start >= 0 {
-			toks = append(toks, lower[start:i])
+			fn(lower[start:i])
 			start = -1
 		}
 	}
 	if start >= 0 {
-		toks = append(toks, lower[start:])
+		fn(lower[start:])
 	}
-	return toks
 }
 
 // WordSet returns the distinct word tokens of s in first-occurrence order.
@@ -50,22 +57,40 @@ func WordSet(s string) []string {
 // including duplicates, in order. Strings shorter than q yield a single
 // gram holding the whole string (if non-empty). q must be positive.
 func QGrams(s string, q int) []string {
+	var grams []string
+	eachQGram(s, q, func(g string) { grams = append(grams, g) })
+	return grams
+}
+
+// eachQGram calls fn on each q-gram of the normalized form of s in
+// order, duplicates included. Grams are substrings of the normalized
+// value (Normalize's lowercasing leaves it valid UTF-8, so a gram of q
+// runes is exactly the bytes between two rune boundaries).
+func eachQGram(s string, q int, fn func(gram string)) {
 	if q <= 0 {
 		panic("tokenize: QGrams requires q > 0")
 	}
 	n := Normalize(s)
 	if n == "" {
-		return nil
+		return
 	}
-	runes := []rune(n)
-	if len(runes) <= q {
-		return []string{string(runes)}
+	// lo and hi are the byte offsets of the window's first rune and of
+	// the rune just past it.
+	lo, hi := 0, 0
+	for i := 0; i < q && hi < len(n); i++ {
+		_, w := utf8.DecodeRuneInString(n[hi:])
+		hi += w
 	}
-	grams := make([]string, 0, len(runes)-q+1)
-	for i := 0; i+q <= len(runes); i++ {
-		grams = append(grams, string(runes[i:i+q]))
+	for {
+		fn(n[lo:hi])
+		if hi == len(n) {
+			return
+		}
+		_, w := utf8.DecodeRuneInString(n[lo:])
+		lo += w
+		_, w = utf8.DecodeRuneInString(n[hi:])
+		hi += w
 	}
-	return grams
 }
 
 // QGramSet returns the distinct q-grams of s in first-occurrence order.
@@ -101,6 +126,23 @@ type Tokenizer interface {
 	Tokens(s string) []string
 	// Name returns the tokenizer's name as used in blocker expressions.
 	Name() string
+}
+
+// Each calls fn on every token tok.Tokens(s) holds, in order and possibly
+// repeated, without building the token slice: word tokens and q-grams are
+// substrings of the lowercased or normalized s. Other tokenizers fall
+// back to Tokens.
+func Each(tok Tokenizer, s string, fn func(tok string)) {
+	switch t := tok.(type) {
+	case WordTokenizer:
+		eachWord(s, fn)
+	case QGramTokenizer:
+		eachQGram(s, t.Q, fn)
+	default:
+		for _, x := range tok.Tokens(s) {
+			fn(x)
+		}
+	}
 }
 
 // WordTokenizer tokenizes into distinct word tokens.

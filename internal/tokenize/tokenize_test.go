@@ -175,3 +175,46 @@ func TestQGramsProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Property: Each visits exactly the tokens Tokens returns (once deduped,
+// in first-occurrence order), and QGrams' substring grams equal the
+// rune-slice grams, for both tokenizers and for invalid UTF-8 input.
+func TestEachMatchesTokens(t *testing.T) {
+	runeGrams := func(s string, q int) []string {
+		n := []rune(Normalize(s))
+		if len(n) == 0 {
+			return nil
+		}
+		if len(n) <= q {
+			return []string{string(n)}
+		}
+		var out []string
+		for i := 0; i+q <= len(n); i++ {
+			out = append(out, string(n[i:i+q]))
+		}
+		return out
+	}
+	check := func(s string) bool {
+		if got, want := QGrams(s, 3), runeGrams(s, 3); !reflect.DeepEqual(got, want) {
+			t.Logf("QGrams(%q) = %q, want %q", s, got, want)
+			return false
+		}
+		for _, tok := range []Tokenizer{WordTokenizer{}, QGramTokenizer{Q: 3}, QGramTokenizer{Q: 1}} {
+			var seen []string
+			Each(tok, s, func(x string) { seen = append(seen, x) })
+			if got, want := dedup(seen), tok.Tokens(s); !reflect.DeepEqual(got, want) {
+				t.Logf("%s Each(%q) = %q, want %q", tok.Name(), s, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	for _, s := range []string{"", "ab", "Éclair  café", "日本語x", "a\xffb\xfe", "\xc3", "  x  "} {
+		if !check(s) {
+			t.Errorf("mismatch on %q", s)
+		}
+	}
+	if err := quick.Check(check, nil); err != nil {
+		t.Error(err)
+	}
+}
