@@ -70,6 +70,7 @@ fuzz-smoke:
 	$(GO) test ./internal/blocker -run '^$$' -fuzz FuzzParse -fuzztime 10s
 	$(GO) test ./internal/blocker -run '^$$' -fuzz FuzzSoundex -fuzztime 10s
 	$(GO) test ./internal/blocker -run '^$$' -fuzz FuzzRuleBlock -fuzztime 10s
+	$(GO) test ./internal/rforest -run '^$$' -fuzz FuzzTrain -fuzztime 10s
 	$(GO) test ./internal/ssjoin -run '^$$' -fuzz FuzzMergeTopK -fuzztime 10s
 	$(GO) test ./internal/ssjoin -run '^$$' -fuzz FuzzPrefixFilter -fuzztime 10s
 	$(GO) test ./internal/config -run '^$$' -fuzz FuzzColumnHelpers -fuzztime 10s

@@ -1,10 +1,11 @@
 package ranker
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -67,7 +68,7 @@ func (o Options) withDefaults() Options {
 	if o.StopAfterEmpty == 0 {
 		o.StopAfterEmpty = 2
 	}
-	if o.Forest.Trees == 0 {
+	if o.Forest.Trees <= 0 {
 		o.Forest.Trees = 10
 	}
 	return o
@@ -84,11 +85,12 @@ type Verifier struct {
 	lists []ssjoin.TopKList
 	feats FeatureFunc
 
-	ids     []int64
-	byID    map[int64]int
-	vecs    [][]float64
-	labeled map[int]bool // item index -> label
-	matches []blocker.Pair
+	ids      []int64
+	byID     map[int64]int
+	vecs     [][]float64
+	state    []itemState // per item index
+	nLabeled int
+	matches  []blocker.Pair
 
 	iter        int
 	emptyStreak int
@@ -101,13 +103,56 @@ type Verifier struct {
 	weights []float64 // WMR per-list weights
 	rng     *rand.Rand
 
-	pending []int // item indices returned by the last Next
-	forest  *rforest.Forest
+	// Round buffers, reused so a warm round allocates only Next's batch.
+	pending []int             // item indices returned by the last Next
+	train   []rforest.Example // the labelled set, in item order
+	ranked  []scored          // unlabelled items with their confidence
+	forest  rforest.Forest    // refitted in place each round
 	stale   bool
 
 	vm    verifierMetrics
 	trace *telemetry.TraceSpan
 	prov  *telemetry.Provenance
+}
+
+// itemState is a candidate's label state.
+type itemState uint8
+
+const (
+	unlabeled itemState = iota
+	labeledNo
+	labeledYes
+	taken // unlabelled, already picked as controversial by this Next
+)
+
+// scored is an unlabelled item with its forest confidence.
+type scored struct {
+	idx  int
+	conf float64
+}
+
+// byConfidence orders by confidence, highest first, then by item index.
+func byConfidence(x, y scored) int {
+	if !floats.Equal(x.conf, y.conf) {
+		if x.conf > y.conf {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(x.idx, y.idx)
+}
+
+// byControversy orders by distance of the confidence from 0.5, nearest
+// first, then by item index.
+func byControversy(x, y scored) int {
+	dx, dy := math.Abs(x.conf-0.5), math.Abs(y.conf-0.5)
+	if !floats.Equal(dx, dy) {
+		if dx < dy {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(x.idx, y.idx)
 }
 
 // verifierMetrics holds the resolved telemetry instruments (one registry
@@ -145,16 +190,15 @@ func newVerifierMetrics(reg *telemetry.Registry) verifierMetrics {
 func NewVerifier(lists []ssjoin.TopKList, feats FeatureFunc, opt Options) *Verifier {
 	opt = opt.withDefaults()
 	v := &Verifier{
-		opt:     opt,
-		lists:   lists,
-		feats:   feats,
-		byID:    map[int64]int{},
-		labeled: map[int]bool{},
-		rng:     rand.New(rand.NewSource(opt.Seed)),
-		stale:   true,
-		vm:      newVerifierMetrics(opt.Metrics),
-		trace:   opt.Trace,
-		prov:    opt.Provenance,
+		opt:   opt,
+		lists: lists,
+		feats: feats,
+		byID:  map[int64]int{},
+		rng:   rand.New(rand.NewSource(opt.Seed)),
+		stale: true,
+		vm:    newVerifierMetrics(opt.Metrics),
+		trace: opt.Trace,
+		prov:  opt.Provenance,
 	}
 	for _, l := range lists {
 		for _, p := range l.Pairs {
@@ -166,6 +210,7 @@ func NewVerifier(lists []ssjoin.TopKList, feats FeatureFunc, opt Options) *Verif
 		}
 	}
 	v.vecs = make([][]float64, len(v.ids))
+	v.state = make([]itemState, len(v.ids))
 	v.weights = make([]float64, len(lists))
 	for i := range v.weights {
 		v.weights[i] = 1
@@ -216,38 +261,35 @@ func (v *Verifier) NumCandidates() int { return len(v.ids) }
 // Ranking was ever called).
 func (v *Verifier) Ranking() []blocker.Pair {
 	if v.opt.Mode == ModeWMR || !v.haveMatch || !v.haveNon {
-		out := make([]blocker.Pair, 0, len(v.ids)-len(v.labeled))
+		out := make([]blocker.Pair, 0, len(v.ids)-v.nLabeled)
 		for _, p := range v.order {
-			idx := v.byID[pairID(int32(p.A), int32(p.B))]
-			if _, done := v.labeled[idx]; !done {
+			if v.state[v.byID[pairID(int32(p.A), int32(p.B))]] == unlabeled {
 				out = append(out, p)
 			}
 		}
 		return out
 	}
 	v.ensureForest()
-	type scored struct {
-		idx  int
-		conf float64
-	}
-	ranked := make([]scored, 0, len(v.ids)-len(v.labeled))
-	for i := range v.ids {
-		if _, done := v.labeled[i]; done {
-			continue
-		}
-		ranked = append(ranked, scored{i, v.forest.Confidence(v.vec(i))})
-	}
-	sort.Slice(ranked, func(x, y int) bool {
-		if !floats.Equal(ranked[x].conf, ranked[y].conf) {
-			return ranked[x].conf > ranked[y].conf
-		}
-		return ranked[x].idx < ranked[y].idx
-	})
+	ranked := v.score()
+	slices.SortFunc(ranked, byConfidence)
 	out := make([]blocker.Pair, len(ranked))
 	for i, s := range ranked {
 		out[i] = idPair(v.ids[s.idx])
 	}
 	return out
+}
+
+// score fills the reused ranked buffer with every unlabelled item not
+// taken by this Next, and its forest confidence, in item order.
+func (v *Verifier) score() []scored {
+	ranked := v.ranked[:0]
+	for i, st := range v.state {
+		if st == unlabeled {
+			ranked = append(ranked, scored{i, v.forest.Confidence(v.vec(i))})
+		}
+	}
+	v.ranked = ranked
+	return ranked
 }
 
 // Iterations returns the number of completed Feedback rounds.
@@ -260,7 +302,7 @@ func (v *Verifier) Matches() []blocker.Pair { return v.matches }
 // StopAfterEmpty consecutive iterations, every candidate labeled, or the
 // iteration cap reached.
 func (v *Verifier) Done() bool {
-	if len(v.labeled) >= len(v.ids) {
+	if v.nLabeled >= len(v.ids) {
 		return true
 	}
 	if v.iter > 0 && v.emptyStreak >= v.opt.StopAfterEmpty {
@@ -286,18 +328,17 @@ func (v *Verifier) Next() []blocker.Pair {
 	if v.Done() {
 		return nil
 	}
-	var idxs []int
+	v.pending = v.pending[:0]
 	switch {
 	case v.opt.Mode == ModeWMR, !v.haveMatch || !v.haveNon:
-		idxs = v.nextFromOrder()
+		v.nextFromOrder()
 	case v.alRounds < v.opt.ALIterations:
-		idxs = v.nextHybrid()
+		v.nextHybrid()
 	default:
-		idxs = v.nextConfident(v.opt.N, nil)
+		v.nextConfident(v.opt.N)
 	}
-	v.pending = idxs
-	out := make([]blocker.Pair, len(idxs))
-	for i, idx := range idxs {
+	out := make([]blocker.Pair, len(v.pending))
+	for i, idx := range v.pending {
 		out[i] = idPair(v.ids[idx])
 		if v.prov.Watching(out[i].A, out[i].B) {
 			v.prov.Record(out[i].A, out[i].B, "verifier", "shown",
@@ -308,124 +349,88 @@ func (v *Verifier) Next() []blocker.Pair {
 	return out
 }
 
-// nextFromOrder walks the aggregated global list.
-func (v *Verifier) nextFromOrder() []int {
-	var idxs []int
-	for v.cursor < len(v.order) && len(idxs) < v.opt.N {
+// nextFromOrder appends the next unlabelled pairs of the aggregated
+// global list to pending.
+func (v *Verifier) nextFromOrder() {
+	for v.cursor < len(v.order) && len(v.pending) < v.opt.N {
 		idx := v.byID[pairID(int32(v.order[v.cursor].A), int32(v.order[v.cursor].B))]
 		v.cursor++
-		if _, done := v.labeled[idx]; !done {
-			idxs = append(idxs, idx)
+		if v.state[idx] == unlabeled {
+			v.pending = append(v.pending, idx)
 		}
 	}
-	return idxs
 }
 
 // nextHybrid picks n/4 controversial pairs (confidence nearest 0.5) and
 // fills the rest with the highest-confidence pairs (Section 5's hybrid
 // that serves both the learner and the user's hunt for matches).
-func (v *Verifier) nextHybrid() []int {
+func (v *Verifier) nextHybrid() {
 	v.ensureForest()
 	nContro := v.opt.N / 4
-	type scored struct {
-		idx  int
-		conf float64
-	}
-	var unlabeled []scored
-	predStart := time.Now()
-	psp := v.trace.Child("verifier.predict")
-	for i := range v.ids {
-		if _, done := v.labeled[i]; done {
-			continue
-		}
-		unlabeled = append(unlabeled, scored{i, v.forest.Confidence(v.vec(i))})
-	}
-	psp.SetAttrInt("pairs", int64(len(unlabeled)))
-	psp.End()
-	v.vm.predictSeconds.Observe(time.Since(predStart).Seconds())
-	sort.Slice(unlabeled, func(x, y int) bool {
-		dx := math.Abs(unlabeled[x].conf - 0.5)
-		dy := math.Abs(unlabeled[y].conf - 0.5)
-		if !floats.Equal(dx, dy) {
-			return dx < dy
-		}
-		return unlabeled[x].idx < unlabeled[y].idx
-	})
-	taken := map[int]bool{}
-	var idxs []int
-	for _, s := range unlabeled {
-		if len(idxs) >= nContro {
+	ranked := v.predict()
+	slices.SortFunc(ranked, byControversy)
+	for _, s := range ranked {
+		if len(v.pending) >= nContro {
 			break
 		}
-		idxs = append(idxs, s.idx)
-		taken[s.idx] = true
+		v.pending = append(v.pending, s.idx)
+		v.state[s.idx] = taken
 	}
-	v.vm.controversial.Add(int64(len(idxs)))
-	return append(idxs, v.nextConfident(v.opt.N-len(idxs), taken)...)
+	contro := len(v.pending)
+	v.vm.controversial.Add(int64(contro))
+	v.nextConfident(v.opt.N - contro)
+	for _, idx := range v.pending[:contro] {
+		v.state[idx] = unlabeled
+	}
 }
 
-// nextConfident returns the n unlabeled pairs with the highest positive
-// prediction confidence, skipping any in taken.
-func (v *Verifier) nextConfident(n int, taken map[int]bool) []int {
+// nextConfident appends to pending the n unlabeled pairs with the
+// highest positive prediction confidence, skipping any already taken.
+func (v *Verifier) nextConfident(n int) {
 	v.ensureForest()
-	type scored struct {
-		idx  int
-		conf float64
-	}
-	var unlabeled []scored
-	predStart := time.Now()
-	psp := v.trace.Child("verifier.predict")
-	for i := range v.ids {
-		if _, done := v.labeled[i]; done {
-			continue
-		}
-		if taken[i] {
-			continue
-		}
-		unlabeled = append(unlabeled, scored{i, v.forest.Confidence(v.vec(i))})
-	}
-	psp.SetAttrInt("pairs", int64(len(unlabeled)))
-	psp.End()
-	v.vm.predictSeconds.Observe(time.Since(predStart).Seconds())
-	sort.Slice(unlabeled, func(x, y int) bool {
-		if !floats.Equal(unlabeled[x].conf, unlabeled[y].conf) {
-			return unlabeled[x].conf > unlabeled[y].conf
-		}
-		return unlabeled[x].idx < unlabeled[y].idx
-	})
-	var idxs []int
-	for _, s := range unlabeled {
-		if len(idxs) >= n {
+	ranked := v.predict()
+	slices.SortFunc(ranked, byConfidence)
+	picked := 0
+	for _, s := range ranked {
+		if picked >= n {
 			break
 		}
-		idxs = append(idxs, s.idx)
+		v.pending = append(v.pending, s.idx)
+		picked++
 	}
-	v.vm.confident.Add(int64(len(idxs)))
-	return idxs
+	v.vm.confident.Add(int64(picked))
+}
+
+// predict scores the pool under a verifier.predict span.
+func (v *Verifier) predict() []scored {
+	predStart := time.Now()
+	psp := v.trace.Child("verifier.predict")
+	ranked := v.score()
+	psp.SetAttrInt("pairs", int64(len(ranked)))
+	psp.End()
+	v.vm.predictSeconds.Observe(time.Since(predStart).Seconds())
+	return ranked
 }
 
 func (v *Verifier) ensureForest() {
-	if !v.stale && v.forest != nil {
+	if !v.stale {
 		return
 	}
-	// Train on the labeled set in sorted index order: map iteration order
-	// is randomized, and the forest's bootstrap draws examples by slice
-	// position, so the build order must be fixed for the seeded training
-	// to be reproducible.
-	idxs := make([]int, 0, len(v.labeled))
-	for idx := range v.labeled {
-		idxs = append(idxs, idx)
+	// Train on the labeled set in item order: the forest's bootstrap
+	// draws examples by slice position, so the build order must be fixed
+	// for the seeded training to be reproducible.
+	exs := v.train[:0]
+	for i, st := range v.state {
+		if st == labeledNo || st == labeledYes {
+			exs = append(exs, rforest.Example{X: v.vec(i), Y: st == labeledYes})
+		}
 	}
-	sort.Ints(idxs)
-	exs := make([]rforest.Example, 0, len(idxs))
-	for _, idx := range idxs {
-		exs = append(exs, rforest.Example{X: v.vec(idx), Y: v.labeled[idx]})
-	}
+	v.train = exs
 	fopt := v.opt.Forest
 	fopt.Seed = v.opt.Seed + int64(v.iter)
 	fitStart := time.Now()
 	fsp := v.trace.Child("verifier.fit")
-	f, err := rforest.Train(exs, fopt)
+	err := v.forest.Fit(exs, fopt)
 	fsp.SetAttrInt("examples", int64(len(exs)))
 	fsp.SetAttrInt("trees", int64(fopt.Trees))
 	fsp.End()
@@ -433,9 +438,8 @@ func (v *Verifier) ensureForest() {
 	if err != nil {
 		// No labels yet; callers only reach here after bootstrap, but be
 		// safe and fall back to a trivial forest via a single negative.
-		f, _ = rforest.Train([]rforest.Example{{X: make([]float64, len(v.vec(0))), Y: false}}, fopt)
+		_ = v.forest.Fit([]rforest.Example{{X: make([]float64, len(v.vec(0))), Y: false}}, fopt)
 	}
-	v.forest = f
 	v.stale = false
 }
 
@@ -447,13 +451,20 @@ func (v *Verifier) Feedback(labels []bool) error {
 	}
 	wasHybrid := v.opt.Mode == ModeLearning && v.haveMatch && v.haveNon && v.alRounds < v.opt.ALIterations
 	newMatches := 0
-	roundPairs := make(map[int64]bool, len(labels))
+	var roundPairs map[int64]bool // this round's matches, for WMR's reweighting
+	if v.opt.Mode == ModeWMR {
+		roundPairs = make(map[int64]bool, len(labels))
+	}
 	for i, y := range labels {
 		idx := v.pending[i]
-		if _, dup := v.labeled[idx]; dup {
+		if v.state[idx] != unlabeled {
 			continue
 		}
-		v.labeled[idx] = y
+		v.nLabeled++
+		v.state[idx] = labeledNo
+		if y {
+			v.state[idx] = labeledYes
+		}
 		p := idPair(v.ids[idx])
 		if v.prov.Watching(p.A, p.B) {
 			v.prov.Record(p.A, p.B, "verifier", "labeled",
@@ -464,7 +475,9 @@ func (v *Verifier) Feedback(labels []bool) error {
 			v.haveMatch = true
 			newMatches++
 			v.matches = append(v.matches, p)
-			roundPairs[v.ids[idx]] = true
+			if roundPairs != nil {
+				roundPairs[v.ids[idx]] = true
+			}
 			if v.prov.Watching(p.A, p.B) {
 				v.prov.Record(p.A, p.B, "verifier", "confirmed_match",
 					telemetry.L("match_number", strconv.Itoa(len(v.matches))))
@@ -473,13 +486,13 @@ func (v *Verifier) Feedback(labels []bool) error {
 			v.haveNon = true
 		}
 	}
-	v.pending = nil
+	v.pending = v.pending[:0]
 	v.iter++
 	v.stale = true
 	v.vm.iterations.Inc()
 	v.vm.labelsGiven.Add(int64(len(labels)))
 	v.vm.matches.Add(int64(newMatches))
-	v.vm.labeledGauge.Set(float64(len(v.labeled)))
+	v.vm.labeledGauge.Set(float64(v.nLabeled))
 	if wasHybrid {
 		v.alRounds++
 		v.vm.alIterations.Inc()

@@ -1,6 +1,7 @@
 package rforest
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -156,5 +157,99 @@ func TestMinLeafRespected(t *testing.T) {
 	c1 := f.Confidence([]float64{1.0})
 	if c0 != c1 {
 		t.Errorf("single-leaf forest should be constant: %g vs %g", c0, c1)
+	}
+}
+
+// TestNonPositiveOptionsSelectDefaults: a negative option means "use the
+// default", like zero. Negative Trees used to train no trees (Confidence
+// 0/0 = NaN) and negative FeaturesPerSplit panicked slicing the feature
+// sample.
+func TestNonPositiveOptionsSelectDefaults(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	var exs []Example
+	for i := 0; i < 80; i++ {
+		x := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+		exs = append(exs, Example{X: x, Y: x[0]+0.2*x[1] > 0.6})
+	}
+	def, err := Train(exs, Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opt := range []Options{
+		{Trees: -3, Seed: 3},
+		{MaxDepth: -1, Seed: 3},
+		{MinLeaf: -2, Seed: 3},
+		{FeaturesPerSplit: -1, Seed: 3},
+		{Trees: -1, MaxDepth: -1, MinLeaf: -1, FeaturesPerSplit: -1, Seed: 3},
+	} {
+		f, err := Train(exs, opt)
+		if err != nil {
+			t.Fatalf("%+v: %v", opt, err)
+		}
+		if f.NumTrees() != def.NumTrees() {
+			t.Errorf("%+v: %d trees, default %d", opt, f.NumTrees(), def.NumTrees())
+		}
+		for i := 0; i < 20; i++ {
+			x := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+			if got, want := f.Confidence(x), def.Confidence(x); got != want {
+				t.Fatalf("%+v: Confidence(%v) = %v, default options give %v", opt, x, got, want)
+			}
+		}
+	}
+}
+
+// TestConfidenceZeroAllocs is the dynamic half of Confidence's
+// //mc:hotpath contract: scoring a vector allocates nothing.
+func TestConfidenceZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	exs := randomDataset(rng, 200, 6, 1000)
+	f, err := Train(exs, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := exs[7].X
+	if n := testing.AllocsPerRun(100, func() { _ = f.Confidence(x) }); n != 0 {
+		t.Errorf("Confidence allocates %v times per call", n)
+	}
+}
+
+// TestWarmFitZeroAllocs: refitting a forest on a training set no larger
+// than its last one reuses the slab and scratch.
+func TestWarmFitZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	exs := randomDataset(rng, 300, 6, 1000)
+	var f Forest
+	if err := f.Fit(exs, Options{Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	seed := int64(1)
+	n := testing.AllocsPerRun(20, func() {
+		seed++
+		if err := f.Fit(exs[:250], Options{Seed: seed}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != 0 {
+		t.Errorf("warm Fit allocates %v times per call", n)
+	}
+}
+
+var benchForest *Forest
+
+// BenchmarkTrain times a cold Train (fresh slab and scratch each call)
+// at the default options on mixed-tie data.
+func BenchmarkTrain(b *testing.B) {
+	for _, n := range []int{200, 1000} {
+		exs := randomDataset(rand.New(rand.NewSource(int64(n))), n, 9, 1000)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				f, err := Train(exs, Options{Seed: int64(i)})
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchForest = f
+			}
+		})
 	}
 }

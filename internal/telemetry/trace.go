@@ -175,8 +175,12 @@ func (s *TraceSpan) SetAttr(key, value string) {
 	s.mu.Unlock()
 }
 
-// SetAttrInt is SetAttr for integer values.
+// SetAttrInt is SetAttr for integer values. On a nil span it returns
+// before formatting, so untraced callers allocate nothing.
 func (s *TraceSpan) SetAttrInt(key string, v int64) {
+	if s == nil {
+		return
+	}
 	s.SetAttr(key, strconv.FormatInt(v, 10))
 }
 
