@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check mclint lint-hotalloc lint vuln fuzz-smoke perf-baseline perf-check parallel-bench serve-smoke serve-overhead-bench serve-overhead-baseline serve-overhead-check progress-overhead-bench progress-overhead-baseline progress-overhead-check shard-skew-bench
+.PHONY: all build test race vet fmt-check mclint lint-hotalloc lint vuln fuzz-smoke perf-baseline perf-check parallel-bench serve-smoke shard-skew-bench
 
 all: build test
 
@@ -102,64 +102,57 @@ perf-check:
 		-count 4 -ledger $(PERF_LEDGER)
 	$(GO) run ./cmd/mcperf check -baseline BENCH_perf_gate.json -ledger $(PERF_LEDGER)
 
-# Flight-recorder overhead on the serve request envelope
-# (BENCH_serve_overhead.json): the paired internal/serve benchmarks run
-# the full HTTP envelope with the recorder on and off. -cpu 1 pins the
-# benchmark names (no -N suffix) so ledger keys stay stable across
-# hosts. scripts/overhead_bench.sh runs the whole set SERVE_COUNT
-# times so each invocation's On rep pairs with an Off rep taken seconds
-# later under correlated load, and retries once after a cooldown if a
-# load burst shifted the window; serve-overhead-check is the gate: the
-# median paired on/off ratio must stay inside the 5% budget (mcperf
-# overhead — same-process ratios, so meaningful on any machine), and
-# mcperf check blocks on absolute drift when the host matches the
-# committed baseline's fingerprint.
-SERVE_BENCH_OUT ?= serve-bench.out
-SERVE_LEDGER    ?= serve-overhead-ledger.jsonl
-SERVE_COUNT     ?= 6
+# On/off overhead gates, one per paired benchmark set. Each gate G
+# declares its package, benchmark regex and baseline description below;
+# one set of pattern recipes serves them all:
+#
+#   make G-overhead-bench     run the pairs and enforce the 5% budget
+#   make G-overhead-check     ...then mcperf check against BENCH_G_overhead.json
+#   make G-overhead-baseline  ...then regenerate BENCH_G_overhead.json
+#
+# scripts/overhead_bench.sh runs the set OVERHEAD_COUNT times so each
+# invocation's On rep pairs with an Off rep taken seconds later under
+# correlated load, and retries once after a cooldown if a load burst
+# shifted the window. The median paired on/off ratio must stay inside
+# the 5% budget (mcperf overhead — same-process ratios, so meaningful on
+# any machine); -cpu 1 pins the benchmark names (no -N suffix) so ledger
+# keys stay stable across hosts. mcperf check blocks on absolute drift
+# only when the host matches the committed baseline's fingerprint. CI's
+# overhead matrix runs the same steps, one row per gate.
+OVERHEAD_COUNT ?= 6
 
-serve-overhead-bench:
-	bash scripts/overhead_bench.sh ./internal/serve Recorder $(SERVE_BENCH_OUT) $(SERVE_COUNT)
-	rm -f $(SERVE_LEDGER)
-	$(GO) run ./cmd/mcperf record -ledger $(SERVE_LEDGER) -from-bench \
-		-exp serve-overhead -seed 1 < $(SERVE_BENCH_OUT)
+# The bench step is a prerequisite of the other two, not a file: keep
+# make from treating it as an intermediate to delete.
+.SECONDARY:
 
-serve-overhead-baseline: serve-overhead-bench
-	$(GO) run ./cmd/mcperf report -ledger $(SERVE_LEDGER) -format json \
-		-desc "serve request envelope with the flight recorder on vs off: full HTTP stack (mux, envelope, metrics, canonical log) via httptest on GET /healthz and GET /v1/sessions/<id>, -cpu 1, $(SERVE_COUNT) paired invocations; budget: recorder adds <5% on the median paired on/off ratio (gated by mcperf overhead)" \
-		-out BENCH_serve_overhead.json
+# serve: the full HTTP envelope with the flight recorder on vs off.
+serve_PKG   := ./internal/serve
+serve_BENCH := Recorder
+serve_DESC  := serve request envelope with the flight recorder on vs off: full HTTP stack (mux, envelope, metrics, canonical log) via httptest on GET /healthz and GET /v1/sessions/<id>
+# progress: JoinAll with and without a Progress tracker attached.
+progress_PKG   := ./internal/ssjoin
+progress_BENCH := JoinProgress
+progress_DESC  := JoinAll with a Progress tracker attached vs not: 900x900 synthetic corpus, city blocker, k=500, probe workers 2
+# join: the M2 JoinOne with a live registry vs telemetry.Disabled()
+# (Telemetry pair) and with a trace tree vs without (Trace pair).
+join_PKG   := .
+join_BENCH := JoinOneM2
+join_DESC  := M2 JoinOne (Music2 at 1/10 scale, HASH1 artist_name, root config, k=1000, q=2): live registry vs telemetry.Disabled() (Telemetry pair), and a per-run trace tree on a live registry vs none (Trace pair)
 
-serve-overhead-check: serve-overhead-bench
-	$(GO) run ./cmd/mcperf check -baseline BENCH_serve_overhead.json \
-		-ledger $(SERVE_LEDGER)
+%-overhead-bench:
+	bash scripts/overhead_bench.sh $($*_PKG) $($*_BENCH) $*-bench.out $(OVERHEAD_COUNT)
+	rm -f $*-overhead-ledger.jsonl
+	$(GO) run ./cmd/mcperf record -ledger $*-overhead-ledger.jsonl -from-bench \
+		-exp $*-overhead -seed 1 < $*-bench.out
 
-# Progress-tracker overhead on the join kernel
-# (BENCH_progress_overhead.json): the paired internal/ssjoin benchmarks
-# run the same JoinAll workload with and without a Progress tracker
-# attached. Same methodology as the serve-overhead gate: the set runs
-# PROGRESS_COUNT times so each On rep pairs with an Off rep taken
-# seconds later under correlated load, the median paired on/off ratio
-# must stay inside the 5% budget (mcperf overhead, the generic On/Off
-# pairing gate), and mcperf check blocks on absolute
-# drift when the host matches the committed baseline's fingerprint.
-PROGRESS_BENCH_OUT ?= progress-bench.out
-PROGRESS_LEDGER    ?= progress-overhead-ledger.jsonl
-PROGRESS_COUNT     ?= 6
+%-overhead-baseline: %-overhead-bench
+	$(GO) run ./cmd/mcperf report -ledger $*-overhead-ledger.jsonl -format json \
+		-desc "$($*_DESC), -cpu 1, $(OVERHEAD_COUNT) paired invocations; budget: the On arm adds <5% on the median paired on/off ratio (gated by mcperf overhead via scripts/overhead_bench.sh)" \
+		-out BENCH_$*_overhead.json
 
-progress-overhead-bench:
-	bash scripts/overhead_bench.sh ./internal/ssjoin JoinProgress $(PROGRESS_BENCH_OUT) $(PROGRESS_COUNT)
-	rm -f $(PROGRESS_LEDGER)
-	$(GO) run ./cmd/mcperf record -ledger $(PROGRESS_LEDGER) -from-bench \
-		-exp progress-overhead -seed 1 < $(PROGRESS_BENCH_OUT)
-
-progress-overhead-baseline: progress-overhead-bench
-	$(GO) run ./cmd/mcperf report -ledger $(PROGRESS_LEDGER) -format json \
-		-desc "JoinAll with a Progress tracker attached vs not: 900x900 synthetic corpus, city blocker, k=500, probe workers 2, -cpu 1, $(PROGRESS_COUNT) paired invocations; budget: the tracker adds <5% on the median paired on/off ratio (gated by mcperf overhead via scripts/overhead_bench.sh)" \
-		-out BENCH_progress_overhead.json
-
-progress-overhead-check: progress-overhead-bench
-	$(GO) run ./cmd/mcperf check -baseline BENCH_progress_overhead.json \
-		-ledger $(PROGRESS_LEDGER)
+%-overhead-check: %-overhead-bench
+	$(GO) run ./cmd/mcperf check -baseline BENCH_$*_overhead.json \
+		-ledger $*-overhead-ledger.jsonl
 
 # Per-shard work distribution on the long-tail SKEW profile
 # (cmd/mcbench -exp shard-skew): joins at 1/2/4/8 probe shards with the

@@ -252,48 +252,35 @@ func BenchmarkMedRank(b *testing.B) {
 	}
 }
 
-// BenchmarkJoinOneM2Instrumented and BenchmarkJoinOneM2Uninstrumented
-// bound the telemetry subsystem's overhead on the Figure-9 M2 workload
-// (Music2 profile, the HASH1 artist_name blocker, root config): the same
-// JoinOne with a live registry vs. telemetry.Disabled(). The hot path
-// keeps plain per-goroutine counters and flushes to shared instruments
-// once per config join, so the two must stay within 5% of each other
-// (recorded in BENCH_telemetry_overhead.json).
-func BenchmarkJoinOneM2Instrumented(b *testing.B) {
-	cor, res, c := benchCorpus(b, datagen.Music2().Scaled(0.1), "artist_name")
-	reg := telemetry.New()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ssjoin.JoinOne(cor, res.Root.Mask, c, ssjoin.Options{K: 1000, Q: 2, Metrics: reg})
-	}
-}
+// The JoinOneM2 pairs bound observability overhead on the Figure-9 M2
+// workload (Music2 profile, the HASH1 artist_name blocker, root config).
+// TelemetryOn/Off runs JoinOne with a live registry vs.
+// telemetry.Disabled(): the hot path keeps plain per-goroutine counters
+// and flushes them to shared instruments once per config join.
+// TraceOn/Off adds a root span per iteration on top of the live
+// registry, under which JoinOne hangs its config / tokenize / index /
+// probe / topk spans; span starts are per-config, not per-candidate.
+// Each On arm must stay within 5% of its Off arm (mcperf overhead, the
+// join-overhead CI row; baseline BENCH_join_overhead.json). Set
+// MC_TRACE_OUT=<path> to have TraceOn also write its final iteration's
+// Chrome trace, which CI uploads for about:tracing / Perfetto.
+func BenchmarkJoinOneM2TelemetryOn(b *testing.B)  { benchJoinOneM2(b, telemetry.New(), false) }
+func BenchmarkJoinOneM2TelemetryOff(b *testing.B) { benchJoinOneM2(b, telemetry.Disabled(), false) }
+func BenchmarkJoinOneM2TraceOn(b *testing.B)      { benchJoinOneM2(b, telemetry.New(), true) }
+func BenchmarkJoinOneM2TraceOff(b *testing.B)     { benchJoinOneM2(b, telemetry.New(), false) }
 
-func BenchmarkJoinOneM2Uninstrumented(b *testing.B) {
+func benchJoinOneM2(b *testing.B, reg *telemetry.Registry, trace bool) {
 	cor, res, c := benchCorpus(b, datagen.Music2().Scaled(0.1), "artist_name")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ssjoin.JoinOne(cor, res.Root.Mask, c, ssjoin.Options{K: 1000, Q: 2, Metrics: telemetry.Disabled()})
-	}
-}
-
-// BenchmarkJoinOneM2Traced is the third arm of the overhead study: the
-// same M2 workload with hierarchical tracing enabled on top of metrics —
-// each iteration opens a root span and JoinOne hangs its config /
-// tokenize / index / probe / topk spans under it. Span starts are
-// per-config (not per-candidate), so this too must stay within 5% of the
-// uninstrumented arm (recorded in BENCH_trace_overhead.json). Set
-// MC_TRACE_OUT=<path> to also write the final iteration's Chrome trace —
-// CI uploads it as an artifact for loading into about:tracing / Perfetto.
-func BenchmarkJoinOneM2Traced(b *testing.B) {
-	cor, res, c := benchCorpus(b, datagen.Music2().Scaled(0.1), "artist_name")
-	reg := telemetry.New()
 	var tr *telemetry.Tracer
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr = telemetry.NewTracer(reg)
-		root := tr.Start("debug.session")
-		ssjoin.JoinOne(cor, res.Root.Mask, c, ssjoin.Options{K: 1000, Q: 2, Metrics: reg, Trace: root})
-		root.End()
+		opt := ssjoin.Options{K: 1000, Q: 2, Metrics: reg}
+		if trace {
+			tr = telemetry.NewTracer(reg)
+			opt.Trace = tr.Start("debug.session")
+		}
+		ssjoin.JoinOne(cor, res.Root.Mask, c, opt)
+		opt.Trace.End()
 	}
 	b.StopTimer()
 	if path := os.Getenv("MC_TRACE_OUT"); path != "" && tr != nil {

@@ -205,12 +205,11 @@ func run(o cliOpts) error {
 
 	tracer := telemetry.NewTracer(telemetry.Default())
 
-	// The blocker package predates options structs, so its trace and
-	// provenance hooks install process-wide; BlockScoped confines them to
-	// this one Block call (and serializes against any other scoped call).
+	// blocker.Run hangs the per-rule blocker.block spans under bsp and
+	// records the blocker's keep/drop decisions into prov.
 	bsp := tracer.Start("blocker.run", telemetry.L("blocker", q.Name()))
 	o.log.Info("blocking", "rows_a", a.NumRows(), "rows_b", b.NumRows(), "blocker", q.Name())
-	c, err := blocker.BlockScoped(q, a, b, bsp, prov)
+	c, err := blocker.Run(q, a, b, bsp, prov)
 	bsp.End()
 	if err != nil {
 		return err

@@ -96,3 +96,35 @@ func ExampleParseDropRule() {
 	// Output:
 	// surviving pairs: 1
 }
+
+// ExampleRunBlocker runs a union of two rules with a watched pair and
+// prints which rule kept or dropped it: the per-rule answer to "which
+// blocker rule killed this match".
+func ExampleRunBlocker() {
+	a, _ := matchcatcher.NewTable("A", []string{"name", "city"})
+	a.Append([]string{"Dave Smith", "Altanta"})
+	b, _ := matchcatcher.NewTable("B", []string{"name", "city"})
+	b.Append([]string{"David Smith", "Atlanta"})
+	name, err := matchcatcher.ParseKeepRule("name", "name_jac_word >= 0.3")
+	if err != nil {
+		log.Fatal(err)
+	}
+	q := matchcatcher.UnionBlocker("q", matchcatcher.AttrEquivalence("city"), name)
+
+	root := matchcatcher.NewTracer().Start("blocking")
+	prov := matchcatcher.NewProvenance([2]int{0, 0})
+	c, err := matchcatcher.RunBlocker(q, a, b, root, prov)
+	root.End()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("candidates:", c.Len())
+	for _, ev := range prov.Trace(0, 0).Events {
+		fmt.Println(ev.Attrs["blocker"], ev.Event)
+	}
+	// Output:
+	// candidates: 1
+	// attr_equal_city dropped
+	// name kept
+	// q kept
+}

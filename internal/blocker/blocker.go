@@ -67,7 +67,6 @@ func (h *Hash) Block(a, b *table.Table) (*PairSet, error) {
 	if h.Key == nil {
 		return nil, fmt.Errorf("blocker %s: nil key function", h.ID)
 	}
-	obs := startBlock(h.ID)
 	buckets := make(map[string][]int)
 	for i := 0; i < a.NumRows(); i++ {
 		if k := h.Key(a, i); k != "" {
@@ -84,7 +83,7 @@ func (h *Hash) Block(a, b *table.Table) (*PairSet, error) {
 			out.Add(i, j)
 		}
 	}
-	obs.done(out)
+	count(h.ID, out)
 	return out, nil
 }
 
@@ -106,17 +105,7 @@ func (u *Union) Name() string { return u.ID }
 
 // Block implements Blocker.
 func (u *Union) Block(a, b *table.Table) (*PairSet, error) {
-	obs := startBlock(u.ID)
-	out := NewPairSet()
-	for _, m := range u.Members {
-		c, err := m.Block(a, b)
-		if err != nil {
-			return nil, fmt.Errorf("union %s: member %s: %w", u.ID, m.Name(), err)
-		}
-		out.Union(c)
-	}
-	obs.done(out)
-	return out, nil
+	return u.union(func(m Blocker) (*PairSet, error) { return m.Block(a, b) })
 }
 
 // SortedNeighborhood keeps a pair when the tuples' keys fall within a

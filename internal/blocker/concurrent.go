@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"matchcatcher/internal/table"
+	"matchcatcher/internal/telemetry"
 )
 
 // Concurrent wraps a blocker with a multicore driver: table B is split
@@ -64,8 +65,7 @@ func (c *Concurrent) Block(a, b *table.Table) (*PairSet, error) {
 	if workers <= 1 {
 		return c.Inner.Block(a, b)
 	}
-	obs := startBlock(c.Name())
-	reg := metrics()
+	reg := telemetry.Default()
 	partSeconds := reg.Histogram("mc_blocker_partition_seconds")
 	reg.Gauge("mc_blocker_partitions").Set(float64(workers))
 	type result struct {
@@ -106,6 +106,6 @@ func (c *Concurrent) Block(a, b *table.Table) (*PairSet, error) {
 		lo := r.lo
 		r.pairs.ForEach(func(ra, rb int) { out.Add(ra, rb+lo) })
 	}
-	obs.done(out)
+	count(c.Name(), out)
 	return out, nil
 }

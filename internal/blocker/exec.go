@@ -47,13 +47,12 @@ func (r *Rule) Name() string { return r.ID }
 
 // Block implements Blocker.
 func (r *Rule) Block(a, b *table.Table) (*PairSet, error) {
-	obs := startBlock(r.ID)
 	out := NewPairSet()
 	comp := newCompiler(a, b)
 	for _, conj := range DNF(r.Keep) {
 		blockConjunct(comp, conj, out)
 	}
-	obs.done(out)
+	count(r.ID, out)
 	return out, nil
 }
 

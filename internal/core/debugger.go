@@ -44,8 +44,8 @@ type Options struct {
 	// Trace collects the session's hierarchical span tree. Nil builds a
 	// private tracer bridged to the registry, so Trace() always returns a
 	// tree (export it with WriteChromeTrace / WriteTree). Spans ending on
-	// the tracer still observe mc_stage_seconds, so the flat stage
-	// histograms from the registry era keep working.
+	// the tracer also observe mc_stage_seconds, the flat per-stage
+	// latency histograms.
 	Trace *telemetry.Tracer
 	// Logger receives structured progress records (stage completions,
 	// iteration outcomes) correlated with the session's trace id. Nil
@@ -53,7 +53,7 @@ type Options struct {
 	Logger *slog.Logger
 	// Provenance, when non-nil and watching pairs, records every pipeline
 	// decision that touches a watched pair: blocker keep/drop is recorded
-	// by the blocker package (see blocker.SetProvenance); the join stage
+	// when the same recorder is passed to blocker.Run; the join stage
 	// records suppression by C, per-config score, and top-k rank; the
 	// verifier records pool membership, aggregate rank, when the pair was
 	// shown, and its label. Render the lineage with WriteExplainReport.

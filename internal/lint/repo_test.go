@@ -39,7 +39,7 @@ func TestRepoClean(t *testing.T) {
 	// The repo's deliberate suppressions, by analyzer. Update this map
 	// when a new suppression is added with a reviewed reason.
 	wantSuppressed := map[string]int{
-		"metricname": 2, // mc_stage_seconds cross-package rollup (telemetry)
+		"metricname": 1, // mc_stage_seconds cross-package rollup (TraceSpan.End)
 	}
 	gotSuppressed := map[string]int{}
 	for _, f := range res.Suppressed() {

@@ -9,10 +9,9 @@ import (
 
 // SpanEndAnalyzer guards the tracing lifecycle discipline from PR 2:
 //
-//  1. a span obtained from Tracer.Start / TraceSpan.Child /
-//     Registry.Start / telemetry.Start and held in a local variable
-//     must have End() called in the same function (prefer
-//     `defer s.End()`), and a span result must not be discarded;
+//  1. a span obtained from Tracer.Start / TraceSpan.Child and held in
+//     a local variable must have End() called in the same function
+//     (prefer `defer s.End()`), and a span result must not be discarded;
 //  2. nil-guards whose body only invokes span/instrument methods are
 //     redundant — every telemetry method is documented as a nil-safe
 //     no-op, and the guard pattern re-introduces the boilerplate the
@@ -30,7 +29,7 @@ var SpanEndAnalyzer = &Analyzer{
 
 // spanStarters maps telemetry method/function names that mint spans.
 var spanStarters = map[string]bool{
-	"Start": true, // (*Tracer).Start, (*Registry).Start, telemetry.Start
+	"Start": true, // (*Tracer).Start
 	"Child": true, // (*TraceSpan).Child
 }
 

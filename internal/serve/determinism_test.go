@@ -12,7 +12,7 @@ import (
 )
 
 // cliReport drives the exact pipeline mcdebug drives — same construction
-// path (blocker.BuildFromRules + blocker.BlockScoped), same options,
+// path (blocker.BuildFromRules + blocker.Run), same options,
 // gold-labeled loop — and returns the canonical report bytes the CLI's
 // -canonical -report flags would write.
 func cliReport(t *testing.T) []byte {
@@ -32,7 +32,7 @@ func cliReport(t *testing.T) []byte {
 	reg := telemetry.New()
 	tracer := telemetry.NewTracer(reg)
 	prov := telemetry.NewProvenance([2]int{1, 2})
-	c, err := blocker.BlockScoped(q, a, b, nil, prov)
+	c, err := blocker.Run(q, a, b, nil, prov)
 	if err != nil {
 		t.Fatal(err)
 	}

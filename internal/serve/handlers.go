@@ -274,10 +274,10 @@ func (s *Server) handleSetBlocker(w http.ResponseWriter, r *http.Request, sess *
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	// The blocker package's trace/provenance hooks are process-wide;
-	// BlockScoped serializes concurrent sessions over them.
+	// The session's own span and provenance observe the call, so
+	// tenants block in parallel without seeing each other.
 	bsp := telemetry.SpanFromContext(r.Context()).Child("blocker.run", telemetry.L("blocker", q.Name()))
-	c, err := blocker.BlockScoped(q, a, b, bsp, sess.prov)
+	c, err := blocker.Run(q, a, b, bsp, sess.prov)
 	bsp.End()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())

@@ -14,9 +14,9 @@
 // Isolation model: every session gets a private telemetry registry,
 // tracer (rooted at a serve.session span that all request spans hang
 // under), and provenance recorder, so tenants never share mutable
-// telemetry state; the one shared surface — the blocker package's
-// process-wide trace/provenance hooks — is serialized by
-// blocker.BlockScoped. Server-level mc_serve_* metrics live on a
+// telemetry state. Blocking passes the session's span and recorder to
+// blocker.Run explicitly, so tenants block in parallel with no shared
+// lock. Server-level mc_serve_* metrics live on a
 // separate server registry. Determinism survives the transport: a
 // scripted HTTP session produces a canonical report byte-identical to
 // the CLI's for the same tables, rules, seed, and join options.

@@ -13,8 +13,9 @@ import (
 // parallel against one server — live registries, tracers, and
 // provenance recorders in every tenant — while background goroutines
 // hammer the read-only routes. Run under -race (CI does) it is the
-// isolation proof for the one-lock-domain-per-session design and the
-// serialized blocker hooks; in any mode it asserts every tenant's
+// isolation proof for the one-lock-domain-per-session design and for
+// blocker.Run's per-call observers, which let tenants block in
+// parallel with no shared lock; in any mode it asserts every tenant's
 // canonical report is byte-identical to the serial reference, i.e.
 // concurrency never bleeds state across sessions.
 func TestConcurrentSessions(t *testing.T) {

@@ -1,7 +1,7 @@
 // Package telemetry is MatchCatcher's observability subsystem: a
 // concurrency-safe metrics registry (atomic counters, gauges, and
-// exponential-bucket histograms, all label-aware), a lightweight
-// span/stage timer that rolls up into per-stage latency histograms, and
+// exponential-bucket histograms, all label-aware), hierarchical trace
+// spans that roll up into per-stage latency histograms, and
 // Prometheus text-format exposition with an optional HTTP listener that
 // also mounts expvar and net/http/pprof.
 //
@@ -12,8 +12,8 @@
 // take a lock at all — they are plain atomics.
 //
 // Metric naming convention: mc_<pkg>_<name>, with counters suffixed
-// _total and latency histograms suffixed _seconds. Stage spans all roll
-// up into the shared histogram mc_stage_seconds{stage="<name>"}.
+// _total and latency histograms suffixed _seconds. Ended trace spans all
+// roll up into the shared histogram mc_stage_seconds{stage="<name>"}.
 //
 // Hot paths resolve their instruments once (at run setup) and hold the
 // returned pointers; per-event increments are then a single atomic add.

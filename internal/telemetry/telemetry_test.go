@@ -205,14 +205,12 @@ func TestNilAndDisabled(t *testing.T) {
 	nilReg.Counter("x").Inc()
 	nilReg.Gauge("y").Set(1)
 	nilReg.Histogram("z").Observe(1)
-	nilReg.Start("stage").End()
 	nilReg.Reset()
 	if s := nilReg.Snapshot(); s.NumSeries() != 0 {
 		t.Errorf("nil registry snapshot has %d series", s.NumSeries())
 	}
 	d := Disabled()
 	d.Counter("x").Inc()
-	d.Start("stage").End()
 	if s := d.Snapshot(); s.NumSeries() != 0 {
 		t.Errorf("disabled registry snapshot has %d series", s.NumSeries())
 	}
@@ -221,34 +219,6 @@ func TestNilAndDisabled(t *testing.T) {
 	}
 	if got := Or(d); got != d {
 		t.Error("Or(d) != d")
-	}
-}
-
-func TestSpanRollsUpIntoStageHistogram(t *testing.T) {
-	r := New()
-	sp := r.Start("ssjoin.flush")
-	time.Sleep(time.Millisecond)
-	if d := sp.End(); d < time.Millisecond {
-		t.Errorf("span duration = %v", d)
-	}
-	h := r.Histogram(StageHistogram, L("stage", "ssjoin.flush"))
-	if h.Count() != 1 || h.Sum() < 0.001 {
-		t.Errorf("stage histogram count=%d sum=%v", h.Count(), h.Sum())
-	}
-}
-
-func TestContextRegistry(t *testing.T) {
-	r := New()
-	ctx := NewContext(context.Background(), r)
-	if FromContext(ctx) != r {
-		t.Error("FromContext lost the registry")
-	}
-	if FromContext(context.Background()) != Default() {
-		t.Error("FromContext without registry should yield Default")
-	}
-	StartCtx(ctx, "ctx.stage").End()
-	if r.Histogram(StageHistogram, L("stage", "ctx.stage")).Count() != 1 {
-		t.Error("StartCtx did not record into the context registry")
 	}
 }
 

@@ -9,14 +9,13 @@ import (
 
 // Tracing: hierarchical span trees on top of the flat metric registry.
 //
-// PR 1's Span rolls one duration into mc_stage_seconds and forgets the
-// shape of the run. A Tracer additionally remembers *structure*: every
-// TraceSpan records its parent, its children, typed events, and string
-// attributes, so a finished run can be exported as a Chrome trace_event
-// file (about:tracing / Perfetto) or dumped as a human-readable tree.
-// Ending a TraceSpan still observes mc_stage_seconds{stage="<name>"} when
-// the tracer carries a registry, so the flat latency histograms keep
-// working unchanged for dashboards while the tree view gains structure.
+// A Tracer remembers the *structure* of a run: every TraceSpan records
+// its parent, its children, typed events, and string attributes, so a
+// finished run can be exported as a Chrome trace_event file
+// (about:tracing / Perfetto) or dumped as a human-readable tree. Ending
+// a TraceSpan also observes mc_stage_seconds{stage="<name>"} when the
+// tracer carries a registry: that bridge is the one source of the flat
+// per-stage latency histograms dashboards read.
 //
 // Memory is bounded: a tracer retains at most MaxSpans spans (default
 // 65536); spans started beyond the cap are counted as dropped and become
@@ -24,6 +23,10 @@ import (
 // pathological workloads. A nil *Tracer and a nil *TraceSpan are valid
 // no-op receivers for every method, mirroring the registry's nil
 // discipline: call sites never branch on "is tracing enabled".
+
+// StageHistogram is the shared histogram every ended span rolls up
+// into, one series per stage label.
+const StageHistogram = "mc_stage_seconds"
 
 // DefaultMaxSpans is the default span-retention cap of a Tracer.
 const DefaultMaxSpans = 1 << 16
@@ -202,7 +205,7 @@ func (s *TraceSpan) End() time.Duration {
 	s.mu.Unlock()
 	d := now.Sub(s.start)
 	if s.tr != nil && s.tr.reg != nil {
-		//lint:allow metricname mc_stage_seconds is the cross-package stage rollup shared by trace spans and stage timers
+		//lint:allow metricname mc_stage_seconds is the cross-package stage rollup; every package's spans share one series keyed by the stage label
 		s.tr.reg.Histogram(StageHistogram, Label{Key: "stage", Value: s.name}).Observe(d.Seconds())
 	}
 	return d

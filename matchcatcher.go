@@ -131,12 +131,21 @@ type TraceSpan = telemetry.TraceSpan
 func NewTracer() *Tracer { return telemetry.NewTracer(telemetry.Default()) }
 
 // Provenance records every pipeline decision that touches a watched pair
-// (blocker keep/drop, join suppression/score/rank, verifier lineage). Set
-// Options.Provenance and render with Debugger.WriteExplainReport.
+// (blocker keep/drop, join suppression/score/rank, verifier lineage). Pass
+// it to RunBlocker and set Options.Provenance, then render the lineage
+// with Debugger.WriteExplainReport.
 type Provenance = telemetry.Provenance
 
 // NewProvenance returns a recorder watching the given (aRow, bRow) pairs.
 func NewProvenance(pairs ...[2]int) *Provenance { return telemetry.NewProvenance(pairs...) }
+
+// RunBlocker applies q to a and b like q.Block, and also observes the
+// call: it hangs a blocker.block span per rule under span (union members
+// nest under the union's span) and records in prov whether each rule kept
+// or dropped each watched pair. Either observer may be nil.
+func RunBlocker(q Blocker, a, b *Table, span *TraceSpan, prov *Provenance) (*PairSet, error) {
+	return blocker.Run(q, a, b, span, prov)
+}
 
 // NewLogger returns a structured logger whose records gain
 // trace_id/span_id correlation when logged with a context carrying a
