@@ -73,6 +73,7 @@ fuzz-smoke:
 	$(GO) test ./internal/rforest -run '^$$' -fuzz FuzzTrain -fuzztime 10s
 	$(GO) test ./internal/ssjoin -run '^$$' -fuzz FuzzMergeTopK -fuzztime 10s
 	$(GO) test ./internal/ssjoin -run '^$$' -fuzz FuzzPrefixFilter -fuzztime 10s
+	$(GO) test ./internal/ssjoin -run '^$$' -fuzz FuzzNewCorpus -fuzztime 10s
 	$(GO) test ./internal/config -run '^$$' -fuzz FuzzColumnHelpers -fuzztime 10s
 
 # Performance regression observability (DESIGN.md "Performance

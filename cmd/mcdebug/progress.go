@@ -8,6 +8,7 @@ package main
 import (
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
 	"matchcatcher/internal/ssjoin"
@@ -39,15 +40,22 @@ func progressMeter(w io.Writer, prog *ssjoin.Progress, interval time.Duration) (
 	}
 }
 
-// meterLine renders one snapshot as a single meter line.
+// meterLine renders one snapshot as a single meter line. The pruned
+// column is the sum over the join's prune tiers, then each tier's count.
 func meterLine(s ssjoin.ProgressSnapshot) string {
-	line := fmt.Sprintf("join %5.1f%% | configs %d/%d | probes %s/%s | pruned %s (push %s loop %s flush %s len %s pos %s)",
+	var total int64
+	var tiers strings.Builder
+	for i, t := range s.PruneTiers() {
+		total += t.Kills
+		if i > 0 {
+			tiers.WriteByte(' ')
+		}
+		fmt.Fprintf(&tiers, "%s %s", t.Label, countShort(t.Kills))
+	}
+	line := fmt.Sprintf("join %5.1f%% | configs %d/%d | probes %s/%s | pruned %s (%s)",
 		s.Fraction*100, s.ConfigsDone, s.ConfigsTotal,
 		countShort(s.ProbesDone+s.ProbesSkipped), countShort(s.ProbesTotal),
-		countShort(s.PruneKillPushCap+s.PruneKillLoopBreak+s.PruneKillFlushBound+
-			s.PruneKillLengthFilter+s.PruneKillPrefixPos),
-		countShort(s.PruneKillPushCap), countShort(s.PruneKillLoopBreak), countShort(s.PruneKillFlushBound),
-		countShort(s.PruneKillLengthFilter), countShort(s.PruneKillPrefixPos))
+		countShort(total), tiers.String())
 	if s.Skew.Shards > 1 {
 		line += fmt.Sprintf(" | shards %d imb %.2f", s.Skew.Shards, s.Skew.ImbalanceRatio)
 	}

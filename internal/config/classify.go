@@ -6,7 +6,7 @@
 package config
 
 import (
-	"strconv"
+	"bytes"
 	"strings"
 
 	"matchcatcher/internal/table"
@@ -43,66 +43,25 @@ var boolTokens = map[string]bool{
 	"yes": true, "no": true, "y": true, "n": true, "0": true, "1": true,
 }
 
-// classifyColumn applies the rule-based classifier to one attribute of one
-// table: numeric if at least 90% of non-missing values parse as numbers,
-// boolean if every value is a boolean token, categorical if values are
-// short, repeat, and number at most maxUnique distinct, string otherwise.
-func classifyColumn(t *table.Table, attr string, maxUnique int) AttrClass {
-	j := t.AttrIndex(attr)
-	if j < 0 {
-		return ClassString
-	}
-	nonMissing, numeric, totalTokens := 0, 0, 0
-	allBool := true
-	uniq := make(map[string]struct{})
-	for i := 0; i < t.NumRows(); i++ {
-		v := t.Value(i, j)
-		if v == table.Missing {
-			continue
-		}
-		nonMissing++
-		norm := strings.ToLower(strings.TrimSpace(v))
-		uniq[norm] = struct{}{}
-		totalTokens += table.CountFields(norm)
-		if mayParseFloat(norm) {
-			if _, err := strconv.ParseFloat(norm, 64); err == nil {
-				numeric++
-			}
-		}
-		if !boolTokens[norm] {
-			allBool = false
-		}
-	}
-	if nonMissing == 0 {
-		return ClassString
-	}
-	if allBool {
-		return ClassBoolean
-	}
-	if float64(numeric) >= 0.9*float64(nonMissing) {
-		return ClassNumeric
-	}
-	avgTokens := float64(totalTokens) / float64(nonMissing)
-	if len(uniq) <= maxUnique && len(uniq) < nonMissing && avgTokens <= 3 {
-		return ClassCategorical
-	}
-	return ClassString
-}
-
 // mayParseFloat is a sound prefilter for strconv.ParseFloat: it is false
 // only for strings ParseFloat rejects. After an optional sign, every
-// accepted form starts with a digit (decimal, hex 0x, underscores), a
-// '.', or the i/n of inf, infinity and nan in either case. Skipping the
+// accepted form starts with a digit (decimal, hex 0x, underscores) or a
+// '.', or is exactly inf, infinity or nan in any case. Skipping the
 // parse of a text value saves the *NumError each failure allocates.
-func mayParseFloat(s string) bool {
+func mayParseFloat(s []byte) bool {
 	if len(s) > 0 && (s[0] == '+' || s[0] == '-') {
 		s = s[1:]
 	}
 	if len(s) == 0 {
 		return false
 	}
-	c := s[0]
-	return '0' <= c && c <= '9' || c == '.' || c == 'i' || c == 'I' || c == 'n' || c == 'N'
+	switch c := s[0]; {
+	case '0' <= c && c <= '9' || c == '.':
+		return true
+	case c == 'i' || c == 'I' || c == 'n' || c == 'N':
+		return bytes.EqualFold(s, []byte("inf")) || bytes.EqualFold(s, []byte("infinity")) || bytes.EqualFold(s, []byte("nan"))
+	}
+	return false
 }
 
 // Classify classifies an attribute across both tables, taking the "wider"
@@ -110,19 +69,21 @@ func mayParseFloat(s string) bool {
 // only if both sides are numeric, since a column that is numeric in one
 // table but texty in the other should be compared as text).
 func Classify(a, b *table.Table, attr string, maxUnique int) AttrClass {
-	ca := classifyColumn(a, attr, maxUnique)
-	cb := classifyColumn(b, attr, maxUnique)
+	p := newProfiler(maxUnique, max(a.NumRows(), b.NumRows()))
+	pa, pb := p.profile(a, attr), p.profile(b, attr)
+	return widen(pa.class(maxUnique), pb.class(maxUnique))
+}
+
+// widen combines the two tables' classes of one attribute (see Classify).
+func widen(ca, cb AttrClass) AttrClass {
 	if ca == cb {
 		return ca
 	}
 	if ca == ClassString || cb == ClassString {
 		return ClassString
 	}
-	if ca == ClassNumeric || cb == ClassNumeric {
-		// numeric vs categorical/boolean: treat as categorical.
-		return ClassCategorical
-	}
-	// categorical vs boolean.
+	// numeric vs categorical/boolean, or categorical vs boolean: treat
+	// as categorical.
 	return ClassCategorical
 }
 

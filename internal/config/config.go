@@ -46,14 +46,15 @@ type Options struct {
 	Delta float64
 	// DisableLongAttr turns off FindLongAttr, for the §6.5 ablation.
 	DisableLongAttr bool
-	// MaxPromising caps |T| (default 10; the config tree holds
-	// |T|(|T|+1)/2 configs, so very wide schemas are trimmed to the
-	// highest-e-score attributes).
+	// MaxPromising caps |T| (default 10, at most MaxAttrs; the config
+	// tree holds |T|(|T|+1)/2 configs, so very wide schemas are trimmed
+	// to the highest-e-score attributes).
 	MaxPromising int
 	// CuratedAttrs, when non-empty, is a manually curated promising set T
 	// (Section 3.2 notes users may curate the schema instead of relying
-	// on the classifier). Attributes must exist in both tables; the
-	// classifier and drop rules are bypassed.
+	// on the classifier). Attributes must exist in both tables, and at
+	// most MaxAttrs may be given; the classifier and drop rules are
+	// bypassed.
 	CuratedAttrs []string
 }
 
@@ -138,11 +139,24 @@ func (r *Result) String(m Mask) string {
 	return "{" + strings.Join(r.AttrsOf(m), ",") + "}"
 }
 
+// MaxAttrs is the most attributes a promising set T may hold: the
+// tokenized corpus the joins share (internal/ssjoin) keeps each token's
+// attribute set in a 16-bit mask.
+const MaxAttrs = 16
+
 // Generate runs the full Section 3 pipeline: classify attributes, select
 // the promising set T, compute e-scores, and build the config tree with
-// long-attribute handling.
+// long-attribute handling. Each column of each table is scanned once, into
+// a profile that the classifier, the e-score and the long-attribute check
+// all read.
 func Generate(a, b *table.Table, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
+	if opt.MaxPromising > MaxAttrs {
+		return nil, fmt.Errorf("config: MaxPromising %d exceeds the corpus limit of %d attributes", opt.MaxPromising, MaxAttrs)
+	}
+	if n := len(opt.CuratedAttrs); n > MaxAttrs {
+		return nil, fmt.Errorf("config: %d curated attributes exceed the corpus limit of %d attributes", n, MaxAttrs)
+	}
 	shared := sharedAttrs(a, b)
 	if len(shared) == 0 {
 		return nil, fmt.Errorf("config: tables %s and %s share no attributes", a.Name(), b.Name())
@@ -153,19 +167,29 @@ func Generate(a, b *table.Table, opt Options) (*Result, error) {
 		EScores: map[string]float64{},
 		delta:   opt.Delta,
 	}
+	prof := newProfiler(opt.CategoricalMaxUnique, max(a.NumRows(), b.NumRows()))
+	stats := map[string][2]table.AttrStats{}
+	// classify profiles attr in both tables, records its class and
+	// statistics, and returns the class and e-score.
+	classify := func(attr string) (AttrClass, float64) {
+		pa, pb := prof.profile(a, attr), prof.profile(b, attr)
+		cl := widen(pa.class(opt.CategoricalMaxUnique), pb.class(opt.CategoricalMaxUnique))
+		r.Classes[attr] = cl
+		stats[attr] = [2]table.AttrStats{pa.stats, pb.stats}
+		return cl, pa.stats.EScoreComponent() * pb.stats.EScoreComponent()
+	}
 	if len(opt.CuratedAttrs) > 0 {
 		for _, attr := range opt.CuratedAttrs {
 			if !a.HasAttr(attr) || !b.HasAttr(attr) {
 				return nil, fmt.Errorf("config: curated attribute %q is not in both schemas", attr)
 			}
 			r.Promising = append(r.Promising, attr)
-			r.Classes[attr] = Classify(a, b, attr, opt.CategoricalMaxUnique)
-			r.EScores[attr] = a.AttrStatsFor(attr).EScoreComponent() * b.AttrStatsFor(attr).EScoreComponent()
+			_, r.EScores[attr] = classify(attr)
 		}
 		if len(r.Promising) > opt.MaxPromising {
 			return nil, fmt.Errorf("config: %d curated attributes exceed MaxPromising %d", len(r.Promising), opt.MaxPromising)
 		}
-		r.fillAvgLens(a, b)
+		r.fillAvgLens(stats)
 		r.buildTree(opt)
 		return r, nil
 	}
@@ -176,8 +200,7 @@ func Generate(a, b *table.Table, opt Options) (*Result, error) {
 	}
 	var cands []cand
 	for _, attr := range shared {
-		cl := Classify(a, b, attr, opt.CategoricalMaxUnique)
-		r.Classes[attr] = cl
+		cl, e := classify(attr)
 		switch cl {
 		case ClassNumeric:
 			r.Dropped[attr] = "numeric"
@@ -188,7 +211,6 @@ func Generate(a, b *table.Table, opt Options) (*Result, error) {
 				continue
 			}
 		}
-		e := a.AttrStatsFor(attr).EScoreComponent() * b.AttrStatsFor(attr).EScoreComponent()
 		cands = append(cands, cand{attr, e})
 	}
 	if len(cands) == 0 {
@@ -215,17 +237,18 @@ func Generate(a, b *table.Table, opt Options) (*Result, error) {
 	for _, c := range cands {
 		r.EScores[c.attr] = c.escore
 	}
-	r.fillAvgLens(a, b)
+	r.fillAvgLens(stats)
 	r.buildTree(opt)
 	return r, nil
 }
 
-// fillAvgLens records average token lengths for the R2 approximation.
-func (r *Result) fillAvgLens(a, b *table.Table) {
-	for i, t := range []*table.Table{a, b} {
+// fillAvgLens records average token lengths for the R2 approximation
+// from each promising attribute's statistics in the two tables.
+func (r *Result) fillAvgLens(stats map[string][2]table.AttrStats) {
+	for i := range r.avgLen {
 		r.avgLen[i] = make([]float64, len(r.Promising))
 		for j, attr := range r.Promising {
-			st := t.AttrStatsFor(attr)
+			st := stats[attr][i]
 			// Mean over all tuples; missing contributes zero length.
 			r.avgLen[i][j] = st.AvgTokenLen * st.NonMissingRatio
 		}

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"fmt"
 	"math/bits"
 	"strings"
 	"testing"
@@ -31,12 +32,14 @@ func TestClassify(t *testing.T) {
 		"active": ClassBoolean,
 		"year":   ClassNumeric,
 	}
+	p := newProfiler(30, a.NumRows())
 	for attr, want := range cases {
-		if got := classifyColumn(a, attr, 30); got != want {
+		pr := p.profile(a, attr)
+		if got := pr.class(30); got != want {
 			t.Errorf("classify(%s) = %v, want %v", attr, got, want)
 		}
 	}
-	if got := classifyColumn(a, "name", 30).String(); got != "string" {
+	if got := ClassString.String(); got != "string" {
 		t.Errorf("String() = %q", got)
 	}
 }
@@ -324,5 +327,36 @@ func TestTreeString(t *testing.T) {
 	}
 	if !strings.Contains(lines[0], "{") || !strings.HasSuffix(lines[0], "*") {
 		t.Errorf("root line = %q", lines[0])
+	}
+}
+
+// TestGenerateRejectsMoreThanMaxAttrs: masks past bit 15 would be cut
+// off by the corpus's 16-bit attribute sets, so Generate refuses a
+// MaxPromising or a curated list over the limit and names it.
+func TestGenerateRejectsMoreThanMaxAttrs(t *testing.T) {
+	attrs := make([]string, MaxAttrs+1)
+	row := make([]string, len(attrs))
+	for i := range attrs {
+		attrs[i] = fmt.Sprintf("f%d", i)
+		row[i] = fmt.Sprintf("word%d shared", i)
+	}
+	a := mkTable(t, "A", attrs, [][]string{row})
+	b := mkTable(t, "B", attrs, [][]string{row})
+	for _, opt := range []Options{
+		{MaxPromising: MaxAttrs + 1},
+		{CuratedAttrs: attrs},
+		{CuratedAttrs: attrs, MaxPromising: MaxAttrs + 1},
+	} {
+		_, err := Generate(a, b, opt)
+		if err == nil || !strings.Contains(err.Error(), "corpus limit of 16 attributes") {
+			t.Errorf("%+v: err = %v, want the 16-attribute corpus limit", opt, err)
+		}
+	}
+	r, err := Generate(a, b, Options{CuratedAttrs: attrs[:MaxAttrs], MaxPromising: MaxAttrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(r.Promising); got != MaxAttrs {
+		t.Errorf("promising = %d attributes, want %d", got, MaxAttrs)
 	}
 }

@@ -3,10 +3,14 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 
 	"matchcatcher/internal/blocker"
 	"matchcatcher/internal/config"
+	"matchcatcher/internal/simfunc"
+	"matchcatcher/internal/table"
 )
 
 func TestSimilarCandidates(t *testing.T) {
@@ -94,5 +98,39 @@ func TestReport(t *testing.T) {
 	}
 	if decoded["e_size"] == nil || decoded["matches"] == nil {
 		t.Errorf("JSON keys missing: %v", decoded)
+	}
+}
+
+// TestCorpusAttrLimit: the corpus keeps attribute sets in 16-bit masks,
+// so a session over more than config.MaxAttrs promising attributes must
+// fail up front instead of joining on truncated masks.
+func TestCorpusAttrLimit(t *testing.T) {
+	attrs := make([]string, config.MaxAttrs+1)
+	row := make([]string, len(attrs))
+	for i := range attrs {
+		attrs[i] = fmt.Sprintf("f%d", i)
+		row[i] = fmt.Sprintf("word%d shared", i)
+	}
+	a, b := table.MustNew("A", attrs), table.MustNew("B", attrs)
+	a.MustAppend(row)
+	b.MustAppend(row)
+	c := blocker.NewPairSet()
+	for _, opt := range []config.Options{
+		{CuratedAttrs: attrs, MaxPromising: len(attrs)},
+		{MaxPromising: len(attrs)},
+	} {
+		_, err := New(a, b, c, Options{Config: opt})
+		if err == nil || !strings.Contains(err.Error(), "corpus limit of 16 attributes") {
+			t.Errorf("%+v: err = %v, want the 16-attribute corpus limit", opt, err)
+		}
+	}
+	// At the limit the session runs, and identical rows score 1 under
+	// the highest attribute bit.
+	d, err := New(a, b, c, Options{Config: config.Options{CuratedAttrs: attrs[:config.MaxAttrs], MaxPromising: config.MaxAttrs}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d.cor.Sim(0, 0, 1<<(config.MaxAttrs-1), simfunc.Jaccard); got != 1 {
+		t.Errorf("Sim under attribute %d = %v, want 1", config.MaxAttrs-1, got)
 	}
 }

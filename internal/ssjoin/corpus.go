@@ -16,8 +16,9 @@
 package ssjoin
 
 import (
+	"cmp"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"matchcatcher/internal/config"
 	"matchcatcher/internal/simfunc"
@@ -30,15 +31,16 @@ import (
 // token order (rarest first).
 type tokenEntry struct {
 	tok  int32  // global token rank (0 = rarest)
-	mask uint16 // attribute bitmask over config.Result.Promising
+	mask uint16 // attribute bitmask over config.Result.Promising (config.MaxAttrs bits)
 }
 
-// record is a tokenized tuple.
+// record is a tokenized tuple. Both slices are windows into slabs shared
+// by every record of the same table.
 type record struct {
 	entries []tokenEntry
 	// attrLen[i] is the number of distinct tokens of attribute i, so the
 	// multiset length under config γ is Σ_{i∈γ} attrLen[i].
-	attrLen []uint16
+	attrLen []uint32
 }
 
 // lenUnder returns the multiset token length of the record under γ.
@@ -72,94 +74,131 @@ type Corpus struct {
 
 // NewCorpus tokenizes both tables under res.Promising. Tokens are ranked
 // globally by increasing document frequency so that string prefixes hold
-// the rarest tokens.
+// the rarest tokens; ties go to the token seen first (A's rows, then B's;
+// promising-attribute order within a row; word order within a value).
+//
+// Each table is tokenized in one pass (DESIGN.md "Session preparation"):
+// values are lowercased into one reused buffer, a token's string is
+// allocated only the first time it is seen, and a record's entries and
+// attribute lengths are windows into per-table slabs.
 func NewCorpus(a, b *table.Table, res *config.Result) *Corpus {
-	dict := map[string]int32{}
-	var df []int32
-	type rawRec struct {
-		toks  []int32
-		masks []uint16
-		attrs []uint16
-	}
-	build := func(t *table.Table) []rawRec {
-		cols := make([]int, len(res.Promising))
-		for i, attr := range res.Promising {
-			cols[i] = t.AttrIndex(attr)
-		}
-		recs := make([]rawRec, t.NumRows())
-		maskOf := map[int32]uint16{}
-		for row := range recs {
-			clear(maskOf)
-			attrLen := make([]uint16, len(res.Promising))
-			for i, col := range cols {
-				if col < 0 {
-					continue
-				}
-				toks := tokenize.WordSet(t.Value(row, col))
-				attrLen[i] = uint16(len(toks))
-				for _, s := range toks {
-					id, ok := dict[s]
-					if !ok {
-						id = int32(len(df))
-						dict[s] = id
-						df = append(df, 0)
-					}
-					maskOf[id] |= 1 << uint(i)
-				}
+	cb := corpusBuilder{attrs: res.Promising, dict: map[string]int32{}}
+	c := &Corpus{Res: res, recsA: cb.side(a), recsB: cb.side(b)}
+	rank := ranks(cb.df)
+	c.tokMask = make([]uint16, len(rank))
+	for _, recs := range [][]record{c.recsA, c.recsB} {
+		for i := range recs {
+			es := recs[i].entries
+			for j := range es {
+				es[j].tok = rank[es[j].tok]
+				c.tokMask[es[j].tok] |= es[j].mask
 			}
-			r := rawRec{attrs: attrLen}
-			for id, m := range maskOf {
-				r.toks = append(r.toks, id)
-				r.masks = append(r.masks, m)
-				df[id]++
-			}
-			recs[row] = r
+			slices.SortFunc(es, func(x, y tokenEntry) int { return cmp.Compare(x.tok, y.tok) })
 		}
-		return recs
 	}
-	rawA := build(a)
-	rawB := build(b)
-
-	// Global order: rarest token gets rank 0.
-	ids := make([]int32, len(df))
-	for i := range ids {
-		ids[i] = int32(i)
-	}
-	sort.Slice(ids, func(x, y int) bool {
-		if df[ids[x]] != df[ids[y]] {
-			return df[ids[x]] < df[ids[y]]
-		}
-		return ids[x] < ids[y]
-	})
-	rank := make([]int32, len(df))
-	for r, id := range ids {
-		rank[id] = int32(r)
-	}
-
-	tokMask := make([]uint16, len(df))
-	finish := func(raw []rawRec) []record {
-		recs := make([]record, len(raw))
-		for i, rr := range raw {
-			entries := make([]tokenEntry, len(rr.toks))
-			for j, id := range rr.toks {
-				entries[j] = tokenEntry{tok: rank[id], mask: rr.masks[j]}
-				tokMask[rank[id]] |= rr.masks[j]
-			}
-			sort.Slice(entries, func(x, y int) bool { return entries[x].tok < entries[y].tok })
-			recs[i] = record{entries: entries, attrLen: rr.attrs}
-		}
-		return recs
-	}
-	c := &Corpus{Res: res, recsA: finish(rawA), recsB: finish(rawB), tokMask: tokMask}
-	full := config.Mask(1)<<uint(len(res.Promising)) - 1
-	n, total := len(c.recsA)+len(c.recsB), 0
-	for i := 0; i < n; i++ {
-		total += c.rec(i).lenUnder(full)
-	}
-	if n > 0 {
-		c.AvgTokens = float64(total) / float64(n)
+	if n := len(c.recsA) + len(c.recsB); n > 0 {
+		c.AvgTokens = float64(cb.total) / float64(n)
 	}
 	return c
+}
+
+// corpusBuilder holds NewCorpus's token dictionary and its dense per-id
+// scratch, shared by the two sides.
+type corpusBuilder struct {
+	attrs []string
+	dict  map[string]int32 // token -> id, assigned in first-occurrence order
+	df    []int32          // df[id]: number of records holding the token
+	// rowMask[id] is the token's attribute mask in the current row; zero
+	// for every id between rows. touched lists the ids it is nonzero for.
+	rowMask []uint16
+	touched []int32
+	buf     []byte // the current value, lowercased
+	total   int    // Σ attrLen over every record so far
+}
+
+// side tokenizes one table. Its records' entries carry token ids, not
+// ranks, and are unsorted; NewCorpus ranks and sorts them once both
+// sides have counted their document frequencies.
+func (cb *corpusBuilder) side(t *table.Table) []record {
+	nattr, rows, allocated := len(cb.attrs), t.NumRows(), 0
+	cols := make([]int, nattr)
+	for i, attr := range cb.attrs {
+		cols[i] = t.AttrIndex(attr)
+	}
+	recs := make([]record, rows)
+	lens := make([]uint32, rows*nattr)
+	var slab []tokenEntry // the current chunk of the entry slab
+	for row := range recs {
+		for i, col := range cols {
+			if col < 0 {
+				continue
+			}
+			bit := uint16(1) << uint(i)
+			cb.buf = tokenize.AppendLower(cb.buf[:0], t.Value(row, col))
+			n := uint32(0)
+			for lo, hi := tokenize.NextWord(cb.buf, 0); lo < hi; lo, hi = tokenize.NextWord(cb.buf, hi) {
+				id, ok := cb.dict[string(cb.buf[lo:hi])]
+				if !ok {
+					id = int32(len(cb.df))
+					cb.dict[string(cb.buf[lo:hi])] = id
+					cb.df = append(cb.df, 0)
+					cb.rowMask = append(cb.rowMask, 0)
+				}
+				m := cb.rowMask[id]
+				if m&bit != 0 {
+					continue // repeated within this value
+				}
+				if m == 0 {
+					cb.touched = append(cb.touched, id)
+				}
+				cb.rowMask[id] = m | bit
+				n++
+			}
+			lens[row*nattr+i] = n
+			cb.total += int(n)
+		}
+		if len(slab)+len(cb.touched) > cap(slab) {
+			// A new chunk as large as all earlier ones together: the
+			// slab is never copied, takes O(log n) allocations, and at
+			// most the last chunk's tail goes unused.
+			allocated += cap(slab)
+			slab = make([]tokenEntry, 0, max(len(cb.touched), allocated, rows*nattr))
+		}
+		lo := len(slab)
+		for _, id := range cb.touched {
+			slab = append(slab, tokenEntry{tok: id, mask: cb.rowMask[id]})
+			cb.df[id]++
+			cb.rowMask[id] = 0
+		}
+		cb.touched = cb.touched[:0]
+		recs[row] = record{
+			entries: slab[lo:len(slab):len(slab)],
+			attrLen: lens[row*nattr : (row+1)*nattr : (row+1)*nattr],
+		}
+	}
+	return recs
+}
+
+// ranks returns each id's global rank: ids ordered by document frequency
+// ascending, ties by id (first occurrence). It is a counting sort on df.
+func ranks(df []int32) []int32 {
+	maxDF := int32(0)
+	for _, d := range df {
+		maxDF = max(maxDF, d)
+	}
+	next := make([]int32, maxDF+2) // next[d]: the next rank for df d
+	for _, d := range df {
+		next[d+1]++
+	}
+	for d := 1; d < len(next); d++ {
+		next[d] += next[d-1]
+	}
+	rank := make([]int32, len(df))
+	for id, d := range df {
+		rank[id] = next[d]
+		next[d]++
+	}
+	return rank
 }
 
 // rec returns record i, numbering A's records first, then B's.

@@ -10,7 +10,8 @@ import (
 // counter names one join event count. This block is the only place a
 // join count is declared: runStats, the shard fold, the Progress slots,
 // the registry sink and Stats all index by it. Adding a counter takes
-// one line here and one line in newSink; if Stats reports it, one field
+// one line here and one line in newSink (a prune tier: one line in
+// pruneTiers instead); if Stats reports it, one field
 // plus one line in Stats.counterFields; if it is published, the same in
 // ProgressSnapshot. TestCountersReachEverySurface checks the wiring.
 type counter uint8
@@ -38,6 +39,20 @@ const (
 	cProgressSamples                    // progress flushes taken at the stride checkpoint
 	numCounters
 )
+
+// pruneTiers names the prune-tier counters in counter-table order: the
+// tier label of their mc_ssjoin_progress_prune_kills_total series and
+// the compact label meters print (ProgressSnapshot.PruneTiers).
+var pruneTiers = [...]struct {
+	c           counter
+	tier, label string
+}{
+	{cKillsPushCap, "push_cap", "push"},
+	{cKillsLoopBreak, "loop_break", "loop"},
+	{cKillsFlushBound, "flush_bound", "flush"},
+	{cKillsLengthFilter, "length_filter", "len"},
+	{cKillsPrefixPos, "prefix_pos", "pos"},
+}
 
 // runStats collects one config-join's event counts. It is owned by a
 // single runJoin goroutine, so increments are plain (non-atomic) adds —
@@ -94,24 +109,19 @@ type sink struct {
 }
 
 func newSink(reg *telemetry.Registry) *sink {
-	return &sink{
+	s := &sink{
 		c: [numCounters]*telemetry.Counter{
-			cPrefixEvents:      reg.Counter("mc_ssjoin_prefix_events_total"),
-			cProbesSkipped:     reg.Counter("mc_ssjoin_progress_skipped_instances_total"),
-			cKillsPushCap:      reg.Counter("mc_ssjoin_progress_prune_kills_total", telemetry.L("tier", "push_cap")),
-			cKillsLoopBreak:    reg.Counter("mc_ssjoin_progress_prune_kills_total", telemetry.L("tier", "loop_break")),
-			cKillsFlushBound:   reg.Counter("mc_ssjoin_progress_prune_kills_total", telemetry.L("tier", "flush_bound")),
-			cKillsLengthFilter: reg.Counter("mc_ssjoin_progress_prune_kills_total", telemetry.L("tier", "length_filter")),
-			cKillsPrefixPos:    reg.Counter("mc_ssjoin_progress_prune_kills_total", telemetry.L("tier", "prefix_pos")),
-			cScratchScores:     reg.Counter("mc_ssjoin_scratch_scores_total"),
-			cReusedScores:      reg.Counter("mc_ssjoin_reused_scores_total"),
-			cReuseMisses:       reg.Counter("mc_ssjoin_reuse_misses_total"),
-			cDeferredPairs:     reg.Counter("mc_ssjoin_deferred_pairs_total"),
-			cFlushedPairs:      reg.Counter("mc_ssjoin_flushed_pairs_total"),
-			cSuppressedPairs:   reg.Counter("mc_ssjoin_suppressed_pairs_total"),
-			cProbeShards:       reg.Counter("mc_ssjoin_probe_shards_total"),
-			cShardMergePairs:   reg.Counter("mc_ssjoin_shard_merge_pairs_total"),
-			cProgressSamples:   reg.Counter("mc_ssjoin_progress_samples_total"),
+			cPrefixEvents:    reg.Counter("mc_ssjoin_prefix_events_total"),
+			cProbesSkipped:   reg.Counter("mc_ssjoin_progress_skipped_instances_total"),
+			cScratchScores:   reg.Counter("mc_ssjoin_scratch_scores_total"),
+			cReusedScores:    reg.Counter("mc_ssjoin_reused_scores_total"),
+			cReuseMisses:     reg.Counter("mc_ssjoin_reuse_misses_total"),
+			cDeferredPairs:   reg.Counter("mc_ssjoin_deferred_pairs_total"),
+			cFlushedPairs:    reg.Counter("mc_ssjoin_flushed_pairs_total"),
+			cSuppressedPairs: reg.Counter("mc_ssjoin_suppressed_pairs_total"),
+			cProbeShards:     reg.Counter("mc_ssjoin_probe_shards_total"),
+			cShardMergePairs: reg.Counter("mc_ssjoin_shard_merge_pairs_total"),
+			cProgressSamples: reg.Counter("mc_ssjoin_progress_samples_total"),
 		},
 		reuseHits:     reg.Counter("mc_ssjoin_reuse_hits_total"),
 		pruneKills:    reg.Counter("mc_ssjoin_prune_kills_total"),
@@ -124,6 +134,10 @@ func newSink(reg *telemetry.Registry) *sink {
 		skewImbalance: reg.Gauge("mc_ssjoin_shard_skew_imbalance_ratio"),
 		reg:           reg,
 	}
+	for _, t := range pruneTiers {
+		s.c[t.c] = reg.Counter("mc_ssjoin_progress_prune_kills_total", telemetry.L("tier", t.tier))
+	}
+	return s
 }
 
 // record flushes one finished config join into the registry.

@@ -279,6 +279,23 @@ func (s *ProgressSnapshot) counterFields() [numPublished]*int64 {
 	}
 }
 
+// TierKills is one prune tier's kill count in a progress snapshot.
+type TierKills struct {
+	Label string // the tier's compact name for meters: push, loop, ...
+	Kills int64
+}
+
+// PruneTiers returns the snapshot's kills per prune tier, in the order
+// the join's counter table declares the tiers.
+func (s *ProgressSnapshot) PruneTiers() []TierKills {
+	fields := s.counterFields()
+	out := make([]TierKills, len(pruneTiers))
+	for i, t := range pruneTiers {
+		out[i] = TierKills{Label: t.label, Kills: *fields[t.c]}
+	}
+	return out
+}
+
 // skewOf summarizes a work distribution (one value per active shard).
 func skewOf(works []int64) ShardSkew {
 	sk := ShardSkew{Shards: len(works)}

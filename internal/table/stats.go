@@ -48,24 +48,32 @@ func (t *Table) AttrStatsFor(attr string) AttrStats {
 		return AttrStats{Attr: attr}
 	}
 	seen := make(map[string]struct{})
-	s := AttrStats{Attr: attr}
-	totalTokens := 0
+	nonMissing, totalTokens := 0, 0
 	for _, row := range t.rows {
 		v := row[j]
 		if v == Missing {
 			continue
 		}
-		s.NonMissing++
+		nonMissing++
 		seen[v] = struct{}{}
 		totalTokens += CountFields(v)
 	}
-	s.Unique = len(seen)
-	if n := len(t.rows); n > 0 {
-		s.NonMissingRatio = float64(s.NonMissing) / float64(n)
+	return NewAttrStats(attr, len(t.rows), nonMissing, len(seen), totalTokens)
+}
+
+// NewAttrStats derives an attribute's statistics from its counts over a
+// table of rows tuples: nonMissing non-missing values, unique distinct
+// ones, and tokens word tokens (CountFields) summed over them. Callers
+// that gather the counts in their own column scan get exactly the
+// AttrStats AttrStatsFor reports.
+func NewAttrStats(attr string, rows, nonMissing, unique, tokens int) AttrStats {
+	s := AttrStats{Attr: attr, NonMissing: nonMissing, Unique: unique}
+	if rows > 0 {
+		s.NonMissingRatio = float64(nonMissing) / float64(rows)
 	}
-	if s.NonMissing > 0 {
-		s.UniqueRatio = float64(s.Unique) / float64(s.NonMissing)
-		s.AvgTokenLen = float64(totalTokens) / float64(s.NonMissing)
+	if nonMissing > 0 {
+		s.UniqueRatio = float64(unique) / float64(nonMissing)
+		s.AvgTokenLen = float64(tokens) / float64(nonMissing)
 	}
 	return s
 }

@@ -32,7 +32,7 @@ func eachWord(s string, fn func(tok string)) {
 	start := -1
 	lower := strings.ToLower(s)
 	for i, r := range lower {
-		if unicode.IsLetter(r) || unicode.IsDigit(r) {
+		if isWordRune(r) {
 			if start < 0 {
 				start = i
 			}
@@ -46,6 +46,63 @@ func eachWord(s string, fn func(tok string)) {
 	if start >= 0 {
 		fn(lower[start:])
 	}
+}
+
+// AppendLower appends strings.ToLower(s) to dst: each rune of s as
+// unicode.ToLower maps it, an invalid UTF-8 byte as U+FFFD. Callers that
+// lowercase many values into one reused buffer allocate nothing per value.
+func AppendLower(dst []byte, s string) []byte {
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			dst = append(dst, c)
+			i++
+			continue
+		}
+		r, w := utf8.DecodeRuneInString(s[i:])
+		dst = utf8.AppendRune(dst, unicode.ToLower(r))
+		i += w
+	}
+	return dst
+}
+
+// NextWord returns the bounds of the first word token of the lowercased
+// value b (as AppendLower writes it) that starts at or after byte from,
+// or lo == hi == len(b) when there is none. Scanning with it from 0,
+// restarting at each hi, visits the tokens Words yields for the original
+// value, in order:
+//
+//	for lo, hi := NextWord(b, 0); lo < hi; lo, hi = NextWord(b, hi) { ... }
+func NextWord(b []byte, from int) (lo, hi int) {
+	lo = -1
+	for i := from; i < len(b); {
+		r, w := rune(b[i]), 1
+		if r >= utf8.RuneSelf {
+			r, w = utf8.DecodeRune(b[i:])
+		}
+		if isWordRune(r) {
+			if lo < 0 {
+				lo = i
+			}
+		} else if lo >= 0 {
+			return lo, i
+		}
+		i += w
+	}
+	if lo < 0 {
+		return len(b), len(b)
+	}
+	return lo, len(b)
+}
+
+// isWordRune reports whether r belongs to a word token.
+func isWordRune(r rune) bool {
+	if r < utf8.RuneSelf {
+		return 'a' <= r && r <= 'z' || 'A' <= r && r <= 'Z' || '0' <= r && r <= '9'
+	}
+	return unicode.IsLetter(r) || unicode.IsDigit(r)
 }
 
 // WordSet returns the distinct word tokens of s in first-occurrence order.

@@ -218,3 +218,35 @@ func TestEachMatchesTokens(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Property: AppendLower writes exactly strings.ToLower, and scanning its
+// output with NextWord visits exactly the tokens Words returns —
+// case-folding runes that change byte length (İ, ẞ, Ⱥ), invalid UTF-8,
+// a literal U+FFFD and separator-only strings included.
+func TestNextWordMatchesWords(t *testing.T) {
+	check := func(s string) bool {
+		low := AppendLower([]byte("junk"), s)[4:]
+		if string(low) != strings.ToLower(s) {
+			t.Logf("AppendLower(%q) = %q, want %q", s, low, strings.ToLower(s))
+			return false
+		}
+		var got []string
+		for lo, hi := NextWord(low, 0); lo < hi; lo, hi = NextWord(low, hi) {
+			got = append(got, string(low[lo:hi]))
+		}
+		if want := Words(s); !reflect.DeepEqual(got, want) {
+			t.Logf("NextWord(%q) = %q, want %q", s, got, want)
+			return false
+		}
+		return true
+	}
+	for _, s := range []string{"", "---", "Dave SMITH", "İSTANBUL straße GROẞ", "ȺB Ⱥ", "a\xffb\xfe", "\xc3",
+		"x\uFFFDy", "  x  ", "K\u212Aelvin", "MP3-player_v2", "日本語x"} {
+		if !check(s) {
+			t.Errorf("mismatch on %q", s)
+		}
+	}
+	if err := quick.Check(check, nil); err != nil {
+		t.Error(err)
+	}
+}
