@@ -22,8 +22,7 @@
 //
 // With -json the experiment's rows are emitted to stdout as one JSON
 // document {"exp", "scale", "rows", "telemetry"} — the telemetry field is
-// the run's full metrics snapshot (prune rates, reuse hit rates, stage
-// latencies) — and progress lines move to stderr so stdout stays valid
+// the run's full metrics snapshot (prune rates, stage latencies) — and progress lines move to stderr so stdout stays valid
 // JSON. -metrics-addr additionally serves live Prometheus /metrics.
 //
 // Profiling and tracing: -profile-dir captures pprof profiles of the run
@@ -473,8 +472,10 @@ func (c *bench) run(env *experiments.Env, exp, datasets string, opt experiments.
 		return c.emit(rows, experiments.FormatLongAttr(rows))
 
 	case "ablate-joint":
+		// W-A: the one dataset past the paper's t = 20 score-reuse gate.
 		specs := []experiments.Spec{
 			experiments.SpecsFor("A-G")[1],
+			experiments.SpecsFor("W-A")[1],
 			experiments.SpecsFor("A-D")[0],
 			experiments.SpecsFor("F-Z")[1],
 			experiments.SpecsFor("M1")[1],

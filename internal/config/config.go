@@ -11,8 +11,8 @@ import (
 )
 
 // Mask is a bitmask over the promising attribute list T (bit i set means
-// T[i] is in the config). Masks keep configs cheap to compare and let the
-// SSJ's overlap-reuse database answer sub-config overlaps with popcounts.
+// T[i] is in the config). Masks keep configs cheap to compare, and the
+// SSJ scores a pair under a config with popcounts of its tokens' masks.
 type Mask uint64
 
 // Has reports whether bit i is set.

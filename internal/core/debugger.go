@@ -157,8 +157,7 @@ func New(a, b *table.Table, c *blocker.PairSet, opt Options) (*Debugger, error) 
 	}
 	logg.InfoContext(ctx, "joins complete",
 		"configs", len(join.Lists),
-		"scratch_scores", join.Stats.ScratchScores,
-		"reused_scores", join.Stats.ReusedScores)
+		"scratch_scores", join.Stats.ScratchScores)
 
 	vsp := session.Child("verifier.prepare")
 	ext := feature.NewExtractor(cor)

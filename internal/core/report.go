@@ -35,8 +35,8 @@ type Report struct {
 	JoinStats   ssjoin.Stats  `json:"join_stats"`
 	// Telemetry is the session registry's snapshot at report time: every
 	// mc_* series (counters, gauges, stage/iteration histograms), so a
-	// report is self-describing about prune rates, reuse hit rates, and
-	// per-stage latency without scraping /metrics.
+	// report is self-describing about prune rates and per-stage latency
+	// without scraping /metrics.
 	Telemetry *telemetry.Snapshot `json:"telemetry,omitempty"`
 	// Provenance is the per-pair decision lineage for every watched pair
 	// (mcdebug -explain): blocker keep/drop, join suppression / score /

@@ -217,7 +217,7 @@ func TestAblations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if jt[0].ConfigsRun == 0 || jt[0].JointSec < 0 {
+	if jt[0].ConfigsRun == 0 || jt[0].Workers < 1 || jt[0].ParallelSec < 0 {
 		t.Errorf("joint row = %+v", jt[0])
 	}
 	_ = FormatJoint(jt)

@@ -5,7 +5,7 @@
 // (b) documented, and (c) auditable in one place.
 //
 // Background: similarity scores reach comparisons via different code
-// paths (scratch vs. reused score caches, different summation orders),
+// paths (different summation orders, fused vs. separate operations),
 // and an exact == that "usually" holds turns into platform- and
 // schedule-dependent tie-breaking. PR 1's top-k total order exists
 // because of exactly that bug.

@@ -7,7 +7,7 @@ import (
 
 // FloatCmpAnalyzer flags == and != between two computed floating-point
 // values. Similarity scores are float64s produced by different code
-// paths (scratch vs. reused score caches, SIMD-width-dependent
+// paths (different summation orders, SIMD-width-dependent
 // summation, ...), so exact equality silently turns into
 // platform-dependent tie-breaking — the bug class PR 1's total-order
 // top-k tie-break exists to prevent. Route score ties through the

@@ -72,9 +72,11 @@ func cliReport(t *testing.T) []byte {
 // a scripted HTTP session must produce a canonical report byte-identical
 // to a CLI session given the same tables, rules, seed, and join options.
 // Workers and ProbeWorkers are pinned to 1 on both sides because the
-// canonical report embeds JoinStats, whose reuse counters depend on the
-// cross-config completion order at Workers > 1 (the ranked output never
-// does — see internal/ssjoin's determinism suite).
+// canonical report embeds JoinStats, whose work counters depend on the
+// list-reuse handoff at Workers > 1: whether a child config starts from
+// its parent's finished list, merges it mid-run or misses it is timing
+// (the ranked output never depends on it — see internal/ssjoin's
+// determinism suite).
 func TestHTTPReportMatchesCLIReport(t *testing.T) {
 	want := cliReport(t)
 	_, ts := newTestServer(t, Options{})

@@ -112,6 +112,10 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	if req.K < 0 || req.N < 0 || req.Workers < 0 || req.ProbeWorkers < 0 {
+		writeError(w, http.StatusBadRequest, "k, n, workers and probe_workers must be non-negative")
+		return
+	}
 	cfg := sessionConfig{
 		Seed: req.Seed, K: req.K, N: req.N,
 		Workers: req.Workers, ProbeWorkers: req.ProbeWorkers,

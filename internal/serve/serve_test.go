@@ -253,6 +253,33 @@ func TestSessionErrorPaths(t *testing.T) {
 	}
 }
 
+// TestCreateSessionRejectsNegativeOptions: a negative join or verifier
+// option is a client error at create time. Passed through, workers -1
+// hung the join request and k -1 panicked a join worker goroutine,
+// which took the whole server down.
+func TestCreateSessionRejectsNegativeOptions(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	for _, body := range []string{
+		`{"k":-1}`,
+		`{"n":-1}`,
+		`{"workers":-1}`,
+		`{"probe_workers":-1}`,
+		`{"k":10,"n":3,"workers":1,"probe_workers":-2}`,
+	} {
+		if code, data := do(t, "POST", ts.URL+"/v1/sessions", body); code != http.StatusBadRequest {
+			t.Errorf("create %s: status %d, want 400; body: %s", body, code, data)
+		}
+	}
+	code, data := do(t, "GET", ts.URL+"/v1/sessions", "")
+	var list struct {
+		Sessions []sessionInfo `json:"sessions"`
+	}
+	mustJSON(t, http.StatusOK, code, data, &list)
+	if len(list.Sessions) != 0 {
+		t.Errorf("rejected creates left %d sessions behind", len(list.Sessions))
+	}
+}
+
 func TestAdmissionControl(t *testing.T) {
 	s, ts := newTestServer(t, Options{MaxSessions: 1})
 	id := createSession(t, ts.URL, "")

@@ -187,7 +187,9 @@ type flatProbe struct {
 	q       int
 	m       simfunc.SetMeasure
 	c       *blocker.PairSet
-	score   scorer
+	recsA   []record // scored records and the config mask (score)
+	recsB   []record
+	mask    config.Mask
 	rs      *runStats
 	top     *topkHeap
 	cur     progCursor
@@ -251,10 +253,10 @@ func getFlatProbe() *flatProbe  { return probePool.Get().(*flatProbe) }
 func putFlatProbe(p *flatProbe) { p.release(); probePool.Put(p) }
 
 // release drops everything probe-specific so the pool never pins a
-// corpus, scorer, or result heap. Buffers and the pair epoch survive.
+// corpus or result heap. Buffers and the pair epoch survive.
 func (p *flatProbe) release() {
 	p.c = nil
-	p.score = nil
+	p.recsA, p.recsB = nil, nil
 	p.rs = nil
 	p.top = nil
 	p.cur = progCursor{}

@@ -23,6 +23,9 @@ import (
 	"matchcatcher/internal/simfunc"
 )
 
+// pairKey packs a pair into one map key.
+func pairKey(a, b int32) int64 { return int64(a)<<32 | int64(uint32(b)) }
+
 // defaultDenseStateLimit is the production bound, read before any test
 // shrinks it.
 var defaultDenseStateLimit = denseStateLimit
@@ -432,7 +435,7 @@ func TestAutoKernelSelection(t *testing.T) {
 	storeFor := func(nA, nB int, view shardView) bool {
 		ids := &denseInstances{a: make([][]int32, nA), b: make([][]int32, nB)}
 		p := &flatProbe{}
-		p.wire(runOpts{q: 2}, view, ids, nil, nil, nil, nil, nil, nil)
+		p.wire(&Corpus{}, 0, runOpts{q: 2}, view, ids, nil, nil, nil, nil, nil)
 		return p.hashed
 	}
 	if storeFor(100, 100, shardView{}) {
@@ -485,7 +488,7 @@ func TestPairKeyBeyondInt32(t *testing.T) {
 	const n = 100000
 	ids := &denseInstances{a: make([][]int32, n), b: make([][]int32, n)}
 	p := &flatProbe{}
-	p.wire(runOpts{q: 2}, shardView{side: 0, shard: 1, shards: 2}, ids, nil, nil, nil, nil, nil, nil)
+	p.wire(&Corpus{}, 0, runOpts{q: 2}, shardView{side: 0, shard: 1, shards: 2}, ids, nil, nil, nil, nil, nil)
 	if !p.hashed {
 		t.Fatal("a 10G-pair space must use the hashed store")
 	}
@@ -558,12 +561,11 @@ func TestFlatProbePathZeroAllocs(t *testing.T) {
 		useHashedStore(t, hashed)
 		rs := &runStats{}
 		opt := runOpts{k: 10, q: 2, m: simfunc.Jaccard, c: c}
-		score := makeScorer(cor, mask, nil, nil, simfunc.Jaccard)(rs)
 		top := newTopkHeap(opt.k)
 		p := &flatProbe{}
 		runProbe := func() {
 			top.items = top.items[:0]
-			p.wire(opt, shardView{}, ids, rs, score, top, nil, nil, nil)
+			p.wire(cor, mask, opt, shardView{}, ids, rs, top, nil, nil, nil)
 			p.absorb(nil)
 			p.seed()
 			p.probe()

@@ -3,16 +3,15 @@
 // single-config algorithm QJoin (prefix-event branch-and-bound with
 // q-common-token score deferral), its TopKJoin baseline (q = 1), and the
 // joint executor that processes all configs of a tree in parallel while
-// reusing similarity-score computations (the overlap database H) and
-// top-k lists from parent to child configs.
+// reusing top-k lists from parent to child configs.
 //
 // Token model: each attribute value contributes its distinct word tokens;
 // a config's token bag is the disjoint union over its attributes, so a
 // token appearing in m attributes of the config has multiplicity m.
 // Similarity is the multiset form of Jaccard/cosine/Dice/overlap over
-// those bags. This makes overlap reuse exact: for every scored pair the
-// common tokens' attribute bitmasks are recorded, and the overlap under
-// any sub-config γ is Σ_t min(popcount(maskA∧γ), popcount(maskB∧γ)).
+// those bags. Each token entry carries the bitmask of attributes holding
+// it, so one tokenization serves every config: the overlap under γ is
+// Σ_t min(popcount(maskA∧γ), popcount(maskB∧γ)).
 package ssjoin
 
 import (
@@ -67,8 +66,8 @@ type Corpus struct {
 	// range each token needs (see denseInstances).
 	tokMask []uint16
 	// AvgTokens is the average multiset token length per tuple under the
-	// full config, across both tables; it gates overlap reuse
-	// (Section 4.2: reuse only pays off for long tuples).
+	// full config, across both tables: the tuple length Section 4.2
+	// compares with t = 20 to decide on score reuse.
 	AvgTokens float64
 }
 
@@ -215,23 +214,11 @@ func (c *Corpus) NumA() int { return len(c.recsA) }
 // NumB returns the B-side table size.
 func (c *Corpus) NumB() int { return len(c.recsB) }
 
-// maskPair packs the two attribute bitmasks of one common token.
-type maskPair uint32
-
-func packMasks(ma, mb uint16) maskPair { return maskPair(uint32(ma)<<16 | uint32(mb)) }
-
-func (p maskPair) overlapUnder(m config.Mask) int {
-	ma := uint16(p>>16) & uint16(m)
-	mb := uint16(p) & uint16(m)
-	return min(bits.OnesCount16(ma), bits.OnesCount16(mb))
-}
-
 // overlapUnder computes the multiset overlap of two records under γ by
-// merging their rank-sorted token entries, and optionally captures the
-// common tokens' mask pairs for the reuse database. Masks are stored
-// unrestricted, so they remain valid for any sub-config.
-func overlapUnder(x, y *record, m config.Mask, capture bool) (int, []maskPair) {
-	var pairs []maskPair
+// merging their rank-sorted token entries.
+//
+//mc:hotpath
+func overlapUnder(x, y *record, m config.Mask) int {
 	o := 0
 	i, j := 0, 0
 	mm := uint16(m)
@@ -247,15 +234,12 @@ func overlapUnder(x, y *record, m config.Mask, capture bool) (int, []maskPair) {
 			cb := bits.OnesCount16(ey.mask & mm)
 			if ca > 0 && cb > 0 {
 				o += min(ca, cb)
-				if capture {
-					pairs = append(pairs, packMasks(ex.mask, ey.mask))
-				}
 			}
 			i++
 			j++
 		}
 	}
-	return o, pairs
+	return o
 }
 
 // Sim computes a pair's multiset similarity under any config mask — the
@@ -267,8 +251,7 @@ func (c *Corpus) Sim(a, b int32, m config.Mask, meas simfunc.SetMeasure) float64
 	if lx == 0 || ly == 0 {
 		return 0
 	}
-	o, _ := overlapUnder(ra, rb, m, false)
-	return meas.FromOverlap(o, lx, ly)
+	return meas.FromOverlap(overlapUnder(ra, rb, m), lx, ly)
 }
 
 // LenUnder returns a record's multiset token length under a config mask;

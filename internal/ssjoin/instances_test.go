@@ -123,7 +123,6 @@ func TestInstanceBufferReuseInvisible(t *testing.T) {
 		var rs runStats
 		list := runJoin(cor, mask, runOpts{
 			k: 15, q: 2, m: simfunc.Jaccard, c: c,
-			score:        makeScorer(cor, mask, nil, nil, simfunc.Jaccard),
 			stats:        &rs,
 			probeWorkers: pw,
 			ids:          ids,

@@ -11,25 +11,12 @@ import (
 	"matchcatcher/internal/telemetry"
 )
 
-// scorer computes the exact similarity of a record pair under the config
-// being joined. The joint executor supplies reuse-aware scorers that
-// consult the parent's overlap database before falling back to a merge.
-type scorer func(a, b int32) float64
-
-// scorerFactory builds a scorer bound to one shard's private runStats.
-// Shards run concurrently and runStats increments are plain (non-atomic)
-// adds, so every shard needs its own scorer; the factory is how runJoin
-// hands each one a scorer wired to the right counter block. Reused state
-// behind the scorer (the overlap databases) is internally synchronized.
-type scorerFactory func(rs *runStats) scorer
-
 // runOpts parameterizes one single-config join run.
 type runOpts struct {
-	k     int
-	q     int // compute a pair's score once it has q common prefix tokens
-	m     simfunc.SetMeasure
-	c     *blocker.PairSet // blocker output: pairs to exclude (may be nil)
-	score scorerFactory
+	k int
+	q int // compute a pair's score once it has q common prefix tokens
+	m simfunc.SetMeasure
+	c *blocker.PairSet // blocker output: pairs to exclude (may be nil)
 	// seeds are pre-scored pairs (scores already under THIS config,
 	// already C-filtered) used to initialize the top-k list.
 	seeds []ScoredPair
@@ -148,12 +135,11 @@ func runJoin(cor *Corpus, mask config.Mask, opt runOpts) TopKList {
 	opt.prog.configStarted()
 	defer opt.prog.configDone()
 	if shards <= 1 {
-		top := joinShard(opt, shardView{}, ids,
-			opt.stats, opt.score(opt.stats), opt.seeds, opt.mergeCh,
-			opt.span, opt.prog.slot(0))
+		top := joinShard(cor, mask, opt, shardView{}, ids,
+			opt.stats, opt.seeds, opt.mergeCh, opt.span, opt.prog.slot(0))
 		return top.list(mask)
 	}
-	return runJoinSharded(mask, opt, side, shards, ids)
+	return runJoinSharded(cor, mask, opt, side, shards, ids)
 }
 
 // runJoinSharded fans one config's probe out over a bounded worker pool:
@@ -163,7 +149,7 @@ func runJoin(cor *Corpus, mask config.Mask, opt runOpts) TopKList {
 // insert path uses. Because every shard is exact on its (disjoint) slice
 // of the pair space, the merged list is the exact global top-k — bytes
 // identical to the serial join for every worker and shard count.
-func runJoinSharded(mask config.Mask, opt runOpts, side int8, shards int, ids *denseInstances) TopKList {
+func runJoinSharded(cor *Corpus, mask config.Mask, opt runOpts, side int8, shards int, ids *denseInstances) TopKList {
 	rs := opt.stats
 	seeds := opt.seeds
 	// Fold an already-delivered parent list into the seeds. Later
@@ -204,8 +190,8 @@ func runJoinSharded(mask config.Mask, opt runOpts, side int8, shards int, ids *d
 					telemetry.L("shard", strconv.Itoa(s)),
 					telemetry.L("shards", strconv.Itoa(shards)))
 				view := shardView{side: side, shard: s, shards: shards}
-				heaps[s] = joinShard(opt, view, ids,
-					srs, opt.score(srs), seedsFor[s], nil, ssp, opt.prog.slot(s))
+				heaps[s] = joinShard(cor, mask, opt, view, ids,
+					srs, seedsFor[s], nil, ssp, opt.prog.slot(s))
 				ssp.End()
 			}
 		}()

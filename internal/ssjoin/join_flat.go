@@ -28,6 +28,7 @@ import (
 	"slices"
 	"strconv"
 
+	"matchcatcher/internal/config"
 	"matchcatcher/internal/telemetry"
 )
 
@@ -38,15 +39,15 @@ import (
 // heap before event seeding so the push-cap prune sees them). May
 // allocate, but only on buffer growth — steady-state reuse through the
 // pool allocates nothing.
-func (p *flatProbe) wire(opt runOpts, view shardView, ids *denseInstances,
-	rs *runStats, score scorer, top *topkHeap, pc *shardCounters,
-	mergeCh <-chan []ScoredPair, span *telemetry.TraceSpan) {
+func (p *flatProbe) wire(cor *Corpus, mask config.Mask, opt runOpts,
+	view shardView, ids *denseInstances, rs *runStats, top *topkHeap,
+	pc *shardCounters, mergeCh <-chan []ScoredPair, span *telemetry.TraceSpan) {
 
 	nA, nB := len(ids.a), len(ids.b)
 	p.q = opt.q
 	p.m = opt.m
 	p.c = opt.c
-	p.score = score
+	p.recsA, p.recsB, p.mask = cor.recsA, cor.recsB, mask
 	p.rs = rs
 	p.top = top
 	p.cur = progCursor{slot: pc}
@@ -290,10 +291,24 @@ func (p *flatProbe) touch(a, b, pa, pb int32) {
 	}
 }
 
+// score is pair (a, b)'s exact similarity under the probe's config: one
+// sorted merge of the two records' token entries.
+//
+//mc:hotpath
+func (p *flatProbe) score(a, b int32) float64 {
+	ra, rb := &p.recsA[a], &p.recsB[b]
+	lx, ly := ra.lenUnder(p.mask), rb.lenUnder(p.mask)
+	if lx == 0 || ly == 0 {
+		return 0
+	}
+	p.rs.n[cScratchScores]++
+	return p.m.FromOverlap(overlapUnder(ra, rb, p.mask), lx, ly)
+}
+
 // absorb folds a parent config's top-k pairs into this run, rescoring
-// each pair under this config (scores do not transfer across configs;
-// the scorer answers from the parent's overlap DB when reuse is on).
-// Unseen C pairs are suppressed silently (no counter).
+// each pair under this config: scores do not transfer across configs,
+// since a child drops attributes and so changes both lengths and the
+// overlap. Unseen C pairs are suppressed silently (no counter).
 func (p *flatProbe) absorb(list []ScoredPair) {
 	if len(list) > 0 {
 		p.span.Event("absorb", telemetry.L("pairs", strconv.Itoa(len(list))))
@@ -460,14 +475,14 @@ func (p *flatProbe) finish() {
 // records the view owns, probing through a pooled flatProbe. Shards are
 // exact on their (disjoint) slices of the pair space, so the merged
 // result is the exact top-k whatever the shard count.
-func joinShard(opt runOpts, view shardView, ids *denseInstances,
-	rs *runStats, score scorer, seeds []ScoredPair,
+func joinShard(cor *Corpus, mask config.Mask, opt runOpts, view shardView,
+	ids *denseInstances, rs *runStats, seeds []ScoredPair,
 	mergeCh <-chan []ScoredPair, span *telemetry.TraceSpan,
 	pc *shardCounters) *topkHeap {
 
 	top := newTopkHeap(opt.k)
 	p := getFlatProbe()
-	p.wire(opt, view, ids, rs, score, top, pc, mergeCh, span)
+	p.wire(cor, mask, opt, view, ids, rs, top, pc, mergeCh, span)
 	p.absorb(seeds)
 
 	idxSpan := span.Child("ssjoin.index")

@@ -96,7 +96,7 @@ func TestMultisetSemantics(t *testing.T) {
 	if got := ra.lenUnder(full); got != 4 {
 		t.Fatalf("multiset length = %d, want 4 (smith counted per attribute)", got)
 	}
-	o, _ := overlapUnder(ra, &cor.recsB[0], full, false)
+	o := overlapUnder(ra, &cor.recsB[0], full)
 	if o != 4 {
 		t.Errorf("self overlap = %d, want 4", o)
 	}
@@ -106,35 +106,21 @@ func TestMultisetSemantics(t *testing.T) {
 	}
 }
 
-func TestOverlapUnderCapturesMasks(t *testing.T) {
+// TestOverlapUnderSubConfig: a common token counts under a config only
+// where both records hold it in one of the config's attributes.
+func TestOverlapUnderSubConfig(t *testing.T) {
 	cor, res := corpusFor(t, []string{"name", "addr"},
 		[][]string{{"alpha beta", "gamma"}},
 		[][]string{{"alpha", "beta gamma"}},
 	)
-	full := res.Root.Mask
-	o, mp := overlapUnder(&cor.recsA[0], &cor.recsB[0], full, true)
-	if o != 3 {
-		t.Fatalf("overlap = %d, want 3", o)
-	}
-	if len(mp) != 3 {
-		t.Fatalf("captured %d mask pairs, want 3", len(mp))
-	}
-	// Restricting to a single attribute must reproduce that attribute's
-	// overlap: under {name} only "alpha" matches in both name columns...
-	// a.name = {alpha,beta}, b.name = {alpha}: overlap 1.
-	var nameMask config.Mask
+	want := map[string]int{"name": 1, "addr": 1} // alpha / gamma; beta straddles
 	for i, attr := range res.Promising {
-		if attr == "name" {
-			nameMask = config.Mask(1) << uint(i)
+		if got := overlapUnder(&cor.recsA[0], &cor.recsB[0], config.Mask(1)<<uint(i)); got != want[attr] {
+			t.Errorf("overlap under {%s} = %d, want %d", attr, got, want[attr])
 		}
 	}
-	sub := 0
-	for _, p := range mp {
-		sub += p.overlapUnder(nameMask)
-	}
-	oRef, _ := overlapUnder(&cor.recsA[0], &cor.recsB[0], nameMask, false)
-	if sub != oRef {
-		t.Errorf("mask-pair sub-config overlap = %d, direct = %d", sub, oRef)
+	if got := overlapUnder(&cor.recsA[0], &cor.recsB[0], res.Root.Mask); got != 3 {
+		t.Errorf("overlap under the full config = %d, want 3", got)
 	}
 }
 
@@ -234,18 +220,16 @@ func TestQJoinMatchesBruteForce(t *testing.T) {
 }
 
 // TestJoinAllMatchesIndividual is Theorem 4.2: the joint executor's lists
-// equal the per-config QJoin outputs, with reuse on and off, serial and
-// parallel.
+// equal the per-config QJoin outputs, with list reuse on and off, serial
+// and parallel.
 func TestJoinAllMatchesIndividual(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	cor, res, c := randomCorpus(t, rng, 40, 40)
 	variants := []Options{
 		{K: 20, Q: 2},
 		{K: 20, Q: 2, Workers: 4},
-		{K: 20, Q: 2, DisableScoreReuse: true},
 		{K: 20, Q: 2, DisableListReuse: true},
-		{K: 20, Q: 2, ReuseMinAvgTokens: 1}, // force reuse on despite short tuples
-		{K: 20, Q: 1, ReuseMinAvgTokens: 1, Workers: 3},
+		{K: 20, Q: 1, Workers: 3},
 	}
 	for vi, opt := range variants {
 		jr := JoinAll(cor, c, opt)
@@ -259,25 +243,17 @@ func TestJoinAllMatchesIndividual(t *testing.T) {
 	}
 }
 
-func TestJoinAllReuseGate(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
+// TestNonPositiveOptionsSelectDefaults: a negative K or Workers selects
+// the default, as zero does. Passed through, Workers -1 started no
+// worker and hung JoinAll on its job queue, and K -1 panicked a worker
+// in the top-k heap.
+func TestNonPositiveOptionsSelectDefaults(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
 	cor, _, c := randomCorpus(t, rng, 20, 20)
-	// Workers: 1 — at Workers > 1, whether a child finds its parent's H_γ filled is timing.
-	// Short tuples: default gate (20 tokens) keeps reuse off.
-	jr := JoinAll(cor, c, Options{K: 10, Q: 2, Workers: 1})
-	if jr.Stats.ReuseActive {
-		t.Error("reuse should be gated off for short tuples")
-	}
-	if jr.Stats.ReusedScores != 0 {
-		t.Error("no reused scores expected with gate off")
-	}
-	// Forcing the gate low activates reuse and some scores come from H.
-	jr2 := JoinAll(cor, c, Options{K: 10, Q: 2, Workers: 1, ReuseMinAvgTokens: 1})
-	if !jr2.Stats.ReuseActive {
-		t.Fatal("reuse should be active")
-	}
-	if jr2.Stats.ReusedScores == 0 {
-		t.Error("expected some scores answered from the overlap DB")
+	want := JoinAll(cor, c, Options{Q: 2})
+	for _, opt := range []Options{{Q: 2, Workers: -1}, {Q: 2, K: -1}} {
+		got := JoinAll(cor, c, opt)
+		requireIdenticalLists(t, fmt.Sprintf("K=%d Workers=%d", opt.K, opt.Workers), got.Lists, want.Lists)
 	}
 }
 
@@ -382,7 +358,7 @@ func TestGlobalOrderIsRareFirst(t *testing.T) {
 	// i.e. the token shared with every other record. Verify via overlap:
 	// dropping the last entry should kill overlap with A[1].
 	full := config.Mask(1)
-	o, _ := overlapUnder(&cor.recsA[0], &cor.recsA[1], full, false)
+	o := overlapUnder(&cor.recsA[0], &cor.recsA[1], full)
 	if o != 1 {
 		t.Fatalf("overlap = %d", o)
 	}

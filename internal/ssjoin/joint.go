@@ -52,14 +52,9 @@ type Options struct {
 	// to the serial join for every value; see DESIGN.md "Intra-join
 	// parallelism & determinism".
 	ProbeWorkers int
-	// ReuseMinAvgTokens gates overlap reuse: reuse only pays off for long
-	// tuples, so it triggers only when the average tuple length is at
-	// least this many tokens (default 20, the paper's t).
-	ReuseMinAvgTokens float64
-	// DisableScoreReuse and DisableListReuse turn off the two Section 4.2
-	// reuse mechanisms (for the §6.5 joint-vs-individual ablation).
-	DisableScoreReuse bool
-	DisableListReuse  bool
+	// DisableListReuse turns off the Section 4.2 list reuse (a child
+	// config starting from its parent's top-k), for the §6.5 ablation.
+	DisableListReuse bool
 	// Metrics receives the executor's telemetry (counters, per-config
 	// join latency, q-race outcome). Nil selects telemetry.Default();
 	// telemetry.Disabled() switches instrumentation off.
@@ -85,20 +80,17 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.K == 0 {
+	if o.K < 1 {
 		o.K = 1000
 	}
 	if o.Q == 0 {
 		o.Q = 2
 	}
-	if o.Workers == 0 {
+	if o.Workers < 1 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	if o.ProbeWorkers < 1 {
 		o.ProbeWorkers = 1
-	}
-	if o.ReuseMinAvgTokens == 0 {
-		o.ReuseMinAvgTokens = 20
 	}
 	return o
 }
@@ -110,9 +102,7 @@ func (o Options) withDefaults() Options {
 // side additionally carries the per-config latency histogram and the
 // q-race outcome under the mc_ssjoin_* names.
 type Stats struct {
-	ScratchScores   int64 // pair scores computed by merging token lists
-	ReusedScores    int64 // pair scores answered by a parent's overlap DB (H_γ hits)
-	ReuseMisses     int64 // scratch scores taken while a parent H_γ existed
+	ScratchScores   int64 // exact pair scores, each one merge of two token lists
 	PrefixEvents    int64 // prefix-extension events processed
 	PruneKills      int64 // extensions pruned by the score-cap bound (push cap + loop break)
 	DeferredPairs   int64 // pairs still below q common instances at flush time
@@ -142,8 +132,10 @@ type Stats struct {
 	ShardWorkMax   int64
 	ShardWorkP50   int64
 	ShardImbalance float64
-	QUsed          int  // the q QJoin ran with
-	ReuseActive    bool // whether the avg-length gate enabled reuse
+	QUsed          int // the q QJoin ran with
+	// Deprecated: always zero. Score reuse (the Section 4.2 overlap
+	// database they counted) is deleted; every score is a ScratchScore.
+	ReusedScores, ReuseMisses int64
 }
 
 // JoinResult holds one top-k list per config, in the tree's breadth-first
@@ -151,83 +143,6 @@ type Stats struct {
 type JoinResult struct {
 	Lists []TopKList
 	Stats Stats
-}
-
-// hdb is one config's overlap database H_γ (Section 4.2): pair key -> the
-// attribute-bitmask pairs of the pair's common tokens. Each writer config
-// owns its own database; writes are insert-only and reads may race with
-// writes (a miss merely falls back to a from-scratch score), which the
-// paper handles with an atomic hashmap and we handle with a mutex.
-type hdb struct {
-	mu sync.RWMutex
-	m  map[int64][]maskPair
-}
-
-// hdbMaxEntries bounds each overlap database. Reuse is best-effort — a
-// miss just means the child scores from scratch — so capping keeps memory
-// flat on workloads that score tens of millions of pairs (the paper's W-A)
-// while still answering the hot pairs that dominate child joins.
-const hdbMaxEntries = 2_000_000
-
-func newHDB() *hdb { return &hdb{m: make(map[int64][]maskPair)} }
-
-func (h *hdb) get(key int64) ([]maskPair, bool) {
-	h.mu.RLock()
-	v, ok := h.m[key]
-	h.mu.RUnlock()
-	return v, ok
-}
-
-func (h *hdb) put(key int64, v []maskPair) {
-	h.mu.Lock()
-	if _, dup := h.m[key]; !dup && len(h.m) < hdbMaxEntries {
-		h.m[key] = v
-	}
-	h.mu.Unlock()
-}
-
-// makeScorer builds the scorer factory for one config: consult the
-// parent's overlap DB first, fall back to a token-list merge, and record
-// common token masks into the config's own DB when it has children of its
-// own. runJoin instantiates one scorer per probe shard, each bound to
-// that shard's private runStats, so the increments stay plain adds; the
-// overlap databases behind the scorer are internally synchronized.
-func makeScorer(cor *Corpus, mask config.Mask, parentH, ownH *hdb, m simfunc.SetMeasure) scorerFactory {
-	return func(rs *runStats) scorer {
-		return makeShardScorer(cor, mask, parentH, ownH, m, rs)
-	}
-}
-
-// makeShardScorer is one shard's scorer, bound to its runStats block.
-func makeShardScorer(cor *Corpus, mask config.Mask, parentH, ownH *hdb, m simfunc.SetMeasure, rs *runStats) scorer {
-	return func(a, b int32) float64 {
-		ra, rb := &cor.recsA[a], &cor.recsB[b]
-		lx, ly := ra.lenUnder(mask), rb.lenUnder(mask)
-		if lx == 0 || ly == 0 {
-			return 0
-		}
-		key := pairKey(a, b)
-		if parentH != nil {
-			if mp, ok := parentH.get(key); ok {
-				o := 0
-				for _, p := range mp {
-					o += p.overlapUnder(mask)
-				}
-				if ownH != nil {
-					ownH.put(key, mp)
-				}
-				rs.n[cReusedScores]++
-				return m.FromOverlap(o, lx, ly)
-			}
-			rs.n[cReuseMisses]++
-		}
-		o, mp := overlapUnder(ra, rb, mask, ownH != nil)
-		if ownH != nil {
-			ownH.put(key, mp)
-		}
-		rs.n[cScratchScores]++
-		return m.FromOverlap(o, lx, ly)
-	}
 }
 
 // watchCancel bridges a context into the join's atomic cancellation
@@ -278,7 +193,6 @@ func JoinOne(cor *Corpus, mask config.Mask, c *blocker.PairSet, opt Options) Top
 		q:            opt.Q,
 		m:            opt.Measure,
 		c:            c,
-		score:        makeScorer(cor, mask, nil, nil, opt.Measure),
 		cancel:       cancel,
 		stats:        rs,
 		span:         csp,
@@ -316,7 +230,6 @@ func SelectQ(cor *Corpus, mask config.Mask, c *blocker.PairSet, opt Options) int
 				q:      q,
 				m:      opt.Measure,
 				c:      c,
-				score:  makeScorer(cor, mask, nil, nil, opt.Measure),
 				cancel: &cancel,
 				stats:  rs,
 			})
@@ -332,16 +245,15 @@ func SelectQ(cor *Corpus, mask config.Mask, c *blocker.PairSet, opt Options) int
 	return winner
 }
 
-// JoinAll processes every config of the tree jointly (Section 4.2):
-// configs are scheduled to workers in breadth-first order; writer configs
-// (those with children) populate overlap databases their children reuse;
-// a child seeds its top-k list from its parent's finished list, or starts
-// empty and merges the parent's list when it arrives mid-run.
+// JoinAll processes every config of the tree jointly (Section 4.2) on
+// min(Workers, configs) workers in breadth-first order. A child seeds its
+// top-k list from its parent's finished list, or starts empty and merges
+// the parent's list when it arrives mid-run. Scores are not reused: each
+// is one exact merge of two token lists (EXPERIMENTS.md §6.5 item 3).
 func JoinAll(cor *Corpus, c *blocker.PairSet, opt Options) *JoinResult {
 	opt = opt.withDefaults()
 	snk := newSink(telemetry.Or(opt.Metrics))
 	res := &JoinResult{}
-	res.Stats.ReuseActive = !opt.DisableScoreReuse && cor.AvgTokens >= opt.ReuseMinAvgTokens
 
 	nodes := cor.Res.Nodes()
 	q := opt.Q
@@ -369,12 +281,8 @@ func JoinAll(cor *Corpus, c *blocker.PairSet, opt Options) *JoinResult {
 	// deterministically (node order) after the workers join.
 	nodeStats := make([]*runStats, len(nodes))
 	done := make([]atomic.Bool, len(nodes))
-	dbs := make([]*hdb, len(nodes))
 	mergeChs := make([]chan []ScoredPair, len(nodes))
 	for i, n := range nodes {
-		if len(n.Children) > 0 && res.Stats.ReuseActive {
-			dbs[i] = newHDB()
-		}
 		if n.Parent != nil && !opt.DisableListReuse {
 			mergeChs[i] = make(chan []ScoredPair, 1)
 		}
@@ -382,7 +290,7 @@ func JoinAll(cor *Corpus, c *blocker.PairSet, opt Options) *JoinResult {
 
 	jobs := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < opt.Workers; w++ {
+	for w := 0; w < min(opt.Workers, len(nodes)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -391,10 +299,6 @@ func JoinAll(cor *Corpus, c *blocker.PairSet, opt Options) *JoinResult {
 			ids := &denseInstances{}
 			for i := range jobs {
 				n := nodes[i]
-				var parentH *hdb
-				if n.Parent != nil && res.Stats.ReuseActive {
-					parentH = dbs[idxOf[n.Parent]]
-				}
 				rs := &runStats{}
 				nodeStats[i] = rs
 				csp := opt.Trace.Child("ssjoin.config",
@@ -405,7 +309,6 @@ func JoinAll(cor *Corpus, c *blocker.PairSet, opt Options) *JoinResult {
 					q:            q,
 					m:            opt.Measure,
 					c:            c,
-					score:        makeScorer(cor, n.Mask, parentH, dbs[i], opt.Measure),
 					cancel:       cancel,
 					stats:        rs,
 					span:         csp,
@@ -425,7 +328,6 @@ func JoinAll(cor *Corpus, c *blocker.PairSet, opt Options) *JoinResult {
 				start := time.Now()
 				lists[i] = runJoin(cor, n.Mask, ro)
 				csp.SetAttrInt("scratch_scores", rs.n[cScratchScores])
-				csp.SetAttrInt("reused_scores", rs.n[cReusedScores])
 				csp.End()
 				snk.record(rs, time.Since(start))
 				recordJoinProvenance(opt.Provenance, cor, n.Mask, c, lists[i], opt.Measure)
@@ -480,7 +382,7 @@ func BruteForce(cor *Corpus, mask config.Mask, c *blocker.PairSet, k int, m simf
 			if ly == 0 {
 				continue
 			}
-			o, _ := overlapUnder(ra, rb, mask, false)
+			o := overlapUnder(ra, rb, mask)
 			top.offer(ScoredPair{A: int32(a), B: int32(b), Score: m.FromOverlap(o, lx, ly)})
 		}
 	}

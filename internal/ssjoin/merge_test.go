@@ -16,7 +16,6 @@ func TestMergeChannelAbsorbsParentList(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	cor, res, c := randomCorpus(t, rng, 30, 30)
 	mask := res.Root.Mask
-	score := makeScorer(cor, mask, nil, nil, simfunc.Jaccard)
 
 	// The "parent list" here is just the true top-k itself; absorbing it
 	// must not corrupt the result (rescoring + dedup are exercised).
@@ -26,7 +25,6 @@ func TestMergeChannelAbsorbsParentList(t *testing.T) {
 
 	got := runJoin(cor, mask, runOpts{
 		k: 10, q: 2, m: simfunc.Jaccard, c: c,
-		score:   score,
 		mergeCh: ch,
 	})
 	want := BruteForce(cor, mask, c, 10, simfunc.Jaccard)
@@ -51,14 +49,12 @@ func TestSeedsIdenticalToMerge(t *testing.T) {
 
 	seeded := runJoin(cor, mask, runOpts{
 		k: 8, q: 2, m: simfunc.Jaccard, c: c,
-		score: makeScorer(cor, mask, nil, nil, simfunc.Jaccard),
 		seeds: parent.Pairs,
 	})
 	ch := make(chan []ScoredPair, 1)
 	ch <- parent.Pairs
 	merged := runJoin(cor, mask, runOpts{
 		k: 8, q: 2, m: simfunc.Jaccard, c: c,
-		score:   makeScorer(cor, mask, nil, nil, simfunc.Jaccard),
 		mergeCh: ch,
 	})
 	ss, ms := scoresOf(seeded), scoresOf(merged)
@@ -78,7 +74,6 @@ func TestCancelStopsRun(t *testing.T) {
 	cor, res, c := randomCorpus(t, rng, 40, 40)
 	opts := runOpts{
 		k: 20, q: 2, m: simfunc.Jaccard, c: c,
-		score: makeScorer(cor, res.Root.Mask, nil, nil, simfunc.Jaccard),
 	}
 	var cancel atomic.Bool
 	cancel.Store(true)
@@ -88,23 +83,5 @@ func TestCancelStopsRun(t *testing.T) {
 	// panic and must return a valid (possibly short) list.
 	if len(got.Pairs) > 20 {
 		t.Errorf("cancelled run returned %d pairs", len(got.Pairs))
-	}
-}
-
-// TestHDBCap: the overlap database stops growing at its cap but keeps
-// answering stored pairs.
-func TestHDBCap(t *testing.T) {
-	h := newHDB()
-	h.put(1, []maskPair{packMasks(1, 1)})
-	if v, ok := h.get(1); !ok || len(v) != 1 {
-		t.Fatal("stored pair not retrievable")
-	}
-	if _, ok := h.get(2); ok {
-		t.Fatal("phantom pair")
-	}
-	// Duplicate puts do not overwrite.
-	h.put(1, nil)
-	if v, ok := h.get(1); !ok || len(v) != 1 {
-		t.Error("duplicate put overwrote entry")
 	}
 }

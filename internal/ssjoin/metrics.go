@@ -28,9 +28,7 @@ const (
 	cKillsPrefixPos                   // positional prefix filter: remaining overlap can't reach k-th
 	numPublished                      // end of the published counters
 
-	cScratchScores   counter = iota - 1 // pair scores computed by merging token lists
-	cReusedScores                       // pair scores answered by a parent's H_γ (hit)
-	cReuseMisses                        // scratch scores taken while a parent H_γ existed
+	cScratchScores   counter = iota - 1 // exact pair scores (one token-list merge each)
 	cDeferredPairs                      // pairs still pending (< q common instances) at flush
 	cFlushedPairs                       // deferred pairs whose bound forced an exact score
 	cSuppressedPairs                    // pairs skipped because they are in C
@@ -93,7 +91,6 @@ func (rs *runStats) fold(s *runStats) {
 // a nil-registry sink degrades to no-ops via nil instruments.
 type sink struct {
 	c           [numCounters]*telemetry.Counter
-	reuseHits   *telemetry.Counter // alias of the reused-scores series
 	pruneKills  *telemetry.Counter // push_cap + loop_break
 	configJoins *telemetry.Counter
 	joinSeconds *telemetry.Histogram
@@ -114,8 +111,6 @@ func newSink(reg *telemetry.Registry) *sink {
 			cPrefixEvents:    reg.Counter("mc_ssjoin_prefix_events_total"),
 			cProbesSkipped:   reg.Counter("mc_ssjoin_progress_skipped_instances_total"),
 			cScratchScores:   reg.Counter("mc_ssjoin_scratch_scores_total"),
-			cReusedScores:    reg.Counter("mc_ssjoin_reused_scores_total"),
-			cReuseMisses:     reg.Counter("mc_ssjoin_reuse_misses_total"),
 			cDeferredPairs:   reg.Counter("mc_ssjoin_deferred_pairs_total"),
 			cFlushedPairs:    reg.Counter("mc_ssjoin_flushed_pairs_total"),
 			cSuppressedPairs: reg.Counter("mc_ssjoin_suppressed_pairs_total"),
@@ -123,7 +118,6 @@ func newSink(reg *telemetry.Registry) *sink {
 			cShardMergePairs: reg.Counter("mc_ssjoin_shard_merge_pairs_total"),
 			cProgressSamples: reg.Counter("mc_ssjoin_progress_samples_total"),
 		},
-		reuseHits:     reg.Counter("mc_ssjoin_reuse_hits_total"),
 		pruneKills:    reg.Counter("mc_ssjoin_prune_kills_total"),
 		configJoins:   reg.Counter("mc_ssjoin_config_joins_total"),
 		joinSeconds:   reg.Histogram("mc_ssjoin_join_seconds"),
@@ -145,7 +139,6 @@ func (s *sink) record(rs *runStats, dur time.Duration) {
 	for c, inst := range s.c {
 		inst.Add(rs.n[c])
 	}
-	s.reuseHits.Add(rs.n[cReusedScores]) // a reused score is exactly an H_γ hit
 	s.pruneKills.Add(rs.pruneKills())
 	if rs.shardImbalance > 0 {
 		s.skewConfigs.Inc()
@@ -175,8 +168,6 @@ func (st *Stats) counterFields() [numCounters]*int64 {
 		cKillsLengthFilter: &st.PruneKillsLengthFilter,
 		cKillsPrefixPos:    &st.PruneKillsPrefixPos,
 		cScratchScores:     &st.ScratchScores,
-		cReusedScores:      &st.ReusedScores,
-		cReuseMisses:       &st.ReuseMisses,
 		cDeferredPairs:     &st.DeferredPairs,
 		cFlushedPairs:      &st.FlushedPairs,
 		cSuppressedPairs:   &st.SuppressedPairs,

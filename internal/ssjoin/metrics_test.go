@@ -13,8 +13,8 @@ import (
 // independently of newSink) equals its Stats field, the final progress
 // snapshot totals every published counter, and the derived PruneKills
 // is push_cap + loop_break in the registry and in Stats. Every counter
-// must be non-zero on this corpus (both strict pair filters fire, reuse
-// is active, probes are sharded), so a counter wired to the wrong slot
+// must be non-zero on this corpus (both strict pair filters fire, probes
+// are sharded), so a counter wired to the wrong slot
 // or to none cannot pass.
 func TestCountersReachEverySurface(t *testing.T) {
 	rng := rand.New(rand.NewSource(600))
@@ -22,7 +22,7 @@ func TestCountersReachEverySurface(t *testing.T) {
 	reg := telemetry.New()
 	prog := NewProgress()
 	res := JoinAll(cor, c, Options{
-		K: 3, Q: 2, Workers: 1, ProbeWorkers: 3, ReuseMinAvgTokens: 1,
+		K: 3, Q: 2, Workers: 1, ProbeWorkers: 3,
 		Metrics: reg, Progress: prog,
 	})
 	st := res.Stats
@@ -39,8 +39,6 @@ func TestCountersReachEverySurface(t *testing.T) {
 		cKillsLengthFilter: tier("length_filter"),
 		cKillsPrefixPos:    tier("prefix_pos"),
 		cScratchScores:     reg.Counter("mc_ssjoin_scratch_scores_total").Value(),
-		cReusedScores:      reg.Counter("mc_ssjoin_reused_scores_total").Value(),
-		cReuseMisses:       reg.Counter("mc_ssjoin_reuse_misses_total").Value(),
 		cDeferredPairs:     reg.Counter("mc_ssjoin_deferred_pairs_total").Value(),
 		cFlushedPairs:      reg.Counter("mc_ssjoin_flushed_pairs_total").Value(),
 		cSuppressedPairs:   reg.Counter("mc_ssjoin_suppressed_pairs_total").Value(),
@@ -71,8 +69,5 @@ func TestCountersReachEverySurface(t *testing.T) {
 	}
 	if got := reg.Counter("mc_ssjoin_prune_kills_total").Value(); got != st.PruneKills {
 		t.Errorf("registry prune_kills %d != Stats.PruneKills %d", got, st.PruneKills)
-	}
-	if got := reg.Counter("mc_ssjoin_reuse_hits_total").Value(); got != st.ReusedScores {
-		t.Errorf("registry reuse_hits %d != Stats.ReusedScores %d", got, st.ReusedScores)
 	}
 }

@@ -2,7 +2,7 @@ package ssjoin
 
 // The intra-join parallelism correctness harness: a differential oracle
 // (serial reference vs. sharded-parallel runs, byte-compared TopKLists
-// over seeded corpora × {Q, K, reuse on/off} grids), metamorphic
+// over seeded corpora × {Q, K, list reuse on/off} grids), metamorphic
 // properties (the probe worker count and the shard count are invisible in
 // the output; so is the Workers × ProbeWorkers grid end to end), and a
 // race-detector stress test driving concurrent probes with live
@@ -102,7 +102,7 @@ func TestJoinOneDifferentialAcrossProbeWorkers(t *testing.T) {
 // TestJoinAllDifferentialWorkerGrid is the acceptance-grade end-to-end
 // differential: JoinAll's full output (every config's list) is
 // byte-identical across Workers × ProbeWorkers ∈ {1,2,3,8}² on three
-// seeds, with list reuse both on (forced) and off — the grid the stale
+// seeds, with list reuse both on and off — the grid the stale
 // "Workers: 1 for bit-reproducible runs" caveat used to exclude.
 func TestJoinAllDifferentialWorkerGrid(t *testing.T) {
 	grid := []int{1, 2, 3, 8}
@@ -111,12 +111,7 @@ func TestJoinAllDifferentialWorkerGrid(t *testing.T) {
 		cor, _, c := randomCorpus(t, rng, 30, 30)
 		for _, reuse := range []bool{false, true} {
 			base := Options{K: 15, Q: 2, Workers: 1, ProbeWorkers: 1}
-			if reuse {
-				base.ReuseMinAvgTokens = 1 // force overlap+list reuse on short tuples
-			} else {
-				base.DisableScoreReuse = true
-				base.DisableListReuse = true
-			}
+			base.DisableListReuse = !reuse
 			ref := JoinAll(cor, c, base)
 			for _, w := range grid {
 				for _, pw := range grid {
@@ -145,7 +140,6 @@ func TestShardCountInvisible(t *testing.T) {
 		rs := &runStats{}
 		return runJoin(cor, mask, runOpts{
 			k: 12, q: 2, m: simfunc.Jaccard, c: c,
-			score:        makeScorer(cor, mask, nil, nil, simfunc.Jaccard),
 			stats:        rs,
 			probeWorkers: workers,
 			probeShards:  shards,
@@ -175,7 +169,6 @@ func TestShardSeedHandoffInvisible(t *testing.T) {
 		rs := &runStats{}
 		return runJoin(cor, mask, runOpts{
 			k: 10, q: 2, m: simfunc.Jaccard, c: c,
-			score:        makeScorer(cor, mask, nil, nil, simfunc.Jaccard),
 			stats:        rs,
 			seeds:        seeds,
 			mergeCh:      mergeCh,
@@ -331,10 +324,9 @@ func TestParallelRaceStress(t *testing.T) {
 			results[i] = JoinAll(cor, c, Options{
 				K: 10, Q: 2,
 				Workers: 3, ProbeWorkers: 4,
-				ReuseMinAvgTokens: 1,
-				Metrics:           reg,
-				Trace:             root,
-				Provenance:        prov,
+				Metrics:    reg,
+				Trace:      root,
+				Provenance: prov,
 			})
 			root.End()
 		}(i)
@@ -412,7 +404,6 @@ func TestShardedCancel(t *testing.T) {
 	rs := &runStats{}
 	got := runJoin(cor, res.Root.Mask, runOpts{
 		k: 20, q: 2, m: simfunc.Jaccard, c: c,
-		score:        makeScorer(cor, res.Root.Mask, nil, nil, simfunc.Jaccard),
 		stats:        rs,
 		cancel:       &cancel,
 		probeWorkers: 4,

@@ -21,8 +21,6 @@ type TopKList struct {
 	Pairs  []ScoredPair
 }
 
-func pairKey(a, b int32) int64 { return int64(a)<<32 | int64(uint32(b)) }
-
 // topkHeap is a bounded min-heap holding the current top-k pairs; the root
 // is the k-th (worst retained) score.
 type topkHeap struct {

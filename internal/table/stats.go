@@ -79,9 +79,8 @@ func NewAttrStats(attr string, rows, nonMissing, unique, tokens int) AttrStats {
 }
 
 // AvgTupleTokenLen returns the average total number of word tokens per
-// tuple, summed over the given attributes (all attributes if attrs is nil).
-// It gates the overlap-reuse optimization (Section 4.2: reuse triggers only
-// when tuples average at least t tokens).
+// tuple, summed over the given attributes (all attributes if attrs is nil):
+// Table 1's average tuple length.
 func (t *Table) AvgTupleTokenLen(attrs []string) float64 {
 	if t.NumRows() == 0 {
 		return 0

@@ -5,8 +5,7 @@
 // Prometheus text-format exposition with an optional HTTP listener that
 // also mounts expvar and net/http/pprof.
 //
-// The registry is lock-striped the way the ssjoin reuse database H is:
-// series resolution hashes the fully-qualified series key onto one of a
+// The registry is lock-striped: series resolution hashes the fully-qualified series key onto one of a
 // fixed number of shards, so concurrent instrument lookups from the join
 // workers never contend on a single mutex. Instrument *updates* never
 // take a lock at all — they are plain atomics.
