@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"sort"
 	"strconv"
 	"time"
@@ -43,6 +44,8 @@ type sessionInfo struct {
 	Seed         int64  `json:"seed"`
 	K            int    `json:"k"`
 	N            int    `json:"n"`
+	Workers      int    `json:"workers"`
+	ProbeWorkers int    `json:"probe_workers"`
 	MemUsedBytes int64  `json:"mem_used_bytes"`
 	Iterations   int    `json:"iterations"`
 	MatchesFound int    `json:"matches_found"`
@@ -116,9 +119,14 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "k, n, workers and probe_workers must be non-negative")
 		return
 	}
+	// Every join worker and probe shard holds its own pooled buffers, so
+	// counts past the cores buy no speed and let one request stall or
+	// exhaust the server; the lists are byte-identical at any count, so
+	// clamping cannot change a session's output. Zero keeps the default.
+	procs := runtime.GOMAXPROCS(0)
 	cfg := sessionConfig{
 		Seed: req.Seed, K: req.K, N: req.N,
-		Workers: req.Workers, ProbeWorkers: req.ProbeWorkers,
+		Workers: min(req.Workers, procs), ProbeWorkers: min(req.ProbeWorkers, procs),
 		Watch: req.Watch,
 	}
 	if cfg.Seed == 0 {
@@ -173,6 +181,7 @@ func (s *Server) infoFor(sess *session) sessionInfo {
 	info := sessionInfo{
 		ID: sess.id, State: sess.state(),
 		Seed: sess.cfg.Seed, K: sess.cfg.K, N: sess.cfg.N,
+		Workers: sess.cfg.Workers, ProbeWorkers: sess.cfg.ProbeWorkers,
 	}
 	sess.mu.Lock()
 	info.MemUsedBytes = sess.memUsed

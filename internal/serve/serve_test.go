@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -277,6 +278,70 @@ func TestCreateSessionRejectsNegativeOptions(t *testing.T) {
 	mustJSON(t, http.StatusOK, code, data, &list)
 	if len(list.Sessions) != 0 {
 		t.Errorf("rejected creates left %d sessions behind", len(list.Sessions))
+	}
+}
+
+// TestCreateSessionClampsWorkers: join and probe worker counts above
+// GOMAXPROCS are clamped at create time, and the session JSON shows the
+// clamped values. Passed through, probe_workers 100000 made up to
+// |side| probe shards per config join, each with its own pooled buffer
+// block — minutes of work and gigabytes of heap from one request. The
+// clamped session must still reproduce the serial session's report,
+// bar the join counters, which record the probe sharding.
+func TestCreateSessionClampsWorkers(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct {
+		body           string
+		workers, probe int
+	}{
+		{`{"workers":100000,"probe_workers":100000}`, procs, procs},
+		{`{"workers":1,"probe_workers":1}`, 1, 1},
+		{`{}`, 0, 0},
+	} {
+		code, data := do(t, "POST", ts.URL+"/v1/sessions", tc.body)
+		var info sessionInfo
+		mustJSON(t, http.StatusCreated, code, data, &info)
+		if info.Workers != tc.workers || info.ProbeWorkers != tc.probe {
+			t.Errorf("create %s: workers=%d probe_workers=%d, want %d and %d",
+				tc.body, info.Workers, info.ProbeWorkers, tc.workers, tc.probe)
+		}
+		code, data = do(t, "GET", ts.URL+"/v1/sessions/"+info.ID, "")
+		var got sessionInfo
+		mustJSON(t, http.StatusOK, code, data, &got)
+		if got.Workers != tc.workers || got.ProbeWorkers != tc.probe {
+			t.Errorf("get after create %s: workers=%d probe_workers=%d, want %d and %d",
+				tc.body, got.Workers, got.ProbeWorkers, tc.workers, tc.probe)
+		}
+	}
+	serial := scriptSession(t, ts.URL, sessionBody)
+	wide := scriptSession(t, ts.URL, strings.Replace(sessionBody,
+		`"workers":1,"probe_workers":1`, `"workers":100000,"probe_workers":100000`, 1))
+	withoutJoinStats := func(report []byte) string {
+		var v map[string]any
+		if err := json.Unmarshal(report, &v); err != nil {
+			t.Fatalf("report not JSON: %v", err)
+		}
+		var strip func(any)
+		strip = func(v any) {
+			switch v := v.(type) {
+			case map[string]any:
+				delete(v, "join_stats")
+				for _, e := range v {
+					strip(e)
+				}
+			case []any:
+				for _, e := range v {
+					strip(e)
+				}
+			}
+		}
+		strip(v)
+		out, _ := json.Marshal(v)
+		return string(out)
+	}
+	if got, want := withoutJoinStats(wide), withoutJoinStats(serial); got != want {
+		t.Errorf("clamped session's report differs from the serial one:\n%s\nvs\n%s", got, want)
 	}
 }
 

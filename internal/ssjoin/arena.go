@@ -210,9 +210,8 @@ type flatProbe struct {
 
 	// Pooled buffers (kept across probes). touched records the pair index
 	// of every pair that reached a positive common-instance count, so the
-	// exactness flush can visit candidates directly instead of scanning
-	// the whole pair space (sorted ascending, the list reproduces the
-	// dense scan order exactly). Dense indices fit int32; the hashed
+	// exactness flush visits candidates directly, in touch order, instead
+	// of scanning the whole pair space. Dense indices fit int32; the hashed
 	// store's 64-bit ones go to touchedKeys, so the dense list — which a
 	// fresh pooled probe regrows on every config — stays half the size.
 	posA, posB   []int32

@@ -20,6 +20,7 @@ import (
 	"slices"
 	"testing"
 
+	"matchcatcher/internal/blocker"
 	"matchcatcher/internal/simfunc"
 )
 
@@ -586,55 +587,71 @@ func TestFlatProbePathZeroAllocs(t *testing.T) {
 
 // FuzzPrefixFilter feeds arbitrary corpora through both pair stores
 // (filters live) against BruteForce (no filters): any input where the
-// length or positional prefix filter kills a pair that belonged in the
-// top-k — tie boundaries, equal scores, degenerate records — or where
-// the stores disagree shows up as a list mismatch. Registered in the
-// Makefile fuzz-smoke target.
+// length or positional prefix filter, the suppression check or the
+// flush bound drops a pair that belonged in the top-k — tie boundaries,
+// equal scores, degenerate records — or where the stores disagree shows
+// up as a list mismatch. The fuzz bytes also pick a C set (so filters
+// and suppression meet on the same pairs) and a probe-shard count (so
+// the shard-local positions the flush bound reads are exercised), and
+// every config of the two-attribute tables is joined, child masks
+// included. Registered in the Makefile fuzz-smoke target.
 func FuzzPrefixFilter(f *testing.F) {
 	f.Add(uint8(1), uint8(2), []byte("abc\ndef g\nhij"))
 	f.Add(uint8(3), uint8(1), []byte("a b c d e f g h i\nz\na b\nq r s"))
 	f.Add(uint8(2), uint8(3), []byte("aa bb\naa bb\naa bb\ncc"))
 	f.Add(uint8(1), uint8(1), []byte("\n\n\n"))
+	f.Add(uint8(12), uint8(9), []byte("a b c|d e\na b|c d e f\nb c|d\na c|e f g\nb d e|f"))
+	f.Add(uint8(21), uint8(30), []byte("a b c d|e f\nc d e|f g\na b|c\nb c d e|f\nd e f|a b\na|b c"))
 	f.Fuzz(func(t *testing.T, kRaw, qRaw uint8, data []byte) {
 		k := int(kRaw%8) + 1
+		shards := int(kRaw/8%3) + 1
 		q := int(qRaw%4) + 1
 		rows := decodeFuzzRows(data)
 		if len(rows) < 2 {
 			return
 		}
 		half := len(rows) / 2
-		cor, res, err := buildCorpus([]string{"v"}, rows[:half], rows[half:])
+		cor, res, err := buildCorpus([]string{"v", "w"}, rows[:half], rows[half:])
 		if err != nil {
 			return // no config to join: the generator rejected the tables
 		}
-		mask := res.Root.Mask
-		want := BruteForce(cor, mask, nil, k, simfunc.Jaccard)
-		useHashedStore(t, false)
-		dense := JoinOne(cor, mask, nil, Options{K: k, Q: q})
-		useHashedStore(t, true)
-		hashed := JoinOne(cor, mask, nil, Options{K: k, Q: q})
-		requireIdentical(t, fmt.Sprintf("dense vs brute k=%d q=%d", k, q), dense, want)
-		requireIdentical(t, fmt.Sprintf("hashed vs dense k=%d q=%d", k, q), hashed, dense)
+		c := fuzzPairSet(qRaw/4, half, len(rows)-half)
+		for _, mask := range res.Configs() {
+			want := BruteForce(cor, mask, c, k, simfunc.Jaccard)
+			for _, hashed := range []bool{false, true} {
+				useHashedStore(t, hashed)
+				got := runJoin(cor, mask, runOpts{k: k, q: q, m: simfunc.Jaccard, c: c, probeShards: shards})
+				requireIdentical(t, fmt.Sprintf("mask=%b hashed=%v k=%d q=%d shards=%d", mask, hashed, k, q, shards), got, want)
+			}
+		}
 	})
 }
 
-// decodeFuzzRows turns raw fuzz bytes into single-attribute rows:
-// newline-separated token phrases over a compressed alphabet (tokens
-// collide constantly, which is where the filters and tie-breaks live).
+// decodeFuzzRows turns raw fuzz bytes into two-attribute rows:
+// newline-separated lines, each split at its first '|' into the two
+// values, over a compressed alphabet (tokens collide constantly, which
+// is where the filters and tie-breaks live).
 func decodeFuzzRows(data []byte) [][]string {
 	var rows [][]string
 	var cur []byte
+	split := -1
 	flush := func() {
 		if len(rows) < 16 {
-			rows = append(rows, []string{string(cur)})
+			v, w := string(cur), ""
+			if split >= 0 {
+				v, w = string(cur[:split]), string(cur[split:])
+			}
+			rows = append(rows, []string{v, w})
 		}
-		cur = cur[:0]
+		cur, split = cur[:0], -1
 	}
 	for _, b := range data {
 		switch {
 		case b == '\n':
 			flush()
-		case b == ' ':
+		case b == '|' && split < 0:
+			split = len(cur)
+		case b == ' ' || b == '|':
 			cur = append(cur, ' ')
 		default:
 			cur = append(cur, 'a'+b%7)
@@ -645,6 +662,97 @@ func decodeFuzzRows(data []byte) [][]string {
 	}
 	flush()
 	return rows
+}
+
+// fuzzPairSet picks a blocker output C over an nA×nB pair space from a
+// fuzz byte: nil for 0, else every pair on a sel-dependent residue
+// class, from half the pairs to a fifth of them.
+func fuzzPairSet(sel uint8, nA, nB int) *blocker.PairSet {
+	if sel == 0 {
+		return nil
+	}
+	c := blocker.NewPairSet()
+	mod := int(sel%4) + 2
+	for a := 0; a < nA; a++ {
+		for b := 0; b < nB; b++ {
+			if (3*a+5*b+int(sel/4))%mod == 0 {
+				c.Add(a, b)
+			}
+		}
+	}
+	return c
+}
+
+// TestFlushBoundSound white-boxes the exactness flush's bound: after the
+// probe loop, every pair still deferred must satisfy
+//
+//	overlap <= flushBound <= min(st + (lx-posA) + (ly-posB), lx, ly)
+//
+// — sound against the exact overlap, and never looser than the
+// two-suffix bound it replaced — across corpora, q, shard geometries and
+// both stores. The grid must also reach pairs where the lagging-side
+// bound is strictly tighter, or it would prove nothing about the change.
+func TestFlushBoundSound(t *testing.T) {
+	// Every shard of the unsharded view and of 2 and 3 shards on either
+	// side: positions are shard-local, so each geometry is its own case.
+	views := []shardView{{}}
+	for shards := 2; shards <= 3; shards++ {
+		for side := int8(0); side < 2; side++ {
+			for shard := 0; shard < shards; shard++ {
+				views = append(views, shardView{side: side, shard: shard, shards: shards})
+			}
+		}
+	}
+	checked, tighter := 0, 0
+	for seed := int64(0); seed < 3; seed++ {
+		rng := rand.New(rand.NewSource(950 + seed))
+		cor, res, c := randomCorpus(t, rng, 30, 26)
+		for _, mask := range res.Configs() {
+			ids := &denseInstances{}
+			ids.tokenize(cor, mask, 1)
+			for q := 1; q <= 4; q++ {
+				for _, view := range views {
+					for _, hashed := range []bool{false, true} {
+						useHashedStore(t, hashed)
+						p := &flatProbe{}
+						p.wire(cor, mask, runOpts{k: 6, q: q, m: simfunc.Jaccard, c: c},
+							view, ids, &runStats{}, newTopkHeap(6), nil, nil, nil)
+						p.seed()
+						p.probe()
+						var keys []int64
+						for _, idx := range p.touched {
+							keys = append(keys, int64(idx))
+						}
+						keys = append(keys, p.touchedKeys...)
+						for _, idx := range keys {
+							v := *p.cell(idx)
+							st := int32(pairState(v))
+							if pairEpoch(v) != p.epoch || st <= 0 {
+								continue
+							}
+							a, b := p.pairOf(idx)
+							lx, ly := len(p.idsA[a]), len(p.idsB[b])
+							old := min(int(st)+lx-int(p.posA[a])+ly-int(p.posB[b]), lx, ly)
+							bound := p.flushBound(a, b, st)
+							exact := overlapUnder(&cor.recsA[a], &cor.recsB[b], mask)
+							if exact > bound || bound > old {
+								t.Fatalf("seed=%d mask=%b q=%d view=%+v hashed=%v pair (%d,%d) st=%d: overlap %d, bound %d, two-suffix bound %d",
+									seed, mask, q, view, hashed, a, b, st, exact, bound, old)
+							}
+							checked++
+							if bound < old {
+								tighter++
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if checked == 0 || tighter == 0 {
+		t.Fatalf("grid checked %d deferred pairs, %d with a tighter bound: it proves nothing", checked, tighter)
+	}
+	t.Logf("%d deferred pairs checked, %d with a strictly tighter bound", checked, tighter)
 }
 
 // sink guards against dead-code elimination in benchmarks below.

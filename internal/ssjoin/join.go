@@ -72,9 +72,12 @@ type shardView struct {
 // the new token instance against the opposite side's current prefixes via
 // an inverted index; pairs are scored exactly once they accumulate q
 // common instances; at termination every pending pair whose optimistic
-// bound beats the k-th score is scored (the flush that keeps q-deferral
-// exact). Pairs present in the blocker output C are tracked but never
-// emitted (Definition 2.2 searches D = A×B − C).
+// bound (counted instances plus the lagging record's unpopped suffix,
+// see flatProbe.flushBound) reaches the k-th score is scored, in touch
+// order — the flush that keeps q-deferral exact. Pairs present in the
+// blocker output C are tracked but never emitted (Definition 2.2
+// searches D = A×B − C); the strict pair filters run before that check,
+// so a C pair they kill is counted as a kill, not a suppression.
 //
 // All pruning is strict (a bound must fall below the k-th retained score
 // before anything is skipped), so the returned list is the exact top-k of

@@ -25,7 +25,6 @@ package ssjoin
 // dynamically over the whole probe (index build excluded).
 
 import (
-	"slices"
 	"strconv"
 
 	"matchcatcher/internal/config"
@@ -101,8 +100,7 @@ func (p *flatProbe) wire(cor *Corpus, mask config.Mask, opt runOpts,
 }
 
 // pairIdx is pair (a, b)'s shard-local pair index: the owned
-// sharded-side record's row base plus the other record's id. Row-major,
-// so ascending indices visit (owned record asc, other record asc).
+// sharded-side record's row base plus the other record's id.
 //
 //mc:hotpath
 func (p *flatProbe) pairIdx(a, b int32) int64 {
@@ -209,8 +207,11 @@ func (p *flatProbe) push(side int8, rec int32) {
 }
 
 // touch advances pair (a, b) by one common instance, met at prefix
-// positions (pa, pb) of the respective records. First touch runs the
-// blocker-suppression check and the two strict pair filters; q common
+// positions (pa, pb) of the respective records. First touch runs the two
+// strict pair filters, then the blocker-suppression check — cheapest
+// test first: the filters are a few integer compares, the C check a map
+// lookup, and a pair either one removes stays out of the top-k, so the
+// order moves only which counter a filtered C pair lands in. q common
 // instances trigger the exact score.
 //
 // Filter soundness (why killing here cannot change the output): both
@@ -240,11 +241,6 @@ func (p *flatProbe) touch(a, b, pa, pb int32) {
 	st := int32(pairState(v))
 	if pairEpoch(v) != p.epoch {
 		st = 0
-		if p.c.Contains(int(a), int(b)) {
-			*cell = pairPack(p.epoch, pairSuppressed)
-			p.rs.n[cSuppressedPairs]++
-			return
-		}
 		if p.top.full() {
 			lx, ly := len(p.idsA[a]), len(p.idsB[b])
 			kth := p.top.kthScore()
@@ -267,6 +263,11 @@ func (p *flatProbe) touch(a, b, pa, pb int32) {
 					return
 				}
 			}
+		}
+		if p.c.Contains(int(a), int(b)) {
+			*cell = pairPack(p.epoch, pairSuppressed)
+			p.rs.n[cSuppressedPairs]++
+			return
 		}
 	} else if st < 0 {
 		return
@@ -397,20 +398,41 @@ func (p *flatProbe) probe() bool {
 	return false
 }
 
-// flushPair bound-checks one deferred pair (st common instances seen,
-// exact score still unknown) and scores it if the optimistic bound ties
-// or beats the k-th score. Every uncounted common instance lies beyond
-// at least one final prefix, so overlap <= count + (lx-px) + (ly-py).
+// flushBound caps the common instances of deferred pair (a, b), st of
+// them counted. An instance is counted once both records have popped it,
+// and both list their ids in one ascending order, so every uncounted
+// common instance has an id >= min(nextA, nextB) — the two records' next
+// unpopped ids — and therefore lies in the unpopped suffix of the side
+// whose next id is smaller (the lagging side; either on a tie, the other
+// side once one is exhausted). Positions are shard-local, which is all
+// the argument needs: both records' pops happen in this shard.
 //
 //mc:hotpath
-func (p *flatProbe) flushPair(a, b, st int32) {
+func (p *flatProbe) flushBound(a, b, st int32) int {
+	pa, pb := p.posA[a], p.posB[b]
+	lx, ly := len(p.idsA[a]), len(p.idsB[b])
+	rest := lx - int(pa)
+	if rb := ly - int(pb); rest == 0 || (rb > 0 && p.idsB[b][pb] < p.idsA[a][pa]) {
+		rest = rb
+	}
+	return min(int(st)+rest, lx, ly)
+}
+
+// flushIdx is the exactness flush for pair idx: if it is still deferred
+// (fewer than q common instances seen, exact score unknown), score it
+// unless its flushBound falls strictly below the k-th score.
+//
+//mc:hotpath
+func (p *flatProbe) flushIdx(idx int64) {
+	v := *p.cell(idx)
+	st := int32(pairState(v))
+	if pairEpoch(v) != p.epoch || st <= 0 {
+		return
+	}
+	a, b := p.pairOf(idx)
 	p.rs.n[cDeferredPairs]++
 	lx, ly := len(p.idsA[a]), len(p.idsB[b])
-	oMax := int(st) + (lx - int(p.posA[a])) + (ly - int(p.posB[b]))
-	if m := min(lx, ly); oMax > m {
-		oMax = m
-	}
-	if p.top.full() && p.m.FromOverlap(oMax, lx, ly) < p.top.kthScore() {
+	if p.top.full() && p.m.FromOverlap(p.flushBound(a, b, st), lx, ly) < p.top.kthScore() {
 		p.rs.n[cKillsFlushBound]++
 		return
 	}
@@ -418,56 +440,24 @@ func (p *flatProbe) flushPair(a, b, st int32) {
 	p.top.offer(ScoredPair{A: a, B: b, Score: p.score(a, b)})
 }
 
-// flushIdx flushes pair idx if it is still deferred.
-//
-//mc:hotpath
-func (p *flatProbe) flushIdx(idx int64) {
-	v := *p.cell(idx)
-	if st := int32(pairState(v)); pairEpoch(v) == p.epoch && st > 0 {
-		a, b := p.pairOf(idx)
-		p.flushPair(a, b, st)
-	}
-}
-
-// finish is the exactness flush: pending pairs (seen < q common
-// instances) may still belong in the top-k. The deterministic visit
-// order is ascending pair index — (owned sharded-side record asc, other
-// record asc) — whichever store holds the states (the k-th score rises
-// as flushed pairs are admitted, so the visit order shapes the counters;
-// the list itself is order-independent by the total-order retention).
-// Each pair is visited once, so its state needs no update. Sorting the
-// touched list reproduces that order without scanning the pair space;
-// the hashed store always takes it, and a dense probe takes it unless
-// it touched so much of its table that the straight scan, which needs
-// no sort because the scan IS the order, is cheaper.
+// finish is the exactness flush over every pair that ever reached a
+// positive count, in touch order (first-positive-count order). Both
+// stores record a pair at the same point of touch, so they visit the
+// same sequence and produce the same counter stream; the k-th score
+// rises as flushed pairs are admitted, so the order shapes the counters
+// only — the list is order-independent by the total-order retention.
+// Each pair is visited once, so its state needs no update.
 //
 //mc:hotpath
 func (p *flatProbe) finish() {
-	if p.otherLen == 0 {
-		return
-	}
 	if p.hashed {
-		slices.Sort(p.touchedKeys)
 		for _, idx := range p.touchedKeys {
 			p.flushIdx(idx)
 		}
 		return
 	}
-	n := int64(len(p.pairs))
-	// Crossover: the dense scan is sequential byte loads (memory
-	// bandwidth), the sparse path pays a sort plus scattered loads —
-	// roughly two orders of magnitude more per entry visited.
-	if int64(len(p.touched))*64 < n {
-		slices.Sort(p.touched)
-		for _, idx := range p.touched {
-			p.flushIdx(int64(idx))
-		}
-		return
-	}
-	for idx := int64(0); idx < n; idx++ {
-		if v := p.pairs[idx]; pairEpoch(v) == p.epoch && pairState(v) > 0 {
-			p.flushIdx(idx)
-		}
+	for _, idx := range p.touched {
+		p.flushIdx(int64(idx))
 	}
 }
 

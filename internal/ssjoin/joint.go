@@ -107,7 +107,7 @@ type Stats struct {
 	PruneKills      int64 // extensions pruned by the score-cap bound (push cap + loop break)
 	DeferredPairs   int64 // pairs still below q common instances at flush time
 	FlushedPairs    int64 // deferred pairs the exactness flush had to score
-	SuppressedPairs int64 // pairs skipped because they are in C
+	SuppressedPairs int64 // C pairs skipped at first touch (a C pair a strict filter kills counts as a kill)
 	ProbeShards     int64 // probe shards executed across configs (0 = serial probes)
 	ShardMergePairs int64 // shard-heap pairs offered to the top-k merges
 	// Prune-tier split of PruneKills: push-cap kills at event push,

@@ -31,7 +31,7 @@ const (
 	cScratchScores   counter = iota - 1 // exact pair scores (one token-list merge each)
 	cDeferredPairs                      // pairs still pending (< q common instances) at flush
 	cFlushedPairs                       // deferred pairs whose bound forced an exact score
-	cSuppressedPairs                    // pairs skipped because they are in C
+	cSuppressedPairs                    // C pairs that survive the strict pair filters at first touch
 	cProbeShards                        // probe shards executed (0 on the serial path)
 	cShardMergePairs                    // shard-heap pairs offered to the top-k merge
 	cProgressSamples                    // progress flushes taken at the stride checkpoint
