@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check mclint lint-hotalloc lint vuln fuzz-smoke perf-baseline perf-check parallel-bench serve-smoke shard-skew-bench
+.PHONY: all build test race vet fmt-check mclint lint-hotalloc lint vuln fuzz-smoke perf-baseline perf-check serve-smoke
 
 all: build test
 
@@ -74,6 +74,7 @@ fuzz-smoke:
 	$(GO) test ./internal/ssjoin -run '^$$' -fuzz FuzzMergeTopK -fuzztime 10s
 	$(GO) test ./internal/ssjoin -run '^$$' -fuzz FuzzPrefixFilter -fuzztime 10s
 	$(GO) test ./internal/ssjoin -run '^$$' -fuzz FuzzNewCorpus -fuzztime 10s
+	$(GO) test ./internal/table -run '^$$' -fuzz FuzzTableCSV -fuzztime 10s
 	$(GO) test ./internal/config -run '^$$' -fuzz FuzzColumnHelpers -fuzztime 10s
 
 # Performance regression observability (DESIGN.md "Performance
@@ -94,7 +95,7 @@ perf-baseline:
 	$(GO) run ./cmd/mcbench -exp perf-gate -scale $(PERF_SCALE) -seed $(PERF_SEED) \
 		-count $(PERF_COUNT) -ledger $(PERF_LEDGER)
 	$(GO) run ./cmd/mcperf report -ledger $(PERF_LEDGER) -format json \
-		-desc "pinned perf-gate workload: M2 joins (HASH1/HASH2/SIM1, k=1000) + M2/HASH1 debug session + M2/HASH1 intra-join parallelism arm (probe workers 1 and 4) at scale $(PERF_SCALE), seed $(PERF_SEED)" \
+		-desc "pinned perf-gate workload: M2 joins (HASH1/HASH2/SIM1, k=1000) + M2/HASH1 debug session at scale $(PERF_SCALE), seed $(PERF_SEED)" \
 		-out BENCH_perf_gate.json
 
 perf-check:
@@ -133,7 +134,7 @@ serve_DESC  := serve request envelope with the flight recorder on vs off: full H
 # progress: JoinAll with and without a Progress tracker attached.
 progress_PKG   := ./internal/ssjoin
 progress_BENCH := JoinProgress
-progress_DESC  := JoinAll with a Progress tracker attached vs not: 900x900 synthetic corpus, city blocker, k=500, probe workers 2
+progress_DESC  := JoinAll with a Progress tracker attached vs not: 900x900 synthetic corpus, city blocker, k=500
 # join: the M2 JoinOne with a live registry vs telemetry.Disabled()
 # (Telemetry pair) and with a trace tree vs without (Trace pair).
 join_PKG   := .
@@ -154,27 +155,3 @@ join_DESC  := M2 JoinOne (Music2 at 1/10 scale, HASH1 artist_name, root config, 
 %-overhead-check: %-overhead-bench
 	$(GO) run ./cmd/mcperf check -baseline BENCH_$*_overhead.json \
 		-ledger $*-overhead-ledger.jsonl
-
-# Per-shard work distribution on the long-tail SKEW profile
-# (cmd/mcbench -exp shard-skew): joins at 1/2/4/8 probe shards with the
-# progress tracker attached, recording each shard's popped prefix
-# events and the imbalance ratio to the ledger.
-SKEW_LEDGER ?= shardskew-ledger.jsonl
-
-shard-skew-bench:
-	rm -f $(SKEW_LEDGER)
-	$(GO) run ./cmd/mcbench -exp shard-skew -seed $(PERF_SEED) \
-		-count 3 -ledger $(SKEW_LEDGER)
-
-# Intra-join parallelism speedup curve (BENCH_parallel_join.json): the
-# M2 join sweep at probe worker counts 1/2/4/8, each multi-worker run
-# bit-compared against the 1-worker reference while it is timed. Run on
-# quiet multi-core hardware to refresh the committed numbers; on a
-# single-core host the curve measures sharding's total-work expansion,
-# not wall-clock speedup (see the note in BENCH_parallel_join.json).
-PARALLEL_LEDGER ?= parallel-ledger.jsonl
-
-parallel-bench:
-	rm -f $(PARALLEL_LEDGER)
-	$(GO) run ./cmd/mcbench -exp parallel-join -scale $(PERF_SCALE) -seed $(PERF_SEED) \
-		-count 3 -ledger $(PARALLEL_LEDGER)

@@ -40,23 +40,11 @@ func metricsOf(rows interface{}) map[string]float64 {
 		for _, r := range rs {
 			table3Metrics(m, "table3", r)
 		}
-	case []experiments.ParallelJoinPoint:
-		parallelJoinMetrics(m, "paralleljoin", rs)
-	case []experiments.ShardSkewPoint:
-		// The imbalance ratio is a distribution property, not a speed:
-		// no perfstat direction suffix, so mcperf tracks it without
-		// calling drift a regression.
-		for _, p := range rs {
-			key := fmt.Sprintf("shardskew/%s/%s/k%d/sh%d", p.Dataset, p.Blocker, p.K, p.Shards)
-			m[key+":join_seconds"] = p.Seconds
-			m[key+":shard_imbalance"] = p.Imbalance
-		}
 	case experiments.PerfGateResult:
 		for _, p := range rs.Fig9 {
 			m[fmt.Sprintf("perfgate/%s/%s/k%d:join_seconds", p.Dataset, p.Blocker, p.K)] = p.Seconds
 		}
 		table3Metrics(m, "perfgate", rs.Recall)
-		parallelJoinMetrics(m, "perfgate", rs.Parallel)
 	}
 	return m
 }
@@ -69,17 +57,6 @@ func table3Metrics(m map[string]float64, prefix string, r experiments.Table3Row)
 	m[key+":recall_f"] = float64(r.F)
 	m[key+":recall_me"] = float64(r.ME)
 	m[key+":iterations"] = float64(r.I)
-}
-
-// parallelJoinMetrics records the intra-join parallelism sweep under the
-// given workload prefix. The key carries the probe worker count, so
-// mcperf tracks each point of the speedup curve as its own series (the
-// "_seconds" suffix makes lower better, per perfstat.DirectionFor).
-func parallelJoinMetrics(m map[string]float64, prefix string, points []experiments.ParallelJoinPoint) {
-	for _, p := range points {
-		m[fmt.Sprintf("%s/%s/%s/k%d/pw%d:join_parallel_seconds",
-			prefix, p.Dataset, p.Blocker, p.K, p.Workers)] = p.Seconds
-	}
 }
 
 // medianTable summarizes the repetitions' pooled samples, the -count N

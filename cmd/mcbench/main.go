@@ -6,13 +6,8 @@
 //
 // Experiments: table1, table3, table4, hashdebug, learned, fig9,
 // ablate-config, ablate-long, ablate-joint, ablate-verifier, sensitivity,
-// parallel-join, shard-skew, perf-gate, all. -datasets filters table3 to
-// a comma-separated dataset list.
-//
-// -probe-workers sets the goroutine budget inside each single-config join
-// (intra-join probe sharding); results are bit-identical at every value,
-// so the flag affects only wall time. parallel-join sweeps that budget
-// over 1/2/4/8 and prints the speedup curve (BENCH_parallel_join.json).
+// perf-gate, all. -datasets filters table3 to a comma-separated dataset
+// list.
 //
 // Regression observability: -ledger appends one runlog record per run
 // (metrics + env fingerprint + telemetry snapshot) to a JSONL ledger,
@@ -51,18 +46,17 @@ import (
 
 // cliOptions are mcbench's parsed flags.
 type cliOptions struct {
-	Exp          string
-	Scale        float64
-	K            int
-	ProbeWorkers int
-	Seed         int64
-	Count        int
-	Datasets     string
-	JSON         bool
-	Ledger       string
-	MetricsAddr  string
-	ProfileDir   string
-	TraceOut     string
+	Exp         string
+	Scale       float64
+	K           int
+	Seed        int64
+	Count       int
+	Datasets    string
+	JSON        bool
+	Ledger      string
+	MetricsAddr string
+	ProfileDir  string
+	TraceOut    string
 }
 
 // parseFlags parses argv (without the program name) into options.
@@ -72,7 +66,6 @@ func parseFlags(args []string) (cliOptions, error) {
 	fs.StringVar(&o.Exp, "exp", "table3", "experiment to run")
 	fs.Float64Var(&o.Scale, "scale", 1, "dataset scale factor")
 	fs.IntVar(&o.K, "k", 1000, "top-k per config")
-	fs.IntVar(&o.ProbeWorkers, "probe-workers", 1, "goroutines inside each single-config join (bit-identical results at any value)")
 	fs.Int64Var(&o.Seed, "seed", 1, "random seed")
 	fs.IntVar(&o.Count, "count", 1, "repetitions over fresh environments (variance mode; N samples per metric)")
 	fs.StringVar(&o.Datasets, "datasets", "", "comma-separated dataset filter (table3, fig9)")
@@ -205,7 +198,7 @@ func main() {
 	}
 
 	env := experiments.NewEnv(opts.Scale)
-	opt := experiments.DebugOptions{K: opts.K, Seed: opts.Seed, ProbeWorkers: opts.ProbeWorkers}
+	opt := experiments.DebugOptions{K: opts.K, Seed: opts.Seed}
 
 	var tracer *telemetry.Tracer
 	if opts.TraceOut != "" {
@@ -293,38 +286,6 @@ func (c *bench) run(env *experiments.Env, exp, datasets string, opt experiments.
 			}
 		}
 		return nil
-
-	case "parallel-join":
-		// The intra-join parallelism speedup curve: the M2 join sweep at
-		// k=1000 over probe worker counts 1/2/4/8, with each multi-worker
-		// run bit-compared against the 1-worker reference as it is timed.
-		// BENCH_parallel_join.json records a run of this experiment.
-		specs := experiments.SpecsFor("M2")[:3] // HASH1, HASH2, SIM1
-		points, err := env.RunParallelJoin("M2", specs, c.opts.K, []int{1, 2, 4, 8})
-		if err != nil {
-			return err
-		}
-		for _, p := range points {
-			c.progress("join %s/%s k=%d pw=%d %.2fs (%.2fx)\n",
-				p.Dataset, p.Blocker, p.K, p.Workers, p.Seconds, p.SpeedupX)
-		}
-		return c.emit(points, experiments.FormatParallelJoin(points))
-
-	case "shard-skew":
-		// Per-shard probe-work distribution on the long-tail SKEW profile:
-		// one join per shard count with the progress tracker attached,
-		// reading back its per-shard pop counts and skew summary. Results
-		// are bit-compared across shard counts as they are timed — only
-		// the work split moves, never the output.
-		points, err := env.RunShardSkew(experiments.ShardSkewSpec(), c.opts.K, []int{1, 2, 4, 8})
-		if err != nil {
-			return err
-		}
-		for _, p := range points {
-			c.progress("join %s/%s k=%d shards=%d %.2fs imb %.2f work %v\n",
-				p.Dataset, p.Blocker, p.K, p.Shards, p.Seconds, p.Imbalance, p.ShardWork)
-		}
-		return c.emit(points, experiments.FormatShardSkew(points))
 
 	case "perf-gate":
 		// The pinned CI regression workload: three M2 joins plus one

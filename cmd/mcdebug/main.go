@@ -69,7 +69,6 @@ type cliOpts struct {
 	explainGold            bool
 	n, k                   int
 	workers                int
-	probeWorkers           int
 	progress               bool
 	seed                   int64
 	drops, keeps, equals   []string
@@ -92,8 +91,7 @@ func mainE() int {
 	flag.IntVar(&o.n, "n", 20, "pairs per iteration")
 	flag.IntVar(&o.k, "k", 1000, "top-k per config")
 	flag.IntVar(&o.workers, "workers", 0, "concurrent config joins (0 = GOMAXPROCS); results are bit-identical at any value")
-	flag.IntVar(&o.probeWorkers, "probe-workers", 1, "goroutines inside each single-config join; results are bit-identical at any value")
-	flag.BoolVar(&o.progress, "progress", false, "draw a live join progress meter on stderr (fraction, prune tiers, shard skew, ETA)")
+	flag.BoolVar(&o.progress, "progress", false, "draw a live join progress meter on stderr (fraction, prune tiers, ETA)")
 	flag.Int64Var(&o.seed, "seed", 1, "random seed")
 	flag.StringVar(&o.reportPath, "report", "", "write a JSON session report to this path")
 	flag.BoolVar(&o.canonical, "canonical", false, "omit the telemetry snapshot from -report so same-seed runs write byte-identical reports")
@@ -227,7 +225,6 @@ func run(o cliOpts) error {
 	opt := core.Options{Trace: tracer, Logger: o.log, Provenance: prov}
 	opt.Join.K = o.k
 	opt.Join.Workers = o.workers
-	opt.Join.ProbeWorkers = o.probeWorkers
 	opt.Verifier.N = o.n
 	opt.Verifier.Seed = o.seed
 	// The meter stops as soon as core.New returns: the join is the only

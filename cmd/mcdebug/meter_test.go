@@ -7,7 +7,7 @@ import (
 )
 
 // TestMeterLineGolden pins the -progress meter's text byte for byte:
-// running with an ETA, sharded, finished, cancelled, and before any ETA.
+// running with an ETA, finished, cancelled, and before any ETA.
 func TestMeterLineGolden(t *testing.T) {
 	base := ssjoin.ProgressSnapshot{
 		ConfigsDone: 3, ConfigsTotal: 10,
@@ -16,9 +16,7 @@ func TestMeterLineGolden(t *testing.T) {
 		PruneKillLengthFilter: 10_000, PruneKillPrefixPos: 3_000_000_000,
 		Fraction: 0.4231, ETASeconds: 75,
 	}
-	sharded := base
-	sharded.Skew = ssjoin.ShardSkew{Shards: 4, ImbalanceRatio: 1.25}
-	done := sharded
+	done := base
 	done.Done, done.Fraction, done.ElapsedSeconds = true, 1, 0.85
 	cancelled := base
 	cancelled.Done, cancelled.Cancelled = true, true
@@ -28,8 +26,7 @@ func TestMeterLineGolden(t *testing.T) {
 		want string
 	}{
 		{base, "join  42.3% | configs 3/10 | probes 13k/2.5M | pruned 3.0G (push 1.2M loop 42 flush 9999 len 10k pos 3.0G) | eta 1m15s"},
-		{sharded, "join  42.3% | configs 3/10 | probes 13k/2.5M | pruned 3.0G (push 1.2M loop 42 flush 9999 len 10k pos 3.0G) | shards 4 imb 1.25 | eta 1m15s"},
-		{done, "join 100.0% | configs 3/10 | probes 13k/2.5M | pruned 3.0G (push 1.2M loop 42 flush 9999 len 10k pos 3.0G) | shards 4 imb 1.25 | done in 850ms"},
+		{done, "join 100.0% | configs 3/10 | probes 13k/2.5M | pruned 3.0G (push 1.2M loop 42 flush 9999 len 10k pos 3.0G) | done in 850ms"},
 		{cancelled, "join  42.3% | configs 3/10 | probes 13k/2.5M | pruned 3.0G (push 1.2M loop 42 flush 9999 len 10k pos 3.0G) | cancelled"},
 		{early, "join   0.0% | configs 0/21 | probes 0/0 | pruned 0 (push 0 loop 0 flush 0 len 0 pos 0)"},
 	} {

@@ -56,9 +56,6 @@ func meterLine(s ssjoin.ProgressSnapshot) string {
 		s.Fraction*100, s.ConfigsDone, s.ConfigsTotal,
 		countShort(s.ProbesDone+s.ProbesSkipped), countShort(s.ProbesTotal),
 		countShort(total), tiers.String())
-	if s.Skew.Shards > 1 {
-		line += fmt.Sprintf(" | shards %d imb %.2f", s.Skew.Shards, s.Skew.ImbalanceRatio)
-	}
 	switch {
 	case s.Done && s.Cancelled:
 		line += " | cancelled"

@@ -254,10 +254,6 @@ type joinProgress struct {
 		ETASeconds     float64 `json:"eta_seconds"`
 		Done           bool    `json:"done"`
 		Cancelled      bool    `json:"cancelled"`
-		Skew           struct {
-			Shards         int     `json:"shards"`
-			ImbalanceRatio float64 `json:"imbalance_ratio"`
-		} `json:"skew"`
 	} `json:"join"`
 }
 
@@ -494,9 +490,6 @@ func (f *frame) render(w io.Writer, prev *frame) {
 				jp.Session, j.Fraction*100, j.ConfigsDone, j.ConfigsTotal,
 				float64(j.ProbesDone+j.ProbesSkipped), float64(j.ProbesTotal),
 				float64(j.PushCap+j.LoopBreak+j.FlushBound+j.LengthFilter+j.PrefixPos))
-			if j.Skew.Shards > 1 {
-				line += fmt.Sprintf("  shards %d imb %.2f", j.Skew.Shards, j.Skew.ImbalanceRatio)
-			}
 			if !j.Done && j.ETASeconds >= 0 {
 				line += fmt.Sprintf("  eta %s", fmtDur(j.ETASeconds))
 			}

@@ -163,8 +163,7 @@ func TestRunningJoinsPane(t *testing.T) {
 				"probes_done": 600, "probes_skipped": 150, "probes_total": 1500,
 				"prune_kill_push_cap": 40, "prune_kill_loop_break": 9, "prune_kill_flush_bound": 3,
 				"prune_kill_length_filter": 12, "prune_kill_prefix_pos": 7,
-				"fraction": 0.5, "eta_seconds": 1.5, "done": false, "cancelled": false,
-				"skew": {"shards": 4, "work_min": 100, "work_max": 250, "work_p50": 160, "imbalance_ratio": 1.67}
+				"fraction": 0.5, "eta_seconds": 1.5, "done": false, "cancelled": false
 			}
 		}`))
 	})
@@ -181,7 +180,7 @@ func TestRunningJoinsPane(t *testing.T) {
 	if len(joins) != 1 || joins[0].Session != "s000001" {
 		t.Fatalf("gatherJoins = %+v", joins)
 	}
-	if j := joins[0].Join; j.Fraction != 0.5 || j.Skew.Shards != 4 || j.PushCap != 40 {
+	if j := joins[0].Join; j.Fraction != 0.5 || j.PushCap != 40 {
 		t.Errorf("decoded join = %+v", j)
 	}
 
@@ -189,7 +188,7 @@ func TestRunningJoinsPane(t *testing.T) {
 	f := &frame{at: time.Now(), joins: joins}
 	f.render(&out, nil)
 	text := out.String()
-	for _, want := range []string{"running joins (1)", "s000001", "50.0%", "configs 3/7", "pruned 71", "shards 4 imb 1.67", "eta"} {
+	for _, want := range []string{"running joins (1)", "s000001", "50.0%", "configs 3/7", "pruned 71", "eta"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("pane lacks %q:\n%s", want, text)
 		}

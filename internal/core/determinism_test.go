@@ -27,11 +27,10 @@ func debugOnce(t *testing.T, seed int64) (pool []blocker.Pair, res ranker.RunRes
 	opt.Join.K = 200
 	// Full parallelism on purpose: every single-config join is exact
 	// under the total order (score desc, idA, idB), so neither the
-	// cross-config worker pool nor the intra-join probe shards can move
-	// a bit of output. Same-seed runs must be byte-identical at ANY
-	// worker counts; see DESIGN.md "Intra-join parallelism & determinism".
+	// cross-config worker pool nor the list-reuse handoff can move a bit
+	// of output. Same-seed runs must be byte-identical at ANY worker
+	// count; see DESIGN.md "Determinism".
 	opt.Join.Workers = 4
-	opt.Join.ProbeWorkers = 4
 	opt.Verifier.N = 10
 	opt.Verifier.Seed = seed
 	dbg, err := New(d.A, d.B, c, opt)

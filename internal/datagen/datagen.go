@@ -45,8 +45,8 @@ type FieldSpec struct {
 	BVariantProb float64 // FieldPool: probability B renders the variant form
 	// Long-tail knob (FieldPhrase): LongTailPct of entities get
 	// LongTailWords extra words, producing a few token-heavy "monster"
-	// records whose probe cost dwarfs the rest. Used by the shard-skew
-	// observability experiment; zero disables it.
+	// records whose token lists dwarf the rest (the Skewed profile);
+	// zero disables it.
 	LongTailPct   float64
 	LongTailWords int
 	Lo, Hi        float64 // FieldInt / FieldFloat

@@ -194,22 +194,14 @@ func Papers() Profile {
 	}
 }
 
-// Skewed is not a Table-1 profile: it drives the shard-skew
-// observability experiment. A handful of entities carry monster titles
-// of ~3000 words vs the usual 3-7, so per-shard probe work under the
-// rec-modulo-shards split is dominated by where those few records
-// happen to land and the join's shard-skew telemetry has something
-// real to report. The shape is deliberate: the join shards the larger
-// side and replays the smaller side's prefix events in every shard, so
-// the tables are asymmetric (monsters concentrate on the sharded A
-// side), and the tail is sparse-but-huge rather than dense-but-mild —
-// many small monsters would average out across shards, while a few
-// huge ones leave some shards without any.
+// Skewed is not a Table-1 profile: a long-tail shape for the
+// session-preparation reference tests (config.Generate, ssjoin.NewCorpus).
+// A handful of entities carry monster titles of ~3000 words vs the usual
+// 3-7, on asymmetric tables (2000 × 400 rows), so the slab builds meet
+// records far larger than any Table-1 profile produces.
 func Skewed() Profile {
 	return Profile{
-		// Seed 151 is chosen so every monster lands on the (sharded) A
-		// side: a monster on the replayed B side would inflate every
-		// shard equally and mask the imbalance the profile exists to show.
+		// Seed 151 puts every monster on the A side.
 		Name: "SKEW", RowsA: 2000, RowsB: 400, Matches: 100,
 		VocabSize: 4000, Seed: 151, GoldKnown: true,
 		Fields: []FieldSpec{

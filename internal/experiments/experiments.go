@@ -39,16 +39,12 @@ func NewEnv(scale float64) *Env {
 	}
 }
 
-// profileByName returns the named Table-1 profile, or the synthetic
-// SKEW profile used by the shard-skew experiment.
+// profileByName returns the named Table-1 profile.
 func profileByName(name string) (datagen.Profile, error) {
 	for _, p := range datagen.AllProfiles() {
 		if p.Name == name {
 			return p, nil
 		}
-	}
-	if name == "SKEW" {
-		return datagen.Skewed(), nil
 	}
 	return datagen.Profile{}, fmt.Errorf("experiments: unknown dataset %q", name)
 }

@@ -8,9 +8,8 @@ import (
 
 // PerfGateResult is the output of the pinned CI perf-gate workload: a
 // small, deterministic slice of the paper's evaluation that exercises
-// the hot paths (joint top-k join over three M2 blockers, one full debug
-// session for recall, and one intra-join parallelism sweep) in well
-// under a minute at -scale 0.1.
+// the hot paths (joint top-k join over three M2 blockers and one full
+// debug session for recall) in well under a minute at -scale 0.1.
 //
 // The workload is intentionally frozen: `mcperf check` compares its
 // metrics against the committed BENCH_perf_gate.json baseline, so any
@@ -25,12 +24,6 @@ type PerfGateResult struct {
 	// accuracy arm of the gate (F, M_E, iterations are deterministic for
 	// a fixed seed, so any drop flags exactly).
 	Recall Table3Row
-	// Parallel is the intra-join parallelism arm: the M2/HASH1 k=1000
-	// join at 1 and 4 probe workers. The 1-worker point guards the serial
-	// path's latency against sharding overhead creeping in; the 4-worker
-	// point tracks the parallel path (advisory on single-core runners,
-	// where it measures scheduling overhead rather than speedup).
-	Parallel []ParallelJoinPoint
 }
 
 // RunPerfGate runs the pinned perf-gate workload: the Figure-9 M2 join
@@ -46,11 +39,7 @@ func (e *Env) RunPerfGate(opt DebugOptions) (PerfGateResult, error) {
 	if err != nil {
 		return PerfGateResult{}, err
 	}
-	parallel, err := e.RunParallelJoin("M2", specs[:1], 1000, []int{1, 4})
-	if err != nil {
-		return PerfGateResult{}, err
-	}
-	return PerfGateResult{Fig9: fig9, Recall: recall, Parallel: parallel}, nil
+	return PerfGateResult{Fig9: fig9, Recall: recall}, nil
 }
 
 // FormatPerfGate renders the gate workload as its two arms.
@@ -60,10 +49,6 @@ func FormatPerfGate(r PerfGateResult) string {
 		t.Add("latency", p.Dataset+"/"+p.Blocker+" k=1000 join", fmt.Sprintf("%.2fs", p.Seconds))
 	}
 	t.Add("latency", r.Recall.Dataset+"/"+r.Recall.Blocker+" topk", fmt.Sprintf("%.2fs", r.Recall.TopKTime.Seconds()))
-	for _, p := range r.Parallel {
-		t.Add("join_parallel", fmt.Sprintf("%s/%s k=%d pw=%d join", p.Dataset, p.Blocker, p.K, p.Workers),
-			fmt.Sprintf("%.2fs (%.2fx)", p.Seconds, p.SpeedupX))
-	}
 	t.Add("recall", r.Recall.Dataset+"/"+r.Recall.Blocker+" F", r.Recall.F)
 	t.Add("recall", r.Recall.Dataset+"/"+r.Recall.Blocker+" M_E", r.Recall.ME)
 	t.Add("recall", r.Recall.Dataset+"/"+r.Recall.Blocker+" iterations", r.Recall.I)

@@ -35,10 +35,6 @@ type DebugOptions struct {
 	N            int // pairs per verifier iteration (paper: 20)
 	Seed         int64
 	VerifierMode ranker.Mode
-	// ProbeWorkers bounds the goroutines inside each single-config join
-	// (ssjoin.Options.ProbeWorkers). Any value produces bit-identical
-	// results; it changes only wall time.
-	ProbeWorkers int
 	// Trace, when non-nil, collects every debug session's span tree
 	// (mcbench -trace-out); sessions from different rows land as sibling
 	// trees in one tracer.
@@ -48,7 +44,6 @@ type DebugOptions struct {
 func (o DebugOptions) core() core.Options {
 	opt := core.Options{}
 	opt.Join.K = o.K
-	opt.Join.ProbeWorkers = o.ProbeWorkers
 	opt.Verifier.N = o.N
 	opt.Verifier.Seed = o.Seed + 7
 	opt.Verifier.Mode = o.VerifierMode

@@ -43,8 +43,8 @@ var reservedMetricNamespaces = map[string]bool{
 // pathScopedMetricNamespaces are namespace segments tied to one
 // specific package by import path, not merely by package name:
 // mc_serve_* belongs to the HTTP service layer (internal/serve) and
-// mc_ssjoin_* (including the mc_ssjoin_progress_* / mc_ssjoin_shard_skew_*
-// join-observability series) to the joint executor (internal/ssjoin).
+// mc_ssjoin_* (including the mc_ssjoin_progress_* join-observability
+// series) to the joint executor (internal/ssjoin).
 // These series feed operational dashboards and alerts, so they must be
 // emitted from exactly one place. The ordinary mc_<pkg>_<name> rule
 // would admit any package that happens to share the name; the path

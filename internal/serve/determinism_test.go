@@ -39,7 +39,6 @@ func cliReport(t *testing.T) []byte {
 	opt := core.Options{Metrics: reg, Trace: tracer, Provenance: prov}
 	opt.Join.K = 100
 	opt.Join.Workers = 1
-	opt.Join.ProbeWorkers = 1
 	opt.Verifier.N = 3
 	opt.Verifier.Seed = 1
 	dbg, err := core.New(a, b, c, opt)
@@ -71,12 +70,11 @@ func cliReport(t *testing.T) []byte {
 // TestHTTPReportMatchesCLIReport is the transport-determinism contract:
 // a scripted HTTP session must produce a canonical report byte-identical
 // to a CLI session given the same tables, rules, seed, and join options.
-// Workers and ProbeWorkers are pinned to 1 on both sides because the
-// canonical report embeds JoinStats, whose work counters depend on the
-// list-reuse handoff at Workers > 1: whether a child config starts from
-// its parent's finished list, merges it mid-run or misses it is timing
-// (the ranked output never depends on it — see internal/ssjoin's
-// determinism suite).
+// Workers is pinned to 1 on both sides because the canonical report
+// embeds JoinStats, whose work counters depend on the list-reuse handoff
+// at Workers > 1: whether a child config starts from its parent's
+// finished list, merges it mid-run or misses it is timing (the ranked
+// output never depends on it — see internal/ssjoin's determinism suite).
 func TestHTTPReportMatchesCLIReport(t *testing.T) {
 	want := cliReport(t)
 	_, ts := newTestServer(t, Options{})

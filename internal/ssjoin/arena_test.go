@@ -75,27 +75,23 @@ func TestKernelSeamDifferential(t *testing.T) {
 // TestKernelSeamStatsIdentical extends the differential to the counter
 // stream: canonical reports embed the ssjoin.Stats counters, so the two
 // stores must agree on every count, not just on the lists. Checked end
-// to end through JoinAll across the Workers × ProbeWorkers grid
-// (sharded probes fold per-shard stats; the stores must agree shard by
-// shard for the folded totals to match).
+// to end through JoinAll at several Workers.
 func TestKernelSeamStatsIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	cor, _, c := randomCorpus(t, rng, 32, 28)
-	run := func(hashed bool, w, pw int) ([]TopKList, Stats) {
+	run := func(hashed bool, w int) ([]TopKList, Stats) {
 		useHashedStore(t, hashed)
-		res := JoinAll(cor, c, Options{K: 12, Q: 2, Workers: w, ProbeWorkers: pw})
+		res := JoinAll(cor, c, Options{K: 12, Q: 2, Workers: w})
 		return res.Lists, res.Stats
 	}
 	for _, w := range []int{1, 3} {
-		for _, pw := range []int{1, 4} {
-			label := fmt.Sprintf("workers=%d probeworkers=%d", w, pw)
-			denseLists, denseStats := run(false, w, pw)
-			hashedLists, hashedStats := run(true, w, pw)
-			requireIdenticalLists(t, label, hashedLists, denseLists)
-			if !reflect.DeepEqual(hashedStats, denseStats) {
-				t.Errorf("%s: counter streams diverge across the pair stores:\nhashed: %+v\ndense:  %+v",
-					label, hashedStats, denseStats)
-			}
+		label := fmt.Sprintf("workers=%d", w)
+		denseLists, denseStats := run(false, w)
+		hashedLists, hashedStats := run(true, w)
+		requireIdenticalLists(t, label, hashedLists, denseLists)
+		if !reflect.DeepEqual(hashedStats, denseStats) {
+			t.Errorf("%s: counter streams diverge across the pair stores:\nhashed: %+v\ndense:  %+v",
+				label, hashedStats, denseStats)
 		}
 	}
 }
@@ -429,29 +425,25 @@ func TestEpochWraparoundEndToEnd(t *testing.T) {
 }
 
 // TestAutoKernelSelection pins the pair-store policy: the dense table
-// only while the config's whole pair space fits denseStateLimit — for
-// every shard alike, even when one shard's slice would fit — and the
-// choice must be invisible in the output.
+// only while the config's whole pair space fits denseStateLimit — and
+// the choice must be invisible in the output.
 func TestAutoKernelSelection(t *testing.T) {
-	storeFor := func(nA, nB int, view shardView) bool {
+	storeFor := func(nA, nB int) bool {
 		ids := &denseInstances{a: make([][]int32, nA), b: make([][]int32, nB)}
 		p := &flatProbe{}
-		p.wire(&Corpus{}, 0, runOpts{q: 2}, view, ids, nil, nil, nil, nil, nil)
+		p.wire(&Corpus{}, 0, runOpts{q: 2}, ids, nil)
 		return p.hashed
 	}
-	if storeFor(100, 100, shardView{}) {
+	if storeFor(100, 100) {
 		t.Error("small corpus should use the dense store")
 	}
 	denseStateLimit = 64
 	t.Cleanup(func() { denseStateLimit = defaultDenseStateLimit })
-	if !storeFor(9, 9, shardView{}) { // 81 pairs > 64
+	if !storeFor(9, 9) { // 81 pairs > 64
 		t.Error("pair space beyond denseStateLimit must use the hashed store")
 	}
-	if storeFor(8, 8, shardView{}) {
+	if storeFor(8, 8) {
 		t.Error("pair space within denseStateLimit should use the dense store")
-	}
-	if !storeFor(9, 9, shardView{side: 0, shard: 1, shards: 4}) { // 2×9 pairs per shard
-		t.Error("the store must follow the config's pair space, not the shard's")
 	}
 
 	rng := rand.New(rand.NewSource(800))
@@ -483,19 +475,19 @@ func TestLargeQClamped(t *testing.T) {
 
 // TestPairKeyBeyondInt32 white-boxes the hashed store's 64-bit keying
 // on a pair space of 10G pairs (empty records, so nothing is built but
-// the geometry): a shard-local pair index past 2^32 must neither wrap
-// nor alias the key 2^32 below it, and pairOf must invert pairIdx.
+// the pair space): a pair index past 2^32 must neither wrap nor alias
+// the key 2^32 below it, and pairOf must invert pairIdx.
 func TestPairKeyBeyondInt32(t *testing.T) {
 	const n = 100000
 	ids := &denseInstances{a: make([][]int32, n), b: make([][]int32, n)}
 	p := &flatProbe{}
-	p.wire(&Corpus{}, 0, runOpts{q: 2}, shardView{side: 0, shard: 1, shards: 2}, ids, nil, nil, nil, nil, nil)
+	p.wire(&Corpus{}, 0, runOpts{q: 2}, ids, nil)
 	if !p.hashed {
 		t.Fatal("a 10G-pair space must use the hashed store")
 	}
-	a, b := int32(n-1), int32(n-2) // odd, so shard 1's local row (n-1)/2
+	a, b := int32(n-1), int32(n-2)
 	idx := p.pairIdx(a, b)
-	if want := int64((n-1)/2)*n + int64(n-2); idx != want || idx < 1<<32 {
+	if want := int64(n-1)*n + int64(n-2); idx != want || idx < 1<<32 {
 		t.Fatalf("pairIdx(%d,%d) = %d, want %d (> 2^32)", a, b, idx, want)
 	}
 	if ga, gb := p.pairOf(idx); ga != a || gb != b {
@@ -556,17 +548,16 @@ func TestFlatProbePathZeroAllocs(t *testing.T) {
 	cor, res, c := randomCorpus(t, rng, 40, 40)
 	mask := res.Root.Mask
 	ids := &denseInstances{}
-	ids.tokenize(cor, mask, 1)
+	ids.tokenize(cor, mask)
 
 	for _, hashed := range []bool{false, true} {
 		useHashedStore(t, hashed)
-		rs := &runStats{}
-		opt := runOpts{k: 10, q: 2, m: simfunc.Jaccard, c: c}
+		opt := runOpts{k: 10, q: 2, m: simfunc.Jaccard, c: c, stats: &runStats{}}
 		top := newTopkHeap(opt.k)
 		p := &flatProbe{}
 		runProbe := func() {
 			top.items = top.items[:0]
-			p.wire(cor, mask, opt, shardView{}, ids, rs, top, nil, nil, nil)
+			p.wire(cor, mask, opt, ids, top)
 			p.absorb(nil)
 			p.seed()
 			p.probe()
@@ -591,10 +582,9 @@ func TestFlatProbePathZeroAllocs(t *testing.T) {
 // flush bound drops a pair that belonged in the top-k — tie boundaries,
 // equal scores, degenerate records — or where the stores disagree shows
 // up as a list mismatch. The fuzz bytes also pick a C set (so filters
-// and suppression meet on the same pairs) and a probe-shard count (so
-// the shard-local positions the flush bound reads are exercised), and
-// every config of the two-attribute tables is joined, child masks
-// included. Registered in the Makefile fuzz-smoke target.
+// and suppression meet on the same pairs), and every config of the
+// two-attribute tables is joined, child masks included. Registered in
+// the Makefile fuzz-smoke target.
 func FuzzPrefixFilter(f *testing.F) {
 	f.Add(uint8(1), uint8(2), []byte("abc\ndef g\nhij"))
 	f.Add(uint8(3), uint8(1), []byte("a b c d e f g h i\nz\na b\nq r s"))
@@ -604,7 +594,6 @@ func FuzzPrefixFilter(f *testing.F) {
 	f.Add(uint8(21), uint8(30), []byte("a b c d|e f\nc d e|f g\na b|c\nb c d e|f\nd e f|a b\na|b c"))
 	f.Fuzz(func(t *testing.T, kRaw, qRaw uint8, data []byte) {
 		k := int(kRaw%8) + 1
-		shards := int(kRaw/8%3) + 1
 		q := int(qRaw%4) + 1
 		rows := decodeFuzzRows(data)
 		if len(rows) < 2 {
@@ -620,8 +609,8 @@ func FuzzPrefixFilter(f *testing.F) {
 			want := BruteForce(cor, mask, c, k, simfunc.Jaccard)
 			for _, hashed := range []bool{false, true} {
 				useHashedStore(t, hashed)
-				got := runJoin(cor, mask, runOpts{k: k, q: q, m: simfunc.Jaccard, c: c, probeShards: shards})
-				requireIdentical(t, fmt.Sprintf("mask=%b hashed=%v k=%d q=%d shards=%d", mask, hashed, k, q, shards), got, want)
+				got := runJoin(cor, mask, runOpts{k: k, q: q, m: simfunc.Jaccard, c: c})
+				requireIdentical(t, fmt.Sprintf("mask=%b hashed=%v k=%d q=%d", mask, hashed, k, q), got, want)
 			}
 		}
 	})
@@ -689,60 +678,48 @@ func fuzzPairSet(sel uint8, nA, nB int) *blocker.PairSet {
 //	overlap <= flushBound <= min(st + (lx-posA) + (ly-posB), lx, ly)
 //
 // — sound against the exact overlap, and never looser than the
-// two-suffix bound it replaced — across corpora, q, shard geometries and
-// both stores. The grid must also reach pairs where the lagging-side
-// bound is strictly tighter, or it would prove nothing about the change.
+// two-suffix bound it replaced — across corpora, configs, q and both
+// stores. The grid must also reach pairs where the lagging-side bound is
+// strictly tighter, or it would prove nothing about the change.
 func TestFlushBoundSound(t *testing.T) {
-	// Every shard of the unsharded view and of 2 and 3 shards on either
-	// side: positions are shard-local, so each geometry is its own case.
-	views := []shardView{{}}
-	for shards := 2; shards <= 3; shards++ {
-		for side := int8(0); side < 2; side++ {
-			for shard := 0; shard < shards; shard++ {
-				views = append(views, shardView{side: side, shard: shard, shards: shards})
-			}
-		}
-	}
 	checked, tighter := 0, 0
 	for seed := int64(0); seed < 3; seed++ {
 		rng := rand.New(rand.NewSource(950 + seed))
 		cor, res, c := randomCorpus(t, rng, 30, 26)
 		for _, mask := range res.Configs() {
 			ids := &denseInstances{}
-			ids.tokenize(cor, mask, 1)
+			ids.tokenize(cor, mask)
 			for q := 1; q <= 4; q++ {
-				for _, view := range views {
-					for _, hashed := range []bool{false, true} {
-						useHashedStore(t, hashed)
-						p := &flatProbe{}
-						p.wire(cor, mask, runOpts{k: 6, q: q, m: simfunc.Jaccard, c: c},
-							view, ids, &runStats{}, newTopkHeap(6), nil, nil, nil)
-						p.seed()
-						p.probe()
-						var keys []int64
-						for _, idx := range p.touched {
-							keys = append(keys, int64(idx))
+				for _, hashed := range []bool{false, true} {
+					useHashedStore(t, hashed)
+					p := &flatProbe{}
+					p.wire(cor, mask, runOpts{k: 6, q: q, m: simfunc.Jaccard, c: c, stats: &runStats{}},
+						ids, newTopkHeap(6))
+					p.seed()
+					p.probe()
+					var keys []int64
+					for _, idx := range p.touched {
+						keys = append(keys, int64(idx))
+					}
+					keys = append(keys, p.touchedKeys...)
+					for _, idx := range keys {
+						v := *p.cell(idx)
+						st := int32(pairState(v))
+						if pairEpoch(v) != p.epoch || st <= 0 {
+							continue
 						}
-						keys = append(keys, p.touchedKeys...)
-						for _, idx := range keys {
-							v := *p.cell(idx)
-							st := int32(pairState(v))
-							if pairEpoch(v) != p.epoch || st <= 0 {
-								continue
-							}
-							a, b := p.pairOf(idx)
-							lx, ly := len(p.idsA[a]), len(p.idsB[b])
-							old := min(int(st)+lx-int(p.posA[a])+ly-int(p.posB[b]), lx, ly)
-							bound := p.flushBound(a, b, st)
-							exact := overlapUnder(&cor.recsA[a], &cor.recsB[b], mask)
-							if exact > bound || bound > old {
-								t.Fatalf("seed=%d mask=%b q=%d view=%+v hashed=%v pair (%d,%d) st=%d: overlap %d, bound %d, two-suffix bound %d",
-									seed, mask, q, view, hashed, a, b, st, exact, bound, old)
-							}
-							checked++
-							if bound < old {
-								tighter++
-							}
+						a, b := p.pairOf(idx)
+						lx, ly := len(p.idsA[a]), len(p.idsB[b])
+						old := min(int(st)+lx-int(p.posA[a])+ly-int(p.posB[b]), lx, ly)
+						bound := p.flushBound(a, b, st)
+						exact := overlapUnder(&cor.recsA[a], &cor.recsB[b], mask)
+						if exact > bound || bound > old {
+							t.Fatalf("seed=%d mask=%b q=%d hashed=%v pair (%d,%d) st=%d: overlap %d, bound %d, two-suffix bound %d",
+								seed, mask, q, hashed, a, b, st, exact, bound, old)
+						}
+						checked++
+						if bound < old {
+							tighter++
 						}
 					}
 				}

@@ -7,18 +7,18 @@ import (
 )
 
 // decodeMergeInput turns raw fuzz bytes into a merge-test instance: a k, a
-// shard count, and a pair multiset. Scores are small rationals (i/8), so
+// part count, and a pair multiset. Scores are small rationals (i/8), so
 // exact float64 ties — the case that historically flipped with scheduling —
 // occur constantly rather than almost never. Duplicate (A, B) keys are kept
 // on purpose: offer's retention is a pure function of the offered multiset,
-// and the shard partition routes duplicates of a pair to the same shard, so
-// the merge must absorb them identically to the serial path.
-func decodeMergeInput(data []byte) (k, shards int, pairs []ScoredPair) {
+// and the partition routes duplicates of a pair to the same part, so the
+// merge must absorb them identically to the serial path.
+func decodeMergeInput(data []byte) (k, parts int, pairs []ScoredPair) {
 	if len(data) < 2 {
 		return 1, 1, nil
 	}
 	k = int(data[0]%32) + 1
-	shards = int(data[1]%8) + 1
+	parts = int(data[1]%8) + 1
 	data = data[2:]
 	for i := 0; i+2 < len(data); i += 3 {
 		pairs = append(pairs, ScoredPair{
@@ -27,54 +27,57 @@ func decodeMergeInput(data []byte) (k, shards int, pairs []ScoredPair) {
 			Score: float64(data[i+2]%9) / 8,
 		})
 	}
-	return k, shards, pairs
+	return k, parts, pairs
 }
 
-// FuzzMergeTopK is the differential fuzz target for the shard-heap merge:
-// for any pair multiset, partitioning by A-record, building per-shard
-// bounded heaps, and merging through mergeTopK must reproduce — bit for bit
-// — the heap produced by serially offering every pair. This is the exact
-// algebraic property the sharded probe path stands on (per-shard top-k of a
-// disjoint partition, merged under the same total order, equals the global
-// top-k), minimized to the data structure so the fuzzer can hammer the tie
-// and boundary cases directly.
+// FuzzMergeTopK is the differential fuzz target for merging top-k lists
+// into a bounded heap: for any pair multiset, partitioning by A-record,
+// keeping each part's own top-k, and offering those lists one after
+// another into one heap must reproduce — bit for bit — the heap produced
+// by serially offering every pair. The top-k retention is a pure function
+// of the offered pairs, whatever their order or grouping; that is what
+// keeps a parent list merged into a running child join (at whatever
+// moment it arrives) and the Workers count out of the output, minimized
+// to the data structure so the fuzzer can hammer the tie and boundary
+// cases directly.
 func FuzzMergeTopK(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0})
 	f.Add([]byte{4, 2, 1, 2, 8, 3, 4, 8, 5, 6, 8})          // exact ties at the boundary
-	f.Add([]byte{0, 7, 1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4}) // k=1, 8 shards
+	f.Add([]byte{0, 7, 1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4}) // k=1, 8 parts
 	f.Add([]byte{31, 3, 9, 9, 0, 1, 1, 0})                  // zero scores (rejected by offer)
 	f.Add([]byte{15, 4, 1, 2, 8, 1, 2, 8, 1, 2, 8})         // duplicate pairs
 	f.Fuzz(func(t *testing.T, data []byte) {
-		k, shards, pairs := decodeMergeInput(data)
+		k, parts, pairs := decodeMergeInput(data)
 
 		serial := newTopkHeap(k)
 		for _, p := range pairs {
 			serial.offer(p)
 		}
 
-		lists := make([][]ScoredPair, shards)
-		for s := 0; s < shards; s++ {
+		merged := newTopkHeap(k)
+		for s := 0; s < parts; s++ {
 			h := newTopkHeap(k)
 			for _, p := range pairs {
-				if int(p.A)%shards == s {
+				if int(p.A)%parts == s {
 					h.offer(p)
 				}
 			}
-			lists[s] = h.items
+			for _, p := range h.items {
+				merged.offer(p)
+			}
 		}
-		merged := mergeTopK(k, lists...)
 
 		got, want := merged.list(0), serial.list(0)
 		if len(got.Pairs) != len(want.Pairs) {
-			t.Fatalf("k=%d shards=%d: merged %d pairs, serial %d",
-				k, shards, len(got.Pairs), len(want.Pairs))
+			t.Fatalf("k=%d parts=%d: merged %d pairs, serial %d",
+				k, parts, len(got.Pairs), len(want.Pairs))
 		}
 		for i := range got.Pairs {
 			g, w := got.Pairs[i], want.Pairs[i]
 			if g.A != w.A || g.B != w.B || math.Float64bits(g.Score) != math.Float64bits(w.Score) {
-				t.Fatalf("k=%d shards=%d: pair[%d] = %s, want %s",
-					k, shards, i, fmtPair(g), fmtPair(w))
+				t.Fatalf("k=%d parts=%d: pair[%d] = %s, want %s",
+					k, parts, i, fmtPair(g), fmtPair(w))
 			}
 		}
 	})

@@ -31,7 +31,7 @@ func TestDenseIDs(t *testing.T) {
 		cor, res, _ := randomCorpus(t, rng, 40, 35)
 		var d denseInstances
 		for _, mask := range res.Configs() {
-			d.tokenize(cor, mask, 1)
+			d.tokenize(cor, mask)
 			idOf := map[inst]int32{}
 			instOf := map[int32]inst{}
 			check := func(side string, recs []record, lists [][]int32) {
@@ -73,9 +73,8 @@ func TestDenseIDs(t *testing.T) {
 
 // TestInstanceBufferReuseInvisible poisons one buffer with garbage ids,
 // stale per-record lists and capacities far beyond any config's needs,
-// then reuses it from a large config to a small one and back (the large
-// corpus is big enough for the fill to run in parallel at three probe
-// workers). Every run must return the fresh-buffer list and counters.
+// then reuses it from a large config to a small one and back. Every run
+// must return the fresh-buffer list and counters.
 func TestInstanceBufferReuseInvisible(t *testing.T) {
 	rng := rand.New(rand.NewSource(1100))
 	big, bigRes, bigC := randomCorpus(t, rng, 300, 280)
@@ -119,51 +118,46 @@ func TestInstanceBufferReuseInvisible(t *testing.T) {
 		poison.b[i] = poison.backing[2*i : 2*i+rng.Intn(40)]
 	}
 
-	run := func(ids *denseInstances, cor *Corpus, mask config.Mask, c *blocker.PairSet, pw int) (TopKList, runStats) {
+	run := func(ids *denseInstances, cor *Corpus, mask config.Mask, c *blocker.PairSet) (TopKList, runStats) {
 		var rs runStats
 		list := runJoin(cor, mask, runOpts{
 			k: 15, q: 2, m: simfunc.Jaccard, c: c,
-			stats:        &rs,
-			probeWorkers: pw,
-			ids:          ids,
+			stats: &rs,
+			ids:   ids,
 		})
 		return list, rs
 	}
-	for _, pw := range []int{1, 3} {
-		for _, s := range steps {
-			label := fmt.Sprintf("probeworkers=%d %s", pw, s.name)
-			got, gotStats := run(poison, s.cor, s.mask, s.c, pw)
-			want, wantStats := run(nil, s.cor, s.mask, s.c, pw)
-			requireIdentical(t, label, got, want)
-			requireIdentical(t, label+" vs JoinOne", got,
-				JoinOne(s.cor, s.mask, s.c, Options{K: 15, Q: 2, ProbeWorkers: pw}))
-			if gotStats != wantStats {
-				t.Fatalf("%s: counters diverge:\nreused: %+v\nfresh:  %+v", label, gotStats, wantStats)
-			}
+	for _, s := range steps {
+		got, gotStats := run(poison, s.cor, s.mask, s.c)
+		want, wantStats := run(nil, s.cor, s.mask, s.c)
+		requireIdentical(t, s.name, got, want)
+		requireIdentical(t, s.name+" vs JoinOne", got,
+			JoinOne(s.cor, s.mask, s.c, Options{K: 15, Q: 2}))
+		if gotStats != wantStats {
+			t.Fatalf("%s: counters diverge:\nreused: %+v\nfresh:  %+v", s.name, gotStats, wantStats)
 		}
 	}
 }
 
-// TestTokenizeWarmZeroAllocs pins the serial tokenize at zero
+// TestTokenizeWarmZeroAllocs pins tokenize at zero
 // allocations once its buffer has grown to the corpus's largest config.
 func TestTokenizeWarmZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1200))
 	cor, res, _ := randomCorpus(t, rng, 300, 280)
 	var d denseInstances
 	for _, mask := range res.Configs() {
-		d.tokenize(cor, mask, 1)
+		d.tokenize(cor, mask)
 	}
 	for _, mask := range res.Configs() {
-		if allocs := testing.AllocsPerRun(20, func() { d.tokenize(cor, mask, 1) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(20, func() { d.tokenize(cor, mask) }); allocs != 0 {
 			t.Errorf("mask=%b: warm tokenize allocated %.2f times per run, want 0", mask, allocs)
 		}
 	}
 }
 
 // TestEmptySideJoins joins corpora where A or B has no rows, on both
-// pair stores, serially and with the parallel tokenize (the other side
-// has enough records for it): every list must equal BruteForce's, which
-// is empty.
+// pair stores, through JoinOne and JoinAll: every list must equal
+// BruteForce's, which is empty.
 func TestEmptySideJoins(t *testing.T) {
 	attrs := []string{"v"}
 	rng := rand.New(rand.NewSource(1300))
@@ -192,18 +186,16 @@ func TestEmptySideJoins(t *testing.T) {
 	} {
 		for _, hashed := range []bool{false, true} {
 			useHashedStore(t, hashed)
-			for _, pw := range []int{1, 3} {
-				label := fmt.Sprintf("%s hashed=%v probeworkers=%d", side.name, hashed, pw)
-				opt := Options{K: 10, Q: 2, Workers: 2, ProbeWorkers: pw}
-				for _, mask := range res.Configs() {
-					want := BruteForce(side.cor, mask, nil, 10, simfunc.Jaccard)
-					requireIdentical(t, label+" JoinOne", JoinOne(side.cor, mask, nil, opt), want)
-				}
-				all := JoinAll(side.cor, nil, opt)
-				for i, n := range res.Nodes() {
-					want := BruteForce(side.cor, n.Mask, nil, 10, simfunc.Jaccard)
-					requireIdentical(t, fmt.Sprintf("%s JoinAll list=%d", label, i), all.Lists[i], want)
-				}
+			label := fmt.Sprintf("%s hashed=%v", side.name, hashed)
+			opt := Options{K: 10, Q: 2, Workers: 2}
+			for _, mask := range res.Configs() {
+				want := BruteForce(side.cor, mask, nil, 10, simfunc.Jaccard)
+				requireIdentical(t, label+" JoinOne", JoinOne(side.cor, mask, nil, opt), want)
+			}
+			all := JoinAll(side.cor, nil, opt)
+			for i, n := range res.Nodes() {
+				want := BruteForce(side.cor, n.Mask, nil, 10, simfunc.Jaccard)
+				requireIdentical(t, fmt.Sprintf("%s JoinAll list=%d", label, i), all.Lists[i], want)
 			}
 		}
 	}

@@ -15,9 +15,9 @@ package ssjoin
 //	                the index-phase count pass sizes each id's region, so
 //	                the probe loop appends with one store + one increment.
 //	pair state      one packed byte (epoch stamp + signed state) per pair
-//	                index rowOff[sharded]+other: pairs[idx] in the dense
-//	                table, reset between probes by one epoch bump; or a
-//	                pairTable slot past denseStateLimit, cleared on reset.
+//	                index a·|B|+b: pairs[idx] in the dense table, reset
+//	                between probes by one epoch bump; or a pairTable slot
+//	                past denseStateLimit, cleared on reset.
 //
 // Everything on the pop→touch→score path carries //mc:hotpath: mclint's
 // hotalloc analyzer plus the -escapes compile prove the loop stays
@@ -31,57 +31,34 @@ import (
 	"matchcatcher/internal/telemetry"
 )
 
-// wire binds the probe to one shard's run and sizes the pooled buffers:
-// geometry normalization, pair-store choice and reset, position/arena-
-// table sizing, and the pair-index row bases for the owned sharded-side
-// records. It runs before the seed absorb (seeds must warm the top-k
-// heap before event seeding so the push-cap prune sees them). May
-// allocate, but only on buffer growth — steady-state reuse through the
-// pool allocates nothing.
+// wire binds the probe to one config's run and sizes the pooled
+// buffers: pair-store choice and reset, and position/arena-table sizing.
+// It runs before the seed absorb (seeds must warm the top-k heap before
+// event seeding so the push-cap prune sees them). May allocate, but only
+// on buffer growth — steady-state reuse through the pool allocates
+// nothing.
 func (p *flatProbe) wire(cor *Corpus, mask config.Mask, opt runOpts,
-	view shardView, ids *denseInstances, rs *runStats, top *topkHeap,
-	pc *shardCounters, mergeCh <-chan []ScoredPair, span *telemetry.TraceSpan) {
+	ids *denseInstances, top *topkHeap) {
 
 	nA, nB := len(ids.a), len(ids.b)
 	p.q = opt.q
 	p.m = opt.m
 	p.c = opt.c
 	p.recsA, p.recsB, p.mask = cor.recsA, cor.recsB, mask
-	p.rs = rs
+	p.rs = opt.stats
 	p.top = top
-	p.cur = progCursor{slot: pc}
+	p.cur = progCursor{block: opt.prog.counters()}
 	p.cancel = opt.cancel
-	p.mergeCh = mergeCh
-	p.span = span
+	p.mergeCh = opt.mergeCh
+	p.span = opt.span
 	p.idsA, p.idsB = ids.a, ids.b
-
-	// Normalize the geometry: an unsharded probe is "side A dealt to one
-	// shard", so the state layout has a single shape everywhere.
-	p.side, p.shard, p.div = 0, 0, 1
-	if view.shards > 1 {
-		p.side = view.side
-		p.shard = int32(view.shard)
-		p.div = int32(view.shards)
-	}
-	sideLen, otherLen := nA, nB
-	if p.side == 1 {
-		sideLen, otherLen = nB, nA
-	}
-	p.otherLen = int32(otherLen)
-	owned := sideLen
-	if p.div > 1 {
-		owned = (sideLen - int(p.shard) + int(p.div) - 1) / int(p.div)
-	}
-	// The store follows the config's whole pair space, so every shard of
-	// one config picks the same one and the dense tables of all shards
-	// together stay within denseStateLimit bytes.
-	p.resetPairs(owned*otherLen, nA*nB > denseStateLimit)
+	p.nB = int64(nB)
+	p.resetPairs(nA*nB, nA*nB > denseStateLimit)
 
 	p.posA = grow(p.posA, nA)
 	clear(p.posA)
 	p.posB = grow(p.posB, nB)
 	clear(p.posB)
-	p.rowOff = grow(p.rowOff, sideLen)
 	p.offA = grow(p.offA, ids.n)
 	p.fillA = grow(p.fillA, ids.n)
 	clear(p.fillA)
@@ -91,36 +68,21 @@ func (p *flatProbe) wire(cor *Corpus, mask config.Mask, opt runOpts,
 	p.events.items = p.events.items[:0]
 	p.touched = p.touched[:0]
 	p.touchedKeys = p.touchedKeys[:0]
-
-	local := int64(0)
-	for i := p.shard; i < int32(sideLen); i += p.div {
-		p.rowOff[i] = local * int64(otherLen)
-		local++
-	}
 }
 
-// pairIdx is pair (a, b)'s shard-local pair index: the owned
-// sharded-side record's row base plus the other record's id.
+// pairIdx is pair (a, b)'s row-major index a·|B|+b.
 //
 //mc:hotpath
 func (p *flatProbe) pairIdx(a, b int32) int64 {
-	if p.side == 0 {
-		return p.rowOff[a] + int64(b)
-	}
-	return p.rowOff[b] + int64(a)
+	return int64(a)*p.nB + int64(b)
 }
 
 // pairOf inverts pairIdx.
 //
 //mc:hotpath
 func (p *flatProbe) pairOf(idx int64) (a, b int32) {
-	row := idx / int64(p.otherLen)
-	o := int32(idx - row*int64(p.otherLen))
-	rec := p.shard + int32(row)*p.div
-	if p.side == 0 {
-		return rec, o
-	}
-	return o, rec
+	a = int32(idx / p.nB)
+	return a, int32(idx - int64(a)*p.nB)
 }
 
 // cell returns pair idx's packed state byte. The dense branch is one
@@ -135,36 +97,29 @@ func (p *flatProbe) cell(idx int64) *uint8 {
 	return &p.pairs[idx]
 }
 
-// seed is the index phase: one pass over each side counting owned
-// instances per dense id (into the fill tables, converted to slab
-// offsets below) and pushing each owned record's first prefix event, A
-// ascending then B ascending. Returns the owned-instance total for the
-// progress tracker.
+// seed is the index phase: one pass over each side counting instances
+// per dense id (into the fill tables, converted to slab offsets below)
+// and pushing each record's first prefix event, A ascending then B
+// ascending. Returns the instance total for the progress tracker.
 func (p *flatProbe) seed() int64 {
-	var ownedInstances int64
+	var instances int64
 	for i := int32(0); i < int32(len(p.idsA)); i++ {
-		if p.side == 0 && p.div > 1 && i%p.div != p.shard {
-			continue
-		}
 		for _, id := range p.idsA[i] {
 			p.fillA[id]++
 		}
-		ownedInstances += int64(len(p.idsA[i]))
+		instances += int64(len(p.idsA[i]))
 		p.push(0, i)
 	}
 	for i := int32(0); i < int32(len(p.idsB)); i++ {
-		if p.side == 1 && p.div > 1 && i%p.div != p.shard {
-			continue
-		}
 		for _, id := range p.idsB[i] {
 			p.fillB[id]++
 		}
-		ownedInstances += int64(len(p.idsB[i]))
+		instances += int64(len(p.idsB[i]))
 		p.push(1, i)
 	}
 	p.slabA = grow(p.slabA, sumToOffsets(p.offA, p.fillA))
 	p.slabB = grow(p.slabB, sumToOffsets(p.offB, p.fillB))
-	return ownedInstances
+	return instances
 }
 
 // sumToOffsets turns per-id counts into exclusive-prefix-sum offsets,
@@ -360,7 +315,7 @@ func (p *flatProbe) probe() bool {
 			p.rs.n[cKillsLoopBreak] += int64(p.events.Len())
 			// Every record still in the heap dies here; account its
 			// unpopped tail so done+skipped still converges to the
-			// owned-instance total. One pass over the heap, once per shard.
+			// instance total. One pass over the heap, once per probe.
 			for _, dead := range p.events.items {
 				if dead.side == 0 {
 					p.rs.n[cProbesSkipped] += int64(len(p.idsA[dead.rec]) - int(p.posA[dead.rec]))
@@ -404,8 +359,7 @@ func (p *flatProbe) probe() bool {
 // common instance has an id >= min(nextA, nextB) — the two records' next
 // unpopped ids — and therefore lies in the unpopped suffix of the side
 // whose next id is smaller (the lagging side; either on a tie, the other
-// side once one is exhausted). Positions are shard-local, which is all
-// the argument needs: both records' pops happen in this shard.
+// side once one is exhausted).
 //
 //mc:hotpath
 func (p *flatProbe) flushBound(a, b, st int32) int {
@@ -461,24 +415,19 @@ func (p *flatProbe) finish() {
 	}
 }
 
-// joinShard is one shard's exact QJoin (Section 4.1) restricted to the
-// records the view owns, probing through a pooled flatProbe. Shards are
-// exact on their (disjoint) slices of the pair space, so the merged
-// result is the exact top-k whatever the shard count.
-func joinShard(cor *Corpus, mask config.Mask, opt runOpts, view shardView,
-	ids *denseInstances, rs *runStats, seeds []ScoredPair,
-	mergeCh <-chan []ScoredPair, span *telemetry.TraceSpan,
-	pc *shardCounters) *topkHeap {
-
+// joinFlat is one config's exact QJoin (Section 4.1) through a pooled
+// flatProbe: seed absorb, index, probe loop, exactness flush.
+func joinFlat(cor *Corpus, mask config.Mask, opt runOpts, ids *denseInstances) *topkHeap {
+	rs, span := opt.stats, opt.span
 	top := newTopkHeap(opt.k)
 	p := getFlatProbe()
-	p.wire(cor, mask, opt, view, ids, rs, top, pc, mergeCh, span)
-	p.absorb(seeds)
+	p.wire(cor, mask, opt, ids, top)
+	p.absorb(opt.seeds)
 
 	idxSpan := span.Child("ssjoin.index")
-	owned := p.seed()
-	if pc != nil {
-		pc.probesTotal.Add(owned)
+	instances := p.seed()
+	if pc := p.cur.block; pc != nil {
+		pc.probesTotal.Add(instances)
 	}
 	idxSpan.SetAttrInt("events_seeded", int64(p.events.Len()))
 	// Which pair-state store runs this probe, and its slot count: the
@@ -504,9 +453,9 @@ func joinShard(cor *Corpus, mask config.Mask, opt runOpts, view shardView,
 	probeSpan.End()
 
 	// Drain any merge list that arrived after the loop ended.
-	if mergeCh != nil {
+	if opt.mergeCh != nil {
 		select {
-		case list := <-mergeCh:
+		case list := <-opt.mergeCh:
 			p.absorb(list)
 		default:
 		}
@@ -518,7 +467,7 @@ func joinShard(cor *Corpus, mask config.Mask, opt runOpts, view shardView,
 	topkSpan.SetAttrInt("flushed_pairs", rs.n[cFlushedPairs])
 	topkSpan.End()
 	// Terminal flush: publish the final counters and zero the live heap
-	// gauge (the shard is done; residual dead events are not a live heap).
+	// gauge (the probe is done; residual dead events are not a live heap).
 	p.cur.flush(rs, 0, top.Len())
 	putFlatProbe(p)
 	return top

@@ -43,15 +43,6 @@ type Options struct {
 	// merge) can change any output bit: runs are bit-reproducible at
 	// every worker count.
 	Workers int
-	// ProbeWorkers shards the inside of each single-config join across a
-	// bounded worker pool (per-shard posting lists and top-k heaps,
-	// merged under the same total order). Default 1 (serial probe) —
-	// cross-config Workers already saturate cores on full-tree joins;
-	// raise ProbeWorkers to cut the latency of a single config's join
-	// (the interactive loop's critical path). The output is bit-identical
-	// to the serial join for every value; see DESIGN.md "Intra-join
-	// parallelism & determinism".
-	ProbeWorkers int
 	// DisableListReuse turns off the Section 4.2 list reuse (a child
 	// config starting from its parent's top-k), for the §6.5 ablation.
 	DisableListReuse bool
@@ -68,10 +59,10 @@ type Options struct {
 	// empty watch-list costs nothing on the hot path: provenance is
 	// derived after each config join finishes, never inside it.
 	Provenance *telemetry.Provenance
-	// Progress, when non-nil, receives live per-shard work counters the
-	// probe loops flush every progressStride pops; observers call
-	// Progress.Snapshot from any goroutine for completion/ETA/skew
-	// estimates while the run is in flight. Observe-only: attaching it
+	// Progress, when non-nil, receives live work counters the probe
+	// loops flush every progressStride pops; observers call
+	// Progress.Snapshot from any goroutine for completion/ETA estimates
+	// while the run is in flight. Observe-only: attaching it
 	// never changes an output bit, and its overhead is bounded by the
 	// progress-overhead CI gate (<5%, BENCH_progress_overhead.json).
 	// One Progress tracks one JoinOne/JoinAll call; the q-selection
@@ -89,9 +80,6 @@ func (o Options) withDefaults() Options {
 	if o.Workers < 1 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.ProbeWorkers < 1 {
-		o.ProbeWorkers = 1
-	}
 	return o
 }
 
@@ -108,8 +96,6 @@ type Stats struct {
 	DeferredPairs   int64 // pairs still below q common instances at flush time
 	FlushedPairs    int64 // deferred pairs the exactness flush had to score
 	SuppressedPairs int64 // C pairs skipped at first touch (a C pair a strict filter kills counts as a kill)
-	ProbeShards     int64 // probe shards executed across configs (0 = serial probes)
-	ShardMergePairs int64 // shard-heap pairs offered to the top-k merges
 	// Prune-tier split of PruneKills: push-cap kills at event push,
 	// event-loop breaks, and flush-bound skips of deferred pairs.
 	PruneKillsPushCap    int64
@@ -124,15 +110,7 @@ type Stats struct {
 	// SkippedInstances counts token instances pruning wrote off unpopped
 	// (the complement of PrefixEvents in the progress accounting).
 	SkippedInstances int64
-	// Shard-skew summary of the worst-imbalance sharded config: per-shard
-	// probe work (popped prefix events) min/max/p50 and the max/mean
-	// ratio. Zero when every probe ran serially. Deterministic for a
-	// fixed Workers × ProbeWorkers, like ProbeShards above.
-	ShardWorkMin   int64
-	ShardWorkMax   int64
-	ShardWorkP50   int64
-	ShardImbalance float64
-	QUsed          int // the q QJoin ran with
+	QUsed            int // the q QJoin ran with
 	// Deprecated: always zero. Score reuse (the Section 4.2 overlap
 	// database they counted) is deleted; every score is a ScratchScore.
 	ReusedScores, ReuseMisses int64
@@ -189,15 +167,14 @@ func JoinOne(cor *Corpus, mask config.Mask, c *blocker.PairSet, opt Options) Top
 		telemetry.L("q", strconv.Itoa(opt.Q)))
 	start := time.Now()
 	list := runJoin(cor, mask, runOpts{
-		k:            opt.K,
-		q:            opt.Q,
-		m:            opt.Measure,
-		c:            c,
-		cancel:       cancel,
-		stats:        rs,
-		span:         csp,
-		probeWorkers: opt.ProbeWorkers,
-		prog:         opt.Progress,
+		k:      opt.K,
+		q:      opt.Q,
+		m:      opt.Measure,
+		c:      c,
+		cancel: cancel,
+		stats:  rs,
+		span:   csp,
+		prog:   opt.Progress,
 	})
 	csp.End()
 	snk.record(rs, time.Since(start))
@@ -221,9 +198,6 @@ func SelectQ(cor *Corpus, mask config.Mask, c *blocker.PairSet, opt Options) int
 			defer wg.Done()
 			// The race's joins are throwaway measurements at k = 50; their
 			// runStats stay local so they do not pollute the run counters.
-			// They run with a serial probe: the four q arms already occupy
-			// one goroutine each, and what the race measures is the serial
-			// cost profile of each q.
 			rs := &runStats{}
 			runJoin(cor, mask, runOpts{
 				k:      50,
@@ -305,16 +279,15 @@ func JoinAll(cor *Corpus, c *blocker.PairSet, opt Options) *JoinResult {
 					telemetry.L("config", cor.Res.String(n.Mask)),
 					telemetry.L("q", strconv.Itoa(q)))
 				ro := runOpts{
-					k:            opt.K,
-					q:            q,
-					m:            opt.Measure,
-					c:            c,
-					cancel:       cancel,
-					stats:        rs,
-					span:         csp,
-					probeWorkers: opt.ProbeWorkers,
-					prog:         opt.Progress,
-					ids:          ids,
+					k:      opt.K,
+					q:      q,
+					m:      opt.Measure,
+					c:      c,
+					cancel: cancel,
+					stats:  rs,
+					span:   csp,
+					prog:   opt.Progress,
+					ids:    ids,
 				}
 				if n.Parent != nil && !opt.DisableListReuse {
 					if pi := idxOf[n.Parent]; done[pi].Load() {
@@ -350,9 +323,7 @@ func JoinAll(cor *Corpus, c *blocker.PairSet, opt Options) *JoinResult {
 	}
 	close(jobs)
 	wg.Wait()
-	// Stats folds after the pool joins, in node order: the counts are
-	// order-free sums and the worst-imbalance skew winner is
-	// deterministic however the workers interleaved.
+	// Stats folds after the pool joins: the counts are order-free sums.
 	for _, rs := range nodeStats {
 		if rs != nil {
 			res.Stats.add(rs)

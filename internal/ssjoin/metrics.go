@@ -8,8 +8,8 @@ import (
 )
 
 // counter names one join event count. This block is the only place a
-// join count is declared: runStats, the shard fold, the Progress slots,
-// the registry sink and Stats all index by it. Adding a counter takes
+// join count is declared: runStats, the Progress counter block, the
+// registry sink and Stats all index by it. Adding a counter takes
 // one line here and one line in newSink (a prune tier: one line in
 // pruneTiers instead); if Stats reports it, one field
 // plus one line in Stats.counterFields; if it is published, the same in
@@ -18,7 +18,7 @@ type counter uint8
 
 const (
 	// Published counters: the probe loop's stride flush copies these
-	// into the shard's Progress slot (progCursor.flush).
+	// into the run's Progress counter block (progCursor.flush).
 	cPrefixEvents      counter = iota // prefix-extension events popped off the heap
 	cProbesSkipped                    // token instances a prune wrote off unpopped
 	cKillsPushCap                     // tier a: extension cap < k-th score at push
@@ -32,8 +32,6 @@ const (
 	cDeferredPairs                      // pairs still pending (< q common instances) at flush
 	cFlushedPairs                       // deferred pairs whose bound forced an exact score
 	cSuppressedPairs                    // C pairs that survive the strict pair filters at first touch
-	cProbeShards                        // probe shards executed (0 on the serial path)
-	cShardMergePairs                    // shard-heap pairs offered to the top-k merge
 	cProgressSamples                    // progress flushes taken at the stride checkpoint
 	numCounters
 )
@@ -60,30 +58,12 @@ var pruneTiers = [...]struct {
 // report through the same stream.
 type runStats struct {
 	n [numCounters]int64
-
-	// Per-config shard-skew summary, set by runJoinSharded after the
-	// shard pool joins (never set on shard-level blocks, so fold must not
-	// sum it): work units are popped prefix events per shard.
-	shardWorkMin   int64
-	shardWorkMax   int64
-	shardWorkP50   int64
-	shardImbalance float64 // max shard work over mean shard work (0 = serial)
 }
 
 // pruneKills is the extension-prune grand total: every push-cap or
 // loop-break kill removes prefix extensions, the other tiers skip pairs.
 func (rs *runStats) pruneKills() int64 {
 	return rs.n[cKillsPushCap] + rs.n[cKillsLoopBreak]
-}
-
-// fold adds one probe shard's counts into the parent run's block. It is
-// called after the shard pool has joined, in shard-index order, so the
-// folded totals are deterministic for a fixed shard count no matter which
-// worker ran which shard when.
-func (rs *runStats) fold(s *runStats) {
-	for c := range rs.n {
-		rs.n[c] += s.n[c]
-	}
 }
 
 // sink holds the resolved telemetry instruments for one executor run.
@@ -94,15 +74,7 @@ type sink struct {
 	pruneKills  *telemetry.Counter // push_cap + loop_break
 	configJoins *telemetry.Counter
 	joinSeconds *telemetry.Histogram
-	// Shard-skew gauges (DESIGN.md "Join progress & skew
-	// observability"): the most recently finished sharded config's work
-	// distribution.
-	skewConfigs   *telemetry.Counter
-	skewWorkMin   *telemetry.Gauge
-	skewWorkMax   *telemetry.Gauge
-	skewWorkP50   *telemetry.Gauge
-	skewImbalance *telemetry.Gauge
-	reg           *telemetry.Registry
+	reg         *telemetry.Registry
 }
 
 func newSink(reg *telemetry.Registry) *sink {
@@ -114,19 +86,12 @@ func newSink(reg *telemetry.Registry) *sink {
 			cDeferredPairs:   reg.Counter("mc_ssjoin_deferred_pairs_total"),
 			cFlushedPairs:    reg.Counter("mc_ssjoin_flushed_pairs_total"),
 			cSuppressedPairs: reg.Counter("mc_ssjoin_suppressed_pairs_total"),
-			cProbeShards:     reg.Counter("mc_ssjoin_probe_shards_total"),
-			cShardMergePairs: reg.Counter("mc_ssjoin_shard_merge_pairs_total"),
 			cProgressSamples: reg.Counter("mc_ssjoin_progress_samples_total"),
 		},
-		pruneKills:    reg.Counter("mc_ssjoin_prune_kills_total"),
-		configJoins:   reg.Counter("mc_ssjoin_config_joins_total"),
-		joinSeconds:   reg.Histogram("mc_ssjoin_join_seconds"),
-		skewConfigs:   reg.Counter("mc_ssjoin_shard_skew_configs_total"),
-		skewWorkMin:   reg.Gauge("mc_ssjoin_shard_skew_work_min"),
-		skewWorkMax:   reg.Gauge("mc_ssjoin_shard_skew_work_max"),
-		skewWorkP50:   reg.Gauge("mc_ssjoin_shard_skew_work_p50"),
-		skewImbalance: reg.Gauge("mc_ssjoin_shard_skew_imbalance_ratio"),
-		reg:           reg,
+		pruneKills:  reg.Counter("mc_ssjoin_prune_kills_total"),
+		configJoins: reg.Counter("mc_ssjoin_config_joins_total"),
+		joinSeconds: reg.Histogram("mc_ssjoin_join_seconds"),
+		reg:         reg,
 	}
 	for _, t := range pruneTiers {
 		s.c[t.c] = reg.Counter("mc_ssjoin_progress_prune_kills_total", telemetry.L("tier", t.tier))
@@ -140,13 +105,6 @@ func (s *sink) record(rs *runStats, dur time.Duration) {
 		inst.Add(rs.n[c])
 	}
 	s.pruneKills.Add(rs.pruneKills())
-	if rs.shardImbalance > 0 {
-		s.skewConfigs.Inc()
-		s.skewWorkMin.Set(float64(rs.shardWorkMin))
-		s.skewWorkMax.Set(float64(rs.shardWorkMax))
-		s.skewWorkP50.Set(float64(rs.shardWorkP50))
-		s.skewImbalance.Set(rs.shardImbalance)
-	}
 	s.configJoins.Inc()
 	s.joinSeconds.Observe(dur.Seconds())
 }
@@ -171,16 +129,12 @@ func (st *Stats) counterFields() [numCounters]*int64 {
 		cDeferredPairs:     &st.DeferredPairs,
 		cFlushedPairs:      &st.FlushedPairs,
 		cSuppressedPairs:   &st.SuppressedPairs,
-		cProbeShards:       &st.ProbeShards,
-		cShardMergePairs:   &st.ShardMergePairs,
 	}
 }
 
-// add folds one config join into the per-run aggregate: its counts, the
-// derived PruneKills total, and its shard-skew summary, keeping the
-// worst-imbalance config's distribution. JoinAll calls it after the
-// worker pool has joined, in node order, so the skew winner is
-// deterministic and the writes are plain.
+// add folds one config join into the per-run aggregate: its counts and
+// the derived PruneKills total. JoinAll calls it after the worker pool
+// has joined, so the writes are plain.
 func (st *Stats) add(rs *runStats) {
 	for c, f := range st.counterFields() {
 		if f != nil {
@@ -188,10 +142,4 @@ func (st *Stats) add(rs *runStats) {
 		}
 	}
 	st.PruneKills += rs.pruneKills()
-	if rs.shardImbalance > st.ShardImbalance {
-		st.ShardImbalance = rs.shardImbalance
-		st.ShardWorkMin = rs.shardWorkMin
-		st.ShardWorkMax = rs.shardWorkMax
-		st.ShardWorkP50 = rs.shardWorkP50
-	}
 }

@@ -13,16 +13,15 @@ import (
 // independently of newSink) equals its Stats field, the final progress
 // snapshot totals every published counter, and the derived PruneKills
 // is push_cap + loop_break in the registry and in Stats. Every counter
-// must be non-zero on this corpus (both strict pair filters fire, probes
-// are sharded), so a counter wired to the wrong slot
-// or to none cannot pass.
+// must be non-zero on this corpus (both strict pair filters fire), so a
+// counter wired to the wrong slot or to none cannot pass.
 func TestCountersReachEverySurface(t *testing.T) {
 	rng := rand.New(rand.NewSource(600))
 	cor, _, c := randomCorpus(t, rng, 35, 35)
 	reg := telemetry.New()
 	prog := NewProgress()
 	res := JoinAll(cor, c, Options{
-		K: 3, Q: 2, Workers: 1, ProbeWorkers: 3,
+		K: 3, Q: 2, Workers: 1,
 		Metrics: reg, Progress: prog,
 	})
 	st := res.Stats
@@ -42,8 +41,6 @@ func TestCountersReachEverySurface(t *testing.T) {
 		cDeferredPairs:     reg.Counter("mc_ssjoin_deferred_pairs_total").Value(),
 		cFlushedPairs:      reg.Counter("mc_ssjoin_flushed_pairs_total").Value(),
 		cSuppressedPairs:   reg.Counter("mc_ssjoin_suppressed_pairs_total").Value(),
-		cProbeShards:       reg.Counter("mc_ssjoin_probe_shards_total").Value(),
-		cShardMergePairs:   reg.Counter("mc_ssjoin_shard_merge_pairs_total").Value(),
 		cProgressSamples:   reg.Counter("mc_ssjoin_progress_samples_total").Value(),
 	}
 	fields := st.counterFields()

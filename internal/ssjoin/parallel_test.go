@@ -1,15 +1,14 @@
 package ssjoin
 
-// The intra-join parallelism correctness harness: a differential oracle
-// (serial reference vs. sharded-parallel runs, byte-compared TopKLists
-// over seeded corpora × {Q, K, list reuse on/off} grids), metamorphic
-// properties (the probe worker count and the shard count are invisible in
-// the output; so is the Workers × ProbeWorkers grid end to end), and a
-// race-detector stress test driving concurrent probes with live
-// telemetry, tracing, and provenance attached. The underlying invariant
-// is that every single-config join — serial or sharded — returns the
-// exact top-k of D = A×B−C under the total order (score desc, idA, idB),
-// so BruteForce doubles as a third, independent oracle.
+// The config-level parallelism correctness harness: a differential
+// oracle (JoinOne and JoinAll against BruteForce, byte-compared TopKLists
+// over seeded corpora × {Q, K, Workers, list reuse on/off} grids), edge
+// cases at the tie boundary, and a race-detector stress test driving
+// concurrent config joins with live telemetry, tracing, and provenance
+// attached. The underlying invariant is that every single-config join
+// returns the exact top-k of D = A×B−C under the total order (score
+// desc, idA, idB), whichever worker runs it and whenever its parent's
+// list arrives.
 
 import (
 	"fmt"
@@ -17,7 +16,6 @@ import (
 	"math/rand"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"matchcatcher/internal/config"
@@ -57,7 +55,7 @@ func requireIdenticalLists(t *testing.T, label string, got, want []TopKList) {
 }
 
 // TestSerialJoinIsExactTopK pins the invariant the whole parallel design
-// rests on: the serial join's list equals the brute-force exact top-k
+// rests on: the single-config join's list equals the brute-force exact top-k
 // under the total order, bit for bit, ties at the k-th boundary included,
 // for every q. (The pre-parallelism code allowed boundary ties to flip
 // with scheduling; strict pruning removed that.)
@@ -75,24 +73,20 @@ func TestSerialJoinIsExactTopK(t *testing.T) {
 	}
 }
 
-// TestJoinOneDifferentialAcrossProbeWorkers is the single-config
-// differential oracle: the parallel join's output must be bit-identical
-// to the serial reference over a {seed} × {Q} × {K} grid for every probe
-// worker count in {2, 3, 8}.
-func TestJoinOneDifferentialAcrossProbeWorkers(t *testing.T) {
+// TestJoinOneDifferentialAcrossConfigs is the single-config
+// differential oracle: JoinOne's output must be bit-identical to
+// BruteForce for every config of the tree over a {seed} × {Q} × {K}
+// grid.
+func TestJoinOneDifferentialAcrossConfigs(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		rng := rand.New(rand.NewSource(100 + seed))
 		cor, res, c := randomCorpus(t, rng, 35, 30)
 		for _, mask := range res.Configs() {
 			for _, q := range []int{1, 2, 3} {
 				for _, k := range []int{5, 20} {
-					ref := JoinOne(cor, mask, c, Options{K: k, Q: q, ProbeWorkers: 1})
-					for _, pw := range []int{2, 3, 8} {
-						got := JoinOne(cor, mask, c, Options{K: k, Q: q, ProbeWorkers: pw})
-						requireIdentical(t,
-							fmt.Sprintf("seed=%d mask=%b q=%d k=%d pw=%d", seed, mask, q, k, pw),
-							got, ref)
-					}
+					want := BruteForce(cor, mask, c, k, simfunc.Jaccard)
+					got := JoinOne(cor, mask, c, Options{K: k, Q: q})
+					requireIdentical(t, fmt.Sprintf("seed=%d mask=%b q=%d k=%d", seed, mask, q, k), got, want)
 				}
 			}
 		}
@@ -101,85 +95,26 @@ func TestJoinOneDifferentialAcrossProbeWorkers(t *testing.T) {
 
 // TestJoinAllDifferentialWorkerGrid is the acceptance-grade end-to-end
 // differential: JoinAll's full output (every config's list) is
-// byte-identical across Workers × ProbeWorkers ∈ {1,2,3,8}² on three
-// seeds, with list reuse both on and off — the grid the stale
-// "Workers: 1 for bit-reproducible runs" caveat used to exclude.
+// byte-identical to BruteForce at Workers ∈ {1,2,3,8} on three seeds,
+// with list reuse both on and off — the grid the stale "Workers: 1 for
+// bit-reproducible runs" caveat used to exclude.
 func TestJoinAllDifferentialWorkerGrid(t *testing.T) {
-	grid := []int{1, 2, 3, 8}
 	for seed := int64(0); seed < 3; seed++ {
 		rng := rand.New(rand.NewSource(200 + seed))
-		cor, _, c := randomCorpus(t, rng, 30, 30)
+		cor, res, c := randomCorpus(t, rng, 30, 30)
+		var want []TopKList
+		for _, n := range res.Nodes() {
+			want = append(want, BruteForce(cor, n.Mask, c, 15, simfunc.Jaccard))
+		}
 		for _, reuse := range []bool{false, true} {
-			base := Options{K: 15, Q: 2, Workers: 1, ProbeWorkers: 1}
-			base.DisableListReuse = !reuse
-			ref := JoinAll(cor, c, base)
-			for _, w := range grid {
-				for _, pw := range grid {
-					opt := base
-					opt.Workers, opt.ProbeWorkers = w, pw
-					got := JoinAll(cor, c, opt)
-					requireIdenticalLists(t,
-						fmt.Sprintf("seed=%d reuse=%v workers=%d probeworkers=%d", seed, reuse, w, pw),
-						got.Lists, ref.Lists)
-				}
+			for _, w := range []int{1, 2, 3, 8} {
+				got := JoinAll(cor, c, Options{K: 15, Q: 2, Workers: w, DisableListReuse: !reuse})
+				requireIdenticalLists(t,
+					fmt.Sprintf("seed=%d reuse=%v workers=%d", seed, reuse, w),
+					got.Lists, want)
 			}
 		}
 	}
-}
-
-// TestShardCountInvisible is the metamorphic property on the shard count
-// itself, decoupled from the worker pool: overriding probeShards to any
-// value — more shards than workers, more shards than records, a prime
-// count — must not change a single output bit, whether the shards run
-// serially (probeWorkers=1) or concurrently.
-func TestShardCountInvisible(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	cor, res, c := randomCorpus(t, rng, 25, 30)
-	mask := res.Root.Mask
-	run := func(workers, shards int) TopKList {
-		rs := &runStats{}
-		return runJoin(cor, mask, runOpts{
-			k: 12, q: 2, m: simfunc.Jaccard, c: c,
-			stats:        rs,
-			probeWorkers: workers,
-			probeShards:  shards,
-		})
-	}
-	ref := run(1, 1)
-	for _, workers := range []int{1, 3} {
-		for _, shards := range []int{2, 3, 5, 8, 64} {
-			got := run(workers, shards)
-			requireIdentical(t, fmt.Sprintf("workers=%d shards=%d", workers, shards), got, ref)
-		}
-	}
-}
-
-// TestShardSeedHandoffInvisible extends the differential to the
-// list-reuse handoff: a sharded join given parent seeds, or a late
-// parent list on the merge channel, returns the same bits as the unfed
-// serial join.
-func TestShardSeedHandoffInvisible(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	cor, res, c := randomCorpus(t, rng, 25, 25)
-	mask := res.Root.Mask
-	parent := BruteForce(cor, mask, c, 10, simfunc.Jaccard)
-	ref := JoinOne(cor, mask, c, Options{K: 10, Q: 2})
-
-	run := func(seeds []ScoredPair, mergeCh <-chan []ScoredPair, shards int) TopKList {
-		rs := &runStats{}
-		return runJoin(cor, mask, runOpts{
-			k: 10, q: 2, m: simfunc.Jaccard, c: c,
-			stats:        rs,
-			seeds:        seeds,
-			mergeCh:      mergeCh,
-			probeWorkers: 3,
-			probeShards:  shards,
-		})
-	}
-	requireIdentical(t, "seeded", run(parent.Pairs, nil, 3), ref)
-	ch := make(chan []ScoredPair, 1)
-	ch <- parent.Pairs
-	requireIdentical(t, "merge-channel", run(nil, ch, 4), ref)
 }
 
 // degenerate corpora for the edge table below.
@@ -195,8 +130,8 @@ func identicalRowsCorpus(t *testing.T, n int) (*Corpus, *config.Result) {
 // TestDegenerateShards is the table-driven edge suite: empty probe side,
 // fewer records than workers, all-identical scores (every retained pair
 // ties, so the whole list is boundary), and k larger than the candidate
-// space. Each case must be bit-identical between the serial join, the
-// sharded join at several worker counts, and brute force.
+// space. Each case must be bit-identical between the join at every q and
+// brute force.
 func TestDegenerateShards(t *testing.T) {
 	type tc struct {
 		name  string
@@ -247,13 +182,9 @@ func TestDegenerateShards(t *testing.T) {
 			cor, res := c.build(t)
 			mask := res.Root.Mask
 			want := BruteForce(cor, mask, nil, c.k, simfunc.Jaccard)
-			for _, q := range []int{1, 2} {
-				serial := JoinOne(cor, mask, nil, Options{K: c.k, Q: q, ProbeWorkers: 1})
-				requireIdentical(t, fmt.Sprintf("serial vs brute force q=%d", q), serial, want)
-				for _, pw := range []int{2, 8} {
-					got := JoinOne(cor, mask, nil, Options{K: c.k, Q: q, ProbeWorkers: pw})
-					requireIdentical(t, fmt.Sprintf("pw=%d q=%d", pw, q), got, serial)
-				}
+			for _, q := range []int{1, 2, 3} {
+				got := JoinOne(cor, mask, nil, Options{K: c.k, Q: q})
+				requireIdentical(t, fmt.Sprintf("q=%d", q), got, want)
 			}
 		})
 	}
@@ -261,8 +192,8 @@ func TestDegenerateShards(t *testing.T) {
 
 // TestDegenerateShardsTieBoundary pins the specific bug the old Workers
 // caveat documented: when more pairs tie the k-th score than fit, the
-// retained set must be the ids-smallest ones — identically in the serial
-// join, the sharded join, and brute force.
+// retained set must be the ids-smallest ones — identically in the join
+// at every q and in brute force.
 func TestDegenerateShardsTieBoundary(t *testing.T) {
 	cor, res := identicalRowsCorpus(t, 5) // 25 pairs, every score exactly 1.0
 	mask := res.Root.Mask
@@ -276,30 +207,30 @@ func TestDegenerateShardsTieBoundary(t *testing.T) {
 			t.Fatalf("brute-force tie order broken at %d: %+v", i, p)
 		}
 	}
-	for _, pw := range []int{1, 2, 5, 8} {
-		got := JoinOne(cor, mask, nil, Options{K: 6, Q: 2, ProbeWorkers: pw})
-		requireIdentical(t, fmt.Sprintf("pw=%d", pw), got, want)
+	for q := 1; q <= 4; q++ {
+		got := JoinOne(cor, mask, nil, Options{K: 6, Q: q})
+		requireIdentical(t, fmt.Sprintf("q=%d", q), got, want)
 	}
 }
 
-// TestParallelStatsDeterministic: for a fixed shard count the folded
-// telemetry counters are deterministic too (shard stats fold in index
-// order), so reruns reproduce the same mc_ssjoin_* stream.
+// TestParallelStatsDeterministic: without the list-reuse handoff (whose
+// timing moves the work counters at Workers > 1) each config's counters
+// are a pure function of the config, and Stats sums them after the pool
+// joins, so every Workers reproduces the Workers 1 mc_ssjoin_* stream.
 func TestParallelStatsDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	cor, _, c := randomCorpus(t, rng, 30, 30)
-	run := func() Stats {
-		return JoinAll(cor, c, Options{K: 10, Q: 2, Workers: 3, ProbeWorkers: 4}).Stats
+	run := func(w int) Stats {
+		return JoinAll(cor, c, Options{K: 10, Q: 2, Workers: w, DisableListReuse: true}).Stats
 	}
-	s1, s2 := run(), run()
-	if !reflect.DeepEqual(s1, s2) {
-		t.Errorf("stats differ across identical runs:\n%+v\n%+v", s1, s2)
+	ref := run(1)
+	if ref.PrefixEvents == 0 || ref.ScratchScores == 0 {
+		t.Fatalf("reference run counted no work: %+v", ref)
 	}
-	if s1.ProbeShards == 0 {
-		t.Error("expected sharded probes to report ProbeShards > 0")
-	}
-	if s1.ShardMergePairs == 0 {
-		t.Error("expected shard merges to offer pairs")
+	for _, w := range []int{3, 3, 8} {
+		if got := run(w); !reflect.DeepEqual(got, ref) {
+			t.Errorf("workers=%d: stats differ from workers=1:\n%+v\n%+v", w, got, ref)
+		}
 	}
 }
 
@@ -307,7 +238,7 @@ func TestParallelStatsDeterministic(t *testing.T) {
 // observability stack attached — live registry, trace spans, provenance
 // watches — from several JoinAll invocations at once. Its assertions are
 // weak (the differential tests own correctness); its job is to give the
-// race detector every cross-shard interaction the production path has.
+// race detector every cross-config interaction the production path has.
 func TestParallelRaceStress(t *testing.T) {
 	rng := rand.New(rand.NewSource(66))
 	cor, _, c := randomCorpus(t, rng, 30, 30)
@@ -323,7 +254,7 @@ func TestParallelRaceStress(t *testing.T) {
 			root := tracer.Start("stress.joinall")
 			results[i] = JoinAll(cor, c, Options{
 				K: 10, Q: 2,
-				Workers: 3, ProbeWorkers: 4,
+				Workers:    3,
 				Metrics:    reg,
 				Trace:      root,
 				Provenance: prov,
@@ -337,78 +268,5 @@ func TestParallelRaceStress(t *testing.T) {
 	}
 	if reg.Snapshot() == nil {
 		t.Fatal("registry snapshot unavailable after stress")
-	}
-}
-
-// TestMergeTopKAgainstSerialInsert is the deterministic unit companion
-// to FuzzMergeTopK: partition a pair set by A-record, build per-shard
-// heaps, and check the merge equals serial insertion — including a block
-// of exact score ties straddling the boundary.
-func TestMergeTopKAgainstSerialInsert(t *testing.T) {
-	rng := rand.New(rand.NewSource(88))
-	var pairs []ScoredPair
-	for a := int32(0); a < 12; a++ {
-		for b := int32(0); b < 9; b++ {
-			// Rational scores with tiny denominators force exact ties.
-			pairs = append(pairs, ScoredPair{A: a, B: b, Score: float64(rng.Intn(5)) / 4})
-		}
-	}
-	for _, k := range []int{1, 7, 30, 200} {
-		for _, shards := range []int{1, 2, 3, 5} {
-			serial := newTopkHeap(k)
-			for _, p := range pairs {
-				serial.offer(p)
-			}
-			lists := make([][]ScoredPair, shards)
-			for s := 0; s < shards; s++ {
-				h := newTopkHeap(k)
-				for _, p := range pairs {
-					if int(p.A)%shards == s {
-						h.offer(p)
-					}
-				}
-				lists[s] = h.items
-			}
-			merged := mergeTopK(k, lists...)
-			requireIdentical(t, fmt.Sprintf("k=%d shards=%d", k, shards),
-				merged.list(0), serial.list(0))
-		}
-	}
-}
-
-// TestTokenizeInstancesParallelIdentical: the parallel tokenizer is a
-// pure fan-out; its output must match the inline path slot for slot.
-func TestTokenizeInstancesParallelIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	cor, res, _ := randomCorpus(t, rng, 300, 280)
-	for _, mask := range res.Configs() {
-		var ref denseInstances
-		ref.tokenize(cor, mask, 1)
-		for _, workers := range []int{2, 4, 7} {
-			var got denseInstances
-			got.tokenize(cor, mask, workers)
-			if got.n != ref.n || !reflect.DeepEqual(ref.a, got.a) || !reflect.DeepEqual(ref.b, got.b) {
-				t.Fatalf("mask=%b workers=%d: tokenize output differs", mask, workers)
-			}
-		}
-	}
-}
-
-// TestJoinAllCancelSafety: a cancelled sharded run must return promptly
-// and without panic (the q-race path), even with many shards in flight.
-func TestShardedCancel(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	cor, res, c := randomCorpus(t, rng, 40, 40)
-	var cancel atomic.Bool
-	cancel.Store(true)
-	rs := &runStats{}
-	got := runJoin(cor, res.Root.Mask, runOpts{
-		k: 20, q: 2, m: simfunc.Jaccard, c: c,
-		stats:        rs,
-		cancel:       &cancel,
-		probeWorkers: 4,
-	})
-	if len(got.Pairs) > 20 {
-		t.Errorf("cancelled sharded run returned %d pairs", len(got.Pairs))
 	}
 }

@@ -56,7 +56,7 @@ func benchJoinProgress(b *testing.B, track bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// A fresh tracker per join, as real callers attach them.
-		opt := Options{K: 500, ProbeWorkers: 2}
+		opt := Options{K: 500}
 		if track {
 			opt.Progress = NewProgress()
 		}

@@ -1,11 +1,10 @@
 package ssjoin
 
 // Tests for the join progress tracker: the determinism contract
-// (attaching a Progress changes no output bit at any Workers ×
-// ProbeWorkers), the accounting invariant (every owned token instance
-// ends up popped or skipped, so the completion fraction converges to
-// 1), the prune-tier split, the skew summaries, and the zero-alloc
-// discipline of the stride flush.
+// (attaching a Progress changes no output bit at any Workers), the
+// accounting invariant (every token instance ends up popped or skipped,
+// so the completion fraction converges to 1), the prune-tier split, and
+// the zero-alloc discipline of the stride flush.
 
 import (
 	"fmt"
@@ -17,68 +16,60 @@ import (
 
 // TestProgressDeterminismGrid: the tracker is observe-only — JoinAll
 // with a Progress attached must be byte-identical to the untracked
-// reference at every Workers × ProbeWorkers.
+// reference at every Workers.
 func TestProgressDeterminismGrid(t *testing.T) {
-	grid := []int{1, 2, 4}
 	for seed := int64(0); seed < 2; seed++ {
 		rng := rand.New(rand.NewSource(700 + seed))
 		cor, _, c := randomCorpus(t, rng, 30, 40)
-		ref := JoinAll(cor, c, Options{K: 15, Q: 2, Workers: 1, ProbeWorkers: 1})
-		for _, w := range grid {
-			for _, pw := range grid {
-				got := JoinAll(cor, c, Options{
-					K: 15, Q: 2, Workers: w, ProbeWorkers: pw,
-					Progress: NewProgress(),
-				})
-				requireIdenticalLists(t,
-					fmt.Sprintf("seed=%d workers=%d probeworkers=%d", seed, w, pw),
-					got.Lists, ref.Lists)
-			}
+		ref := JoinAll(cor, c, Options{K: 15, Q: 2, Workers: 1})
+		for _, w := range []int{1, 2, 4} {
+			got := JoinAll(cor, c, Options{K: 15, Q: 2, Workers: w, Progress: NewProgress()})
+			requireIdenticalLists(t, fmt.Sprintf("seed=%d workers=%d", seed, w), got.Lists, ref.Lists)
 		}
 	}
 }
 
-// TestProgressAccountingConverges: when the run finishes, every owned
-// token instance has been accounted — popped (done) or written off by a
+// TestProgressAccountingConverges: when the run finishes, every token
+// instance has been accounted — popped (done) or written off by a
 // prune (skipped) — and the derived fraction reads exactly 1.
 func TestProgressAccountingConverges(t *testing.T) {
-	for _, pw := range []int{1, 3} {
+	for _, w := range []int{1, 3} {
 		rng := rand.New(rand.NewSource(42))
 		cor, _, c := randomCorpus(t, rng, 40, 50)
 		prog := NewProgress()
-		res := JoinAll(cor, c, Options{K: 10, Q: 2, ProbeWorkers: pw, Progress: prog})
+		res := JoinAll(cor, c, Options{K: 10, Q: 2, Workers: w, Progress: prog})
 		snap := prog.Snapshot()
 		if !snap.Done {
-			t.Fatalf("pw=%d: run finished but snapshot not Done", pw)
+			t.Fatalf("workers=%d: run finished but snapshot not Done", w)
 		}
 		if snap.Cancelled {
-			t.Fatalf("pw=%d: uncancelled run marked cancelled", pw)
+			t.Fatalf("workers=%d: uncancelled run marked cancelled", w)
 		}
 		if snap.Fraction != 1 {
-			t.Fatalf("pw=%d: fraction = %v, want 1", pw, snap.Fraction)
+			t.Fatalf("workers=%d: fraction = %v, want 1", w, snap.Fraction)
 		}
 		if snap.ProbesTotal == 0 {
-			t.Fatalf("pw=%d: no probes accounted", pw)
+			t.Fatalf("workers=%d: no probes accounted", w)
 		}
 		if got := snap.ProbesDone + snap.ProbesSkipped; got != snap.ProbesTotal {
-			t.Fatalf("pw=%d: done %d + skipped %d = %d, want total %d",
-				pw, snap.ProbesDone, snap.ProbesSkipped, got, snap.ProbesTotal)
+			t.Fatalf("workers=%d: done %d + skipped %d = %d, want total %d",
+				w, snap.ProbesDone, snap.ProbesSkipped, got, snap.ProbesTotal)
 		}
 		if snap.ConfigsDone != snap.ConfigsTotal || snap.ConfigsStarted != snap.ConfigsTotal {
-			t.Fatalf("pw=%d: configs done/started/total = %d/%d/%d",
-				pw, snap.ConfigsDone, snap.ConfigsStarted, snap.ConfigsTotal)
+			t.Fatalf("workers=%d: configs done/started/total = %d/%d/%d",
+				w, snap.ConfigsDone, snap.ConfigsStarted, snap.ConfigsTotal)
 		}
 		if snap.EventHeapLive != 0 {
-			t.Fatalf("pw=%d: finished run reports live event heap %d", pw, snap.EventHeapLive)
+			t.Fatalf("workers=%d: finished run reports live event heap %d", w, snap.EventHeapLive)
 		}
 		// The tracker and Stats report through the same counter stream.
 		if snap.ProbesDone != res.Stats.PrefixEvents {
-			t.Fatalf("pw=%d: snapshot pops %d != Stats.PrefixEvents %d",
-				pw, snap.ProbesDone, res.Stats.PrefixEvents)
+			t.Fatalf("workers=%d: snapshot pops %d != Stats.PrefixEvents %d",
+				w, snap.ProbesDone, res.Stats.PrefixEvents)
 		}
 		if snap.ProbesSkipped != res.Stats.SkippedInstances {
-			t.Fatalf("pw=%d: snapshot skipped %d != Stats.SkippedInstances %d",
-				pw, snap.ProbesSkipped, res.Stats.SkippedInstances)
+			t.Fatalf("workers=%d: snapshot skipped %d != Stats.SkippedInstances %d",
+				w, snap.ProbesSkipped, res.Stats.SkippedInstances)
 		}
 	}
 }
@@ -90,7 +81,7 @@ func TestProgressAccountingConverges(t *testing.T) {
 func TestProgressPruneTierSplit(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	cor, _, c := randomCorpus(t, rng, 40, 50)
-	res := JoinAll(cor, c, Options{K: 5, Q: 2, ProbeWorkers: 2})
+	res := JoinAll(cor, c, Options{K: 5, Q: 2})
 	st := res.Stats
 	if st.PruneKillsPushCap+st.PruneKillsLoopBreak != st.PruneKills {
 		t.Fatalf("tier split %d + %d != PruneKills %d",
@@ -99,39 +90,6 @@ func TestProgressPruneTierSplit(t *testing.T) {
 	if st.PruneKillsFlushBound != st.DeferredPairs-st.FlushedPairs {
 		t.Fatalf("flush-bound kills %d != deferred %d - flushed %d",
 			st.PruneKillsFlushBound, st.DeferredPairs, st.FlushedPairs)
-	}
-}
-
-// TestProgressShardSkew: sharded runs produce a well-formed skew
-// summary in both the Stats aggregate and the snapshot, and the
-// summary is deterministic across reruns at a fixed shard count.
-func TestProgressShardSkew(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	cor, _, c := randomCorpus(t, rng, 60, 80)
-	// Workers: 1 — at Workers > 1 the list-reuse handoff, so the shard work, is timing.
-	run := func() (Stats, ProgressSnapshot) {
-		prog := NewProgress()
-		res := JoinAll(cor, c, Options{K: 10, Q: 2, Workers: 1, ProbeWorkers: 4, Progress: prog})
-		return res.Stats, prog.Snapshot()
-	}
-	st, snap := run()
-	if st.ShardImbalance < 1 {
-		t.Fatalf("sharded run has imbalance %v < 1 (min %d max %d)",
-			st.ShardImbalance, st.ShardWorkMin, st.ShardWorkMax)
-	}
-	if st.ShardWorkMin > st.ShardWorkP50 || st.ShardWorkP50 > st.ShardWorkMax {
-		t.Fatalf("skew order violated: min %d p50 %d max %d",
-			st.ShardWorkMin, st.ShardWorkP50, st.ShardWorkMax)
-	}
-	if snap.Skew.Shards != 4 {
-		t.Fatalf("snapshot skew over %d shards, want 4", snap.Skew.Shards)
-	}
-	if snap.Skew.WorkMin > snap.Skew.WorkP50 || snap.Skew.WorkP50 > snap.Skew.WorkMax {
-		t.Fatalf("snapshot skew order violated: %+v", snap.Skew)
-	}
-	st2, _ := run()
-	if st != st2 {
-		t.Fatalf("skew stats not deterministic across reruns:\n%+v\n%+v", st, st2)
 	}
 }
 
@@ -145,7 +103,7 @@ func TestProgressMidRunSnapshot(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		JoinAll(cor, c, Options{K: 25, Q: 1, ProbeWorkers: 2, Progress: prog})
+		JoinAll(cor, c, Options{K: 25, Q: 1, Progress: prog})
 	}()
 	var lastDone int64
 	for {
@@ -179,24 +137,12 @@ func TestProgressNilSafe(t *testing.T) {
 	p.configStarted()
 	p.configDone()
 	p.finishRun(false)
-	if s := p.slot(0); s != nil {
-		t.Fatalf("nil Progress returned a slot")
+	if c := p.counters(); c != nil {
+		t.Fatalf("nil Progress returned a counter block")
 	}
 	snap := p.Snapshot()
 	if snap.Done || snap.ProbesTotal != 0 || snap.ETASeconds != -1 {
 		t.Fatalf("nil snapshot not empty: %+v", snap)
-	}
-}
-
-// TestProgressSlotSharing: shard indexes at or above the slot cap fold
-// into their residue slot instead of walking off the array.
-func TestProgressSlotSharing(t *testing.T) {
-	p := NewProgress()
-	if p.slot(progressShardSlots) != p.slot(0) {
-		t.Fatalf("slot %d should alias slot 0", progressShardSlots)
-	}
-	if p.slot(progressShardSlots+3) != p.slot(3) {
-		t.Fatalf("slot %d should alias slot 3", progressShardSlots+3)
 	}
 }
 
@@ -216,7 +162,7 @@ func TestProgressCancelMark(t *testing.T) {
 // static gate: the stride flush must not allocate.
 func TestProgressFlushAllocs(t *testing.T) {
 	p := NewProgress()
-	cur := progCursor{slot: p.slot(0)}
+	cur := progCursor{block: p.counters()}
 	rs := &runStats{}
 	allocs := testing.AllocsPerRun(1000, func() {
 		rs.n[cPrefixEvents] += 17
@@ -229,9 +175,9 @@ func TestProgressFlushAllocs(t *testing.T) {
 	}
 }
 
-// TestProgressConcurrentFlushers: many goroutines flushing into the
-// same and different slots (the Workers > 1, serial-probe shape where
-// every config shares slot 0) must race-cleanly accumulate.
+// TestProgressConcurrentFlushers: many goroutines flushing into the one
+// counter block (the Workers > 1 shape, where concurrent configs share
+// it) must race-cleanly accumulate.
 func TestProgressConcurrentFlushers(t *testing.T) {
 	p := NewProgress()
 	p.beginRun(8)
@@ -242,9 +188,8 @@ func TestProgressConcurrentFlushers(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			p.configStarted()
-			slot := p.slot(g % 2)
-			slot.probesTotal.Add(perG)
-			cur := progCursor{slot: slot}
+			cur := progCursor{block: p.counters()}
+			cur.block.probesTotal.Add(perG)
 			rs := &runStats{}
 			for i := 0; i < perG; i++ {
 				rs.n[cPrefixEvents]++
@@ -259,7 +204,7 @@ func TestProgressConcurrentFlushers(t *testing.T) {
 	if snap.ProbesDone != 8*perG || snap.ProbesTotal != 8*perG {
 		t.Fatalf("done/total = %d/%d, want %d/%d", snap.ProbesDone, snap.ProbesTotal, 8*perG, 8*perG)
 	}
-	if len(snap.Shards) != 2 {
-		t.Fatalf("%d active slots, want 2", len(snap.Shards))
+	if snap.Samples != 8*perG {
+		t.Fatalf("%d samples, want %d", snap.Samples, 8*perG)
 	}
 }

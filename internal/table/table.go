@@ -163,6 +163,9 @@ func ReadCSV(name string, r io.Reader) (*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("table %q: reading header: %w", name, err)
 	}
+	for i, a := range header {
+		header[i] = foldCRLF(a)
+	}
 	t, err := New(name, header)
 	if err != nil {
 		return nil, err
@@ -178,9 +181,24 @@ func ReadCSV(name string, r io.Reader) (*Table, error) {
 		if len(rec) != len(header) {
 			return nil, fmt.Errorf("table %q: row %d has %d fields, header has %d", name, len(t.rows)+1, len(rec), len(header))
 		}
+		for i, v := range rec {
+			rec[i] = foldCRLF(v)
+		}
 		t.rows = append(t.rows, rec)
 	}
 	return t, nil
+}
+
+// foldCRLF folds every run of \r before a \n into the \n. encoding/csv
+// reads each line's \r\n as \n, so a quoted field can still hold a \r\n
+// (an input \r\r\n), but one written back would read as \n: no CSV
+// spelling keeps it. ReadCSV folds attribute names and values alike, so
+// what it returns is already in round-trip form.
+func foldCRLF(v string) string {
+	for strings.Contains(v, "\r\n") {
+		v = strings.ReplaceAll(v, "\r\n", "\n")
+	}
+	return v
 }
 
 // ReadCSVFile reads a table from the CSV file at path, using the file's
@@ -199,13 +217,26 @@ func ReadCSVFile(path string) (*Table, error) {
 	return ReadCSV(name, f)
 }
 
-// WriteCSV writes the table as CSV with a header record.
+// WriteCSV writes the table as CSV with a header record. A one-column row
+// whose value is empty is written as `""`: encoding/csv would write a
+// blank line, which ReadCSV skips, dropping the row and shifting every
+// later row's id.
 func (t *Table) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(t.attrs); err != nil {
 		return err
 	}
 	for _, row := range t.rows {
+		if len(row) == 1 && row[0] == "" {
+			cw.Flush()
+			if err := cw.Error(); err != nil {
+				return err
+			}
+			if _, err := io.WriteString(w, "\"\"\n"); err != nil {
+				return err
+			}
+			continue
+		}
 		if err := cw.Write(row); err != nil {
 			return err
 		}

@@ -55,7 +55,7 @@ mkdir -p "$TMP/big"
 
 echo "== CLI reference session"
 "$TMP/mcdebug" -a "$TMP/F-Z-A.csv" -b "$TMP/F-Z-B.csv" -gold "$TMP/F-Z-gold.csv" \
-    -drop 'name_jac_word<0.4' -k 200 -n 10 -seed 1 -workers 1 -probe-workers 1 \
+    -drop 'name_jac_word<0.4' -k 200 -n 10 -seed 1 -workers 1 \
     -canonical -report "$TMP/cli_report.json" >/dev/null
 
 echo "== start mcserve"

@@ -115,7 +115,7 @@ def drive_gold(su):
 
 sid, su, report = run_session(
     TMP,
-    '{"seed":1,"k":200,"n":10,"workers":1,"probe_workers":1}',
+    '{"seed":1,"k":200,"n":10,"workers":1}',
     drive_gold,
 )
 with open(REPORT_OUT, "wb") as f:
