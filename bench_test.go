@@ -201,7 +201,9 @@ func benchCorpus(b *testing.B, prof datagen.Profile, blockAttr string) (*ssjoin.
 // BenchmarkQJoin measures the improved top-k join (q = 2, the default) on
 // one long-string config — the paper's §4.1 contribution. Deferring score
 // computation pays off exactly when strings are long (A-G descriptions);
-// on short strings the q-selection race picks q = 1.
+// on short strings (M2) q = 1 is faster, but every front runs q = 2 (the
+// paper's q-selection race is not built; EXPERIMENTS.md, "Known
+// deviations").
 func BenchmarkQJoin(b *testing.B) {
 	cor, res, c := benchCorpus(b, datagen.AmazonGoogle().Scaled(0.5), "manuf")
 	b.ResetTimer()

@@ -543,7 +543,7 @@ func (w *lockWalker) blockingCall(call *ast.CallExpr) (string, bool) {
 		return "an outbound HTTP call", true
 	case isRunlogPkg(pkg) && name == "Append":
 		return "the ledger append (runlog.Append does file I/O)", true
-	case isSSJoinPkg(pkg) && (name == "JoinAll" || name == "JoinOne" || name == "SelectQ" || name == "BruteForce"):
+	case isSSJoinPkg(pkg) && (name == "JoinAll" || name == "JoinOne" || name == "BruteForce"):
 		return "the join (" + name + ")", true
 	case isCorePkg(pkg) && name == "New":
 		return "pipeline construction (core.New runs the joins)", true

@@ -27,7 +27,6 @@ package ssjoin
 import (
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"matchcatcher/internal/blocker"
 	"matchcatcher/internal/config"
@@ -148,9 +147,9 @@ var filterKillHook func(a, b int32, tier int8)
 var denseStateLimit = 32 << 20
 
 // maxPackedQ bounds q: packed states count common prefix instances in
-// four bits (three sentinels plus counts up to 12). runJoin clamps q to
-// it, which cannot change the output: the join is exact for every q, so
-// q decides only when a pair is scored.
+// four bits (three sentinels plus counts up to 12). Options.withDefaults
+// clamps Q to it, which cannot change the output: the join is exact for
+// every q, so q decides only when a pair is scored.
 const maxPackedQ = 12
 
 // flatProbe is one config join's map-free probe state: every lookup the event
@@ -171,7 +170,7 @@ type flatProbe struct {
 	rs      *runStats
 	top     *topkHeap
 	cur     progCursor
-	cancel  *atomic.Bool
+	done    <-chan struct{}
 	mergeCh <-chan []ScoredPair
 	span    *telemetry.TraceSpan
 	idsA    [][]int32
@@ -231,7 +230,7 @@ func (p *flatProbe) release() {
 	p.rs = nil
 	p.top = nil
 	p.cur = progCursor{}
-	p.cancel = nil
+	p.done = nil
 	p.mergeCh = nil
 	p.span = nil
 	p.idsA = nil

@@ -1,8 +1,6 @@
 package ssjoin
 
 import (
-	"sync/atomic"
-
 	"matchcatcher/internal/blocker"
 	"matchcatcher/internal/config"
 	"matchcatcher/internal/simfunc"
@@ -12,7 +10,7 @@ import (
 // runOpts parameterizes one single-config join run.
 type runOpts struct {
 	k int
-	q int // compute a pair's score once it has q common prefix tokens
+	q int // compute a pair's score once it has q common prefix tokens; in [1, maxPackedQ]
 	m simfunc.SetMeasure
 	c *blocker.PairSet // blocker output: pairs to exclude (may be nil)
 	// seeds are pre-scored pairs (scores already under THIS config,
@@ -23,8 +21,9 @@ type runOpts struct {
 	// exact (see runJoin), so whether and when the list arrives changes
 	// only the work done, never the result.
 	mergeCh <-chan []ScoredPair
-	// cancel aborts the run when set (used by the q-selection race).
-	cancel *atomic.Bool
+	// done aborts the run once closed: the probe loop reads it at its
+	// stride checkpoint. Nil never fires.
+	done <-chan struct{}
 	// stats collects this run's event counts. Always non-nil in real
 	// runs; runJoin tolerates nil.
 	stats *runStats
@@ -63,9 +62,6 @@ type runOpts struct {
 // invariance is what lets JoinAll run configs concurrently and hand
 // parent lists over at any time and still return the serial bytes.
 func runJoin(cor *Corpus, mask config.Mask, opt runOpts) TopKList {
-	// q only decides when a pair is scored, so clamping it to the range
-	// the packed pair state can count cannot change the output.
-	opt.q = min(max(opt.q, 1), maxPackedQ)
 	if opt.stats == nil {
 		opt.stats = &runStats{}
 	}

@@ -48,7 +48,7 @@ func (p *flatProbe) wire(cor *Corpus, mask config.Mask, opt runOpts,
 	p.rs = opt.stats
 	p.top = top
 	p.cur = progCursor{block: opt.prog.counters()}
-	p.cancel = opt.cancel
+	p.done = opt.done
 	p.mergeCh = opt.mergeCh
 	p.span = opt.span
 	p.idsA, p.idsB = ids.a, ids.b
@@ -299,8 +299,10 @@ func (p *flatProbe) probe() bool {
 			// Progress sampling rides the loop's existing stride
 			// checkpoint: one delta flush per progressStride pops.
 			p.cur.flush(p.rs, p.events.Len(), p.top.Len())
-			if p.cancel != nil && p.cancel.Load() {
+			select {
+			case <-p.done:
 				return true
+			default:
 			}
 			if p.mergeCh != nil {
 				select {

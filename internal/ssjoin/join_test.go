@@ -243,30 +243,31 @@ func TestJoinAllMatchesIndividual(t *testing.T) {
 	}
 }
 
-// TestNonPositiveOptionsSelectDefaults: a negative K or Workers selects
-// the default, as zero does. Passed through, Workers -1 started no
-// worker and hung JoinAll on its job queue, and K -1 panicked a worker
-// in the top-k heap.
+// TestNonPositiveOptionsSelectDefaults: a negative K, Q or Workers
+// selects the default, as zero does, and a Q past maxPackedQ runs (and
+// reports) maxPackedQ. Passed through, Workers -1 started no worker and
+// hung JoinAll on its job queue, K -1 panicked a worker in the top-k
+// heap, and Q -5 or 20 reported a QUsed the kernel never ran with.
 func TestNonPositiveOptionsSelectDefaults(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	cor, _, c := randomCorpus(t, rng, 20, 20)
 	want := JoinAll(cor, c, Options{Q: 2})
-	for _, opt := range []Options{{Q: 2, Workers: -1}, {Q: 2, K: -1}} {
-		got := JoinAll(cor, c, opt)
-		requireIdenticalLists(t, fmt.Sprintf("K=%d Workers=%d", opt.K, opt.Workers), got.Lists, want.Lists)
-	}
-}
-
-func TestSelectQReturnsValidQ(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	cor, res, c := randomCorpus(t, rng, 25, 25)
-	q := SelectQ(cor, res.Root.Mask, c, Options{})
-	if q < 1 || q > 4 {
-		t.Errorf("SelectQ = %d", q)
-	}
-	jr := JoinAll(cor, c, Options{K: 10, Q: AutoQ})
-	if jr.Stats.QUsed < 1 || jr.Stats.QUsed > 4 {
-		t.Errorf("QUsed = %d", jr.Stats.QUsed)
+	for _, tc := range []struct {
+		opt   Options
+		qUsed int
+	}{
+		{Options{Q: 2, Workers: -1}, 2},
+		{Options{Q: 2, K: -1}, 2},
+		{Options{Q: -1}, 2},
+		{Options{Q: -5}, 2},
+		{Options{Q: 20}, maxPackedQ},
+	} {
+		label := fmt.Sprintf("K=%d Q=%d Workers=%d", tc.opt.K, tc.opt.Q, tc.opt.Workers)
+		got := JoinAll(cor, c, tc.opt)
+		requireIdenticalLists(t, label, got.Lists, want.Lists)
+		if got.Stats.QUsed != tc.qUsed {
+			t.Errorf("%s: QUsed = %d, want %d", label, got.Stats.QUsed, tc.qUsed)
+		}
 	}
 }
 

@@ -14,27 +14,26 @@ import (
 	"matchcatcher/internal/telemetry"
 )
 
-// AutoQ requests the empirical q selection of Section 4.1: QJoin runs for
-// q = 1..4 concurrently at k = 50, and the first run to finish decides q.
-const AutoQ = -1
-
 // Options tunes the joins.
 type Options struct {
-	// Ctx, when non-nil, cancels the run: once the context is done every
-	// in-flight probe loop aborts at its next cancellation check and
-	// JoinAll/JoinOne return promptly. A cancelled run's lists are
-	// partial garbage — callers must check Ctx.Err() before using the
-	// result (core.New does). This is how a server threads request
-	// timeouts into the join without polluting the exact hot path: the
-	// cancellation flag is the same atomic the q-selection race uses.
+	// Ctx, when non-nil, cancels the run: once its done channel is
+	// closed, every in-flight probe loop aborts at its next stride
+	// checkpoint, JoinAll starts no further config, and JoinAll/JoinOne
+	// return promptly. A cancelled run's lists are partial garbage (a
+	// config never started keeps an empty list) — callers must check
+	// Ctx.Err() before using the result (core.New does). This is how a
+	// server threads request timeouts into the join: the probe loop reads
+	// the done channel once per stride, never per pop.
 	Ctx context.Context
 	// K is the per-config list size (the paper's experiments use 1000).
 	K int
 	// Measure is the set similarity (default Jaccard, the paper's choice).
 	Measure simfunc.SetMeasure
-	// Q is the common-token count that triggers exact scoring. 0 selects
-	// the default (2); AutoQ runs the empirical selection race; 1
-	// reproduces the TopKJoin baseline's eager scoring.
+	// Q is the common-token count that triggers exact scoring (the
+	// Section 4.1 knob). Q < 1 selects the default (2); 1 reproduces the
+	// TopKJoin baseline's eager scoring; values past maxPackedQ run at
+	// maxPackedQ, which cannot change the output (q decides only when a
+	// pair is scored).
 	Q int
 	// Workers bounds the number of configs processed concurrently
 	// (default GOMAXPROCS). Every single-config join returns the exact
@@ -46,8 +45,8 @@ type Options struct {
 	// DisableListReuse turns off the Section 4.2 list reuse (a child
 	// config starting from its parent's top-k), for the §6.5 ablation.
 	DisableListReuse bool
-	// Metrics receives the executor's telemetry (counters, per-config
-	// join latency, q-race outcome). Nil selects telemetry.Default();
+	// Metrics receives the executor's telemetry (counters and per-config
+	// join latency). Nil selects telemetry.Default();
 	// telemetry.Disabled() switches instrumentation off.
 	Metrics *telemetry.Registry
 	// Trace is the parent trace span the executor hangs its per-config
@@ -65,8 +64,7 @@ type Options struct {
 	// while the run is in flight. Observe-only: attaching it
 	// never changes an output bit, and its overhead is bounded by the
 	// progress-overhead CI gate (<5%, BENCH_progress_overhead.json).
-	// One Progress tracks one JoinOne/JoinAll call; the q-selection
-	// race's throwaway joins are never tracked.
+	// One Progress tracks one JoinOne/JoinAll call.
 	Progress *Progress
 }
 
@@ -74,9 +72,10 @@ func (o Options) withDefaults() Options {
 	if o.K < 1 {
 		o.K = 1000
 	}
-	if o.Q == 0 {
+	if o.Q < 1 {
 		o.Q = 2
 	}
+	o.Q = min(o.Q, maxPackedQ)
 	if o.Workers < 1 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -87,8 +86,8 @@ func (o Options) withDefaults() Options {
 // and run reports. It is a per-run view over the same counter stream that
 // feeds the telemetry registry (every config join's runStats flushes into
 // both), so JoinAll/JoinOne report through one mechanism; the telemetry
-// side additionally carries the per-config latency histogram and the
-// q-race outcome under the mc_ssjoin_* names.
+// side additionally carries the per-config latency histogram under the
+// mc_ssjoin_* names.
 type Stats struct {
 	ScratchScores   int64 // exact pair scores, each one merge of two token lists
 	PrefixEvents    int64 // prefix-extension events processed
@@ -110,7 +109,7 @@ type Stats struct {
 	// SkippedInstances counts token instances pruning wrote off unpopped
 	// (the complement of PrefixEvents in the progress accounting).
 	SkippedInstances int64
-	QUsed            int // the q QJoin ran with
+	QUsed            int // the q QJoin ran with (Options.Q after defaults and clamp)
 	// Deprecated: always zero. Score reuse (the Section 4.2 overlap
 	// database they counted) is deleted; every score is a ScratchScore.
 	ReusedScores, ReuseMisses int64
@@ -123,24 +122,65 @@ type JoinResult struct {
 	Stats Stats
 }
 
-// watchCancel bridges a context into the join's atomic cancellation
-// flag. It returns the flag (nil when ctx is nil: never cancelled) and
-// a release func that must be called once the run is over to free the
-// watcher goroutine.
-func watchCancel(ctx context.Context) (*atomic.Bool, func()) {
-	if ctx == nil {
-		return nil, func() {}
+// joinRun is one JoinOne or JoinAll call: the resolved options, the
+// registry sink and the cancellation channel every config it joins
+// shares.
+type joinRun struct {
+	cor  *Corpus
+	c    *blocker.PairSet
+	opt  Options
+	snk  *sink
+	done <-chan struct{} // Ctx's done channel; nil (never ready) without a Ctx
+}
+
+// newJoinRun resolves opt's defaults, records C's suppression lineage and
+// opens the call's progress run over configs configs.
+func newJoinRun(cor *Corpus, c *blocker.PairSet, opt Options, configs int) *joinRun {
+	opt = opt.withDefaults()
+	r := &joinRun{cor: cor, c: c, opt: opt, snk: newSink(telemetry.Or(opt.Metrics))}
+	if opt.Ctx != nil {
+		r.done = opt.Ctx.Done()
 	}
-	flag := &atomic.Bool{}
-	stop := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			flag.Store(true)
-		case <-stop:
-		}
-	}()
-	return flag, func() { close(stop) }
+	recordSuppressionProvenance(opt.Provenance, c)
+	opt.Progress.beginRun(configs)
+	return r
+}
+
+// cancelled reports whether the run's Ctx is done.
+func (r *joinRun) cancelled() bool {
+	select {
+	case <-r.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// end marks the call's progress run finished, and cancelled if Ctx is
+// done.
+func (r *joinRun) end() { r.opt.Progress.finishRun(r.cancelled()) }
+
+// join runs one config under its ssjoin.config span, then flushes the
+// config's counts into the registry and its lineage into provenance. ro
+// carries the caller's per-config inputs (ids, seeds, mergeCh); reuse,
+// when set, is the span's list_reuse attr.
+func (r *joinRun) join(mask config.Mask, ro runOpts, reuse string) (TopKList, *runStats) {
+	rs := &runStats{}
+	csp := r.opt.Trace.Child("ssjoin.config",
+		telemetry.L("config", r.cor.Res.String(mask)),
+		telemetry.L("q", strconv.Itoa(r.opt.Q)))
+	if reuse != "" {
+		csp.SetAttr("list_reuse", reuse)
+	}
+	ro.k, ro.q, ro.m, ro.c = r.opt.K, r.opt.Q, r.opt.Measure, r.c
+	ro.done, ro.stats, ro.span, ro.prog = r.done, rs, csp, r.opt.Progress
+	start := time.Now()
+	list := runJoin(r.cor, mask, ro)
+	csp.SetAttrInt("scratch_scores", rs.n[cScratchScores])
+	csp.End()
+	r.snk.record(rs, time.Since(start))
+	recordJoinProvenance(r.opt.Provenance, r.cor, mask, r.c, list, r.opt.Measure)
+	return list, rs
 }
 
 // JoinOne runs QJoin on a single config with no cross-config reuse; it is
@@ -148,75 +188,10 @@ func watchCancel(ctx context.Context) (*atomic.Bool, func()) {
 // individual-execution baseline of the §6.5 ablation and the single-config
 // baseline of [29] when given the root config.
 func JoinOne(cor *Corpus, mask config.Mask, c *blocker.PairSet, opt Options) TopKList {
-	opt = opt.withDefaults()
-	snk := newSink(telemetry.Or(opt.Metrics))
-	if opt.Q == AutoQ {
-		opt.Q = SelectQ(cor, mask, c, opt)
-		snk.recordQ(opt.Q)
-	}
-	recordSuppressionProvenance(opt.Provenance, c)
-	cancel, release := watchCancel(opt.Ctx)
-	defer release()
-	opt.Progress.beginRun(1)
-	defer func() {
-		opt.Progress.finishRun(cancel != nil && cancel.Load())
-	}()
-	rs := &runStats{}
-	csp := opt.Trace.Child("ssjoin.config",
-		telemetry.L("config", cor.Res.String(mask)),
-		telemetry.L("q", strconv.Itoa(opt.Q)))
-	start := time.Now()
-	list := runJoin(cor, mask, runOpts{
-		k:      opt.K,
-		q:      opt.Q,
-		m:      opt.Measure,
-		c:      c,
-		cancel: cancel,
-		stats:  rs,
-		span:   csp,
-		prog:   opt.Progress,
-	})
-	csp.End()
-	snk.record(rs, time.Since(start))
-	recordJoinProvenance(opt.Provenance, cor, mask, c, list, opt.Measure)
+	r := newJoinRun(cor, c, opt, 1)
+	defer r.end()
+	list, _ := r.join(mask, runOpts{}, "")
 	return list
-}
-
-// SelectQ implements the empirical q selection: QJoin runs for q = 1..4
-// concurrently with k = 50; whichever finishes first decides q (the paper
-// then keeps that run going; we rerun at full k, which costs one small
-// extra join and keeps the scheduler simple).
-func SelectQ(cor *Corpus, mask config.Mask, c *blocker.PairSet, opt Options) int {
-	opt = opt.withDefaults()
-	var cancel atomic.Bool
-	var once sync.Once
-	winner := 2
-	var wg sync.WaitGroup
-	for q := 1; q <= 4; q++ {
-		wg.Add(1)
-		go func(q int) {
-			defer wg.Done()
-			// The race's joins are throwaway measurements at k = 50; their
-			// runStats stay local so they do not pollute the run counters.
-			rs := &runStats{}
-			runJoin(cor, mask, runOpts{
-				k:      50,
-				q:      q,
-				m:      opt.Measure,
-				c:      c,
-				cancel: &cancel,
-				stats:  rs,
-			})
-			if !cancel.Load() {
-				once.Do(func() {
-					winner = q
-					cancel.Store(true)
-				})
-			}
-		}(q)
-	}
-	wg.Wait()
-	return winner
 }
 
 // JoinAll processes every config of the tree jointly (Section 4.2) on
@@ -224,27 +199,14 @@ func SelectQ(cor *Corpus, mask config.Mask, c *blocker.PairSet, opt Options) int
 // top-k list from its parent's finished list, or starts empty and merges
 // the parent's list when it arrives mid-run. Scores are not reused: each
 // is one exact merge of two token lists (EXPERIMENTS.md §6.5 item 3).
+// Once Ctx is done a worker starts no further config; those keep an
+// empty list.
 func JoinAll(cor *Corpus, c *blocker.PairSet, opt Options) *JoinResult {
-	opt = opt.withDefaults()
-	snk := newSink(telemetry.Or(opt.Metrics))
-	res := &JoinResult{}
-
 	nodes := cor.Res.Nodes()
-	q := opt.Q
-	if q == AutoQ {
-		q = SelectQ(cor, nodes[0].Mask, c, opt)
-		snk.recordQ(q)
-	}
-	res.Stats.QUsed = q
-
-	recordSuppressionProvenance(opt.Provenance, c)
-
-	cancel, release := watchCancel(opt.Ctx)
-	defer release()
-	opt.Progress.beginRun(len(nodes))
-	defer func() {
-		opt.Progress.finishRun(cancel != nil && cancel.Load())
-	}()
+	r := newJoinRun(cor, c, opt, len(nodes))
+	defer r.end()
+	opt = r.opt
+	res := &JoinResult{Stats: Stats{QUsed: opt.Q}}
 
 	idxOf := make(map[*config.Node]int, len(nodes))
 	for i, n := range nodes {
@@ -254,7 +216,7 @@ func JoinAll(cor *Corpus, c *blocker.PairSet, opt Options) *JoinResult {
 	// Per-node runStats survive the pool so Stats is folded plainly and
 	// deterministically (node order) after the workers join.
 	nodeStats := make([]*runStats, len(nodes))
-	done := make([]atomic.Bool, len(nodes))
+	finished := make([]atomic.Bool, len(nodes))
 	mergeChs := make([]chan []ScoredPair, len(nodes))
 	for i, n := range nodes {
 		if n.Parent != nil && !opt.DisableListReuse {
@@ -272,39 +234,20 @@ func JoinAll(cor *Corpus, c *blocker.PairSet, opt Options) *JoinResult {
 			// runs: runJoin is done with it before the next job starts.
 			ids := &denseInstances{}
 			for i := range jobs {
-				n := nodes[i]
-				rs := &runStats{}
-				nodeStats[i] = rs
-				csp := opt.Trace.Child("ssjoin.config",
-					telemetry.L("config", cor.Res.String(n.Mask)),
-					telemetry.L("q", strconv.Itoa(q)))
-				ro := runOpts{
-					k:      opt.K,
-					q:      q,
-					m:      opt.Measure,
-					c:      c,
-					cancel: cancel,
-					stats:  rs,
-					span:   csp,
-					prog:   opt.Progress,
-					ids:    ids,
+				if r.cancelled() {
+					continue
 				}
+				n := nodes[i]
+				ro, reuse := runOpts{ids: ids}, ""
 				if n.Parent != nil && !opt.DisableListReuse {
-					if pi := idxOf[n.Parent]; done[pi].Load() {
-						ro.seeds = lists[pi].Pairs
-						csp.SetAttr("list_reuse", "seed")
+					if pi := idxOf[n.Parent]; finished[pi].Load() {
+						ro.seeds, reuse = lists[pi].Pairs, "seed"
 					} else {
-						ro.mergeCh = mergeChs[i]
-						csp.SetAttr("list_reuse", "merge")
+						ro.mergeCh, reuse = mergeChs[i], "merge"
 					}
 				}
-				start := time.Now()
-				lists[i] = runJoin(cor, n.Mask, ro)
-				csp.SetAttrInt("scratch_scores", rs.n[cScratchScores])
-				csp.End()
-				snk.record(rs, time.Since(start))
-				recordJoinProvenance(opt.Provenance, cor, n.Mask, c, lists[i], opt.Measure)
-				done[i].Store(true)
+				lists[i], nodeStats[i] = r.join(n.Mask, ro, reuse)
+				finished[i].Store(true)
 				for _, ch := range n.Children {
 					ci := idxOf[ch]
 					if mergeChs[ci] == nil {

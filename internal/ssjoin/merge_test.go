@@ -3,7 +3,6 @@ package ssjoin
 import (
 	"math"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 
 	"matchcatcher/internal/simfunc"
@@ -65,23 +64,5 @@ func TestSeedsIdenticalToMerge(t *testing.T) {
 		if math.Abs(ss[i]-ms[i]) > 1e-9 {
 			t.Fatalf("score[%d]: seeded %g merged %g", i, ss[i], ms[i])
 		}
-	}
-}
-
-// TestCancelStopsRun: the q-selection race relies on cancellation.
-func TestCancelStopsRun(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	cor, res, c := randomCorpus(t, rng, 40, 40)
-	opts := runOpts{
-		k: 20, q: 2, m: simfunc.Jaccard, c: c,
-	}
-	var cancel atomic.Bool
-	cancel.Store(true)
-	opts.cancel = &cancel
-	got := runJoin(cor, res.Root.Mask, opts)
-	// A cancelled run returns early with whatever it has; it must not
-	// panic and must return a valid (possibly short) list.
-	if len(got.Pairs) > 20 {
-		t.Errorf("cancelled run returned %d pairs", len(got.Pairs))
 	}
 }

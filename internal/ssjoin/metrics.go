@@ -1,7 +1,6 @@
 package ssjoin
 
 import (
-	"strconv"
 	"time"
 
 	"matchcatcher/internal/telemetry"
@@ -74,7 +73,6 @@ type sink struct {
 	pruneKills  *telemetry.Counter // push_cap + loop_break
 	configJoins *telemetry.Counter
 	joinSeconds *telemetry.Histogram
-	reg         *telemetry.Registry
 }
 
 func newSink(reg *telemetry.Registry) *sink {
@@ -91,7 +89,6 @@ func newSink(reg *telemetry.Registry) *sink {
 		pruneKills:  reg.Counter("mc_ssjoin_prune_kills_total"),
 		configJoins: reg.Counter("mc_ssjoin_config_joins_total"),
 		joinSeconds: reg.Histogram("mc_ssjoin_join_seconds"),
-		reg:         reg,
 	}
 	for _, t := range pruneTiers {
 		s.c[t.c] = reg.Counter("mc_ssjoin_progress_prune_kills_total", telemetry.L("tier", t.tier))
@@ -107,11 +104,6 @@ func (s *sink) record(rs *runStats, dur time.Duration) {
 	s.pruneKills.Add(rs.pruneKills())
 	s.configJoins.Inc()
 	s.joinSeconds.Observe(dur.Seconds())
-}
-
-// recordQ records the outcome of the empirical q-selection race.
-func (s *sink) recordQ(q int) {
-	s.reg.Counter("mc_ssjoin_q_selected_total", telemetry.L("q", strconv.Itoa(q))).Inc()
 }
 
 // counterFields maps each counter to the Stats field that reports it
