@@ -71,6 +71,7 @@ fuzz-smoke:
 	$(GO) test ./internal/blocker -run '^$$' -fuzz FuzzSoundex -fuzztime 10s
 	$(GO) test ./internal/blocker -run '^$$' -fuzz FuzzRuleBlock -fuzztime 10s
 	$(GO) test ./internal/rforest -run '^$$' -fuzz FuzzTrain -fuzztime 10s
+	$(GO) test ./internal/ranker -run '^$$' -fuzz FuzzAggregate -fuzztime 10s
 	$(GO) test ./internal/ssjoin -run '^$$' -fuzz FuzzMergeTopK -fuzztime 10s
 	$(GO) test ./internal/ssjoin -run '^$$' -fuzz FuzzPrefixFilter -fuzztime 10s
 	$(GO) test ./internal/ssjoin -run '^$$' -fuzz FuzzNewCorpus -fuzztime 10s

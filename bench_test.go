@@ -232,6 +232,21 @@ func BenchmarkJointAllConfigs(b *testing.B) {
 	}
 }
 
+// BenchmarkJoinAllWarm measures the joint executor's steady state on the
+// M2 ×0.1 HASH1 workload at one worker: one untimed JoinAll warms the
+// probe pool first, so B/op is what each further session join allocates
+// (the lists it returns plus per-call bookkeeping).
+func BenchmarkJoinAllWarm(b *testing.B) {
+	cor, _, c := benchCorpus(b, datagen.Music2().Scaled(0.1), "artist_name")
+	opt := ssjoin.Options{K: 1000, Workers: 1}
+	ssjoin.JoinAll(cor, c, opt)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ssjoin.JoinAll(cor, c, opt)
+	}
+}
+
 // BenchmarkBlockerRule measures index-driven rule-blocker execution.
 func BenchmarkBlockerRule(b *testing.B) {
 	d := datagen.MustGenerate(datagen.AmazonGoogle().Scaled(0.5))
@@ -248,6 +263,7 @@ func BenchmarkBlockerRule(b *testing.B) {
 func BenchmarkMedRank(b *testing.B) {
 	cor, _, c := benchCorpus(b, datagen.Music1().Scaled(0.1), "artist_name")
 	jr := ssjoin.JoinAll(cor, c, ssjoin.Options{K: 500})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ranker.MedRank(jr.Lists, 1)

@@ -5,19 +5,27 @@
 package ranker
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"matchcatcher/internal/blocker"
 	"matchcatcher/internal/floats"
 	"matchcatcher/internal/ssjoin"
 )
 
-// competitionRanks assigns 1-based competition ranks ("1224" style: items
-// with equal score share a rank) to one sorted top-k list.
-func competitionRanks(l ssjoin.TopKList) map[int64]int {
-	out := make(map[int64]int, len(l.Pairs))
+// rankEntry is one pair's place in one list: its competition rank
+// there.
+type rankEntry struct {
+	id   int64
+	list int32
+	rank int32
+}
+
+// appendRanks appends one entry per pair of sorted top-k list l (the
+// list-th), carrying its 1-based competition rank ("1224" style: pairs
+// with equal score share a rank).
+func appendRanks(dst []rankEntry, l ssjoin.TopKList, list int) []rankEntry {
 	rank := 0
 	for i, p := range l.Pairs {
 		// Exact tie on purpose: equal-scored neighbors in one sorted
@@ -25,9 +33,9 @@ func competitionRanks(l ssjoin.TopKList) map[int64]int {
 		if i == 0 || !floats.Equal(p.Score, l.Pairs[i-1].Score) {
 			rank = i + 1
 		}
-		out[pairID(p.A, p.B)] = rank
+		dst = append(dst, rankEntry{id: pairID(p.A, p.B), list: int32(list), rank: int32(rank)})
 	}
-	return out
+	return dst
 }
 
 func pairID(a, b int32) int64 { return int64(a)<<32 | int64(uint32(b)) }
@@ -39,15 +47,13 @@ func idPair(id int64) blocker.Pair {
 // aggregate computes the weighted-median-rank order of every pair in the
 // lists. An item missing from a list receives rank len(list)+1 there (the
 // paper's Example 5.1). Ties in global rank break randomly via rng.
+//
+// One flat array holds every (pair, list, rank) entry, sorted by pair
+// id, so each pair's entries are contiguous and the pairs come out in
+// ascending id order: that fixed order is what lets the seeded rng
+// decide ties (same seed, same permutation). A pair listed twice in one
+// list keeps its last (largest) rank there.
 func aggregate(lists []ssjoin.TopKList, weights []float64, rng *rand.Rand) []blocker.Pair {
-	ranks := make([]map[int64]int, len(lists))
-	universe := map[int64]struct{}{}
-	for i, l := range lists {
-		ranks[i] = competitionRanks(l)
-		for id := range ranks[i] {
-			universe[id] = struct{}{}
-		}
-	}
 	total := 0.0
 	for _, w := range weights {
 		total += w
@@ -55,37 +61,58 @@ func aggregate(lists []ssjoin.TopKList, weights []float64, rng *rand.Rand) []blo
 	if total == 0 {
 		return nil
 	}
+	n := 0
+	for _, l := range lists {
+		n += len(l.Pairs)
+	}
+	entries := make([]rankEntry, 0, n)
+	for i, l := range lists {
+		entries = appendRanks(entries, l, i)
+	}
+	slices.SortFunc(entries, func(x, y rankEntry) int {
+		if c := cmp.Compare(x.id, y.id); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(x.list, y.list); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.rank, y.rank)
+	})
 
 	type scored struct {
-		id     int64
-		global float64
-		tie    int
+		id  int64
+		med int32
+		tie int32
 	}
-	// Visit the universe in sorted id order: map iteration order is
-	// randomized, and the tiebreak permutation below is assigned by slice
-	// position, so a deterministic build order is what lets the seeded
-	// rng actually decide ties (same seed, same order).
-	ids := make([]int64, 0, len(universe))
-	for id := range universe {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	items := make([]scored, 0, len(universe))
 	type rw struct {
-		r int
+		r int32
 		w float64
 	}
-	rws := make([]rw, 0, len(lists))
-	for _, id := range ids {
-		rws = rws[:0]
-		for i := range lists {
-			r, ok := ranks[i][id]
-			if !ok {
-				r = len(lists[i].Pairs) + 1
-			}
-			rws = append(rws, rw{r: r, w: weights[i]})
+	pairs := 0
+	for i := range entries {
+		if i == 0 || entries[i].id != entries[i-1].id {
+			pairs++
 		}
-		sort.Slice(rws, func(x, y int) bool { return rws[x].r < rws[y].r })
+	}
+	items := make([]scored, 0, pairs)
+	// rws is one pair's rank and weight in every list, laid out in list
+	// order and then sorted by rank for the median; reused across pairs.
+	rws := make([]rw, len(lists))
+	for start := 0; start < len(entries); {
+		id := entries[start].id
+		for i, l := range lists {
+			rws[i] = rw{r: int32(len(l.Pairs) + 1), w: weights[i]}
+		}
+		end := start
+		for ; end < len(entries) && entries[end].id == id; end++ {
+			rws[entries[end].list].r = entries[end].rank
+		}
+		start = end
+		// Equal ranks stay in the order pdqsort leaves them for this
+		// input (the order sort.Slice gives too), and the cumulative
+		// weight below sums them in that order: its rounding, and with
+		// signed weights the median itself, depend on it.
+		slices.SortFunc(rws, func(x, y rw) int { return cmp.Compare(x.r, y.r) })
 		// Weighted median: the smallest rank whose cumulative weight
 		// reaches half the total.
 		cum := 0.0
@@ -97,18 +124,19 @@ func aggregate(lists []ssjoin.TopKList, weights []float64, rng *rand.Rand) []blo
 				break
 			}
 		}
-		items = append(items, scored{id: id, global: float64(med)})
+		items = append(items, scored{id: id, med: med})
 	}
-	// Random tie-breaking (seeded): assign tiebreak numbers, then sort.
+	// Random tie-breaking (seeded): assign tiebreak numbers in ascending
+	// id order, then sort.
 	perm := rng.Perm(len(items))
 	for i := range items {
-		items[i].tie = perm[i]
+		items[i].tie = int32(perm[i])
 	}
-	sort.Slice(items, func(x, y int) bool {
-		if !floats.Equal(items[x].global, items[y].global) {
-			return items[x].global < items[y].global
+	slices.SortFunc(items, func(x, y scored) int {
+		if c := cmp.Compare(x.med, y.med); c != 0 {
+			return c
 		}
-		return items[x].tie < items[y].tie
+		return cmp.Compare(x.tie, y.tie)
 	})
 	out := make([]blocker.Pair, len(items))
 	for i, it := range items {

@@ -2,6 +2,7 @@ package ranker
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"matchcatcher/internal/blocker"
@@ -27,12 +28,15 @@ func lists51() []ssjoin.TopKList {
 
 func TestCompetitionRanks(t *testing.T) {
 	l := lists51()[0]
-	r := competitionRanks(l)
-	want := map[int64]int{pairID(0, 0): 1, pairID(1, 1): 2, pairID(2, 2): 2, pairID(3, 3): 4}
-	for id, w := range want {
-		if r[id] != w {
-			t.Errorf("rank[%d] = %d, want %d", id, r[id], w)
-		}
+	got := appendRanks(nil, l, 2)
+	want := []rankEntry{
+		{id: pairID(0, 0), list: 2, rank: 1},
+		{id: pairID(1, 1), list: 2, rank: 2},
+		{id: pairID(2, 2), list: 2, rank: 2},
+		{id: pairID(3, 3), list: 2, rank: 4},
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("entries = %+v, want %+v", got, want)
 	}
 }
 

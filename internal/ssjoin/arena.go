@@ -10,14 +10,15 @@ package ssjoin
 //   - denseInstances: each config's token instances numbered with dense
 //     int32 ids straight from the records' rank-sorted entries (no map),
 //     so every per-instance table downstream is a plain slice indexed by
-//     id. The buffer is reused across the configs one join worker runs.
-//   - flatProbe: the pooled per-probe buffer block — posting-list arena
-//     (one contiguous postEntry slab per side plus per-id offset/fill
-//     tables), packed pair states, event-heap and position scratch —
-//     reused across probes and configs through probePool. Pair states
-//     live in a dense epoch-stamped table (never cleared: the epoch
-//     stamp makes stale entries invisible) or, past denseStateLimit, in
-//     a pairTable sized to the pairs the probe touches.
+//     id.
+//   - flatProbe: the pooled per-probe buffer block — instance ids,
+//     posting-list arena (one contiguous postEntry slab per side plus
+//     per-id offset/fill tables), packed pair states, top-k and event
+//     heaps, position scratch — reused across probes and configs through
+//     probePool. Pair states live in a dense epoch-stamped table (never
+//     cleared: the epoch stamp makes stale entries invisible) or, past
+//     denseStateLimit, in a pairTable sized to the pairs the probe
+//     touches.
 //
 // Sizing (wire/grow) and the arena count pass allocate; they run in the
 // index phase of each probe. The probe loop itself only indexes into
@@ -43,9 +44,9 @@ import (
 // reach the output (DESIGN.md "Flat-arena join kernel"). Ids no record
 // uses get empty posting regions.
 //
-// It is a reusable buffer: tokenize overwrites everything it hands out,
-// so a JoinAll worker passes one to each config it runs in turn;
-// concurrent joins must not share it.
+// It lives in the pooled flatProbe block: tokenize overwrites everything
+// it hands out, so the block's next config reuses it, and a block serves
+// one join at a time.
 type denseInstances struct {
 	a, b    [][]int32 // lists split into A's records and B's
 	n       int       // every id lies in [0, n)
@@ -155,10 +156,10 @@ const maxPackedQ = 12
 // flatProbe is one config join's map-free probe state: every lookup the event
 // loop performs is a slice index (or, past denseStateLimit, a flat
 // open-addressing probe). The struct doubles as the pooled scratch
-// block — wire() grows the buffers to the probe's sizes and resets
-// per-probe state, and release() drops the per-probe references (corpus
-// lists, scorer, heaps) while keeping the buffers and the pair epoch for
-// the next probe.
+// block — join() tokenizes into ids, wire() grows the other buffers to
+// the probe's sizes and resets per-probe state, and release() drops the
+// per-probe references (corpus records, scorer, channels) while keeping
+// the buffers and the pair epoch for the next probe.
 type flatProbe struct {
 	// Per-probe wiring (cleared on release).
 	q       int
@@ -168,13 +169,17 @@ type flatProbe struct {
 	recsB   []record
 	mask    config.Mask
 	rs      *runStats
-	top     *topkHeap
 	cur     progCursor
 	done    <-chan struct{}
 	mergeCh <-chan []ScoredPair
 	span    *telemetry.TraceSpan
-	idsA    [][]int32
-	idsB    [][]int32
+
+	// ids is the config's instance-id lists, filled before wire; top is
+	// the config's top-k heap, emptied by wire. Both keep their storage
+	// across probes: join copies the sorted list out of top before the
+	// block goes back to the pool.
+	ids denseInstances
+	top topkHeap
 
 	// nB is |B|, the row width of the pair index a·|B|+b (64-bit: past
 	// denseStateLimit the pair space outgrows int32).
@@ -223,18 +228,15 @@ func getFlatProbe() *flatProbe  { return probePool.Get().(*flatProbe) }
 func putFlatProbe(p *flatProbe) { p.release(); probePool.Put(p) }
 
 // release drops everything probe-specific so the pool never pins a
-// corpus or result heap. Buffers and the pair epoch survive.
+// corpus. Buffers and the pair epoch survive.
 func (p *flatProbe) release() {
 	p.c = nil
 	p.recsA, p.recsB = nil, nil
 	p.rs = nil
-	p.top = nil
 	p.cur = progCursor{}
 	p.done = nil
 	p.mergeCh = nil
 	p.span = nil
-	p.idsA = nil
-	p.idsB = nil
 }
 
 // grow returns s resized to n, reusing capacity when it suffices.

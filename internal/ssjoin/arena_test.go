@@ -100,12 +100,13 @@ func TestKernelSeamStatsIdentical(t *testing.T) {
 // state between probes: the pool is pre-seeded with probes whose
 // buffers hold adversarial garbage — dense pair-state bytes stamped at
 // every nibble epoch (including the probe's next epoch), hashed-table
-// slots, stale slabs, stale heaps — and joins alternating
-// dense → hashed → dense → hashed through that pool must still match the
-// reference bit for bit, counters included. The alternation guards the
-// epoch the two stores share: a hashed probe that reset the epoch
-// without clearing the dense table would let the next dense probe read
-// old stamps as live.
+// slots, stale slabs, stale event and top-k heaps (top-k items past len
+// included, scored above any real pair), stale instance ids — and joins
+// alternating dense → hashed → dense → hashed through that pool must
+// still match the reference bit for bit, counters included. The
+// alternation guards the epoch the two stores share: a hashed probe that
+// reset the epoch without clearing the dense table would let the next
+// dense probe read old stamps as live.
 func TestPoolReusePoisonInvisible(t *testing.T) {
 	rng := rand.New(rand.NewSource(400))
 	cor, _, c := randomCorpus(t, rng, 30, 30)
@@ -130,6 +131,18 @@ func TestPoolReusePoisonInvisible(t *testing.T) {
 				*p.table.cell(int64(rng.Intn(30 * 30))) = uint8(rng.Intn(256))
 			}
 			p.events.items = append(p.events.items, event{cap: 9, side: 0, rec: 7})
+			stale := make([]ScoredPair, 32)
+			for j := range stale {
+				stale[j] = ScoredPair{A: rng.Int31n(30), B: rng.Int31n(30), Score: 2}
+			}
+			p.top = topkHeap{k: 1 + rng.Intn(4), items: stale[:rng.Intn(len(stale))]}
+			// Stale ids: each field owns its array, as grow leaves them,
+			// and the per-record lists point into the old backing.
+			p.ids.backing, p.ids.base, p.ids.lens = garbageIDs(rng, 4096), garbageIDs(rng, 3000), garbageIDs(rng, 100)
+			p.ids.n = 1 << 16
+			p.ids.a = [][]int32{p.ids.backing[:40], p.ids.backing[40:90]}
+			p.ids.b = [][]int32{p.ids.backing[90:100]}
+			p.ids.lists = [][]int32{p.ids.backing[7:70]}
 			p.slabA = append(p.slabA, postEntry{rec: 3, pos: 3})
 			p.touched = append(p.touched, 11, 7, 5)
 			p.touchedKeys = append(p.touchedKeys, 13, 2)
@@ -429,9 +442,8 @@ func TestEpochWraparoundEndToEnd(t *testing.T) {
 // the choice must be invisible in the output.
 func TestAutoKernelSelection(t *testing.T) {
 	storeFor := func(nA, nB int) bool {
-		ids := &denseInstances{a: make([][]int32, nA), b: make([][]int32, nB)}
-		p := &flatProbe{}
-		p.wire(&Corpus{}, 0, runOpts{q: 2}, ids, nil)
+		p := &flatProbe{ids: denseInstances{a: make([][]int32, nA), b: make([][]int32, nB)}}
+		p.wire(&Corpus{}, 0, runOpts{q: 2})
 		return p.hashed
 	}
 	if storeFor(100, 100) {
@@ -479,9 +491,8 @@ func TestLargeQClamped(t *testing.T) {
 // the key 2^32 below it, and pairOf must invert pairIdx.
 func TestPairKeyBeyondInt32(t *testing.T) {
 	const n = 100000
-	ids := &denseInstances{a: make([][]int32, n), b: make([][]int32, n)}
-	p := &flatProbe{}
-	p.wire(&Corpus{}, 0, runOpts{q: 2}, ids, nil)
+	p := &flatProbe{ids: denseInstances{a: make([][]int32, n), b: make([][]int32, n)}}
+	p.wire(&Corpus{}, 0, runOpts{q: 2})
 	if !p.hashed {
 		t.Fatal("a 10G-pair space must use the hashed store")
 	}
@@ -547,17 +558,14 @@ func TestFlatProbePathZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(900))
 	cor, res, c := randomCorpus(t, rng, 40, 40)
 	mask := res.Root.Mask
-	ids := &denseInstances{}
-	ids.tokenize(cor, mask)
 
 	for _, hashed := range []bool{false, true} {
 		useHashedStore(t, hashed)
 		opt := runOpts{k: 10, q: 2, m: simfunc.Jaccard, c: c, stats: &runStats{}}
-		top := newTopkHeap(opt.k)
 		p := &flatProbe{}
+		p.ids.tokenize(cor, mask)
 		runProbe := func() {
-			top.items = top.items[:0]
-			p.wire(cor, mask, opt, ids, top)
+			p.wire(cor, mask, opt)
 			p.absorb(nil)
 			p.seed()
 			p.probe()
@@ -570,7 +578,7 @@ func TestFlatProbePathZeroAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(20, runProbe); allocs != 0 {
 			t.Errorf("hashed=%v: warm probe path allocated %.2f times per run, want 0", hashed, allocs)
 		}
-		if top.Len() == 0 {
+		if p.top.Len() == 0 {
 			t.Fatalf("hashed=%v: probe produced no pairs — the zero-alloc run measured nothing", hashed)
 		}
 	}
@@ -687,14 +695,13 @@ func TestFlushBoundSound(t *testing.T) {
 		rng := rand.New(rand.NewSource(950 + seed))
 		cor, res, c := randomCorpus(t, rng, 30, 26)
 		for _, mask := range res.Configs() {
-			ids := &denseInstances{}
+			var ids denseInstances
 			ids.tokenize(cor, mask)
 			for q := 1; q <= 4; q++ {
 				for _, hashed := range []bool{false, true} {
 					useHashedStore(t, hashed)
-					p := &flatProbe{}
-					p.wire(cor, mask, runOpts{k: 6, q: q, m: simfunc.Jaccard, c: c, stats: &runStats{}},
-						ids, newTopkHeap(6))
+					p := &flatProbe{ids: ids}
+					p.wire(cor, mask, runOpts{k: 6, q: q, m: simfunc.Jaccard, c: c, stats: &runStats{}})
 					p.seed()
 					p.probe()
 					var keys []int64
@@ -709,7 +716,7 @@ func TestFlushBoundSound(t *testing.T) {
 							continue
 						}
 						a, b := p.pairOf(idx)
-						lx, ly := len(p.idsA[a]), len(p.idsB[b])
+						lx, ly := len(p.ids.a[a]), len(p.ids.b[b])
 						old := min(int(st)+lx-int(p.posA[a])+ly-int(p.posB[b]), lx, ly)
 						bound := p.flushBound(a, b, st)
 						exact := overlapUnder(&cor.recsA[a], &cor.recsB[b], mask)

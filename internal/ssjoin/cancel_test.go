@@ -41,9 +41,35 @@ func cancelCorpus(t *testing.T) (*Corpus, *config.Result, *blocker.PairSet) {
 	return cor, res, c
 }
 
+// shortCorpus builds tables of n records a side, 3 words each from a
+// 12-word vocabulary, so most pairs share a word. At n = 150 the
+// root-config join ends its index and probe loops before their first
+// stride checkpoint (fewer than progressStride records and instances)
+// yet leaves thousands of touched pairs for the exactness flush.
+func shortCorpus(t *testing.T, n int) (*Corpus, *config.Result, *blocker.PairSet) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(39))
+	rows := func() [][]string {
+		out := make([][]string, n)
+		for i := range out {
+			out[i] = []string{fmt.Sprintf("w%d w%d w%d", rng.Intn(12), rng.Intn(12), rng.Intn(12))}
+		}
+		return out
+	}
+	rowsA := rows()
+	cor, res := corpusFor(t, []string{"v"}, rowsA, rows())
+	c := blocker.NewPairSet()
+	for i := 0; i < n*n/10; i++ {
+		c.Add(rng.Intn(n), rng.Intn(n))
+	}
+	return cor, res, c
+}
+
 // TestCancelStopsRun: a run whose done channel is already closed stops
 // at the probe loop's first stride checkpoint, having popped
-// progressStride-1 events, and returns a valid (short) list.
+// progressStride-1 events, and returns a valid (short) list; on tables
+// past progressStride records it stops in the index phase, before any
+// pop.
 func TestCancelStopsRun(t *testing.T) {
 	cor, res, c := cancelCorpus(t)
 	done := make(chan struct{})
@@ -61,11 +87,20 @@ func TestCancelStopsRun(t *testing.T) {
 		t.Errorf("cancelled run popped %d events, want %d (the first stride checkpoint)",
 			rs.n[cPrefixEvents], progressStride-1)
 	}
+
+	wide, wideRes, wideC := shortCorpus(t, progressStride)
+	rs = &runStats{}
+	got = runJoin(wide, wideRes.Root.Mask, runOpts{k: 20, q: 2, m: simfunc.Jaccard, c: wideC, done: done, stats: rs})
+	if len(got.Pairs) != 0 || rs.n[cPrefixEvents] != 0 {
+		t.Errorf("run cancelled in the index phase returned %d pairs after %d events, want none",
+			len(got.Pairs), rs.n[cPrefixEvents])
+	}
 }
 
 // TestCancelSweepPooledProbe cancels JoinOne on both pair stores at the
-// first stride checkpoint (a pre-cancelled Ctx) and mid-run (once the
-// run's Progress has taken n samples), and checks after every cancelled
+// first stride checkpoint (a pre-cancelled Ctx), mid-run (once the run's
+// Progress has taken n samples) and in the exactness flush, and checks
+// after every cancelled
 // run that the next uncancelled JoinOne — which takes the cancelled
 // run's pooled probe block back — is bit-identical to BruteForce: a
 // cancelled probe must park its block clean.
@@ -87,6 +122,7 @@ func TestCancelSweepPooledProbe(t *testing.T) {
 
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
+		done := ctx.Done()
 		prog := NewProgress()
 		JoinOne(cor, mask, c, Options{Ctx: ctx, K: k, Progress: prog})
 		if s := prog.Snapshot(); !s.Done || !s.Cancelled || s.ProbesDone != progressStride-1 {
@@ -124,6 +160,29 @@ func TestCancelSweepPooledProbe(t *testing.T) {
 				JoinOne(cor, mask, c, Options{K: k}), want)
 		}
 		t.Logf("%s: %d of %d mid-run cancels landed before the run finished", store, landed, len(sweep))
+
+		// A cancel that lands in the exactness flush: shortCorpus's index
+		// and probe loops end before their first checkpoint, so a
+		// pre-cancelled run first reads done in finish, which must stop
+		// within one stride of visited pairs (each deferred pair it
+		// counts is one visit).
+		fcor, fres, fc := shortCorpus(t, 150)
+		fmask := fres.Root.Mask
+		fwant := BruteForce(fcor, fmask, fc, k, simfunc.Jaccard)
+		var fullRS runStats
+		requireIdentical(t, store+" flush corpus uncancelled",
+			runJoin(fcor, fmask, runOpts{k: k, q: 2, m: simfunc.Jaccard, c: fc, stats: &fullRS}), fwant)
+		if fullRS.n[cPrefixEvents] >= progressStride || fullRS.n[cDeferredPairs] < 2*progressStride {
+			t.Fatalf("%s: flush corpus pops %d events and defers %d pairs; want under %d pops and at least %d deferred",
+				store, fullRS.n[cPrefixEvents], fullRS.n[cDeferredPairs], progressStride, 2*progressStride)
+		}
+		var rs runStats
+		runJoin(fcor, fmask, runOpts{k: k, q: 2, m: simfunc.Jaccard, c: fc, done: done, stats: &rs})
+		if rs.n[cPrefixEvents] != fullRS.n[cPrefixEvents] || rs.n[cDeferredPairs] >= progressStride {
+			t.Errorf("%s cancel in flush: %d events (want the full %d), %d deferred pairs visited (want under %d)",
+				store, rs.n[cPrefixEvents], fullRS.n[cPrefixEvents], rs.n[cDeferredPairs], progressStride)
+		}
+		requireIdentical(t, store+" after cancel in flush", JoinOne(fcor, fmask, fc, Options{K: k}), fwant)
 	}
 }
 

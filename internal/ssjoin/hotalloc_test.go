@@ -1,6 +1,12 @@
 package ssjoin
 
-import "testing"
+import (
+	"math/rand"
+	"runtime"
+	"runtime/debug"
+	"testing"
+	"unsafe"
+)
 
 // The //mc:hotpath contract, checked dynamically: the static half is
 // hotalloc (mclint -escapes proves the compiler moves nothing to the
@@ -44,5 +50,40 @@ func TestEventHeapZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("eventHeap push+pop allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestWarmJoinAllAllocatesOnlyLists: with the probe pool warm, a
+// JoinAll allocates the lists it returns plus a small fixed budget for
+// per-call bookkeeping (worker, channels, per-config stats). Instance
+// ids, heaps, arena and pair states all come from the pooled block, so
+// they cost nothing on the second call. GC is off for the measurement,
+// so the pool keeps its blocks between the two calls, and GOMAXPROCS is
+// 1, so the worker always meets the block in its P's private pool slot
+// (a Get on another P cannot take it from there).
+func TestWarmJoinAllAllocatesOnlyLists(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop blocks at random")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	rng := rand.New(rand.NewSource(1400))
+	cor, _, c := randomCorpus(t, rng, 300, 280)
+	opt := Options{K: 200, Workers: 1}
+	JoinAll(cor, c, opt)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := JoinAll(cor, c, opt)
+	runtime.ReadMemStats(&after)
+	listBytes := 0
+	for _, l := range res.Lists {
+		listBytes += cap(l.Pairs) * int(unsafe.Sizeof(ScoredPair{}))
+	}
+	// The budget is a fifth of what the per-call id buffer and the
+	// per-config heap growth cost on these tables (about 90 KB).
+	const budget = 16 << 10
+	if delta := int(after.TotalAlloc - before.TotalAlloc); delta > listBytes+budget {
+		t.Errorf("warm JoinAll allocated %d bytes over %d configs: lists take %d, leaving %d for bookkeeping, want at most %d",
+			delta, len(res.Lists), listBytes, delta-listBytes, budget)
 	}
 }

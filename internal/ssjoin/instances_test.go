@@ -71,10 +71,11 @@ func TestDenseIDs(t *testing.T) {
 	}
 }
 
-// TestInstanceBufferReuseInvisible poisons one buffer with garbage ids,
-// stale per-record lists and capacities far beyond any config's needs,
-// then reuses it from a large config to a small one and back. Every run
-// must return the fresh-buffer list and counters.
+// TestInstanceBufferReuseInvisible poisons one probe block's instance
+// ids (garbage ids, stale per-record lists, capacities far beyond any
+// config's needs) and its top-k heap storage (stale items past len and a
+// stale k), then reuses the block from a large config to a small one and
+// back. Every run must return the fresh-block list and counters.
 func TestInstanceBufferReuseInvisible(t *testing.T) {
 	rng := rand.New(rand.NewSource(1100))
 	big, bigRes, bigC := randomCorpus(t, rng, 300, 280)
@@ -98,38 +99,39 @@ func TestInstanceBufferReuseInvisible(t *testing.T) {
 
 	// Each field owns its array, as grow leaves them; the per-record
 	// lists point into the old backing.
-	garbage := func(n int) []int32 {
-		s := make([]int32, n)
-		for i := range s {
-			s[i] = rng.Int31()
-		}
-		return s
-	}
-	poison := &denseInstances{
+	poison := &flatProbe{ids: denseInstances{
 		n:       1 << 20,
-		backing: garbage(1 << 17),
-		base:    garbage(1 << 16),
-		lens:    garbage(1 << 12),
+		backing: garbageIDs(rng, 1<<17),
+		base:    garbageIDs(rng, 1<<16),
+		lens:    garbageIDs(rng, 1<<12),
 		a:       make([][]int32, 900),
 		b:       make([][]int32, 900),
+	}}
+	for i := range poison.ids.a {
+		poison.ids.a[i] = poison.ids.backing[i : i+rng.Intn(40)]
+		poison.ids.b[i] = poison.ids.backing[2*i : 2*i+rng.Intn(40)]
 	}
-	for i := range poison.a {
-		poison.a[i] = poison.backing[i : i+rng.Intn(40)]
-		poison.b[i] = poison.backing[2*i : 2*i+rng.Intn(40)]
+	poisonHeap := func() {
+		items := make([]ScoredPair, 64)
+		for i := range items {
+			items[i] = ScoredPair{A: rng.Int31n(20), B: rng.Int31n(15), Score: 2}
+		}
+		poison.top = topkHeap{k: 3, items: items[:rng.Intn(len(items))]}
 	}
 
-	run := func(ids *denseInstances, cor *Corpus, mask config.Mask, c *blocker.PairSet) (TopKList, runStats) {
+	run := func(p *flatProbe, cor *Corpus, mask config.Mask, c *blocker.PairSet) (TopKList, runStats) {
 		var rs runStats
-		list := runJoin(cor, mask, runOpts{
+		list := p.join(cor, mask, runOpts{
 			k: 15, q: 2, m: simfunc.Jaccard, c: c,
 			stats: &rs,
-			ids:   ids,
 		})
+		p.release()
 		return list, rs
 	}
 	for _, s := range steps {
+		poisonHeap()
 		got, gotStats := run(poison, s.cor, s.mask, s.c)
-		want, wantStats := run(nil, s.cor, s.mask, s.c)
+		want, wantStats := run(&flatProbe{}, s.cor, s.mask, s.c)
 		requireIdentical(t, s.name, got, want)
 		requireIdentical(t, s.name+" vs JoinOne", got,
 			JoinOne(s.cor, s.mask, s.c, Options{K: 15, Q: 2}))
@@ -137,6 +139,15 @@ func TestInstanceBufferReuseInvisible(t *testing.T) {
 			t.Fatalf("%s: counters diverge:\nreused: %+v\nfresh:  %+v", s.name, gotStats, wantStats)
 		}
 	}
+}
+
+// garbageIDs returns n random ids, to poison reused buffers with.
+func garbageIDs(rng *rand.Rand, n int) []int32 {
+	s := make([]int32, n)
+	for i := range s {
+		s[i] = rng.Int31()
+	}
+	return s
 }
 
 // TestTokenizeWarmZeroAllocs pins tokenize at zero

@@ -21,8 +21,8 @@ type runOpts struct {
 	// exact (see runJoin), so whether and when the list arrives changes
 	// only the work done, never the result.
 	mergeCh <-chan []ScoredPair
-	// done aborts the run once closed: the probe loop reads it at its
-	// stride checkpoint. Nil never fires.
+	// done aborts the run once closed: the index, probe and flush loops
+	// read it every progressStride steps. Nil never fires.
 	done <-chan struct{}
 	// stats collects this run's event counts. Always non-nil in real
 	// runs; runJoin tolerates nil.
@@ -36,10 +36,6 @@ type runOpts struct {
 	// The tracker is observe-only — it never feeds back into the join,
 	// so attaching it cannot change any output bit.
 	prog *Progress
-	// ids is the instance-id buffer this run's tokenize fills; nil gets a
-	// fresh one. A JoinAll worker passes its own buffer to every config
-	// it runs, one after another; concurrent runs never share a buffer.
-	ids *denseInstances
 }
 
 // runJoin executes QJoin (Section 4.1) for one config: an event heap pops
@@ -65,18 +61,7 @@ func runJoin(cor *Corpus, mask config.Mask, opt runOpts) TopKList {
 	if opt.stats == nil {
 		opt.stats = &runStats{}
 	}
-	ids := opt.ids
-	if ids == nil {
-		ids = &denseInstances{}
-	}
-	tokSpan := opt.span.Child("ssjoin.tokenize")
-	ids.tokenize(cor, mask)
-	tokSpan.SetAttrInt("records", int64(len(cor.recsA)+len(cor.recsB)))
-	tokSpan.SetAttrInt("instances", int64(len(ids.backing)))
-	tokSpan.SetAttrInt("ids", int64(ids.n))
-	tokSpan.End()
-
-	opt.prog.configStarted()
-	defer opt.prog.configDone()
-	return joinFlat(cor, mask, opt, ids).list(mask)
+	p := getFlatProbe()
+	defer putFlatProbe(p)
+	return p.join(cor, mask, opt)
 }

@@ -31,27 +31,24 @@ import (
 	"matchcatcher/internal/telemetry"
 )
 
-// wire binds the probe to one config's run and sizes the pooled
-// buffers: pair-store choice and reset, and position/arena-table sizing.
-// It runs before the seed absorb (seeds must warm the top-k heap before
-// event seeding so the push-cap prune sees them). May allocate, but only
-// on buffer growth — steady-state reuse through the pool allocates
-// nothing.
-func (p *flatProbe) wire(cor *Corpus, mask config.Mask, opt runOpts,
-	ids *denseInstances, top *topkHeap) {
-
-	nA, nB := len(ids.a), len(ids.b)
+// wire binds the probe to one config's run, whose instance ids are
+// already in p.ids, and sizes the pooled buffers: top-k heap reset,
+// pair-store choice and reset, and position/arena-table sizing. It runs
+// before the seed absorb (seeds must warm the top-k heap before event
+// seeding so the push-cap prune sees them). May allocate, but only on
+// buffer growth — steady-state reuse through the pool allocates nothing.
+func (p *flatProbe) wire(cor *Corpus, mask config.Mask, opt runOpts) {
+	nA, nB := len(p.ids.a), len(p.ids.b)
 	p.q = opt.q
 	p.m = opt.m
 	p.c = opt.c
 	p.recsA, p.recsB, p.mask = cor.recsA, cor.recsB, mask
 	p.rs = opt.stats
-	p.top = top
+	p.top.k, p.top.items = opt.k, p.top.items[:0]
 	p.cur = progCursor{block: opt.prog.counters()}
 	p.done = opt.done
 	p.mergeCh = opt.mergeCh
 	p.span = opt.span
-	p.idsA, p.idsB = ids.a, ids.b
 	p.nB = int64(nB)
 	p.resetPairs(nA*nB, nA*nB > denseStateLimit)
 
@@ -59,11 +56,11 @@ func (p *flatProbe) wire(cor *Corpus, mask config.Mask, opt runOpts,
 	clear(p.posA)
 	p.posB = grow(p.posB, nB)
 	clear(p.posB)
-	p.offA = grow(p.offA, ids.n)
-	p.fillA = grow(p.fillA, ids.n)
+	p.offA = grow(p.offA, p.ids.n)
+	p.fillA = grow(p.fillA, p.ids.n)
 	clear(p.fillA)
-	p.offB = grow(p.offB, ids.n)
-	p.fillB = grow(p.fillB, ids.n)
+	p.offB = grow(p.offB, p.ids.n)
+	p.fillB = grow(p.fillB, p.ids.n)
 	clear(p.fillB)
 	p.events.items = p.events.items[:0]
 	p.touched = p.touched[:0]
@@ -100,26 +97,47 @@ func (p *flatProbe) cell(idx int64) *uint8 {
 // seed is the index phase: one pass over each side counting instances
 // per dense id (into the fill tables, converted to slab offsets below)
 // and pushing each record's first prefix event, A ascending then B
-// ascending. Returns the instance total for the progress tracker.
-func (p *flatProbe) seed() int64 {
-	var instances int64
-	for i := int32(0); i < int32(len(p.idsA)); i++ {
-		for _, id := range p.idsA[i] {
+// ascending. Returns the instance total for the progress tracker, and
+// whether the run was cancelled (read every progressStride records; the
+// slabs are then left unsized and the probe must not run).
+func (p *flatProbe) seed() (instances int64, cancelled bool) {
+	recs := 0
+	for i := int32(0); i < int32(len(p.ids.a)); i++ {
+		if recs++; recs&(progressStride-1) == 0 && p.cancelled() {
+			return instances, true
+		}
+		for _, id := range p.ids.a[i] {
 			p.fillA[id]++
 		}
-		instances += int64(len(p.idsA[i]))
+		instances += int64(len(p.ids.a[i]))
 		p.push(0, i)
 	}
-	for i := int32(0); i < int32(len(p.idsB)); i++ {
-		for _, id := range p.idsB[i] {
+	for i := int32(0); i < int32(len(p.ids.b)); i++ {
+		if recs++; recs&(progressStride-1) == 0 && p.cancelled() {
+			return instances, true
+		}
+		for _, id := range p.ids.b[i] {
 			p.fillB[id]++
 		}
-		instances += int64(len(p.idsB[i]))
+		instances += int64(len(p.ids.b[i]))
 		p.push(1, i)
 	}
 	p.slabA = grow(p.slabA, sumToOffsets(p.offA, p.fillA))
 	p.slabB = grow(p.slabB, sumToOffsets(p.offB, p.fillB))
-	return instances
+	return instances, false
+}
+
+// cancelled reports, without blocking, whether the run's done channel
+// has closed.
+//
+//mc:hotpath
+func (p *flatProbe) cancelled() bool {
+	select {
+	case <-p.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // sumToOffsets turns per-id counts into exclusive-prefix-sum offsets,
@@ -143,9 +161,9 @@ func (p *flatProbe) push(side int8, rec int32) {
 	var pos int32
 	var l int
 	if side == 0 {
-		pos, l = p.posA[rec], len(p.idsA[rec])
+		pos, l = p.posA[rec], len(p.ids.a[rec])
 	} else {
-		pos, l = p.posB[rec], len(p.idsB[rec])
+		pos, l = p.posB[rec], len(p.ids.b[rec])
 	}
 	if int(pos) >= l {
 		return
@@ -197,7 +215,7 @@ func (p *flatProbe) touch(a, b, pa, pb int32) {
 	if pairEpoch(v) != p.epoch {
 		st = 0
 		if p.top.full() {
-			lx, ly := len(p.idsA[a]), len(p.idsB[b])
+			lx, ly := len(p.ids.a[a]), len(p.ids.b[b])
 			kth := p.top.kthScore()
 			mo := min(lx, ly)
 			if p.m.FromOverlap(mo, lx, ly) < kth {
@@ -288,21 +306,19 @@ func (p *flatProbe) absorb(list []ScoredPair) {
 // probe runs the prefix-event loop to completion (or cancellation —
 // returns true). Pop the highest-cap extension, join the new instance
 // against the opposite side's arena region, append self, requeue. The
-// stride-1023 checkpoint carries progress flushes, cancellation, and
-// mid-run merge arrivals.
+// stride checkpoint carries progress flushes, cancellation, and mid-run
+// merge arrivals.
 //
 //mc:hotpath
 func (p *flatProbe) probe() bool {
 	steps := 0
 	for p.events.Len() > 0 {
-		if steps++; steps&1023 == 0 {
+		if steps++; steps&(progressStride-1) == 0 {
 			// Progress sampling rides the loop's existing stride
 			// checkpoint: one delta flush per progressStride pops.
 			p.cur.flush(p.rs, p.events.Len(), p.top.Len())
-			select {
-			case <-p.done:
+			if p.cancelled() {
 				return true
-			default:
 			}
 			if p.mergeCh != nil {
 				select {
@@ -320,9 +336,9 @@ func (p *flatProbe) probe() bool {
 			// instance total. One pass over the heap, once per probe.
 			for _, dead := range p.events.items {
 				if dead.side == 0 {
-					p.rs.n[cProbesSkipped] += int64(len(p.idsA[dead.rec]) - int(p.posA[dead.rec]))
+					p.rs.n[cProbesSkipped] += int64(len(p.ids.a[dead.rec]) - int(p.posA[dead.rec]))
 				} else {
-					p.rs.n[cProbesSkipped] += int64(len(p.idsB[dead.rec]) - int(p.posB[dead.rec]))
+					p.rs.n[cProbesSkipped] += int64(len(p.ids.b[dead.rec]) - int(p.posB[dead.rec]))
 				}
 			}
 			return false
@@ -331,7 +347,7 @@ func (p *flatProbe) probe() bool {
 		p.rs.n[cPrefixEvents]++
 		if ev.side == 0 {
 			pos := p.posA[ev.rec]
-			inst := p.idsA[ev.rec][pos]
+			inst := p.ids.a[ev.rec][pos]
 			p.posA[ev.rec] = pos + 1
 			off, n := p.offB[inst], p.fillB[inst]
 			for _, pe := range p.slabB[off : off+n] {
@@ -341,7 +357,7 @@ func (p *flatProbe) probe() bool {
 			p.fillA[inst]++
 		} else {
 			pos := p.posB[ev.rec]
-			inst := p.idsB[ev.rec][pos]
+			inst := p.ids.b[ev.rec][pos]
 			p.posB[ev.rec] = pos + 1
 			off, n := p.offA[inst], p.fillA[inst]
 			for _, pe := range p.slabA[off : off+n] {
@@ -366,9 +382,9 @@ func (p *flatProbe) probe() bool {
 //mc:hotpath
 func (p *flatProbe) flushBound(a, b, st int32) int {
 	pa, pb := p.posA[a], p.posB[b]
-	lx, ly := len(p.idsA[a]), len(p.idsB[b])
+	lx, ly := len(p.ids.a[a]), len(p.ids.b[b])
 	rest := lx - int(pa)
-	if rb := ly - int(pb); rest == 0 || (rb > 0 && p.idsB[b][pb] < p.idsA[a][pa]) {
+	if rb := ly - int(pb); rest == 0 || (rb > 0 && p.ids.b[b][pb] < p.ids.a[a][pa]) {
 		rest = rb
 	}
 	return min(int(st)+rest, lx, ly)
@@ -387,7 +403,7 @@ func (p *flatProbe) flushIdx(idx int64) {
 	}
 	a, b := p.pairOf(idx)
 	p.rs.n[cDeferredPairs]++
-	lx, ly := len(p.idsA[a]), len(p.idsB[b])
+	lx, ly := len(p.ids.a[a]), len(p.ids.b[b])
 	if p.top.full() && p.m.FromOverlap(p.flushBound(a, b, st), lx, ly) < p.top.kthScore() {
 		p.rs.n[cKillsFlushBound]++
 		return
@@ -402,32 +418,56 @@ func (p *flatProbe) flushIdx(idx int64) {
 // same sequence and produce the same counter stream; the k-th score
 // rises as flushed pairs are admitted, so the order shapes the counters
 // only — the list is order-independent by the total-order retention.
-// Each pair is visited once, so its state needs no update.
+// Each pair is visited once, so its state needs no update. Returns true
+// if the run was cancelled (read every progressStride visits).
 //
 //mc:hotpath
-func (p *flatProbe) finish() {
+func (p *flatProbe) finish() bool {
 	if p.hashed {
-		for _, idx := range p.touchedKeys {
+		for i, idx := range p.touchedKeys {
+			if (i+1)&(progressStride-1) == 0 && p.cancelled() {
+				return true
+			}
 			p.flushIdx(idx)
 		}
-		return
+		return false
 	}
-	for _, idx := range p.touched {
+	for i, idx := range p.touched {
+		if (i+1)&(progressStride-1) == 0 && p.cancelled() {
+			return true
+		}
 		p.flushIdx(int64(idx))
 	}
+	return false
 }
 
-// joinFlat is one config's exact QJoin (Section 4.1) through a pooled
-// flatProbe: seed absorb, index, probe loop, exactness flush.
-func joinFlat(cor *Corpus, mask config.Mask, opt runOpts, ids *denseInstances) *topkHeap {
+// join is one config's exact QJoin (Section 4.1) on the block's
+// buffers: tokenize, seed absorb, index, probe loop, exactness flush.
+// The block owns the instance ids and the top-k heap, so a warm join
+// allocates only the list it returns, which is copied out of the heap;
+// a cancelled run's list is partial.
+func (p *flatProbe) join(cor *Corpus, mask config.Mask, opt runOpts) TopKList {
 	rs, span := opt.stats, opt.span
-	top := newTopkHeap(opt.k)
-	p := getFlatProbe()
-	p.wire(cor, mask, opt, ids, top)
+	tokSpan := span.Child("ssjoin.tokenize")
+	p.ids.tokenize(cor, mask)
+	tokSpan.SetAttrInt("records", int64(len(cor.recsA)+len(cor.recsB)))
+	tokSpan.SetAttrInt("instances", int64(len(p.ids.backing)))
+	tokSpan.SetAttrInt("ids", int64(p.ids.n))
+	tokSpan.End()
+
+	opt.prog.configStarted()
+	defer opt.prog.configDone()
+	p.wire(cor, mask, opt)
 	p.absorb(opt.seeds)
 
 	idxSpan := span.Child("ssjoin.index")
-	instances := p.seed()
+	instances, cancelled := p.seed()
+	if cancelled {
+		idxSpan.Event("cancelled")
+		idxSpan.End()
+		p.cur.flush(rs, p.events.Len(), p.top.Len())
+		return p.top.list(mask)
+	}
 	if pc := p.cur.block; pc != nil {
 		pc.probesTotal.Add(instances)
 	}
@@ -443,12 +483,11 @@ func joinFlat(cor *Corpus, mask config.Mask, opt runOpts, ids *denseInstances) *
 	idxSpan.End()
 
 	probeSpan := span.Child("ssjoin.probe")
-	if cancelled := p.probe(); cancelled {
+	if p.probe() {
 		probeSpan.Event("cancelled")
 		probeSpan.End()
-		p.cur.flush(rs, p.events.Len(), top.Len())
-		putFlatProbe(p)
-		return top
+		p.cur.flush(rs, p.events.Len(), p.top.Len())
+		return p.top.list(mask)
 	}
 	probeSpan.SetAttrInt("prefix_events", rs.n[cPrefixEvents])
 	probeSpan.SetAttrInt("prune_kills", rs.pruneKills())
@@ -464,13 +503,14 @@ func joinFlat(cor *Corpus, mask config.Mask, opt runOpts, ids *denseInstances) *
 	}
 
 	topkSpan := span.Child("ssjoin.topk")
-	p.finish()
+	if p.finish() {
+		topkSpan.Event("cancelled")
+	}
 	topkSpan.SetAttrInt("deferred_pairs", rs.n[cDeferredPairs])
 	topkSpan.SetAttrInt("flushed_pairs", rs.n[cFlushedPairs])
 	topkSpan.End()
 	// Terminal flush: publish the final counters and zero the live heap
 	// gauge (the probe is done; residual dead events are not a live heap).
-	p.cur.flush(rs, 0, top.Len())
-	putFlatProbe(p)
-	return top
+	p.cur.flush(rs, 0, p.top.Len())
+	return p.top.list(mask)
 }

@@ -17,13 +17,14 @@ import (
 // Options tunes the joins.
 type Options struct {
 	// Ctx, when non-nil, cancels the run: once its done channel is
-	// closed, every in-flight probe loop aborts at its next stride
-	// checkpoint, JoinAll starts no further config, and JoinAll/JoinOne
-	// return promptly. A cancelled run's lists are partial garbage (a
-	// config never started keeps an empty list) — callers must check
-	// Ctx.Err() before using the result (core.New does). This is how a
-	// server threads request timeouts into the join: the probe loop reads
-	// the done channel once per stride, never per pop.
+	// closed, every in-flight config join aborts at its next stride
+	// checkpoint (index, probe or flush), JoinAll starts no further
+	// config, and JoinAll/JoinOne return promptly. A cancelled run's
+	// lists are partial garbage (a config never started keeps an empty
+	// list) — callers must check Ctx.Err() before using the result
+	// (core.New does). This is how a server threads request timeouts
+	// into the join: the loops read the done channel once per stride,
+	// never per pop.
 	Ctx context.Context
 	// K is the per-config list size (the paper's experiments use 1000).
 	K int
@@ -162,7 +163,7 @@ func (r *joinRun) end() { r.opt.Progress.finishRun(r.cancelled()) }
 
 // join runs one config under its ssjoin.config span, then flushes the
 // config's counts into the registry and its lineage into provenance. ro
-// carries the caller's per-config inputs (ids, seeds, mergeCh); reuse,
+// carries the caller's per-config inputs (seeds, mergeCh); reuse,
 // when set, is the span's list_reuse attr.
 func (r *joinRun) join(mask config.Mask, ro runOpts, reuse string) (TopKList, *runStats) {
 	rs := &runStats{}
@@ -230,15 +231,12 @@ func JoinAll(cor *Corpus, c *blocker.PairSet, opt Options) *JoinResult {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One instance-id buffer per worker, reused by each config it
-			// runs: runJoin is done with it before the next job starts.
-			ids := &denseInstances{}
 			for i := range jobs {
 				if r.cancelled() {
 					continue
 				}
 				n := nodes[i]
-				ro, reuse := runOpts{ids: ids}, ""
+				ro, reuse := runOpts{}, ""
 				if n.Parent != nil && !opt.DisableListReuse {
 					if pi := idxOf[n.Parent]; finished[pi].Load() {
 						ro.seeds, reuse = lists[pi].Pairs, "seed"

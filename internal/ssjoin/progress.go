@@ -31,9 +31,11 @@ type Progress struct {
 	c              progressCounters
 }
 
-// progressStride is the probe-loop flush cadence in heap pops. It
-// matches the loop's existing stride-1023 cancellation checkpoint, so
-// sampling rides a branch the loop already takes.
+// progressStride is the probe-loop flush cadence in heap pops. The
+// flush rides the loop's cancellation checkpoint, a branch the loop
+// already takes; the index and exactness-flush loops read cancellation
+// at the same stride, in records and visited pairs. A power of two:
+// the loops test it with a mask.
 const progressStride = 1024
 
 // progressCounters is the run's work-counter block. n holds the

@@ -1,7 +1,8 @@
 package ssjoin
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"matchcatcher/internal/config"
 	"matchcatcher/internal/floats"
@@ -131,18 +132,19 @@ func (h *topkHeap) offer(p ScoredPair) {
 	h.down(0)
 }
 
-// list extracts the sorted TopKList.
+// list copies the heap out as a sorted TopKList; the heap's storage
+// stays with h.
 func (h *topkHeap) list(m config.Mask) TopKList {
 	out := make([]ScoredPair, len(h.items))
 	copy(out, h.items)
-	sort.Slice(out, func(i, j int) bool {
-		if !floats.Equal(out[i].Score, out[j].Score) {
-			return out[i].Score > out[j].Score
+	slices.SortFunc(out, func(x, y ScoredPair) int {
+		if !floats.Equal(x.Score, y.Score) {
+			return cmp.Compare(y.Score, x.Score)
 		}
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
+		if x.A != y.A {
+			return cmp.Compare(x.A, y.A)
 		}
-		return out[i].B < out[j].B
+		return cmp.Compare(x.B, y.B)
 	})
 	return TopKList{Config: m, Pairs: out}
 }
