@@ -70,6 +70,8 @@ fuzz-smoke:
 	$(GO) test ./internal/blocker -run '^$$' -fuzz FuzzParse -fuzztime 10s
 	$(GO) test ./internal/blocker -run '^$$' -fuzz FuzzSoundex -fuzztime 10s
 	$(GO) test ./internal/blocker -run '^$$' -fuzz FuzzRuleBlock -fuzztime 10s
+	$(GO) test ./internal/blocker -run '^$$' -fuzz FuzzPairSet -fuzztime 10s
+	$(GO) test ./internal/tokenize -run '^$$' -fuzz FuzzNormalize -fuzztime 10s
 	$(GO) test ./internal/rforest -run '^$$' -fuzz FuzzTrain -fuzztime 10s
 	$(GO) test ./internal/ranker -run '^$$' -fuzz FuzzAggregate -fuzztime 10s
 	$(GO) test ./internal/ssjoin -run '^$$' -fuzz FuzzMergeTopK -fuzztime 10s

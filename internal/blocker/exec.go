@@ -367,7 +367,13 @@ func blockConjunct(c *compiler, conj []Atom, out *PairSet) {
 	at := drv.at
 	switch at.Feature.Kind {
 	case FeatEqual:
-		driveEquality(drv, verify)
+		// A lone equality atom keeps every pair its buckets join, so out
+		// can be sized for them up front.
+		var exact *PairSet
+		if len(comps) == 1 {
+			exact = out
+		}
+		driveEquality(drv, exact, verify)
 	case FeatSetSim:
 		t := at.Value
 		if at.Op == OpGT {
@@ -397,12 +403,24 @@ func blockConjunct(c *compiler, conj []Atom, out *PairSet) {
 	}
 }
 
-func driveEquality(drv compiled, emit func(ra, rb int)) {
+// driveEquality emits every pair with equal, non-empty normalized values.
+// When exact is non-nil every emitted pair is kept, and exact reserves
+// room for all of them before the first is emitted.
+func driveEquality(drv compiled, exact *PairSet, emit func(ra, rb int)) {
 	buckets := make(map[string][]int)
 	for ra, k := range drv.data.aNorm {
 		if k != "" {
 			buckets[k] = append(buckets[k], ra)
 		}
+	}
+	if exact != nil {
+		n := 0
+		for _, k := range drv.data.bNorm {
+			if k != "" {
+				n += len(buckets[k])
+			}
+		}
+		exact.reserve(n)
 	}
 	for rb, k := range drv.data.bNorm {
 		if k == "" {

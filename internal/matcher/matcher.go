@@ -10,7 +10,6 @@ package matcher
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"matchcatcher/internal/blocker"
 	"matchcatcher/internal/rforest"
@@ -151,10 +150,9 @@ func SampleTrainingPairs(c, gold *blocker.PairSet, nPos, nNeg int, seed int64) [
 			neg = append(neg, p)
 		}
 	})
+	// ForEach yields ascending (A, B) order, so the seeded shuffles below
+	// are deterministic.
 	rng := rand.New(rand.NewSource(seed))
-	// Sort for determinism before shuffling (ForEach order is random).
-	sortPairs(pos)
-	sortPairs(neg)
 	rng.Shuffle(len(pos), func(i, j int) { pos[i], pos[j] = pos[j], pos[i] })
 	rng.Shuffle(len(neg), func(i, j int) { neg[i], neg[j] = neg[j], neg[i] })
 	var out []blocker.LabeledPair
@@ -165,13 +163,4 @@ func SampleTrainingPairs(c, gold *blocker.PairSet, nPos, nNeg int, seed int64) [
 		out = append(out, blocker.LabeledPair{A: neg[i].A, B: neg[i].B, Match: false})
 	}
 	return out
-}
-
-func sortPairs(ps []blocker.Pair) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].A != ps[j].A {
-			return ps[i].A < ps[j].A
-		}
-		return ps[i].B < ps[j].B
-	})
 }

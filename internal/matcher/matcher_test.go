@@ -169,3 +169,32 @@ func TestSampleTrainingPairsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestSampleTrainingPairsPinned pins the sample drawn from a set filled
+// in descending row order: ForEach's ascending (A, B) order is what the
+// seeded shuffles start from, as the sorted pair lists were before.
+func TestSampleTrainingPairsPinned(t *testing.T) {
+	c := blocker.NewPairSet()
+	gold := blocker.NewPairSet()
+	for i := 29; i >= 0; i-- {
+		c.Add(i, 3*i%7)
+		c.Add(i, 40-i)
+		if i%3 == 0 {
+			gold.Add(i, 40-i)
+		}
+	}
+	want := []blocker.LabeledPair{
+		{A: 3, B: 37, Match: true}, {A: 15, B: 25, Match: true}, {A: 6, B: 34, Match: true},
+		{A: 24, B: 16, Match: true}, {A: 28, B: 0}, {A: 22, B: 3}, {A: 28, B: 12},
+		{A: 2, B: 38}, {A: 11, B: 29}, {A: 23, B: 6},
+	}
+	got := SampleTrainingPairs(c, gold, 4, 6, 11)
+	if len(got) != len(want) {
+		t.Fatalf("sample size %d, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("sample[%d] = %v, want %v", i, got[i], want[i])
+		}
+	}
+}

@@ -85,8 +85,8 @@ type Verifier struct {
 	lists []ssjoin.TopKList
 	feats FeatureFunc
 
-	ids      []int64
-	byID     map[int64]int
+	ids      []int64 // E's pair ids in item order: first seen in the lists
+	index    []int32 // every item once, sorted by its id
 	vecs     [][]float64
 	state    []itemState // per item index
 	nLabeled int
@@ -193,22 +193,13 @@ func NewVerifier(lists []ssjoin.TopKList, feats FeatureFunc, opt Options) *Verif
 		opt:   opt,
 		lists: lists,
 		feats: feats,
-		byID:  map[int64]int{},
 		rng:   rand.New(rand.NewSource(opt.Seed)),
 		stale: true,
 		vm:    newVerifierMetrics(opt.Metrics),
 		trace: opt.Trace,
 		prov:  opt.Provenance,
 	}
-	for _, l := range lists {
-		for _, p := range l.Pairs {
-			id := pairID(p.A, p.B)
-			if _, ok := v.byID[id]; !ok {
-				v.byID[id] = len(v.ids)
-				v.ids = append(v.ids, id)
-			}
-		}
-	}
+	v.ids, v.index = newPool(lists)
 	v.vecs = make([][]float64, len(v.ids))
 	v.state = make([]itemState, len(v.ids))
 	v.weights = make([]float64, len(lists))
@@ -219,9 +210,7 @@ func NewVerifier(lists []ssjoin.TopKList, feats FeatureFunc, opt Options) *Verif
 	v.vm.candidates.Set(float64(len(v.ids)))
 	if v.prov.Active() {
 		for _, w := range v.prov.WatchedPairs() {
-			idx, inPool := v.byID[pairID(int32(w[0]), int32(w[1]))]
-			_ = idx
-			if !inPool {
+			if v.item(blocker.Pair{A: w[0], B: w[1]}) < 0 {
 				v.prov.Record(w[0], w[1], "verifier", "not_in_pool",
 					telemetry.L("e_size", strconv.Itoa(len(v.ids))))
 				continue
@@ -239,6 +228,57 @@ func NewVerifier(lists []ssjoin.TopKList, feats FeatureFunc, opt Options) *Verif
 		}
 	}
 	return v
+}
+
+// newPool returns E's pair ids in first-seen order over the lists — the
+// item order, which breaks ties in the confidence ranking — and the pool
+// index: every item once, sorted by pair id, for binary search.
+func newPool(lists []ssjoin.TopKList) (ids []int64, index []int32) {
+	n := 0
+	for _, l := range lists {
+		n += len(l.Pairs)
+	}
+	all := make([]int64, 0, n)
+	for _, l := range lists {
+		for _, p := range l.Pairs {
+			all = append(all, pairID(p.A, p.B))
+		}
+	}
+	// One sort of the list positions by (id, position) leaves each pair's
+	// first position at the head of its run.
+	index = make([]int32, n)
+	for i := range index {
+		index[i] = int32(i)
+	}
+	slices.SortFunc(index, func(x, y int32) int {
+		if c := cmp.Compare(all[x], all[y]); c != 0 {
+			return c
+		}
+		return cmp.Compare(x, y)
+	})
+	index = slices.CompactFunc(index, func(x, y int32) bool { return all[x] == all[y] })
+	firsts := slices.Clone(index)
+	slices.Sort(firsts)
+	ids = make([]int64, len(firsts))
+	for i, pos := range firsts {
+		ids[i] = all[pos]
+	}
+	// Turn the index's first positions into item numbers.
+	for j, pos := range index {
+		item, _ := slices.BinarySearch(firsts, pos)
+		index[j] = int32(item)
+	}
+	return ids, index
+}
+
+// item returns p's item index, or -1 when p is not in E.
+func (v *Verifier) item(p blocker.Pair) int {
+	id := pairID(int32(p.A), int32(p.B))
+	j, ok := slices.BinarySearchFunc(v.index, id, func(i int32, id int64) int { return cmp.Compare(v.ids[i], id) })
+	if !ok {
+		return -1
+	}
+	return int(v.index[j])
 }
 
 // SetTraceParent re-parents the verifier's fit/predict trace spans —
@@ -263,7 +303,7 @@ func (v *Verifier) Ranking() []blocker.Pair {
 	if v.opt.Mode == ModeWMR || !v.haveMatch || !v.haveNon {
 		out := make([]blocker.Pair, 0, len(v.ids)-v.nLabeled)
 		for _, p := range v.order {
-			if v.state[v.byID[pairID(int32(p.A), int32(p.B))]] == unlabeled {
+			if v.state[v.item(p)] == unlabeled {
 				out = append(out, p)
 			}
 		}
@@ -282,6 +322,9 @@ func (v *Verifier) Ranking() []blocker.Pair {
 // score fills the reused ranked buffer with every unlabelled item not
 // taken by this Next, and its forest confidence, in item order.
 func (v *Verifier) score() []scored {
+	if v.ranked == nil {
+		v.ranked = make([]scored, 0, len(v.state))
+	}
 	ranked := v.ranked[:0]
 	for i, st := range v.state {
 		if st == unlabeled {
@@ -353,7 +396,7 @@ func (v *Verifier) Next() []blocker.Pair {
 // global list to pending.
 func (v *Verifier) nextFromOrder() {
 	for v.cursor < len(v.order) && len(v.pending) < v.opt.N {
-		idx := v.byID[pairID(int32(v.order[v.cursor].A), int32(v.order[v.cursor].B))]
+		idx := v.item(v.order[v.cursor])
 		v.cursor++
 		if v.state[idx] == unlabeled {
 			v.pending = append(v.pending, idx)

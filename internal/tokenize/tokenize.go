@@ -14,8 +14,60 @@ import (
 // case noise does not defeat set-based similarity (the paper's Table 4
 // lists "input tables are not lower-cased" as a real blocker problem the
 // debugger surfaced; the debugger itself is robust to it).
+//
+// It returns strings.Join(strings.Fields(strings.ToLower(s)), " ") byte
+// for byte (an invalid UTF-8 byte becomes U+FFFD), without the
+// intermediate strings: s itself, unallocated, when it is already
+// normalized, and otherwise one builder pass.
 func Normalize(s string) string {
-	return strings.Join(strings.Fields(strings.ToLower(s)), " ")
+	if normalized(s) {
+		return s
+	}
+	var b strings.Builder
+	b.Grow(len(s))
+	sep := false // a space run lies between the last word written and the next
+	for i := 0; i < len(s); {
+		r, w := utf8.DecodeRuneInString(s[i:])
+		i += w
+		if isSpace(r) {
+			sep = b.Len() > 0
+			continue
+		}
+		if sep {
+			b.WriteByte(' ')
+			sep = false
+		}
+		b.WriteRune(unicode.ToLower(r))
+	}
+	return b.String()
+}
+
+// normalized reports whether Normalize(s) == s: valid UTF-8 with no
+// upper-case rune, and words separated by single ASCII spaces with none
+// leading or trailing.
+func normalized(s string) bool {
+	space := true // the previous rune was a space, or there was none
+	for i := 0; i < len(s); {
+		r, w := utf8.DecodeRuneInString(s[i:])
+		i += w
+		switch {
+		case r == ' ' && !space:
+			space = true
+		case isSpace(r), r == utf8.RuneError && w == 1, unicode.ToLower(r) != r:
+			return false
+		default:
+			space = false
+		}
+	}
+	return !space || s == ""
+}
+
+// isSpace is unicode.IsSpace, the separator of strings.Fields.
+func isSpace(r rune) bool {
+	if r < utf8.RuneSelf {
+		return r == ' ' || '\t' <= r && r <= '\r'
+	}
+	return unicode.IsSpace(r)
 }
 
 // Words splits s into word tokens: maximal runs of letters and digits,

@@ -20,6 +20,41 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
+// normalizeReference is Normalize's specification: lowercase, split on
+// Unicode space runs, join with one space.
+func normalizeReference(s string) string {
+	return strings.Join(strings.Fields(strings.ToLower(s)), " ")
+}
+
+func TestNormalizeKeepsNormalizedValues(t *testing.T) {
+	for _, s := range []string{"", "dave smith", "café ünd", "x", "\ufffd ok"} {
+		if got := Normalize(s); got != s {
+			t.Errorf("Normalize(%q) = %q, want it unchanged", s, got)
+		}
+		if n := testing.AllocsPerRun(10, func() { _ = Normalize(s) }); n != 0 {
+			t.Errorf("Normalize(%q) made %v allocations, want 0", s, n)
+		}
+	}
+}
+
+// FuzzNormalize holds the one-pass Normalize byte-identical to its
+// specification: case folds that change byte length, invalid UTF-8,
+// Unicode spaces (NEL, no-break space, ideographic space) and runs of
+// them at either end.
+func FuzzNormalize(f *testing.F) {
+	for _, s := range []string{
+		"", " ", "  Dave   SMITH ", "New\tYork\nNY", "a\u00a0b\u0085c\u3000",
+		"\xff\xfeAB", "\ufffd", "ȺȾ İstanbul", "ΣΑΣ ß", "a\v\f\rb", "dave smith",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if got, want := Normalize(s), normalizeReference(s); got != want {
+			t.Fatalf("Normalize(%q) = %q, want %q", s, got, want)
+		}
+	})
+}
+
 func TestWords(t *testing.T) {
 	cases := []struct {
 		in   string
