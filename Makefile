@@ -142,7 +142,7 @@ progress_DESC  := JoinAll with a Progress tracker attached vs not: 900x900 synth
 # (Telemetry pair) and with a trace tree vs without (Trace pair).
 join_PKG   := .
 join_BENCH := JoinOneM2
-join_DESC  := M2 JoinOne (Music2 at 1/10 scale, HASH1 artist_name, root config, k=1000, q=2): live registry vs telemetry.Disabled() (Telemetry pair), and a per-run trace tree on a live registry vs none (Trace pair)
+join_DESC  := M2 JoinOne (Music2 at 1/10 scale, HASH1 artist_name, root config, k=1000): live registry vs telemetry.Disabled() (Telemetry pair), and a per-run trace tree on a live registry vs none (Trace pair)
 
 %-overhead-bench:
 	bash scripts/overhead_bench.sh $($*_PKG) $($*_BENCH) $*-bench.out $(OVERHEAD_COUNT)

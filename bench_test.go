@@ -198,27 +198,13 @@ func benchCorpus(b *testing.B, prof datagen.Profile, blockAttr string) (*ssjoin.
 	return ssjoin.NewCorpus(d.A, d.B, res), res, c
 }
 
-// BenchmarkQJoin measures the improved top-k join (q = 2, the default) on
-// one long-string config — the paper's §4.1 contribution. Deferring score
-// computation pays off exactly when strings are long (A-G descriptions);
-// on short strings (M2) q = 1 is faster, but every front runs q = 2 (the
-// paper's q-selection race is not built; EXPERIMENTS.md, "Known
-// deviations").
-func BenchmarkQJoin(b *testing.B) {
+// BenchmarkJoinOne measures one config's top-k join (the row-local
+// kernel) on the long-string A-G root config.
+func BenchmarkJoinOne(b *testing.B) {
 	cor, res, c := benchCorpus(b, datagen.AmazonGoogle().Scaled(0.5), "manuf")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ssjoin.JoinOne(cor, res.Root.Mask, c, ssjoin.Options{K: 1000, Q: 2})
-	}
-}
-
-// BenchmarkTopKJoinBaseline measures the TopKJoin baseline [34] (q = 1,
-// eager scoring) on the same workload, the comparison QJoin improves on.
-func BenchmarkTopKJoinBaseline(b *testing.B) {
-	cor, res, c := benchCorpus(b, datagen.AmazonGoogle().Scaled(0.5), "manuf")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ssjoin.JoinOne(cor, res.Root.Mask, c, ssjoin.Options{K: 1000, Q: 1})
+		ssjoin.JoinOne(cor, res.Root.Mask, c, ssjoin.Options{K: 1000})
 	}
 }
 
@@ -292,7 +278,7 @@ func benchJoinOneM2(b *testing.B, reg *telemetry.Registry, trace bool) {
 	var tr *telemetry.Tracer
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		opt := ssjoin.Options{K: 1000, Q: 2, Metrics: reg}
+		opt := ssjoin.Options{K: 1000, Metrics: reg}
 		if trace {
 			tr = telemetry.NewTracer(reg)
 			opt.Trace = tr.Start("debug.session")

@@ -25,10 +25,10 @@ func TestMeterLineGolden(t *testing.T) {
 		s    ssjoin.ProgressSnapshot
 		want string
 	}{
-		{base, "join  42.3% | configs 3/10 | probes 13k/2.5M | pruned 3.0G (push 1.2M loop 42 flush 9999 len 10k pos 3.0G) | eta 1m15s"},
-		{done, "join 100.0% | configs 3/10 | probes 13k/2.5M | pruned 3.0G (push 1.2M loop 42 flush 9999 len 10k pos 3.0G) | done in 850ms"},
-		{cancelled, "join  42.3% | configs 3/10 | probes 13k/2.5M | pruned 3.0G (push 1.2M loop 42 flush 9999 len 10k pos 3.0G) | cancelled"},
-		{early, "join   0.0% | configs 0/21 | probes 0/0 | pruned 0 (push 0 loop 0 flush 0 len 0 pos 0)"},
+		{base, "join  42.3% | configs 3/10 | rows 13k/2.5M | pruned 3.0G (push 1.2M loop 42 flush 9999 len 10k pos 3.0G) | eta 1m15s"},
+		{done, "join 100.0% | configs 3/10 | rows 13k/2.5M | pruned 3.0G (push 1.2M loop 42 flush 9999 len 10k pos 3.0G) | done in 850ms"},
+		{cancelled, "join  42.3% | configs 3/10 | rows 13k/2.5M | pruned 3.0G (push 1.2M loop 42 flush 9999 len 10k pos 3.0G) | cancelled"},
+		{early, "join   0.0% | configs 0/21 | rows 0/0 | pruned 0 (push 0 loop 0 flush 0 len 0 pos 0)"},
 	} {
 		if got := meterLine(c.s); got != c.want {
 			t.Errorf("meterLine =\n%q\nwant\n%q", got, c.want)

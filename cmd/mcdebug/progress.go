@@ -52,7 +52,7 @@ func meterLine(s ssjoin.ProgressSnapshot) string {
 		}
 		fmt.Fprintf(&tiers, "%s %s", t.Label, countShort(t.Kills))
 	}
-	line := fmt.Sprintf("join %5.1f%% | configs %d/%d | probes %s/%s | pruned %s (%s)",
+	line := fmt.Sprintf("join %5.1f%% | configs %d/%d | rows %s/%s | pruned %s (%s)",
 		s.Fraction*100, s.ConfigsDone, s.ConfigsTotal,
 		countShort(s.ProbesDone+s.ProbesSkipped), countShort(s.ProbesTotal),
 		countShort(total), tiers.String())

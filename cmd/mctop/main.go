@@ -486,7 +486,7 @@ func (f *frame) render(w io.Writer, prev *frame) {
 		fmt.Fprintf(w, "\nrunning joins (%d):\n", len(f.joins))
 		for _, jp := range f.joins {
 			j := jp.Join
-			line := fmt.Sprintf("  %-8s %5.1f%%  configs %d/%d  probes %.2g/%.2g  pruned %.2g",
+			line := fmt.Sprintf("  %-8s %5.1f%%  configs %d/%d  rows %.2g/%.2g  pruned %.2g",
 				jp.Session, j.Fraction*100, j.ConfigsDone, j.ConfigsTotal,
 				float64(j.ProbesDone+j.ProbesSkipped), float64(j.ProbesTotal),
 				float64(j.PushCap+j.LoopBreak+j.FlushBound+j.LengthFilter+j.PrefixPos))

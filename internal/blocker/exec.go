@@ -407,17 +407,34 @@ func blockConjunct(c *compiler, conj []Atom, out *PairSet) {
 // When exact is non-nil every emitted pair is kept, and exact reserves
 // room for all of them before the first is emitted.
 func driveEquality(drv compiled, exact *PairSet, emit func(ra, rb int)) {
-	buckets := make(map[string][]int)
-	for ra, k := range drv.data.aNorm {
+	aNorm := drv.data.aNorm
+	// A's keyed rows grouped by key, rows ascending within a group: one
+	// sorted index instead of a map of growing buckets.
+	rows := make([]int32, 0, len(aNorm))
+	for ra, k := range aNorm {
 		if k != "" {
-			buckets[k] = append(buckets[k], ra)
+			rows = append(rows, int32(ra))
 		}
+	}
+	slices.SortFunc(rows, func(x, y int32) int {
+		if c := strings.Compare(aNorm[x], aNorm[y]); c != 0 {
+			return c
+		}
+		return cmp.Compare(x, y)
+	})
+	group := func(k string) []int32 {
+		lo, _ := slices.BinarySearchFunc(rows, k, func(r int32, k string) int { return strings.Compare(aNorm[r], k) })
+		hi := lo
+		for hi < len(rows) && aNorm[rows[hi]] == k {
+			hi++
+		}
+		return rows[lo:hi]
 	}
 	if exact != nil {
 		n := 0
 		for _, k := range drv.data.bNorm {
 			if k != "" {
-				n += len(buckets[k])
+				n += len(group(k))
 			}
 		}
 		exact.reserve(n)
@@ -426,8 +443,8 @@ func driveEquality(drv compiled, exact *PairSet, emit func(ra, rb int)) {
 		if k == "" {
 			continue
 		}
-		for _, ra := range buckets[k] {
-			emit(ra, rb)
+		for _, ra := range group(k) {
+			emit(int(ra), rb)
 		}
 	}
 }

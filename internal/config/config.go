@@ -387,6 +387,18 @@ func (r *Result) beta(f int, q Mask) float64 {
 	return beta
 }
 
+// AvgTokens is the average number of word tokens per tuple of table t
+// (0 = A, 1 = B) over all promising attributes, missing values counting
+// zero. It overestimates a tuple's distinct tokens, which is what lets
+// callers size token buffers from it.
+func (r *Result) AvgTokens(t int) float64 {
+	sum := 0.0
+	for _, l := range r.avgLen[t] {
+		sum += l
+	}
+	return sum
+}
+
 func (r *Result) avgConfigLen(t int, q Mask) float64 {
 	sum := 0.0
 	for i := range r.Promising {

@@ -106,8 +106,12 @@ func (m SetMeasure) ExtendCap(i, lx int) float64 {
 		// o <= rem, union >= lx.
 		return float64(rem) / float64(lx)
 	case Cosine:
-		// o <= rem, ly >= o  =>  o/sqrt(lx*ly) <= sqrt(rem/lx).
-		return math.Sqrt(float64(rem) / float64(lx))
+		// o <= rem, ly >= o  =>  o/sqrt(lx*ly) <= sqrt(rem/lx). The
+		// cap and FromOverlap round separately, so equal reals can come
+		// out one ulp apart with the cap below; one ulp up keeps the cap
+		// at or above every achievable score (a looser cap only prunes
+		// less).
+		return math.Nextafter(math.Sqrt(float64(rem)/float64(lx)), 2)
 	case Dice:
 		// o <= rem, ly >= o  =>  2o/(lx+ly) <= 2rem/(lx+rem).
 		return 2 * float64(rem) / float64(lx+rem)

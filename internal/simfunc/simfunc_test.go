@@ -100,6 +100,44 @@ func TestExtendCapIsSound(t *testing.T) {
 	}
 }
 
+// TestExtendCapCoversEveryAchievableScore is the exhaustive audit of the
+// prefix cap in floating point: a pair first met past position i of x
+// (length lx) shares o <= lx-i instances with a partner of length ly >= o,
+// and its exact score FromOverlap(o, lx, ly) must never exceed the double
+// ExtendCap(i, lx) returns — not even by one ulp, since the join prunes
+// strictly below the k-th score and a pair tying it must survive. Real-
+// valued soundness is not enough: cosine's cap sqrt(rem/lx) and its score
+// o/sqrt(lx·ly) round separately and can land one ulp apart for the same
+// real value.
+func TestExtendCapCoversEveryAchievableScore(t *testing.T) {
+	maxLen := 120
+	if testing.Short() {
+		maxLen = 60
+	}
+	for _, m := range []SetMeasure{Jaccard, Cosine, Dice, Overlap} {
+		bad, cases := 0, 0
+		for lx := 1; lx <= maxLen; lx++ {
+			for i := 0; i < lx; i++ {
+				cap := m.ExtendCap(i, lx)
+				for ly := 1; ly <= maxLen; ly++ {
+					for o := 1; o <= min(lx-i, ly); o++ {
+						cases++
+						if s := m.FromOverlap(o, lx, ly); s > cap {
+							if bad == 0 {
+								t.Errorf("%v: lx=%d i=%d ly=%d o=%d scores %v above cap %v", m, lx, i, ly, o, s, cap)
+							}
+							bad++
+						}
+					}
+				}
+			}
+		}
+		if bad > 0 {
+			t.Errorf("%v: cap below an achievable score in %d of %d cases", m, bad, cases)
+		}
+	}
+}
+
 // Property: PairBound dominates the final score for any completion of the
 // unseen suffixes.
 func TestPairBoundIsSound(t *testing.T) {

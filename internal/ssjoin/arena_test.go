@@ -1,17 +1,9 @@
 package ssjoin
 
-// The flat-arena kernel's differential and white-box harness. The
-// kernel keeps pair states in one of two stores — the dense
-// epoch-stamped table, or the hashed pairTable past denseStateLimit —
-// and the choice must be invisible: same top-k bytes AND same runStats
-// counter stream. The harness shrinks denseStateLimit to drive the
-// hashed store over the same corpora the dense store runs, and
-// byte-compares both across store × pool-state × worker grids, with
-// BruteForce as the filter-free oracle (both stores run the same strict
-// pair filters, so only brute force proves the filters themselves sound
-// end to end). The white-box half pins the pair-state machinery
-// directly: epoch-stamped reset (growth, bump, nibble wraparound),
-// 64-bit pair keys, poisoned pool reuse, and the zero-alloc probe path.
+// White-box and differential harness of the row-local kernel: poisoned
+// pool reuse, the zero-alloc row path, the strict pair filters and the
+// row-end bound, each checked against BruteForce (no filters, no
+// bounds) as the oracle.
 
 import (
 	"fmt"
@@ -27,110 +19,44 @@ import (
 // pairKey packs a pair into one map key.
 func pairKey(a, b int32) int64 { return int64(a)<<32 | int64(uint32(b)) }
 
-// defaultDenseStateLimit is the production bound, read before any test
-// shrinks it.
-var defaultDenseStateLimit = denseStateLimit
-
-// useHashedStore sends the next joins' pair states to the hashed store
-// (hashed) or back under the production dense bound, restoring the
-// bound on cleanup. Tests in this package run sequentially, so the
-// package-level var is safe to flip here.
-func useHashedStore(t testing.TB, hashed bool) {
-	t.Helper()
-	prev := denseStateLimit
-	denseStateLimit = defaultDenseStateLimit
-	if hashed {
-		denseStateLimit = 0
-	}
-	t.Cleanup(func() { denseStateLimit = prev })
-}
-
-// TestKernelSeamDifferential is the core store-axis oracle: over a
-// seeds × configs × q × k grid, the dense store, the hashed store, and
-// BruteForce must return bit-identical lists. Brute force is the
-// essential third leg — both stores run the strict pair filters, so
-// only a filter-free oracle can prove the filters never drop a retained
-// pair.
-func TestKernelSeamDifferential(t *testing.T) {
-	for seed := int64(0); seed < 3; seed++ {
-		rng := rand.New(rand.NewSource(300 + seed))
-		cor, res, c := randomCorpus(t, rng, 35, 30)
-		for _, mask := range res.Configs() {
-			for _, q := range []int{1, 2, 3} {
-				for _, k := range []int{5, 20} {
-					label := fmt.Sprintf("seed=%d mask=%b q=%d k=%d", seed, mask, q, k)
-					want := BruteForce(cor, mask, c, k, simfunc.Jaccard)
-					useHashedStore(t, false)
-					dense := JoinOne(cor, mask, c, Options{K: k, Q: q})
-					useHashedStore(t, true)
-					hashed := JoinOne(cor, mask, c, Options{K: k, Q: q})
-					requireIdentical(t, label+" dense vs brute", dense, want)
-					requireIdentical(t, label+" hashed vs dense", hashed, dense)
-				}
-			}
-		}
-	}
-}
-
-// TestKernelSeamStatsIdentical extends the differential to the counter
-// stream: canonical reports embed the ssjoin.Stats counters, so the two
-// stores must agree on every count, not just on the lists. Checked end
-// to end through JoinAll at several Workers.
-func TestKernelSeamStatsIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	cor, _, c := randomCorpus(t, rng, 32, 28)
-	run := func(hashed bool, w int) ([]TopKList, Stats) {
-		useHashedStore(t, hashed)
-		res := JoinAll(cor, c, Options{K: 12, Q: 2, Workers: w})
-		return res.Lists, res.Stats
-	}
-	for _, w := range []int{1, 3} {
-		label := fmt.Sprintf("workers=%d", w)
-		denseLists, denseStats := run(false, w)
-		hashedLists, hashedStats := run(true, w)
-		requireIdenticalLists(t, label, hashedLists, denseLists)
-		if !reflect.DeepEqual(hashedStats, denseStats) {
-			t.Errorf("%s: counter streams diverge across the pair stores:\nhashed: %+v\ndense:  %+v",
-				label, hashedStats, denseStats)
-		}
-	}
-}
-
-// TestPoolReusePoisonInvisible proves pooled probe reuse cannot leak
-// state between probes: the pool is pre-seeded with probes whose
-// buffers hold adversarial garbage — dense pair-state bytes stamped at
-// every nibble epoch (including the probe's next epoch), hashed-table
-// slots, stale slabs, stale event and top-k heaps (top-k items past len
-// included, scored above any real pair), stale instance ids — and joins
-// alternating dense → hashed → dense → hashed through that pool must
-// still match the reference bit for bit, counters included. The
-// alternation guards the epoch the two stores share: a hashed probe that
-// reset the epoch without clearing the dense table would let the next
-// dense probe read old stamps as live.
+// TestPoolReusePoisonInvisible proves pooled block reuse cannot leak
+// state between joins: the pool is pre-seeded with blocks whose buffers
+// hold adversarial garbage — a dirty row array and candidate list,
+// stale marks past their cursor, prefix-end caches stamped at the
+// current generation, a stale index and threshold, stale top-k heaps
+// (items past len included, scored above any real pair), stale instance
+// ids and a pending parent list — and joins through that pool must
+// still match the reference bit for bit, counters included.
 func TestPoolReusePoisonInvisible(t *testing.T) {
 	rng := rand.New(rand.NewSource(400))
 	cor, _, c := randomCorpus(t, rng, 30, 30)
-	opt := Options{K: 10, Q: 2, Workers: 1}
+	opt := Options{K: 10, Workers: 1}
 	ref := JoinAll(cor, c, opt)
 
 	for trial := 0; trial < 4; trial++ {
 		for i := 0; i < 3; i++ {
-			p := &flatProbe{}
-			p.resetPairs(64*1024, false)
-			p.epoch = uint8(1 + rng.Intn(15))
-			// Stamps stay <= the probe's epoch: that is the table's
-			// invariant (a stamp equal to a FUTURE epoch is unreachable —
-			// the bump strictly outruns every written stamp and the
-			// wraparound clears), and it is exactly what the next wire()'s
-			// epoch bump must render invisible.
-			for j := range p.pairs {
-				p.pairs[j] = pairPack(uint8(rng.Intn(int(p.epoch)+1)), int8(rng.Intn(16)+pairKilled))
+			p := &rowProbe{}
+			p.row = garbageIDs(rng, 64)
+			p.cands = garbageIDs(rng, 20)
+			p.marks = make([]ScoredPair, 12)
+			for j := range p.marks {
+				p.marks[j] = ScoredPair{A: rng.Int31n(30), B: rng.Int31n(30), Score: 3}
 			}
-			p.table.reset()
-			for j := 0; j < 500; j++ {
-				*p.table.cell(int64(rng.Intn(30 * 30))) = uint8(rng.Intn(256))
+			p.markAt = rng.Intn(len(p.marks))
+			p.prefEnd = garbageIDs(rng, 200)
+			p.gen = uint32(rng.Intn(5))
+			p.prefGen = make([]uint32, 200)
+			for j := range p.prefGen {
+				p.prefGen[j] = p.gen
 			}
-			p.events.items = append(p.events.items, event{cap: 9, side: 0, rec: 7})
+			p.t = rng.Float64()
+			p.off = garbageIDs(rng, 1000)
+			p.post = make([]postEntry, 500)
+			for j := range p.post {
+				p.post[j] = postEntry{cap: 2, b: rng.Int31n(30), pos: rng.Int31n(8)}
+			}
+			p.steps, p.nextCheck = 1<<20, 1
+			p.pending = []ScoredPair{{A: 29, B: 29, Score: 5}}
 			stale := make([]ScoredPair, 32)
 			for j := range stale {
 				stale[j] = ScoredPair{A: rng.Int31n(30), B: rng.Int31n(30), Score: 2}
@@ -143,16 +69,11 @@ func TestPoolReusePoisonInvisible(t *testing.T) {
 			p.ids.a = [][]int32{p.ids.backing[:40], p.ids.backing[40:90]}
 			p.ids.b = [][]int32{p.ids.backing[90:100]}
 			p.ids.lists = [][]int32{p.ids.backing[7:70]}
-			p.slabA = append(p.slabA, postEntry{rec: 3, pos: 3})
-			p.touched = append(p.touched, 11, 7, 5)
-			p.touchedKeys = append(p.touchedKeys, 13, 2)
-			p.posA = append(p.posA, 42)
-			probePool.Put(p)
+			putRowProbe(p)
 		}
-		for step, hashed := range []bool{false, true, false, true} {
-			useHashedStore(t, hashed)
+		for step := 0; step < 4; step++ {
 			got := JoinAll(cor, c, opt)
-			label := fmt.Sprintf("poisoned pool trial %d step %d (hashed=%v)", trial, step, hashed)
+			label := fmt.Sprintf("poisoned pool trial %d step %d", trial, step)
 			requireIdenticalLists(t, label, got.Lists, ref.Lists)
 			if !reflect.DeepEqual(got.Stats, ref.Stats) {
 				t.Fatalf("%s: counters diverge:\ngot:  %+v\nwant: %+v", label, got.Stats, ref.Stats)
@@ -191,7 +112,7 @@ func TestRowPermutationMetamorphic(t *testing.T) {
 	cor, res := corpusFor(t, []string{"v"}, rowsA, rowsB)
 	mask := res.Root.Mask
 	const k = 10
-	ref := JoinOne(cor, mask, nil, Options{K: k, Q: 2})
+	ref := JoinOne(cor, mask, nil, Options{K: k})
 
 	for trial := 0; trial < 3; trial++ {
 		permA := rng.Perm(len(rowsA))
@@ -205,7 +126,7 @@ func TestRowPermutationMetamorphic(t *testing.T) {
 			pRowsB[j] = rowsB[i]
 		}
 		pCor, pRes := corpusFor(t, []string{"v"}, pRowsA, pRowsB)
-		got := JoinOne(pCor, pRes.Root.Mask, nil, Options{K: k, Q: 2})
+		got := JoinOne(pCor, pRes.Root.Mask, nil, Options{K: k})
 
 		refScores, gotScores := scoresOf(ref), scoresOf(got)
 		slices.Sort(refScores)
@@ -255,7 +176,7 @@ func TestFilterKillsStrictlyBelowKth(t *testing.T) {
 		for _, mask := range res.Configs() {
 			for _, k := range []int{3, 8} {
 				kills = kills[:0]
-				got := JoinOne(cor, mask, c, Options{K: k, Q: 2})
+				got := JoinOne(cor, mask, c, Options{K: k})
 				if len(got.Pairs) < k || len(kills) == 0 {
 					continue
 				}
@@ -302,16 +223,16 @@ func TestPrefixFilterKillsCraftedPair(t *testing.T) {
 	filterKillHook = func(a, b int32, tier int8) { tiers = append(tiers, tier) }
 	t.Cleanup(func() { filterKillHook = nil })
 
-	// Pair (A0, B0) scores 2/4 = 0.5 and fills the k=1 list. A1 and B1
-	// (12 tokens each) share cc plus the f-fillers; their rank orders put
-	// six unique tokens (rarer than cc) first, then cc at position 6 —
-	// cap exactly (12-6)/12 = 0.5, which survives the strict push-cap
-	// prune as a tie — then the f-fillers (more frequent, so
-	// prefix-later; their extensions cap below 0.5 and die at push). At
-	// the touch, the length bound is FromOverlap(12,12,12) = 1.0 (equal
-	// lengths — the length filter cannot fire), but the positional bound
-	// is FromOverlap(1+min(5,5),12,12) = 6/18 < 0.5: only the prefix_pos
-	// tier can kill it.
+	// Pair (A0, B0) scores 2/4 = 0.5 and fills the k=1 list in row 0. A1
+	// and B1 (12 tokens each) share cc plus the f-fillers; their rank
+	// orders put six unique tokens (rarer than cc) first, then cc at
+	// position 6 — cap exactly (12-6)/12 = 0.5, which survives the strict
+	// prefix cut as a tie — then the f-fillers (more frequent, so
+	// prefix-later; their caps fall below 0.5, so row 1 stops before
+	// them). At the touch, the length bound is FromOverlap(12,12,12) = 1.0
+	// (equal lengths — the length filter cannot fire), but the positional
+	// bound is FromOverlap(1+min(5,5),12,12) = 6/18 < 0.5: only the
+	// prefix_pos tier can kill it.
 	cor, res := corpusFor(t, []string{"v"},
 		[][]string{
 			{"m n"},
@@ -323,7 +244,7 @@ func TestPrefixFilterKillsCraftedPair(t *testing.T) {
 			{"o p m n"},
 			{"h1 h2 h3 h4 h5 h6 cc f1 f2 f3 f4 f5"},
 		})
-	got := JoinOne(cor, res.Root.Mask, nil, Options{K: 1, Q: 1})
+	got := JoinOne(cor, res.Root.Mask, nil, Options{K: 1})
 	if len(got.Pairs) != 1 || got.Pairs[0].A != 0 || got.Pairs[0].B != 0 || got.Pairs[0].Score != 0.5 {
 		t.Fatalf("expected (A0,B0)=0.5 to win: %+v", got.Pairs)
 	}
@@ -334,275 +255,62 @@ func TestPrefixFilterKillsCraftedPair(t *testing.T) {
 	requireIdentical(t, "crafted corpus vs brute force", got, want)
 }
 
-// TestEpochReset white-boxes resetPairs across its paths: growth
-// (fresh zeroed table, epoch restarts at 1), the O(1) bump (stale
-// entries become invisible without a clear), the nibble wraparound (the
-// table must be cleared or epoch-1 garbage would alias as live), and
-// the hashed store, which must leave the dense table's epoch alone.
-func TestEpochReset(t *testing.T) {
-	p := &flatProbe{}
-	p.resetPairs(100, false)
-	if p.epoch != 1 || len(p.pairs) != 100 {
-		t.Fatalf("growth path: epoch=%d len=%d", p.epoch, len(p.pairs))
-	}
-	p.pairs[7] = pairPack(p.epoch, 3)
-	p.pairs[8] = pairPack(p.epoch, pairSuppressed)
-
-	p.resetPairs(100, false)
-	if p.epoch != 2 {
-		t.Fatalf("bump path: epoch=%d", p.epoch)
-	}
-	for _, i := range []int{7, 8} {
-		if pairEpoch(p.pairs[i]) == p.epoch {
-			t.Fatalf("stale entry %d reads as live after epoch bump", i)
-		}
-	}
-	p.pairs[7] = pairPack(p.epoch, 5)
-	if pairState(p.pairs[7]) != 5 || pairEpoch(p.pairs[7]) != 2 {
-		t.Fatalf("roundtrip: state=%d epoch=%d", pairState(p.pairs[7]), pairEpoch(p.pairs[7]))
-	}
-
-	// A hashed probe in between keeps the epoch and the dense table: the
-	// next dense reset must still bump past every stamp written so far.
-	p.resetPairs(1<<40, true)
-	if p.epoch != 2 || !p.hashed || pairEpoch(p.pairs[7]) != 2 {
-		t.Fatalf("hashed reset: epoch=%d hashed=%v stamp7=%d", p.epoch, p.hashed, pairEpoch(p.pairs[7]))
-	}
-	p.resetPairs(100, false)
-	if p.epoch != 3 || p.hashed || pairEpoch(p.pairs[7]) == p.epoch {
-		t.Fatalf("dense after hashed: epoch=%d hashed=%v", p.epoch, p.hashed)
-	}
-
-	// Drive to the wraparound: epochs 4..15, then the 16th reset wraps.
-	for p.epoch < 15 {
-		p.pairs[9] = pairPack(p.epoch, 1) // garbage at every epoch
-		p.resetPairs(100, false)
-	}
-	if p.epoch != 15 {
-		t.Fatalf("pre-wrap epoch=%d", p.epoch)
-	}
-	p.pairs[3] = pairPack(15, 7)
-	p.resetPairs(100, false)
-	if p.epoch != 1 {
-		t.Fatalf("wrap path: epoch=%d, want 1", p.epoch)
-	}
-	for i, v := range p.pairs {
-		if v != 0 {
-			t.Fatalf("wrap path left pairs[%d]=%#x uncleared", i, v)
-		}
-	}
-
-	// Shrink+regrow within capacity must keep the epoch discipline.
-	p.pairs[0] = pairPack(p.epoch, 2)
-	p.resetPairs(10, false)
-	if len(p.pairs) != 10 || pairEpoch(p.pairs[0]) == p.epoch {
-		t.Fatalf("shrink: len=%d epoch0=%d cur=%d", len(p.pairs), pairEpoch(p.pairs[0]), p.epoch)
-	}
-	p.resetPairs(4096, false)
-	if len(p.pairs) != 4096 || p.epoch != 1 {
-		t.Fatalf("regrow: len=%d epoch=%d", len(p.pairs), p.epoch)
-	}
-
-	// A probe whose first run is hashed starts the epoch at 1, so fresh
-	// (zero) slots read as unseen.
-	h := &flatProbe{}
-	h.resetPairs(1<<40, true)
-	if h.epoch != 1 || pairEpoch(*h.cell(5)) == h.epoch {
-		t.Fatalf("fresh hashed probe: epoch=%d", h.epoch)
-	}
-}
-
-// TestEpochWraparoundEndToEnd runs enough joins through one process to
-// cross the nibble wraparound many times (every 15 probes), comparing
-// each run against the first: any stale-state leak across the wrap
-// shows up as a flipped bit. The pool is also pre-seeded with a probe
-// parked one reset away from wrapping.
-func TestEpochWraparoundEndToEnd(t *testing.T) {
-	rng := rand.New(rand.NewSource(700))
-	cor, res, c := randomCorpus(t, rng, 25, 25)
-	mask := res.Root.Mask
-
-	parked := &flatProbe{}
-	parked.resetPairs(25*25, false)
-	parked.epoch = 15
-	for j := range parked.pairs {
-		parked.pairs[j] = pairPack(15, int8(j%16+pairKilled))
-	}
-	probePool.Put(parked)
-
-	ref := JoinOne(cor, mask, c, Options{K: 8, Q: 2})
-	for i := 0; i < 40; i++ {
-		got := JoinOne(cor, mask, c, Options{K: 8, Q: 2})
-		requireIdentical(t, fmt.Sprintf("run %d", i), got, ref)
-	}
-}
-
-// TestAutoKernelSelection pins the pair-store policy: the dense table
-// only while the config's whole pair space fits denseStateLimit — and
-// the choice must be invisible in the output.
-func TestAutoKernelSelection(t *testing.T) {
-	storeFor := func(nA, nB int) bool {
-		p := &flatProbe{ids: denseInstances{a: make([][]int32, nA), b: make([][]int32, nB)}}
-		p.wire(&Corpus{}, 0, runOpts{q: 2})
-		return p.hashed
-	}
-	if storeFor(100, 100) {
-		t.Error("small corpus should use the dense store")
-	}
-	denseStateLimit = 64
-	t.Cleanup(func() { denseStateLimit = defaultDenseStateLimit })
-	if !storeFor(9, 9) { // 81 pairs > 64
-		t.Error("pair space beyond denseStateLimit must use the hashed store")
-	}
-	if storeFor(8, 8) {
-		t.Error("pair space within denseStateLimit should use the dense store")
-	}
-
-	rng := rand.New(rand.NewSource(800))
-	cor, res, cset := randomCorpus(t, rng, 20, 20)
-	mask := res.Root.Mask
-	hashed := JoinOne(cor, mask, cset, Options{K: 10, Q: 2}) // 400 pairs: hashed under the shrunken limit
-	denseStateLimit = defaultDenseStateLimit
-	dense := JoinOne(cor, mask, cset, Options{K: 10, Q: 2})
-	requireIdentical(t, "across the limit boundary", hashed, dense)
-}
-
-// TestLargeQClamped covers q beyond the packed-state range: runJoin
-// clamps it, and since q never changes an exact join's output, every
-// such q must still return the brute-force list, on both stores.
-func TestLargeQClamped(t *testing.T) {
-	rng := rand.New(rand.NewSource(850))
-	cor, res, c := randomCorpus(t, rng, 30, 25)
-	for _, mask := range res.Configs() {
-		want := BruteForce(cor, mask, c, 15, simfunc.Jaccard)
-		for _, q := range []int{13, 20, 100} {
-			for _, hashed := range []bool{false, true} {
-				useHashedStore(t, hashed)
-				got := JoinOne(cor, mask, c, Options{K: 15, Q: q})
-				requireIdentical(t, fmt.Sprintf("mask=%b q=%d hashed=%v", mask, q, hashed), got, want)
-			}
-		}
-	}
-}
-
-// TestPairKeyBeyondInt32 white-boxes the hashed store's 64-bit keying
-// on a pair space of 10G pairs (empty records, so nothing is built but
-// the pair space): a pair index past 2^32 must neither wrap nor alias
-// the key 2^32 below it, and pairOf must invert pairIdx.
-func TestPairKeyBeyondInt32(t *testing.T) {
-	const n = 100000
-	p := &flatProbe{ids: denseInstances{a: make([][]int32, n), b: make([][]int32, n)}}
-	p.wire(&Corpus{}, 0, runOpts{q: 2})
-	if !p.hashed {
-		t.Fatal("a 10G-pair space must use the hashed store")
-	}
-	a, b := int32(n-1), int32(n-2)
-	idx := p.pairIdx(a, b)
-	if want := int64(n-1)*n + int64(n-2); idx != want || idx < 1<<32 {
-		t.Fatalf("pairIdx(%d,%d) = %d, want %d (> 2^32)", a, b, idx, want)
-	}
-	if ga, gb := p.pairOf(idx); ga != a || gb != b {
-		t.Fatalf("pairOf(%d) = (%d,%d), want (%d,%d)", idx, ga, gb, a, b)
-	}
-	*p.cell(idx) = pairPack(p.epoch, 4)
-	alias := idx - 1<<32
-	if got := *p.cell(alias); got != 0 {
-		t.Fatalf("key %d aliases key %d: state %#x", alias, idx, got)
-	}
-	*p.cell(alias) = pairPack(p.epoch, 2)
-	if pairState(*p.cell(idx)) != 4 || pairState(*p.cell(alias)) != 2 {
-		t.Fatal("keys 2^32 apart share a slot")
-	}
-	if ga, gb := p.pairOf(alias); p.pairIdx(ga, gb) != alias {
-		t.Fatalf("pairOf/pairIdx do not round-trip %d", alias)
-	}
-}
-
-// TestPairTableGrowth drives the hashed store through several doublings
-// with keys spread past 2^32: every key keeps its own state, the load
-// stays at most ½, and reset empties the table but keeps its size.
-func TestPairTableGrowth(t *testing.T) {
-	var tb pairTable
-	tb.reset()
-	const keys = 20000
-	key := func(i int) int64 { return int64(i)*(1<<20+7) + 1<<33 }
-	for i := 0; i < keys; i++ {
-		*tb.cell(key(i)) = uint8(i)
-	}
-	if tb.used != keys || 2*tb.used > len(tb.slots) || len(tb.slots)&(len(tb.slots)-1) != 0 {
-		t.Fatalf("used=%d slots=%d", tb.used, len(tb.slots))
-	}
-	for i := 0; i < keys; i++ {
-		if v := *tb.cell(key(i)); v != uint8(i) {
-			t.Fatalf("key %d: state %d, want %d", key(i), v, uint8(i))
-		}
-	}
-	if tb.used != keys {
-		t.Fatalf("lookups inserted: used=%d", tb.used)
-	}
-	size := len(tb.slots)
-	tb.reset()
-	if tb.used != 0 || len(tb.slots) != size || *tb.cell(key(7)) != 0 {
-		t.Fatalf("reset: used=%d slots=%d (was %d)", tb.used, len(tb.slots), size)
-	}
-}
-
-// TestFlatProbePathZeroAllocs pins the tentpole's allocation contract
-// dynamically: with warm pooled buffers, the whole probe path —
-// wire, absorb, seed, probe, finish — allocates nothing, on the dense
-// store and on a hashed store already grown by an earlier probe. (The
-// static half is mclint's hotalloc/-escapes gate; testing.AllocsPerRun
-// catches what escape analysis can't, e.g. amortized append growth
-// would show up here as a fractional count.)
+// TestFlatProbePathZeroAllocs pins the kernel's allocation contract
+// dynamically: with warm pooled buffers, the whole join after tokenize
+// — wire, seed absorb, index, row loop — allocates nothing, unseeded
+// and seeded. (The static half is mclint's hotalloc/-escapes gate;
+// testing.AllocsPerRun catches what escape analysis can't, e.g.
+// amortized append growth would show up here as a fractional count.)
 func TestFlatProbePathZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(900))
 	cor, res, c := randomCorpus(t, rng, 40, 40)
 	mask := res.Root.Mask
+	seeds := BruteForce(cor, mask, c, 20, simfunc.Jaccard).Pairs[:10]
 
-	for _, hashed := range []bool{false, true} {
-		useHashedStore(t, hashed)
-		opt := runOpts{k: 10, q: 2, m: simfunc.Jaccard, c: c, stats: &runStats{}}
-		p := &flatProbe{}
+	for _, seeded := range []bool{false, true} {
+		opt := runOpts{k: 10, m: simfunc.Jaccard, c: c, stats: &runStats{}}
+		if seeded {
+			opt.seeds = seeds
+		}
+		p := &rowProbe{}
 		p.ids.tokenize(cor, mask)
-		runProbe := func() {
+		run := func() {
 			p.wire(cor, mask, opt)
-			p.absorb(nil)
-			p.seed()
+			p.absorb(opt.seeds, 0)
+			p.raise()
+			p.index()
 			p.probe()
-			p.finish()
 		}
-		runProbe() // warm the buffers (growth is allowed to allocate)
-		if p.hashed != hashed {
-			t.Fatalf("hashed=%v: probe ran the wrong store", hashed)
+		run() // warm the buffers (growth is allowed to allocate)
+		if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+			t.Errorf("seeded=%v: warm row path allocated %.2f times per run, want 0", seeded, allocs)
 		}
-		if allocs := testing.AllocsPerRun(20, runProbe); allocs != 0 {
-			t.Errorf("hashed=%v: warm probe path allocated %.2f times per run, want 0", hashed, allocs)
-		}
-		if p.top.Len() == 0 {
-			t.Fatalf("hashed=%v: probe produced no pairs — the zero-alloc run measured nothing", hashed)
+		if p.top.Len() == 0 || opt.stats.n[cFlushedPairs] == 0 {
+			t.Fatalf("seeded=%v: the join scored nothing — the zero-alloc run measured nothing", seeded)
 		}
 	}
 }
 
-// FuzzPrefixFilter feeds arbitrary corpora through both pair stores
-// (filters live) against BruteForce (no filters): any input where the
-// length or positional prefix filter, the suppression check or the
-// flush bound drops a pair that belonged in the top-k — tie boundaries,
-// equal scores, degenerate records — or where the stores disagree shows
-// up as a list mismatch. The fuzz bytes also pick a C set (so filters
-// and suppression meet on the same pairs), and every config of the
-// two-attribute tables is joined, child masks included. Registered in
-// the Makefile fuzz-smoke target.
+// FuzzPrefixFilter feeds arbitrary corpora through the kernel (filters
+// and row-end bound live) against BruteForce (neither), under the
+// measure the fuzz bytes pick: any input where the length or positional
+// prefix filter, the suppression check or the row-end bound drops a
+// pair that belonged in the top-k — tie boundaries, equal scores,
+// degenerate records — shows up as a list mismatch. The fuzz bytes also
+// pick a C set (so filters and suppression meet on the same pairs), and
+// every config of the two-attribute tables is joined, child masks
+// included, unseeded and seeded with a prefix of the config's 2k list.
+// Registered in the Makefile fuzz-smoke target.
 func FuzzPrefixFilter(f *testing.F) {
-	f.Add(uint8(1), uint8(2), []byte("abc\ndef g\nhij"))
-	f.Add(uint8(3), uint8(1), []byte("a b c d e f g h i\nz\na b\nq r s"))
-	f.Add(uint8(2), uint8(3), []byte("aa bb\naa bb\naa bb\ncc"))
-	f.Add(uint8(1), uint8(1), []byte("\n\n\n"))
-	f.Add(uint8(12), uint8(9), []byte("a b c|d e\na b|c d e f\nb c|d\na c|e f g\nb d e|f"))
-	f.Add(uint8(21), uint8(30), []byte("a b c d|e f\nc d e|f g\na b|c\nb c d e|f\nd e f|a b\na|b c"))
-	f.Fuzz(func(t *testing.T, kRaw, qRaw uint8, data []byte) {
+	f.Add(uint8(1), uint8(2), uint8(0), []byte("abc\ndef g\nhij"))
+	f.Add(uint8(3), uint8(1), uint8(1), []byte("a b c d e f g h i\nz\na b\nq r s"))
+	f.Add(uint8(2), uint8(3), uint8(2), []byte("aa bb\naa bb\naa bb\ncc"))
+	f.Add(uint8(1), uint8(1), uint8(3), []byte("\n\n\n"))
+	f.Add(uint8(12), uint8(9), uint8(1), []byte("a b c|d e\na b|c d e f\nb c|d\na c|e f g\nb d e|f"))
+	f.Add(uint8(21), uint8(30), uint8(2), []byte("a b c d|e f\nc d e|f g\na b|c\nb c d e|f\nd e f|a b\na|b c"))
+	f.Fuzz(func(t *testing.T, kRaw, sel, mRaw uint8, data []byte) {
 		k := int(kRaw%8) + 1
-		q := int(qRaw%4) + 1
+		m := simfunc.SetMeasure(mRaw % 4)
 		rows := decodeFuzzRows(data)
 		if len(rows) < 2 {
 			return
@@ -612,14 +320,14 @@ func FuzzPrefixFilter(f *testing.F) {
 		if err != nil {
 			return // no config to join: the generator rejected the tables
 		}
-		c := fuzzPairSet(qRaw/4, half, len(rows)-half)
+		c := fuzzPairSet(sel/4, half, len(rows)-half)
 		for _, mask := range res.Configs() {
-			want := BruteForce(cor, mask, c, k, simfunc.Jaccard)
-			for _, hashed := range []bool{false, true} {
-				useHashedStore(t, hashed)
-				got := runJoin(cor, mask, runOpts{k: k, q: q, m: simfunc.Jaccard, c: c})
-				requireIdentical(t, fmt.Sprintf("mask=%b hashed=%v k=%d q=%d", mask, hashed, k, q), got, want)
-			}
+			want := BruteForce(cor, mask, c, k, m)
+			label := fmt.Sprintf("mask=%b m=%v k=%d", mask, m, k)
+			requireIdentical(t, label, runJoin(cor, mask, runOpts{k: k, m: m, c: c}), want)
+			seeds := BruteForce(cor, mask, c, 2*k, m).Pairs
+			seeds = seeds[:len(seeds)*int(sel%4)/4]
+			requireIdentical(t, label+" seeded", runJoin(cor, mask, runOpts{k: k, m: m, c: c, seeds: seeds}), want)
 		}
 	})
 }
@@ -680,70 +388,65 @@ func fuzzPairSet(sel uint8, nA, nB int) *blocker.PairSet {
 	return c
 }
 
-// TestFlushBoundSound white-boxes the exactness flush's bound: after the
-// probe loop, every pair still deferred must satisfy
+// TestFlushBoundSound white-boxes the row-end bound (the flush_bound
+// tier): at the end of every row, each live candidate must satisfy
 //
-//	overlap <= flushBound <= min(st + (lx-posA) + (ly-posB), lx, ly)
+//	overlap <= min(c + len(lag), lx, ly) <= min(c + (lx-pa) + (ly-pb), lx, ly)
 //
 // — sound against the exact overlap, and never looser than the
-// two-suffix bound it replaced — across corpora, configs, q and both
-// stores. The grid must also reach pairs where the lagging-side bound is
-// strictly tighter, or it would prove nothing about the change.
+// two-suffix bound — and the overlap completed from the lagging suffix
+// must equal the exact one, across corpora, configs and k. The grid must also
+// reach candidates where the lagging-side bound is strictly tighter, or
+// it would prove nothing about it.
 func TestFlushBoundSound(t *testing.T) {
 	checked, tighter := 0, 0
 	for seed := int64(0); seed < 3; seed++ {
 		rng := rand.New(rand.NewSource(950 + seed))
 		cor, res, c := randomCorpus(t, rng, 30, 26)
 		for _, mask := range res.Configs() {
-			var ids denseInstances
-			ids.tokenize(cor, mask)
-			for q := 1; q <= 4; q++ {
-				for _, hashed := range []bool{false, true} {
-					useHashedStore(t, hashed)
-					p := &flatProbe{ids: ids}
-					p.wire(cor, mask, runOpts{k: 6, q: q, m: simfunc.Jaccard, c: c, stats: &runStats{}})
-					p.seed()
-					p.probe()
-					var keys []int64
-					for _, idx := range p.touched {
-						keys = append(keys, int64(idx))
-					}
-					keys = append(keys, p.touchedKeys...)
-					for _, idx := range keys {
-						v := *p.cell(idx)
-						st := int32(pairState(v))
-						if pairEpoch(v) != p.epoch || st <= 0 {
+			for _, k := range []int{1, 3, 6} {
+				p := &rowProbe{}
+				p.ids.tokenize(cor, mask)
+				p.wire(cor, mask, runOpts{k: k, m: simfunc.Jaccard, c: c, stats: &runStats{}})
+				p.index()
+				for a := int32(0); a < int32(len(p.ids.a)); a++ {
+					p.raise()
+					pa, _ := p.runRow(a)
+					for _, b := range p.cands {
+						cnt := p.row[b]
+						if cnt <= 0 {
 							continue
 						}
-						a, b := p.pairOf(idx)
 						lx, ly := len(p.ids.a[a]), len(p.ids.b[b])
-						old := min(int(st)+lx-int(p.posA[a])+ly-int(p.posB[b]), lx, ly)
-						bound := p.flushBound(a, b, st)
+						old := min(int(cnt)+lx-pa+ly-p.visible(ly), lx, ly)
+						lag, other := p.lagging(a, b, pa)
+						bound := min(int(cnt)+len(lag), lx, ly)
 						exact := overlapUnder(&cor.recsA[a], &cor.recsB[b], mask)
-						if exact > bound || bound > old {
-							t.Fatalf("seed=%d mask=%b q=%d hashed=%v pair (%d,%d) st=%d: overlap %d, bound %d, two-suffix bound %d",
-								seed, mask, q, hashed, a, b, st, exact, bound, old)
+						if exact > bound || bound > old || overlap(cnt, lag, other) != exact {
+							t.Fatalf("seed=%d mask=%b k=%d pair (%d,%d) c=%d: overlap %d (completed %d), bound %d, two-suffix bound %d",
+								seed, mask, k, a, b, cnt, exact, overlap(cnt, lag, other), bound, old)
 						}
 						checked++
 						if bound < old {
 							tighter++
 						}
 					}
+					p.endRow(a, pa)
 				}
 			}
 		}
 	}
 	if checked == 0 || tighter == 0 {
-		t.Fatalf("grid checked %d deferred pairs, %d with a tighter bound: it proves nothing", checked, tighter)
+		t.Fatalf("grid checked %d candidates, %d with a tighter bound: it proves nothing", checked, tighter)
 	}
-	t.Logf("%d deferred pairs checked, %d with a strictly tighter bound", checked, tighter)
+	t.Logf("%d row-end candidates checked, %d with a strictly tighter bound", checked, tighter)
 }
 
 // sink guards against dead-code elimination in benchmarks below.
 var sinkList TopKList
 
-// BenchmarkJoinOneKernel compares the two pair stores on the same
-// corpus (the hashed sub-benchmark shrinks denseStateLimit to reach it).
+// BenchmarkJoinOneKernel times one root-config join on a corpus of
+// short, heavily overlapping records.
 func BenchmarkJoinOneKernel(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	words := []string{"ka", "ri", "ton", "mel", "sor", "vin", "da", "lo", "pex", "tra"}
@@ -764,17 +467,8 @@ func BenchmarkJoinOneKernel(b *testing.B) {
 		rowsB = append(rowsB, row())
 	}
 	cor, res := corpusFor(&testing.T{}, []string{"v"}, rowsA, rowsB)
-	for _, hashed := range []bool{false, true} {
-		name := "dense"
-		if hashed {
-			name = "hashed"
-		}
-		b.Run(name, func(b *testing.B) {
-			useHashedStore(b, hashed)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sinkList = JoinOne(cor, res.Root.Mask, nil, Options{K: 50, Q: 2})
-			}
-		})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkList = JoinOne(cor, res.Root.Mask, nil, Options{K: 50})
 	}
 }

@@ -42,10 +42,8 @@ func cancelCorpus(t *testing.T) (*Corpus, *config.Result, *blocker.PairSet) {
 }
 
 // shortCorpus builds tables of n records a side, 3 words each from a
-// 12-word vocabulary, so most pairs share a word. At n = 150 the
-// root-config join ends its index and probe loops before their first
-// stride checkpoint (fewer than progressStride records and instances)
-// yet leaves thousands of touched pairs for the exactness flush.
+// 12-word vocabulary, so most pairs share a word. At n = progressStride
+// the index build reaches its first checkpoint.
 func shortCorpus(t *testing.T, n int) (*Corpus, *config.Result, *blocker.PairSet) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(39))
@@ -66,124 +64,111 @@ func shortCorpus(t *testing.T, n int) (*Corpus, *config.Result, *blocker.PairSet
 }
 
 // TestCancelStopsRun: a run whose done channel is already closed stops
-// at the probe loop's first stride checkpoint, having popped
-// progressStride-1 events, and returns a valid (short) list; on tables
-// past progressStride records it stops in the index phase, before any
-// pop.
+// at the row loop's first checkpoint, once progressStride rows and
+// posting entries have been walked, and returns a valid (short) list;
+// on tables past progressStride records it stops in the index build,
+// before any row.
 func TestCancelStopsRun(t *testing.T) {
 	cor, res, c := cancelCorpus(t)
 	done := make(chan struct{})
 	close(done)
+	var full runStats
+	runJoin(cor, res.Root.Mask, runOpts{k: 20, m: simfunc.Jaccard, c: c, stats: &full})
 	rs := &runStats{}
-	got := runJoin(cor, res.Root.Mask, runOpts{
-		k: 20, q: 2, m: simfunc.Jaccard, c: c,
-		done:  done,
-		stats: rs,
-	})
+	got := runJoin(cor, res.Root.Mask, runOpts{k: 20, m: simfunc.Jaccard, c: c, done: done, stats: rs})
 	if len(got.Pairs) > 20 {
 		t.Errorf("cancelled run returned %d pairs", len(got.Pairs))
 	}
-	if rs.n[cPrefixEvents] != progressStride-1 {
-		t.Errorf("cancelled run popped %d events, want %d (the first stride checkpoint)",
-			rs.n[cPrefixEvents], progressStride-1)
+	if rs.n[cRows] == 0 || rs.n[cRows]+rs.n[cDeferredPairs] >= progressStride || rs.n[cRows] >= full.n[cRows] {
+		t.Errorf("cancelled run walked %d rows (of %d) with %d candidates, want a stop at the first checkpoint",
+			rs.n[cRows], full.n[cRows], rs.n[cDeferredPairs])
 	}
 
 	wide, wideRes, wideC := shortCorpus(t, progressStride)
 	rs = &runStats{}
-	got = runJoin(wide, wideRes.Root.Mask, runOpts{k: 20, q: 2, m: simfunc.Jaccard, c: wideC, done: done, stats: rs})
-	if len(got.Pairs) != 0 || rs.n[cPrefixEvents] != 0 {
-		t.Errorf("run cancelled in the index phase returned %d pairs after %d events, want none",
-			len(got.Pairs), rs.n[cPrefixEvents])
+	got = runJoin(wide, wideRes.Root.Mask, runOpts{k: 20, m: simfunc.Jaccard, c: wideC, done: done, stats: rs})
+	if len(got.Pairs) != 0 || rs.n[cRows] != 0 || rs.n[cPrefixEvents] != 0 {
+		t.Errorf("run cancelled in the index build returned %d pairs after %d rows, want none",
+			len(got.Pairs), rs.n[cRows])
 	}
 }
 
-// TestCancelSweepPooledProbe cancels JoinOne on both pair stores at the
-// first stride checkpoint (a pre-cancelled Ctx), mid-run (once the run's
-// Progress has taken n samples) and in the exactness flush, and checks
-// after every cancelled
-// run that the next uncancelled JoinOne — which takes the cancelled
-// run's pooled probe block back — is bit-identical to BruteForce: a
-// cancelled probe must park its block clean.
+// TestCancelSweepPooledProbe cancels JoinOne at the first checkpoint (a
+// pre-cancelled Ctx), mid-run (once the run's Progress has taken n
+// samples) and inside a row (a row whose posting walks pass a
+// checkpoint), and checks after every cancelled run that the next
+// uncancelled JoinOne — which takes the cancelled run's pooled block
+// back — is bit-identical to BruteForce: a cancelled join must leave
+// its block reusable.
 func TestCancelSweepPooledProbe(t *testing.T) {
 	const k = 200
 	sweep := []int64{1, 2, 4, 8}
 	cor, res, c := cancelCorpus(t)
 	mask := res.Root.Mask
 	want := BruteForce(cor, mask, c, k, simfunc.Jaccard)
-	for _, hashed := range []bool{false, true} {
-		useHashedStore(t, hashed)
-		store := fmt.Sprintf("hashed=%v", hashed)
-		full := NewProgress()
-		requireIdentical(t, store+" uncancelled", JoinOne(cor, mask, c, Options{K: k, Progress: full}), want)
-		fullSnap := full.Snapshot()
-		if fullSnap.Samples < 4*sweep[len(sweep)-1] {
-			t.Fatalf("%s: an uncancelled run takes %d samples, too few to cancel mid-run", store, fullSnap.Samples)
-		}
-
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		done := ctx.Done()
-		prog := NewProgress()
-		JoinOne(cor, mask, c, Options{Ctx: ctx, K: k, Progress: prog})
-		if s := prog.Snapshot(); !s.Done || !s.Cancelled || s.ProbesDone != progressStride-1 {
-			t.Errorf("%s pre-cancelled: done=%v cancelled=%v probes=%d, want a stop at the first checkpoint (%d probes)",
-				store, s.Done, s.Cancelled, s.ProbesDone, progressStride-1)
-		}
-		requireIdentical(t, store+" after pre-cancelled run", JoinOne(cor, mask, c, Options{K: k}), want)
-
-		landed := 0
-		for _, n := range sweep {
-			ctx, cancel := context.WithCancel(context.Background())
-			prog := NewProgress()
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer cancel()
-				for {
-					if s := prog.Snapshot(); s.Samples >= n || s.Done {
-						return
-					}
-					runtime.Gosched()
-				}
-			}()
-			JoinOne(cor, mask, c, Options{Ctx: ctx, K: k, Progress: prog})
-			wg.Wait()
-			if s := prog.Snapshot(); s.Cancelled {
-				landed++
-				if s.ProbesDone >= fullSnap.ProbesDone {
-					t.Errorf("%s cancel at sample %d: %d probes, no fewer than the uncancelled %d",
-						store, n, s.ProbesDone, fullSnap.ProbesDone)
-				}
-			}
-			requireIdentical(t, fmt.Sprintf("%s after cancel at sample %d", store, n),
-				JoinOne(cor, mask, c, Options{K: k}), want)
-		}
-		t.Logf("%s: %d of %d mid-run cancels landed before the run finished", store, landed, len(sweep))
-
-		// A cancel that lands in the exactness flush: shortCorpus's index
-		// and probe loops end before their first checkpoint, so a
-		// pre-cancelled run first reads done in finish, which must stop
-		// within one stride of visited pairs (each deferred pair it
-		// counts is one visit).
-		fcor, fres, fc := shortCorpus(t, 150)
-		fmask := fres.Root.Mask
-		fwant := BruteForce(fcor, fmask, fc, k, simfunc.Jaccard)
-		var fullRS runStats
-		requireIdentical(t, store+" flush corpus uncancelled",
-			runJoin(fcor, fmask, runOpts{k: k, q: 2, m: simfunc.Jaccard, c: fc, stats: &fullRS}), fwant)
-		if fullRS.n[cPrefixEvents] >= progressStride || fullRS.n[cDeferredPairs] < 2*progressStride {
-			t.Fatalf("%s: flush corpus pops %d events and defers %d pairs; want under %d pops and at least %d deferred",
-				store, fullRS.n[cPrefixEvents], fullRS.n[cDeferredPairs], progressStride, 2*progressStride)
-		}
-		var rs runStats
-		runJoin(fcor, fmask, runOpts{k: k, q: 2, m: simfunc.Jaccard, c: fc, done: done, stats: &rs})
-		if rs.n[cPrefixEvents] != fullRS.n[cPrefixEvents] || rs.n[cDeferredPairs] >= progressStride {
-			t.Errorf("%s cancel in flush: %d events (want the full %d), %d deferred pairs visited (want under %d)",
-				store, rs.n[cPrefixEvents], fullRS.n[cPrefixEvents], rs.n[cDeferredPairs], progressStride)
-		}
-		requireIdentical(t, store+" after cancel in flush", JoinOne(fcor, fmask, fc, Options{K: k}), fwant)
+	full := NewProgress()
+	requireIdentical(t, "uncancelled", JoinOne(cor, mask, c, Options{K: k, Progress: full}), want)
+	fullSnap := full.Snapshot()
+	if fullSnap.Samples < 4*sweep[len(sweep)-1] {
+		t.Fatalf("an uncancelled run takes %d samples, too few to cancel mid-run", fullSnap.Samples)
 	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	done := ctx.Done()
+	prog := NewProgress()
+	JoinOne(cor, mask, c, Options{Ctx: ctx, K: k, Progress: prog})
+	if s := prog.Snapshot(); !s.Done || !s.Cancelled || s.ProbesDone == 0 || s.ProbesDone >= progressStride || s.ProbesDone >= s.ProbesTotal {
+		t.Errorf("pre-cancelled: done=%v cancelled=%v rows=%d of %d, want a stop at the first checkpoint",
+			s.Done, s.Cancelled, s.ProbesDone, s.ProbesTotal)
+	}
+	requireIdentical(t, "after pre-cancelled run", JoinOne(cor, mask, c, Options{K: k}), want)
+
+	landed := 0
+	for _, n := range sweep {
+		ctx, cancel := context.WithCancel(context.Background())
+		prog := NewProgress()
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer cancel()
+			for {
+				if s := prog.Snapshot(); s.Samples >= n || s.Done {
+					return
+				}
+				runtime.Gosched()
+			}
+		}()
+		JoinOne(cor, mask, c, Options{Ctx: ctx, K: k, Progress: prog})
+		wg.Wait()
+		if s := prog.Snapshot(); s.Cancelled {
+			landed++
+			if s.ProbesDone >= fullSnap.ProbesDone {
+				t.Errorf("cancel at sample %d: %d rows, no fewer than the uncancelled %d",
+					n, s.ProbesDone, fullSnap.ProbesDone)
+			}
+		}
+		requireIdentical(t, fmt.Sprintf("after cancel at sample %d", n),
+			JoinOne(cor, mask, c, Options{K: k}), want)
+	}
+	t.Logf("%d of %d mid-run cancels landed before the run finished", landed, len(sweep))
+
+	// A cancel inside a row: with 1000 identical records a side, row 0
+	// walks three posting lists of 1000 entries each, so a pre-cancelled
+	// run passes its first checkpoint after the second list and stops
+	// with no row done and its row array dirty. The next join on the
+	// block must not see that.
+	rcor, rres := identicalRowsCorpus(t, 1000)
+	rmask := rres.Root.Mask
+	rwant := BruteForce(rcor, rmask, nil, 50, simfunc.Jaccard)
+	var rs runStats
+	runJoin(rcor, rmask, runOpts{k: 50, m: simfunc.Jaccard, done: done, stats: &rs})
+	if rs.n[cRows] != 0 || rs.n[cPrefixEvents] != 2 {
+		t.Errorf("cancel inside a row: %d rows done after %d prefix instances, want 0 rows after 2",
+			rs.n[cRows], rs.n[cPrefixEvents])
+	}
+	requireIdentical(t, "after cancel inside a row", JoinOne(rcor, rmask, nil, Options{K: 50}), rwant)
 }
 
 // TestJoinAllCancelledStartsNoConfig: a JoinAll whose Ctx is done on

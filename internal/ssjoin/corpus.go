@@ -1,9 +1,10 @@
 // Package ssjoin implements Section 4 of the paper: top-k string
-// similarity joins over the config tree. It contains the improved
-// single-config algorithm QJoin (prefix-event branch-and-bound with
-// q-common-token score deferral), its TopKJoin baseline (q = 1), and the
-// joint executor that processes all configs of a tree in parallel while
-// reusing top-k lists from parent to child configs.
+// similarity joins over the config tree. It contains the exact
+// single-config top-k join — a row-local prefix-filter join over the
+// paper's prefix caps, standing in for Section 4.1's QJoin (DESIGN.md
+// "Row-local join kernel") — and the joint executor that processes all
+// configs of a tree in parallel while reusing top-k lists from parent
+// to child configs.
 //
 // Token model: each attribute value contributes its distinct word tokens;
 // a config's token bag is the disjoint union over its attributes, so a
@@ -81,8 +82,15 @@ type Corpus struct {
 // allocated only the first time it is seen, and a record's entries and
 // attribute lengths are windows into per-table slabs.
 func NewCorpus(a, b *table.Table, res *config.Result) *Corpus {
-	cb := corpusBuilder{attrs: res.Promising, dict: map[string]int32{}}
-	c := &Corpus{Res: res, recsA: cb.side(a), recsB: cb.side(b)}
+	tokA, tokB := res.AvgTokens(0), res.AvgTokens(1)
+	// The dictionary is presized to one token per tuple, capped at one
+	// per 16 word tokens. On the Table-1 profiles that stays under twice
+	// the distinct-token count, so it costs no more than the map's own
+	// growth would, and saves most of it (210 KB on A-G and M2 x0.1).
+	rows := a.NumRows() + b.NumRows()
+	words := tokA*float64(a.NumRows()) + tokB*float64(b.NumRows())
+	cb := corpusBuilder{attrs: res.Promising, dict: make(map[string]int32, min(rows, int(words/16)))}
+	c := &Corpus{Res: res, recsA: cb.side(a, tokA), recsB: cb.side(b, tokB)}
 	rank := ranks(cb.df)
 	c.tokMask = make([]uint16, len(rank))
 	for _, recs := range [][]record{c.recsA, c.recsB} {
@@ -115,10 +123,11 @@ type corpusBuilder struct {
 	total   int    // Σ attrLen over every record so far
 }
 
-// side tokenizes one table. Its records' entries carry token ids, not
-// ranks, and are unsorted; NewCorpus ranks and sorts them once both
-// sides have counted their document frequencies.
-func (cb *corpusBuilder) side(t *table.Table) []record {
+// side tokenizes one table whose tuples average avgTokens word tokens.
+// Its records' entries carry token ids, not ranks, and are unsorted;
+// NewCorpus ranks and sorts them once both sides have counted their
+// document frequencies.
+func (cb *corpusBuilder) side(t *table.Table, avgTokens float64) []record {
 	nattr, rows, allocated := len(cb.attrs), t.NumRows(), 0
 	cols := make([]int, nattr)
 	for i, attr := range cb.attrs {
@@ -157,11 +166,17 @@ func (cb *corpusBuilder) side(t *table.Table) []record {
 			cb.total += int(n)
 		}
 		if len(slab)+len(cb.touched) > cap(slab) {
-			// A new chunk as large as all earlier ones together: the
-			// slab is never copied, takes O(log n) allocations, and at
-			// most the last chunk's tail goes unused.
+			// The first chunk holds the word-token estimate, which a
+			// table's distinct tokens per value rarely exceed; past it, a
+			// new chunk as large as all earlier ones together: the slab
+			// is never copied, takes O(log n) allocations, and at most
+			// the last chunk's tail goes unused.
 			allocated += cap(slab)
-			slab = make([]tokenEntry, 0, max(len(cb.touched), allocated, rows*nattr))
+			want := allocated
+			if want == 0 {
+				want = max(int(avgTokens*float64(rows))+1, rows*nattr)
+			}
+			slab = make([]tokenEntry, 0, max(len(cb.touched), want))
 		}
 		lo := len(slab)
 		for _, id := range cb.touched {

@@ -3,7 +3,6 @@ package ssjoin
 import (
 	"math/rand"
 	"runtime"
-	"runtime/debug"
 	"testing"
 	"unsafe"
 )
@@ -11,9 +10,9 @@ import (
 // The //mc:hotpath contract, checked dynamically: the static half is
 // hotalloc (mclint -escapes proves the compiler moves nothing to the
 // heap); this half proves it at runtime with the allocation counter.
-// Together they pin the de-boxed heap operations at zero allocations —
-// the whole point of dropping container/heap's interface{} methods from
-// the probe inner loop.
+// Together they pin the de-boxed heap offer at zero allocations — the
+// whole point of dropping container/heap's interface{} methods from the
+// row loop.
 
 func TestOfferZeroAllocs(t *testing.T) {
 	h := newTopkHeap(64)
@@ -36,41 +35,22 @@ func TestOfferZeroAllocs(t *testing.T) {
 	}
 }
 
-func TestEventHeapZeroAllocs(t *testing.T) {
-	var h eventHeap
-	// Pre-grow the backing array; steady-state push/pop in the probe
-	// loop runs within capacity.
-	h.items = make([]event, 0, 128)
-	for i := int32(0); i < 64; i++ {
-		h.push(event{cap: float64(i), side: int8(i % 2), rec: i})
-	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		h.push(event{cap: 0.5, side: 0, rec: 99})
-		h.pop()
-	})
-	if allocs != 0 {
-		t.Errorf("eventHeap push+pop allocated %.1f times per run, want 0", allocs)
-	}
-}
-
 // TestWarmJoinAllAllocatesOnlyLists: with the probe pool warm, a
 // JoinAll allocates the lists it returns plus a small fixed budget for
 // per-call bookkeeping (worker, channels, per-config stats). Instance
-// ids, heaps, arena and pair states all come from the pooled block, so
-// they cost nothing on the second call. GC is off for the measurement,
-// so the pool keeps its blocks between the two calls, and GOMAXPROCS is
-// 1, so the worker always meets the block in its P's private pool slot
-// (a Get on another P cannot take it from there).
+// ids, the heap, B's index, the row array and the marks all come from
+// the pooled block, so they cost nothing on the second call — a GC in
+// between included: the pool is a free list, which no GC empties.
 func TestWarmJoinAllAllocatesOnlyLists(t *testing.T) {
 	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop blocks at random")
+		t.Skip("the race detector's instrumentation allocates")
 	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rng := rand.New(rand.NewSource(1400))
 	cor, _, c := randomCorpus(t, rng, 300, 280)
 	opt := Options{K: 200, Workers: 1}
 	JoinAll(cor, c, opt)
+	runtime.GC()
+	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	res := JoinAll(cor, c, opt)

@@ -99,7 +99,7 @@ func TestInstanceBufferReuseInvisible(t *testing.T) {
 
 	// Each field owns its array, as grow leaves them; the per-record
 	// lists point into the old backing.
-	poison := &flatProbe{ids: denseInstances{
+	poison := &rowProbe{ids: denseInstances{
 		n:       1 << 20,
 		backing: garbageIDs(rng, 1<<17),
 		base:    garbageIDs(rng, 1<<16),
@@ -119,10 +119,10 @@ func TestInstanceBufferReuseInvisible(t *testing.T) {
 		poison.top = topkHeap{k: 3, items: items[:rng.Intn(len(items))]}
 	}
 
-	run := func(p *flatProbe, cor *Corpus, mask config.Mask, c *blocker.PairSet) (TopKList, runStats) {
+	run := func(p *rowProbe, cor *Corpus, mask config.Mask, c *blocker.PairSet) (TopKList, runStats) {
 		var rs runStats
 		list := p.join(cor, mask, runOpts{
-			k: 15, q: 2, m: simfunc.Jaccard, c: c,
+			k: 15, m: simfunc.Jaccard, c: c,
 			stats: &rs,
 		})
 		p.release()
@@ -131,10 +131,10 @@ func TestInstanceBufferReuseInvisible(t *testing.T) {
 	for _, s := range steps {
 		poisonHeap()
 		got, gotStats := run(poison, s.cor, s.mask, s.c)
-		want, wantStats := run(&flatProbe{}, s.cor, s.mask, s.c)
+		want, wantStats := run(&rowProbe{}, s.cor, s.mask, s.c)
 		requireIdentical(t, s.name, got, want)
 		requireIdentical(t, s.name+" vs JoinOne", got,
-			JoinOne(s.cor, s.mask, s.c, Options{K: 15, Q: 2}))
+			JoinOne(s.cor, s.mask, s.c, Options{K: 15}))
 		if gotStats != wantStats {
 			t.Fatalf("%s: counters diverge:\nreused: %+v\nfresh:  %+v", s.name, gotStats, wantStats)
 		}
@@ -166,9 +166,9 @@ func TestTokenizeWarmZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestEmptySideJoins joins corpora where A or B has no rows, on both
-// pair stores, through JoinOne and JoinAll: every list must equal
-// BruteForce's, which is empty.
+// TestEmptySideJoins joins corpora where A or B has no rows, through
+// JoinOne and JoinAll: every list must equal BruteForce's, which is
+// empty.
 func TestEmptySideJoins(t *testing.T) {
 	attrs := []string{"v"}
 	rng := rand.New(rand.NewSource(1300))
@@ -195,19 +195,16 @@ func TestEmptySideJoins(t *testing.T) {
 		{"empty A", NewCorpus(empty, full, res)},
 		{"empty B", NewCorpus(full, empty, res)},
 	} {
-		for _, hashed := range []bool{false, true} {
-			useHashedStore(t, hashed)
-			label := fmt.Sprintf("%s hashed=%v", side.name, hashed)
-			opt := Options{K: 10, Q: 2, Workers: 2}
-			for _, mask := range res.Configs() {
-				want := BruteForce(side.cor, mask, nil, 10, simfunc.Jaccard)
-				requireIdentical(t, label+" JoinOne", JoinOne(side.cor, mask, nil, opt), want)
-			}
-			all := JoinAll(side.cor, nil, opt)
-			for i, n := range res.Nodes() {
-				want := BruteForce(side.cor, n.Mask, nil, 10, simfunc.Jaccard)
-				requireIdentical(t, fmt.Sprintf("%s JoinAll list=%d", label, i), all.Lists[i], want)
-			}
+		label := side.name
+		opt := Options{K: 10, Workers: 2}
+		for _, mask := range res.Configs() {
+			want := BruteForce(side.cor, mask, nil, 10, simfunc.Jaccard)
+			requireIdentical(t, label+" JoinOne", JoinOne(side.cor, mask, nil, opt), want)
+		}
+		all := JoinAll(side.cor, nil, opt)
+		for i, n := range res.Nodes() {
+			want := BruteForce(side.cor, n.Mask, nil, 10, simfunc.Jaccard)
+			requireIdentical(t, fmt.Sprintf("%s JoinAll list=%d", label, i), all.Lists[i], want)
 		}
 	}
 }

@@ -10,19 +10,20 @@ import (
 // runOpts parameterizes one single-config join run.
 type runOpts struct {
 	k int
-	q int // compute a pair's score once it has q common prefix tokens; in [1, maxPackedQ]
 	m simfunc.SetMeasure
 	c *blocker.PairSet // blocker output: pairs to exclude (may be nil)
 	// seeds are pre-scored pairs (scores already under THIS config,
 	// already C-filtered) used to initialize the top-k list.
 	seeds []ScoredPair
 	// mergeCh optionally delivers a late parent top-k list (adjusted to
-	// this config) while the join runs; drained periodically. The join is
-	// exact (see runJoin), so whether and when the list arrives changes
-	// only the work done, never the result.
+	// this config) while the join runs; taken at a checkpoint and
+	// absorbed at the next row start. The join is exact (see runJoin), so
+	// whether and when the list arrives changes only the work done, never
+	// the result.
 	mergeCh <-chan []ScoredPair
-	// done aborts the run once closed: the index, probe and flush loops
-	// read it every progressStride steps. Nil never fires.
+	// done aborts the run once closed: the index and row loops read it
+	// every progressStride records, rows or posting entries. Nil never
+	// fires.
 	done <-chan struct{}
 	// stats collects this run's event counts. Always non-nil in real
 	// runs; runJoin tolerates nil.
@@ -32,28 +33,27 @@ type runOpts struct {
 	// (all the sub-span calls degrade to no-ops).
 	span *telemetry.TraceSpan
 	// prog is the run's live progress tracker; nil disables sampling
-	// entirely (the probe loop's only residue is a nil check per stride).
+	// entirely (the row loop's only residue is a nil check per stride).
 	// The tracker is observe-only — it never feeds back into the join,
 	// so attaching it cannot change any output bit.
 	prog *Progress
 }
 
-// runJoin executes QJoin (Section 4.1) for one config: an event heap pops
-// the prefix extension with the highest score cap; each extension joins
-// the new token instance against the opposite side's current prefixes via
-// an inverted index; pairs are scored exactly once they accumulate q
-// common instances; at termination every pending pair whose optimistic
-// bound (counted instances plus the lagging record's unpopped suffix,
-// see flatProbe.flushBound) reaches the k-th score is scored, in touch
-// order — the flush that keeps q-deferral exact. Pairs present in the
-// blocker output C are tracked but never emitted (Definition 2.2
-// searches D = A×B − C); the strict pair filters run before that check,
-// so a C pair they kill is counted as a kill, not a suppression.
+// runJoin executes one config's top-k join with the row-local
+// prefix-filter kernel (rowProbe.join; DESIGN.md "Row-local join
+// kernel"): seeds first, then B's prefixes indexed once, then A's rows in
+// id order, each counting its candidates in a |B|-sized row array and
+// scoring at its end the candidates whose bound (counted instances plus
+// the lagging record's unprobed suffix, see rowProbe.lagging) reaches
+// the k-th score. Pairs present in the blocker output C are tracked but
+// never emitted (Definition 2.2 searches D = A×B − C); the strict pair
+// filters run before that check, so a C pair they kill is counted as a
+// kill, not a suppression.
 //
 // All pruning is strict (a bound must fall below the k-th retained score
 // before anything is skipped), so the returned list is the exact top-k of
 // D under the total order (score desc, idA asc, idB asc) — a pure
-// function of (corpus, mask, k, C, measure). Seeds, mid-run merges and q
+// function of (corpus, mask, k, C, measure). Seeds and mid-run merges
 // change only how much work the join does, never its output; that
 // invariance is what lets JoinAll run configs concurrently and hand
 // parent lists over at any time and still return the serial bytes.
@@ -61,7 +61,7 @@ func runJoin(cor *Corpus, mask config.Mask, opt runOpts) TopKList {
 	if opt.stats == nil {
 		opt.stats = &runStats{}
 	}
-	p := getFlatProbe()
-	defer putFlatProbe(p)
+	p := getRowProbe()
+	defer putRowProbe(p)
 	return p.join(cor, mask, opt)
 }

@@ -51,18 +51,16 @@ func TestFigure6Example(t *testing.T) {
 		[][]string{{"a b c e"}, {"b c d e f"}},
 		[][]string{{"a b c e f"}, {"b c f g h"}},
 	)
-	for _, q := range []int{1, 2, 3} {
-		list := JoinOne(cor, res.Root.Mask, nil, Options{K: 2, Q: q})
-		if len(list.Pairs) != 2 {
-			t.Fatalf("q=%d: got %d pairs", q, len(list.Pairs))
-		}
-		p0, p1 := list.Pairs[0], list.Pairs[1]
-		if p0.A != 0 || p0.B != 0 || math.Abs(p0.Score-0.8) > 1e-12 {
-			t.Errorf("q=%d: top pair = %+v, want (w,x)=0.8", q, p0)
-		}
-		if p1.A != 1 || p1.B != 0 || math.Abs(p1.Score-2.0/3.0) > 1e-12 {
-			t.Errorf("q=%d: second pair = %+v, want (y,x)=0.67", q, p1)
-		}
+	list := JoinOne(cor, res.Root.Mask, nil, Options{K: 2})
+	if len(list.Pairs) != 2 {
+		t.Fatalf("got %d pairs", len(list.Pairs))
+	}
+	p0, p1 := list.Pairs[0], list.Pairs[1]
+	if p0.A != 0 || p0.B != 0 || math.Abs(p0.Score-0.8) > 1e-12 {
+		t.Errorf("top pair = %+v, want (w,x)=0.8", p0)
+	}
+	if p1.A != 1 || p1.B != 0 || math.Abs(p1.Score-2.0/3.0) > 1e-12 {
+		t.Errorf("second pair = %+v, want (y,x)=0.67", p1)
 	}
 }
 
@@ -73,7 +71,7 @@ func TestCFilteringDropsBlockedPairs(t *testing.T) {
 	)
 	c := blocker.NewPairSet()
 	c.Add(0, 0) // suppress the best pair (w,x)
-	list := JoinOne(cor, res.Root.Mask, c, Options{K: 2, Q: 1})
+	list := JoinOne(cor, res.Root.Mask, c, Options{K: 2})
 	for _, p := range list.Pairs {
 		if p.A == 0 && p.B == 0 {
 			t.Fatal("pair in C leaked into the top-k list")
@@ -100,7 +98,7 @@ func TestMultisetSemantics(t *testing.T) {
 	if o != 4 {
 		t.Errorf("self overlap = %d, want 4", o)
 	}
-	list := JoinOne(cor, full, nil, Options{K: 1, Q: 1})
+	list := JoinOne(cor, full, nil, Options{K: 1})
 	if len(list.Pairs) != 1 || math.Abs(list.Pairs[0].Score-1) > 1e-12 {
 		t.Errorf("identical tuples should score 1: %+v", list.Pairs)
 	}
@@ -200,36 +198,83 @@ func sameTopK(t *testing.T, label string, got, want TopKList) {
 }
 
 // TestQJoinMatchesBruteForce is the core correctness property: for every
-// q, measure, and k, QJoin's output equals the exact top-k over A×B−C.
+// measure and k, the join's output equals the exact top-k over A×B−C.
 func TestQJoinMatchesBruteForce(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		cor, res, c := randomCorpus(t, rng, 30, 40)
 		for _, mask := range res.Configs() {
-			for _, m := range []simfunc.SetMeasure{simfunc.Jaccard, simfunc.Cosine, simfunc.Dice} {
+			for _, m := range allMeasures {
 				for _, k := range []int{5, 25} {
 					want := BruteForce(cor, mask, c, k, m)
-					for q := 1; q <= 4; q++ {
-						got := JoinOne(cor, mask, c, Options{K: k, Q: q, Measure: m})
-						sameTopK(t, fmt.Sprintf("seed=%d mask=%b m=%v k=%d q=%d", seed, mask, m, k, q), got, want)
-					}
+					got := JoinOne(cor, mask, c, Options{K: k, Measure: m})
+					sameTopK(t, fmt.Sprintf("seed=%d mask=%b m=%v k=%d", seed, mask, m, k), got, want)
 				}
 			}
 		}
 	}
 }
 
+// allMeasures is every set measure the join supports.
+var allMeasures = []simfunc.SetMeasure{simfunc.Jaccard, simfunc.Cosine, simfunc.Dice, simfunc.Overlap}
+
+// TestJoinMatchesBruteForceGrid is the exactness differential of the
+// whole executor: over randomCorpus inputs, every JoinAll list and every
+// JoinOne list is bit-identical to BruteForce — all four measures, k
+// from 1 to 200 (past the candidate count), list reuse on and off,
+// Workers 1 and 2, and runJoin seeded with a random half of the
+// config's 2k list as well as unseeded. Cosine ties at the k-th score
+// are where a cap one ulp low used to drop the smaller-id pair.
+func TestJoinMatchesBruteForceGrid(t *testing.T) {
+	seeds := int64(12)
+	if testing.Short() {
+		seeds = 4
+	}
+	lists := 0
+	for seed := int64(0); seed < seeds; seed++ {
+		rng := rand.New(rand.NewSource(1500 + seed))
+		cor, res, c := randomCorpus(t, rng, 10+rng.Intn(41), 10+rng.Intn(41))
+		for _, m := range allMeasures {
+			for _, k := range []int{1, 3, 5, 25, 200} {
+				want := make([]TopKList, len(res.Nodes()))
+				for i, n := range res.Nodes() {
+					want[i] = BruteForce(cor, n.Mask, c, k, m)
+					label := fmt.Sprintf("seed=%d m=%v k=%d mask=%b", seed, m, k, n.Mask)
+					requireIdentical(t, label+" JoinOne", JoinOne(cor, n.Mask, c, Options{K: k, Measure: m}), want[i])
+					double := BruteForce(cor, n.Mask, c, 2*k, m).Pairs
+					var half []ScoredPair
+					for _, pr := range double {
+						if rng.Intn(2) == 0 {
+							half = append(half, pr)
+						}
+					}
+					requireIdentical(t, label+" seeded", runJoin(cor, n.Mask, runOpts{k: k, m: m, c: c, seeds: half}), want[i])
+					lists += 2
+				}
+				for _, reuse := range []bool{false, true} {
+					for _, w := range []int{1, 2} {
+						got := JoinAll(cor, c, Options{K: k, Measure: m, Workers: w, DisableListReuse: !reuse})
+						requireIdenticalLists(t, fmt.Sprintf("seed=%d m=%v k=%d reuse=%v workers=%d", seed, m, k, reuse, w), got.Lists, want)
+						lists += len(want)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d lists matched BruteForce", lists)
+}
+
 // TestJoinAllMatchesIndividual is Theorem 4.2: the joint executor's lists
-// equal the per-config QJoin outputs, with list reuse on and off, serial
+// equal the per-config exact outputs, with list reuse on and off, serial
 // and parallel.
 func TestJoinAllMatchesIndividual(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	cor, res, c := randomCorpus(t, rng, 40, 40)
 	variants := []Options{
-		{K: 20, Q: 2},
-		{K: 20, Q: 2, Workers: 4},
-		{K: 20, Q: 2, DisableListReuse: true},
-		{K: 20, Q: 1, Workers: 3},
+		{K: 20},
+		{K: 20, Workers: 4},
+		{K: 20, DisableListReuse: true},
+		{K: 20, Workers: 3},
 	}
 	for vi, opt := range variants {
 		jr := JoinAll(cor, c, opt)
@@ -243,30 +288,20 @@ func TestJoinAllMatchesIndividual(t *testing.T) {
 	}
 }
 
-// TestNonPositiveOptionsSelectDefaults: a negative K, Q or Workers
-// selects the default, as zero does, and a Q past maxPackedQ runs (and
-// reports) maxPackedQ. Passed through, Workers -1 started no worker and
-// hung JoinAll on its job queue, K -1 panicked a worker in the top-k
-// heap, and Q -5 or 20 reported a QUsed the kernel never ran with.
+// TestNonPositiveOptionsSelectDefaults: a negative K or Workers selects
+// the default, as zero does. Passed through, Workers -1 started no
+// worker and hung JoinAll on its job queue, and K -1 panicked a worker
+// in the top-k heap. The deprecated QUsed stays zero.
 func TestNonPositiveOptionsSelectDefaults(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	cor, _, c := randomCorpus(t, rng, 20, 20)
-	want := JoinAll(cor, c, Options{Q: 2})
-	for _, tc := range []struct {
-		opt   Options
-		qUsed int
-	}{
-		{Options{Q: 2, Workers: -1}, 2},
-		{Options{Q: 2, K: -1}, 2},
-		{Options{Q: -1}, 2},
-		{Options{Q: -5}, 2},
-		{Options{Q: 20}, maxPackedQ},
-	} {
-		label := fmt.Sprintf("K=%d Q=%d Workers=%d", tc.opt.K, tc.opt.Q, tc.opt.Workers)
-		got := JoinAll(cor, c, tc.opt)
+	want := JoinAll(cor, c, Options{})
+	for _, opt := range []Options{{Workers: -1}, {K: -1}, {K: -1, Workers: -3}} {
+		label := fmt.Sprintf("K=%d Workers=%d", opt.K, opt.Workers)
+		got := JoinAll(cor, c, opt)
 		requireIdenticalLists(t, label, got.Lists, want.Lists)
-		if got.Stats.QUsed != tc.qUsed {
-			t.Errorf("%s: QUsed = %d, want %d", label, got.Stats.QUsed, tc.qUsed)
+		if got.Stats.QUsed != 0 {
+			t.Errorf("%s: QUsed = %d, want 0", label, got.Stats.QUsed)
 		}
 	}
 }
@@ -276,7 +311,7 @@ func TestEmptyAndMissingValues(t *testing.T) {
 		[][]string{{""}, {"a b"}},
 		[][]string{{"a b"}, {""}},
 	)
-	list := JoinOne(cor, res.Root.Mask, nil, Options{K: 5, Q: 1})
+	list := JoinOne(cor, res.Root.Mask, nil, Options{K: 5})
 	if len(list.Pairs) != 1 {
 		t.Fatalf("pairs = %+v", list.Pairs)
 	}
@@ -311,9 +346,9 @@ func TestListReuseSeedsDoNotCorrupt(t *testing.T) {
 	// per-config score sequences must be identical every time.
 	rng := rand.New(rand.NewSource(17))
 	cor, _, c := randomCorpus(t, rng, 30, 30)
-	ref := JoinAll(cor, c, Options{K: 15, Q: 2, Workers: 1})
+	ref := JoinAll(cor, c, Options{K: 15, Workers: 1})
 	for trial := 0; trial < 4; trial++ {
-		got := JoinAll(cor, c, Options{K: 15, Q: 2, Workers: 1 + trial})
+		got := JoinAll(cor, c, Options{K: 15, Workers: 1 + trial})
 		for i := range ref.Lists {
 			rs, gs := scoresOf(ref.Lists[i]), scoresOf(got.Lists[i])
 			if len(rs) != len(gs) {

@@ -3,7 +3,6 @@ package ssjoin
 import (
 	"context"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,7 +17,7 @@ import (
 type Options struct {
 	// Ctx, when non-nil, cancels the run: once its done channel is
 	// closed, every in-flight config join aborts at its next stride
-	// checkpoint (index, probe or flush), JoinAll starts no further
+	// checkpoint (index or row loop), JoinAll starts no further
 	// config, and JoinAll/JoinOne return promptly. A cancelled run's
 	// lists are partial garbage (a config never started keeps an empty
 	// list) — callers must check Ctx.Err() before using the result
@@ -30,12 +29,6 @@ type Options struct {
 	K int
 	// Measure is the set similarity (default Jaccard, the paper's choice).
 	Measure simfunc.SetMeasure
-	// Q is the common-token count that triggers exact scoring (the
-	// Section 4.1 knob). Q < 1 selects the default (2); 1 reproduces the
-	// TopKJoin baseline's eager scoring; values past maxPackedQ run at
-	// maxPackedQ, which cannot change the output (q decides only when a
-	// pair is scored).
-	Q int
 	// Workers bounds the number of configs processed concurrently
 	// (default GOMAXPROCS). Every single-config join returns the exact
 	// top-k of its config under the total order (score desc, idA, idB),
@@ -59,8 +52,8 @@ type Options struct {
 	// empty watch-list costs nothing on the hot path: provenance is
 	// derived after each config join finishes, never inside it.
 	Provenance *telemetry.Provenance
-	// Progress, when non-nil, receives live work counters the probe
-	// loops flush every progressStride pops; observers call
+	// Progress, when non-nil, receives live work counters the row loop
+	// flushes every progressStride rows or posting entries; observers call
 	// Progress.Snapshot from any goroutine for completion/ETA estimates
 	// while the run is in flight. Observe-only: attaching it
 	// never changes an output bit, and its overhead is bounded by the
@@ -73,10 +66,6 @@ func (o Options) withDefaults() Options {
 	if o.K < 1 {
 		o.K = 1000
 	}
-	if o.Q < 1 {
-		o.Q = 2
-	}
-	o.Q = min(o.Q, maxPackedQ)
 	if o.Workers < 1 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -89,28 +78,35 @@ func (o Options) withDefaults() Options {
 // both), so JoinAll/JoinOne report through one mechanism; the telemetry
 // side additionally carries the per-config latency histogram under the
 // mc_ssjoin_* names.
+//
+// The field names predate the row-local kernel; DESIGN.md "Row-local
+// join kernel" gives each its meaning there.
 type Stats struct {
 	ScratchScores   int64 // exact pair scores, each one merge of two token lists
-	PrefixEvents    int64 // prefix-extension events processed
-	PruneKills      int64 // extensions pruned by the score-cap bound (push cap + loop break)
-	DeferredPairs   int64 // pairs still below q common instances at flush time
-	FlushedPairs    int64 // deferred pairs the exactness flush had to score
+	Rows            int64 // A rows the joins walked to their end
+	PrefixEvents    int64 // A prefix instances probed (one posting-list walk each)
+	PruneKills      int64 // prefix cuts by the score cap (push cap + loop break)
+	DeferredPairs   int64 // row-end candidates: pairs a row counted and left live
+	FlushedPairs    int64 // row-end candidates the bound could not drop, scored exactly
 	SuppressedPairs int64 // C pairs skipped at first touch (a C pair a strict filter kills counts as a kill)
-	// Prune-tier split of PruneKills: push-cap kills at event push,
-	// event-loop breaks, and flush-bound skips of deferred pairs.
+	// Prune-tier split of PruneKills: rows whose prefix the cap cut
+	// short, posting-list walks stopped at an entry below the k-th score,
+	// and row-end candidates the bound dropped.
 	PruneKillsPushCap    int64
 	PruneKillsLoopBreak  int64
 	PruneKillsFlushBound int64
 	// ShallowBlocker-style strict pair filters (first-touch kills; see
-	// the "Flat-arena join kernel" DESIGN.md section). Like
-	// PruneKillsFlushBound these count pairs, not prefix extensions, so
-	// they are not part of the PruneKills grand total.
+	// the "Row-local join kernel" DESIGN.md section). Like
+	// PruneKillsFlushBound these count pairs, not prefix cuts, so they
+	// are not part of the PruneKills grand total.
 	PruneKillsLengthFilter int64
 	PruneKillsPrefixPos    int64
-	// SkippedInstances counts token instances pruning wrote off unpopped
-	// (the complement of PrefixEvents in the progress accounting).
+	// Deprecated: always zero. The row loop writes no token instance
+	// off: progress counts rows (Rows), every one of which runs.
 	SkippedInstances int64
-	QUsed            int // the q QJoin ran with (Options.Q after defaults and clamp)
+	// Deprecated: always zero. The row-local kernel scores every
+	// candidate at its row's end; there is no q.
+	QUsed int
 	// Deprecated: always zero. Score reuse (the Section 4.2 overlap
 	// database they counted) is deleted; every score is a ScratchScore.
 	ReusedScores, ReuseMisses int64
@@ -168,12 +164,11 @@ func (r *joinRun) end() { r.opt.Progress.finishRun(r.cancelled()) }
 func (r *joinRun) join(mask config.Mask, ro runOpts, reuse string) (TopKList, *runStats) {
 	rs := &runStats{}
 	csp := r.opt.Trace.Child("ssjoin.config",
-		telemetry.L("config", r.cor.Res.String(mask)),
-		telemetry.L("q", strconv.Itoa(r.opt.Q)))
+		telemetry.L("config", r.cor.Res.String(mask)))
 	if reuse != "" {
 		csp.SetAttr("list_reuse", reuse)
 	}
-	ro.k, ro.q, ro.m, ro.c = r.opt.K, r.opt.Q, r.opt.Measure, r.c
+	ro.k, ro.m, ro.c = r.opt.K, r.opt.Measure, r.c
 	ro.done, ro.stats, ro.span, ro.prog = r.done, rs, csp, r.opt.Progress
 	start := time.Now()
 	list := runJoin(r.cor, mask, ro)
@@ -184,7 +179,7 @@ func (r *joinRun) join(mask config.Mask, ro runOpts, reuse string) (TopKList, *r
 	return list, rs
 }
 
-// JoinOne runs QJoin on a single config with no cross-config reuse; it is
+// JoinOne runs one config's top-k join with no cross-config reuse; it is
 // the per-config unit the joint executor schedules, and doubles as the
 // individual-execution baseline of the §6.5 ablation and the single-config
 // baseline of [29] when given the root config.
@@ -207,7 +202,7 @@ func JoinAll(cor *Corpus, c *blocker.PairSet, opt Options) *JoinResult {
 	r := newJoinRun(cor, c, opt, len(nodes))
 	defer r.end()
 	opt = r.opt
-	res := &JoinResult{Stats: Stats{QUsed: opt.Q}}
+	res := &JoinResult{}
 
 	idxOf := make(map[*config.Node]int, len(nodes))
 	for i, n := range nodes {
@@ -276,7 +271,7 @@ func JoinAll(cor *Corpus, c *blocker.PairSet, opt Options) *JoinResult {
 
 // BruteForce computes a config's exact top-k list by scoring every pair
 // not in C — the reference implementation the property tests compare
-// QJoin against, and a usable fallback for tiny tables.
+// the row-local kernel against, and a usable fallback for tiny tables.
 func BruteForce(cor *Corpus, mask config.Mask, c *blocker.PairSet, k int, m simfunc.SetMeasure) TopKList {
 	top := newTopkHeap(k)
 	for a := range cor.recsA {

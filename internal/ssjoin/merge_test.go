@@ -23,7 +23,7 @@ func TestMergeChannelAbsorbsParentList(t *testing.T) {
 	ch <- parent.Pairs
 
 	got := runJoin(cor, mask, runOpts{
-		k: 10, q: 2, m: simfunc.Jaccard, c: c,
+		k: 10, m: simfunc.Jaccard, c: c,
 		mergeCh: ch,
 	})
 	want := BruteForce(cor, mask, c, 10, simfunc.Jaccard)
@@ -47,13 +47,13 @@ func TestSeedsIdenticalToMerge(t *testing.T) {
 	parent := BruteForce(cor, mask, c, 8, simfunc.Jaccard)
 
 	seeded := runJoin(cor, mask, runOpts{
-		k: 8, q: 2, m: simfunc.Jaccard, c: c,
+		k: 8, m: simfunc.Jaccard, c: c,
 		seeds: parent.Pairs,
 	})
 	ch := make(chan []ScoredPair, 1)
 	ch <- parent.Pairs
 	merged := runJoin(cor, mask, runOpts{
-		k: 8, q: 2, m: simfunc.Jaccard, c: c,
+		k: 8, m: simfunc.Jaccard, c: c,
 		mergeCh: ch,
 	})
 	ss, ms := scoresOf(seeded), scoresOf(merged)

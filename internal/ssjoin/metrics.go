@@ -16,20 +16,20 @@ import (
 type counter uint8
 
 const (
-	// Published counters: the probe loop's stride flush copies these
+	// Published counters: the row loop's stride flush copies these
 	// into the run's Progress counter block (progCursor.flush).
-	cPrefixEvents      counter = iota // prefix-extension events popped off the heap
-	cProbesSkipped                    // token instances a prune wrote off unpopped
-	cKillsPushCap                     // tier a: extension cap < k-th score at push
-	cKillsLoopBreak                   // tier b: root cap < k-th score ended the event loop
-	cKillsFlushBound                  // tier c: deferred pair's optimistic bound < k-th at flush
+	cRows              counter = iota // A rows walked to their end
+	cKillsPushCap                     // tier a: a row's prefix cut where its cap fell below the k-th score
+	cKillsLoopBreak                   // tier b: a posting walk stopped at an entry below the k-th score
+	cKillsFlushBound                  // tier c: row-end candidate's bound < k-th score
 	cKillsLengthFilter                // length filter: min(lx,ly) overlap can't reach k-th
 	cKillsPrefixPos                   // positional prefix filter: remaining overlap can't reach k-th
 	numPublished                      // end of the published counters
 
-	cScratchScores   counter = iota - 1 // exact pair scores (one token-list merge each)
-	cDeferredPairs                      // pairs still pending (< q common instances) at flush
-	cFlushedPairs                       // deferred pairs whose bound forced an exact score
+	cPrefixEvents    counter = iota - 1 // A prefix instances probed
+	cScratchScores                      // exact pair scores (one token-list merge each)
+	cDeferredPairs                      // row-end candidates (positive count, not dead)
+	cFlushedPairs                       // row-end candidates the bound kept, scored exactly
 	cSuppressedPairs                    // C pairs that survive the strict pair filters at first touch
 	cProgressSamples                    // progress flushes taken at the stride checkpoint
 	numCounters
@@ -51,7 +51,7 @@ var pruneTiers = [...]struct {
 
 // runStats collects one config-join's event counts. It is owned by a
 // single runJoin goroutine, so increments are plain (non-atomic) adds —
-// the join's hot loop pays no synchronization for instrumentation. The
+// the join's row loop pays no synchronization for instrumentation. The
 // counts are flushed exactly once when the join finishes, into both the
 // per-run Stats aggregate and the telemetry registry, so the two always
 // report through the same stream.
@@ -59,8 +59,9 @@ type runStats struct {
 	n [numCounters]int64
 }
 
-// pruneKills is the extension-prune grand total: every push-cap or
-// loop-break kill removes prefix extensions, the other tiers skip pairs.
+// pruneKills is the prefix-cut grand total: every push-cap or
+// loop-break kill cuts a prefix or posting walk short, the other tiers
+// skip pairs.
 func (rs *runStats) pruneKills() int64 {
 	return rs.n[cKillsPushCap] + rs.n[cKillsLoopBreak]
 }
@@ -78,8 +79,8 @@ type sink struct {
 func newSink(reg *telemetry.Registry) *sink {
 	s := &sink{
 		c: [numCounters]*telemetry.Counter{
+			cRows:            reg.Counter("mc_ssjoin_rows_total"),
 			cPrefixEvents:    reg.Counter("mc_ssjoin_prefix_events_total"),
-			cProbesSkipped:   reg.Counter("mc_ssjoin_progress_skipped_instances_total"),
 			cScratchScores:   reg.Counter("mc_ssjoin_scratch_scores_total"),
 			cDeferredPairs:   reg.Counter("mc_ssjoin_deferred_pairs_total"),
 			cFlushedPairs:    reg.Counter("mc_ssjoin_flushed_pairs_total"),
@@ -110,8 +111,8 @@ func (s *sink) record(rs *runStats, dur time.Duration) {
 // (nil: the counter is registry-only).
 func (st *Stats) counterFields() [numCounters]*int64 {
 	return [numCounters]*int64{
+		cRows:              &st.Rows,
 		cPrefixEvents:      &st.PrefixEvents,
-		cProbesSkipped:     &st.SkippedInstances,
 		cKillsPushCap:      &st.PruneKillsPushCap,
 		cKillsLoopBreak:    &st.PruneKillsLoopBreak,
 		cKillsFlushBound:   &st.PruneKillsFlushBound,

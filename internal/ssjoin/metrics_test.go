@@ -21,7 +21,7 @@ func TestCountersReachEverySurface(t *testing.T) {
 	reg := telemetry.New()
 	prog := NewProgress()
 	res := JoinAll(cor, c, Options{
-		K: 3, Q: 2, Workers: 1,
+		K: 3, Workers: 1,
 		Metrics: reg, Progress: prog,
 	})
 	st := res.Stats
@@ -30,8 +30,8 @@ func TestCountersReachEverySurface(t *testing.T) {
 		return reg.Counter("mc_ssjoin_progress_prune_kills_total", telemetry.L("tier", name)).Value()
 	}
 	series := [numCounters]int64{
+		cRows:              reg.Counter("mc_ssjoin_rows_total").Value(),
 		cPrefixEvents:      reg.Counter("mc_ssjoin_prefix_events_total").Value(),
-		cProbesSkipped:     reg.Counter("mc_ssjoin_progress_skipped_instances_total").Value(),
 		cKillsPushCap:      tier("push_cap"),
 		cKillsLoopBreak:    tier("loop_break"),
 		cKillsFlushBound:   tier("flush_bound"),

@@ -56,38 +56,33 @@ func requireIdenticalLists(t *testing.T, label string, got, want []TopKList) {
 
 // TestSerialJoinIsExactTopK pins the invariant the whole parallel design
 // rests on: the single-config join's list equals the brute-force exact top-k
-// under the total order, bit for bit, ties at the k-th boundary included,
-// for every q. (The pre-parallelism code allowed boundary ties to flip
-// with scheduling; strict pruning removed that.)
+// under the total order, bit for bit, ties at the k-th boundary included.
+// (The pre-parallelism code allowed boundary ties to flip with
+// scheduling; strict pruning removed that.)
 func TestSerialJoinIsExactTopK(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		cor, res, c := randomCorpus(t, rng, 30, 40)
 		for _, k := range []int{5, 25} {
 			want := BruteForce(cor, res.Root.Mask, c, k, simfunc.Jaccard)
-			for q := 1; q <= 4; q++ {
-				got := JoinOne(cor, res.Root.Mask, c, Options{K: k, Q: q})
-				requireIdentical(t, fmt.Sprintf("seed=%d k=%d q=%d", seed, k, q), got, want)
-			}
+			got := JoinOne(cor, res.Root.Mask, c, Options{K: k})
+			requireIdentical(t, fmt.Sprintf("seed=%d k=%d", seed, k), got, want)
 		}
 	}
 }
 
 // TestJoinOneDifferentialAcrossConfigs is the single-config
 // differential oracle: JoinOne's output must be bit-identical to
-// BruteForce for every config of the tree over a {seed} × {Q} × {K}
-// grid.
+// BruteForce for every config of the tree over a {seed} × {K} grid.
 func TestJoinOneDifferentialAcrossConfigs(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		rng := rand.New(rand.NewSource(100 + seed))
 		cor, res, c := randomCorpus(t, rng, 35, 30)
 		for _, mask := range res.Configs() {
-			for _, q := range []int{1, 2, 3} {
-				for _, k := range []int{5, 20} {
-					want := BruteForce(cor, mask, c, k, simfunc.Jaccard)
-					got := JoinOne(cor, mask, c, Options{K: k, Q: q})
-					requireIdentical(t, fmt.Sprintf("seed=%d mask=%b q=%d k=%d", seed, mask, q, k), got, want)
-				}
+			for _, k := range []int{5, 20} {
+				want := BruteForce(cor, mask, c, k, simfunc.Jaccard)
+				got := JoinOne(cor, mask, c, Options{K: k})
+				requireIdentical(t, fmt.Sprintf("seed=%d mask=%b k=%d", seed, mask, k), got, want)
 			}
 		}
 	}
@@ -108,7 +103,7 @@ func TestJoinAllDifferentialWorkerGrid(t *testing.T) {
 		}
 		for _, reuse := range []bool{false, true} {
 			for _, w := range []int{1, 2, 3, 8} {
-				got := JoinAll(cor, c, Options{K: 15, Q: 2, Workers: w, DisableListReuse: !reuse})
+				got := JoinAll(cor, c, Options{K: 15, Workers: w, DisableListReuse: !reuse})
 				requireIdenticalLists(t,
 					fmt.Sprintf("seed=%d reuse=%v workers=%d", seed, reuse, w),
 					got.Lists, want)
@@ -182,10 +177,7 @@ func TestDegenerateShards(t *testing.T) {
 			cor, res := c.build(t)
 			mask := res.Root.Mask
 			want := BruteForce(cor, mask, nil, c.k, simfunc.Jaccard)
-			for _, q := range []int{1, 2, 3} {
-				got := JoinOne(cor, mask, nil, Options{K: c.k, Q: q})
-				requireIdentical(t, fmt.Sprintf("q=%d", q), got, want)
-			}
+			requireIdentical(t, c.name, JoinOne(cor, mask, nil, Options{K: c.k}), want)
 		})
 	}
 }
@@ -193,7 +185,7 @@ func TestDegenerateShards(t *testing.T) {
 // TestDegenerateShardsTieBoundary pins the specific bug the old Workers
 // caveat documented: when more pairs tie the k-th score than fit, the
 // retained set must be the ids-smallest ones — identically in the join
-// at every q and in brute force.
+// and in brute force.
 func TestDegenerateShardsTieBoundary(t *testing.T) {
 	cor, res := identicalRowsCorpus(t, 5) // 25 pairs, every score exactly 1.0
 	mask := res.Root.Mask
@@ -207,10 +199,7 @@ func TestDegenerateShardsTieBoundary(t *testing.T) {
 			t.Fatalf("brute-force tie order broken at %d: %+v", i, p)
 		}
 	}
-	for q := 1; q <= 4; q++ {
-		got := JoinOne(cor, mask, nil, Options{K: 6, Q: q})
-		requireIdentical(t, fmt.Sprintf("q=%d", q), got, want)
-	}
+	requireIdentical(t, "tie boundary", JoinOne(cor, mask, nil, Options{K: 6}), want)
 }
 
 // TestParallelStatsDeterministic: without the list-reuse handoff (whose
@@ -221,7 +210,7 @@ func TestParallelStatsDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	cor, _, c := randomCorpus(t, rng, 30, 30)
 	run := func(w int) Stats {
-		return JoinAll(cor, c, Options{K: 10, Q: 2, Workers: w, DisableListReuse: true}).Stats
+		return JoinAll(cor, c, Options{K: 10, Workers: w, DisableListReuse: true}).Stats
 	}
 	ref := run(1)
 	if ref.PrefixEvents == 0 || ref.ScratchScores == 0 {
@@ -253,7 +242,7 @@ func TestParallelRaceStress(t *testing.T) {
 			prov := telemetry.NewProvenance([2]int{0, 0}, [2]int{1, 2}, [2]int{3, 1})
 			root := tracer.Start("stress.joinall")
 			results[i] = JoinAll(cor, c, Options{
-				K: 10, Q: 2,
+				K:          10,
 				Workers:    3,
 				Metrics:    reg,
 				Trace:      root,

@@ -6,15 +6,15 @@ import (
 )
 
 // Progress is the live observability side-channel of a join run: one
-// block of work counters the probe loops flush into every
-// progressStride heap pops, plus run-level config counters. It only ever
+// block of work counters the row loops flush into every progressStride
+// rows or posting entries, plus run-level config counters. It only ever
 // observes — nothing in the join reads it back — so attaching one cannot
 // change a single output bit (TestProgressDeterminismGrid holds the
 // join to that).
 //
-// Cost model: every counter is an atomic; the probe loop itself keeps
+// Cost model: every counter is an atomic; the row loop itself keeps
 // plain local counters (runStats) and a progCursor flushes deltas at the
-// existing stride-1024 checkpoint, so the per-pop cost of tracking is
+// existing stride-1024 checkpoint, so the per-entry cost of tracking is
 // zero and the per-stride cost is a handful of atomic adds. Concurrent
 // configs (Workers > 1) flush into the same block. A nil *Progress
 // disables everything: the only residue is a nil check per stride.
@@ -31,23 +31,22 @@ type Progress struct {
 	c              progressCounters
 }
 
-// progressStride is the probe-loop flush cadence in heap pops. The
-// flush rides the loop's cancellation checkpoint, a branch the loop
-// already takes; the index and exactness-flush loops read cancellation
-// at the same stride, in records and visited pairs. A power of two:
-// the loops test it with a mask.
+// progressStride is the row loop's checkpoint cadence, in rows plus
+// posting entries walked. The flush rides the loop's cancellation
+// checkpoint, a branch the loop already takes; the index build reads
+// cancellation at the same stride, in records. A power of two: the
+// index loop tests it with a mask.
 const progressStride = 1024
 
 // progressCounters is the run's work-counter block. n holds the
-// published runStats counters (n[cPrefixEvents] is the probes done).
-// probesTotal counts the token instances the started configs' records
-// can pop; every instance is eventually accounted as popped or written
-// off by a prune (n[cProbesSkipped]), which is what makes Fraction
+// published runStats counters (n[cRows] is the rows done).
+// probesTotal counts the A rows of the configs whose index is built;
+// every one of them runs to its end, which is what makes Fraction
 // converge to 1.
 type progressCounters struct {
 	n           [numPublished]atomic.Int64
-	probesTotal atomic.Int64 // instances of the started configs (added at seeding)
-	heapLive    atomic.Int64 // event-heap size at the last sample
+	probesTotal atomic.Int64 // A rows of the started configs (added after the index build)
+	rowLive     atomic.Int64 // the current row's candidates at the last sample
 	topkLive    atomic.Int64 // top-k heap size at the last sample
 	samples     atomic.Int64 // stride flushes taken
 }
@@ -101,20 +100,21 @@ func (p *Progress) counters() *progressCounters {
 	return &p.c
 }
 
-// progCursor carries the probe loop's last-flushed view of its published
+// progCursor carries the row loop's last-flushed view of its published
 // runStats counters, so each stride flush publishes only the delta. It
-// lives in the flatProbe; a nil block turns every flush into a nil check.
+// lives in the rowProbe; a nil block turns every flush into a nil check.
 type progCursor struct {
 	block *progressCounters
 	last  [numPublished]int64
 }
 
 // flush publishes the counters accumulated since the previous flush,
-// plus the live heap sizes. It runs once per progressStride pops (and
-// at loop exit), never per pop, and performs no allocation.
+// plus the live row and heap sizes. It runs once per progressStride
+// rows or posting entries (and at loop exit), and performs no
+// allocation.
 //
 //mc:hotpath
-func (c *progCursor) flush(rs *runStats, heapLive, topkLive int) {
+func (c *progCursor) flush(rs *runStats, rowLive, topkLive int) {
 	if c.block == nil {
 		return
 	}
@@ -124,7 +124,7 @@ func (c *progCursor) flush(rs *runStats, heapLive, topkLive int) {
 			c.last[k] = rs.n[k]
 		}
 	}
-	c.block.heapLive.Store(int64(heapLive))
+	c.block.rowLive.Store(int64(rowLive))
 	c.block.topkLive.Store(int64(topkLive))
 	c.block.samples.Add(1)
 	rs.n[cProgressSamples]++
@@ -141,9 +141,11 @@ type ProgressSnapshot struct {
 	ConfigsTotal   int64   `json:"configs_total"`
 	ConfigsStarted int64   `json:"configs_started"`
 	ConfigsDone    int64   `json:"configs_done"`
-	// Probe accounting over the configs started so far: every owned token
-	// instance ends up popped (done) or pruned away (skipped), so
-	// done+skipped converges to total as configs finish.
+	// Row accounting over the configs started so far: ProbesDone counts
+	// A rows walked to their end, ProbesTotal the A rows of every config
+	// whose index is built, so done converges to total as configs
+	// finish. ProbesSkipped is always zero (the row loop writes no row
+	// off); done+skipped stays the accounted work.
 	ProbesDone    int64 `json:"probes_done"`
 	ProbesSkipped int64 `json:"probes_skipped"`
 	ProbesTotal   int64 `json:"probes_total"`
@@ -157,9 +159,11 @@ type ProgressSnapshot struct {
 	// proved they can never reach the running top-k.
 	PruneKillLengthFilter int64 `json:"prune_kill_length_filter"`
 	PruneKillPrefixPos    int64 `json:"prune_kill_prefix_pos"`
-	EventHeapLive         int64 `json:"event_heap_live"`
-	TopKLive              int64 `json:"topk_live"`
-	Samples               int64 `json:"samples"`
+	// EventHeapLive is the candidates of the row in flight at the last
+	// sample (the row array's touched entries); 0 once the run ends.
+	EventHeapLive int64 `json:"event_heap_live"`
+	TopKLive      int64 `json:"topk_live"`
+	Samples       int64 `json:"samples"`
 	// Fraction estimates run completion in [0, 1]; ETASeconds is -1 until
 	// enough work has been accounted to extrapolate.
 	Fraction   float64 `json:"fraction"`
@@ -188,7 +192,7 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 		*f = p.c.n[k].Load()
 	}
 	snap.ProbesTotal = p.c.probesTotal.Load()
-	snap.EventHeapLive = p.c.heapLive.Load()
+	snap.EventHeapLive = p.c.rowLive.Load()
 	snap.TopKLive = p.c.topkLive.Load()
 	snap.Samples = p.c.samples.Load()
 	snap.Fraction, snap.ETASeconds = estimate(&snap)
@@ -199,8 +203,7 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 // reports it.
 func (s *ProgressSnapshot) counterFields() [numPublished]*int64 {
 	return [numPublished]*int64{
-		cPrefixEvents:      &s.ProbesDone,
-		cProbesSkipped:     &s.ProbesSkipped,
+		cRows:              &s.ProbesDone,
 		cKillsPushCap:      &s.PruneKillPushCap,
 		cKillsLoopBreak:    &s.PruneKillLoopBreak,
 		cKillsFlushBound:   &s.PruneKillFlushBound,
@@ -226,7 +229,7 @@ func (s *ProgressSnapshot) PruneTiers() []TierKills {
 	return out
 }
 
-// estimate derives (fraction, eta). The per-config probe fraction
+// estimate derives (fraction, eta). The per-config row fraction
 // (done+skipped over total) covers only the configs started, so it is
 // scaled down by started/total; unstarted configs are extrapolated at
 // the average cost of the started ones. ETA is a straight-line

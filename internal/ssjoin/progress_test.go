@@ -21,23 +21,23 @@ func TestProgressDeterminismGrid(t *testing.T) {
 	for seed := int64(0); seed < 2; seed++ {
 		rng := rand.New(rand.NewSource(700 + seed))
 		cor, _, c := randomCorpus(t, rng, 30, 40)
-		ref := JoinAll(cor, c, Options{K: 15, Q: 2, Workers: 1})
+		ref := JoinAll(cor, c, Options{K: 15, Workers: 1})
 		for _, w := range []int{1, 2, 4} {
-			got := JoinAll(cor, c, Options{K: 15, Q: 2, Workers: w, Progress: NewProgress()})
+			got := JoinAll(cor, c, Options{K: 15, Workers: w, Progress: NewProgress()})
 			requireIdenticalLists(t, fmt.Sprintf("seed=%d workers=%d", seed, w), got.Lists, ref.Lists)
 		}
 	}
 }
 
-// TestProgressAccountingConverges: when the run finishes, every token
-// instance has been accounted — popped (done) or written off by a
-// prune (skipped) — and the derived fraction reads exactly 1.
+// TestProgressAccountingConverges: when the run finishes, every A row
+// of every config has been walked (done) and the derived fraction reads
+// exactly 1.
 func TestProgressAccountingConverges(t *testing.T) {
 	for _, w := range []int{1, 3} {
 		rng := rand.New(rand.NewSource(42))
 		cor, _, c := randomCorpus(t, rng, 40, 50)
 		prog := NewProgress()
-		res := JoinAll(cor, c, Options{K: 10, Q: 2, Workers: w, Progress: prog})
+		res := JoinAll(cor, c, Options{K: 10, Workers: w, Progress: prog})
 		snap := prog.Snapshot()
 		if !snap.Done {
 			t.Fatalf("workers=%d: run finished but snapshot not Done", w)
@@ -48,8 +48,8 @@ func TestProgressAccountingConverges(t *testing.T) {
 		if snap.Fraction != 1 {
 			t.Fatalf("workers=%d: fraction = %v, want 1", w, snap.Fraction)
 		}
-		if snap.ProbesTotal == 0 {
-			t.Fatalf("workers=%d: no probes accounted", w)
+		if want := int64(40 * len(res.Lists)); snap.ProbesTotal != want {
+			t.Fatalf("workers=%d: %d rows accounted, want 40 rows x %d configs", w, snap.ProbesTotal, len(res.Lists))
 		}
 		if got := snap.ProbesDone + snap.ProbesSkipped; got != snap.ProbesTotal {
 			t.Fatalf("workers=%d: done %d + skipped %d = %d, want total %d",
@@ -60,28 +60,29 @@ func TestProgressAccountingConverges(t *testing.T) {
 				w, snap.ConfigsDone, snap.ConfigsStarted, snap.ConfigsTotal)
 		}
 		if snap.EventHeapLive != 0 {
-			t.Fatalf("workers=%d: finished run reports live event heap %d", w, snap.EventHeapLive)
+			t.Fatalf("workers=%d: finished run reports a live row of %d candidates", w, snap.EventHeapLive)
 		}
 		// The tracker and Stats report through the same counter stream.
-		if snap.ProbesDone != res.Stats.PrefixEvents {
-			t.Fatalf("workers=%d: snapshot pops %d != Stats.PrefixEvents %d",
-				w, snap.ProbesDone, res.Stats.PrefixEvents)
+		if snap.ProbesDone != res.Stats.Rows {
+			t.Fatalf("workers=%d: snapshot rows %d != Stats.Rows %d",
+				w, snap.ProbesDone, res.Stats.Rows)
 		}
-		if snap.ProbesSkipped != res.Stats.SkippedInstances {
-			t.Fatalf("workers=%d: snapshot skipped %d != Stats.SkippedInstances %d",
+		if snap.ProbesSkipped != 0 || res.Stats.SkippedInstances != 0 {
+			t.Fatalf("workers=%d: skipped %d / Stats.SkippedInstances %d, want 0",
 				w, snap.ProbesSkipped, res.Stats.SkippedInstances)
 		}
 	}
 }
 
 // TestProgressPruneTierSplit: the per-tier kill counters partition the
-// legacy PruneKills total (tiers a and b; the flush bound is counted
-// separately because flush skips were never in PruneKills). That every
+// PruneKills total (tiers a and b; the row-end bound is counted
+// separately because it skips pairs, not prefixes), and every row-end
+// candidate is either dropped by the bound or scored. That every
 // tier reaches the snapshot is TestCountersReachEverySurface's job.
 func TestProgressPruneTierSplit(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	cor, _, c := randomCorpus(t, rng, 40, 50)
-	res := JoinAll(cor, c, Options{K: 5, Q: 2})
+	res := JoinAll(cor, c, Options{K: 5})
 	st := res.Stats
 	if st.PruneKillsPushCap+st.PruneKillsLoopBreak != st.PruneKills {
 		t.Fatalf("tier split %d + %d != PruneKills %d",
@@ -103,7 +104,7 @@ func TestProgressMidRunSnapshot(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		JoinAll(cor, c, Options{K: 25, Q: 1, Progress: prog})
+		JoinAll(cor, c, Options{K: 25, Progress: prog})
 	}()
 	var lastDone int64
 	for {
@@ -165,8 +166,7 @@ func TestProgressFlushAllocs(t *testing.T) {
 	cur := progCursor{block: p.counters()}
 	rs := &runStats{}
 	allocs := testing.AllocsPerRun(1000, func() {
-		rs.n[cPrefixEvents] += 17
-		rs.n[cProbesSkipped] += 3
+		rs.n[cRows] += 17
 		rs.n[cKillsPushCap]++
 		cur.flush(rs, 5, 9)
 	})
@@ -192,7 +192,7 @@ func TestProgressConcurrentFlushers(t *testing.T) {
 			cur.block.probesTotal.Add(perG)
 			rs := &runStats{}
 			for i := 0; i < perG; i++ {
-				rs.n[cPrefixEvents]++
+				rs.n[cRows]++
 				cur.flush(rs, i, i)
 			}
 			p.configDone()

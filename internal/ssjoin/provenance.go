@@ -9,7 +9,7 @@ import (
 	"matchcatcher/internal/telemetry"
 )
 
-// Provenance derivation for the join stage. The QJoin hot loop touches
+// Provenance derivation for the join stage. The join's row loop touches
 // tens of millions of pairs, so it records nothing; instead, once a
 // config's join has finished, the watched pairs' facts are recomputed
 // directly — suppression by C, the exact similarity score under the

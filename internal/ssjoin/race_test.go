@@ -2,6 +2,6 @@
 
 package ssjoin
 
-// raceEnabled reports a -race build, whose sync.Pool drops a random
-// quarter of the items put back.
+// raceEnabled reports a -race build, whose instrumentation the
+// allocation tests cannot budget.
 const raceEnabled = true

@@ -148,87 +148,3 @@ func (h *topkHeap) list(m config.Mask) TopKList {
 	})
 	return TopKList{Config: m, Pairs: out}
 }
-
-// eventHeap is a max-heap of prefix-extension events, keyed by the cap on
-// the score of any new pair the extension can produce (Section 4.1).
-type eventHeap struct {
-	items []event
-}
-
-type event struct {
-	cap  float64
-	side int8 // 0 = A, 1 = B
-	rec  int32
-}
-
-func (h *eventHeap) Len() int { return len(h.items) }
-func (h *eventHeap) Less(i, j int) bool {
-	if !floats.Equal(h.items[i].cap, h.items[j].cap) {
-		return h.items[i].cap > h.items[j].cap
-	}
-	if h.items[i].side != h.items[j].side {
-		return h.items[i].side < h.items[j].side
-	}
-	return h.items[i].rec < h.items[j].rec
-}
-func (h *eventHeap) Swap(i, j int) { h.items[i], h.items[j] = h.items[j], h.items[i] }
-
-// Typed sift operations, same shape as topkHeap's: events are pushed
-// and popped once per posting-list extension in the probe loop, and the
-// stdlib heap's interface{} methods boxed every event. Less is a strict
-// total order (cap, side, rec), so the de-boxed sift is bit-identical.
-
-//mc:hotpath
-func (h *eventHeap) push(ev event) {
-	h.items = append(h.items, ev)
-	h.up(len(h.items) - 1)
-}
-
-// pop removes and returns the max-cap event (heap.Pop minus the
-// interface): swap the root to the end, sift the new root down over the
-// shortened prefix, then shrink.
-//
-//mc:hotpath
-func (h *eventHeap) pop() event {
-	n := len(h.items) - 1
-	h.Swap(0, n)
-	h.down(0, n)
-	it := h.items[n]
-	h.items = h.items[:n]
-	return it
-}
-
-//mc:hotpath
-func (h *eventHeap) up(j int) {
-	for j > 0 {
-		i := (j - 1) / 2 // parent
-		if !h.Less(j, i) {
-			break
-		}
-		h.Swap(i, j)
-		j = i
-	}
-}
-
-// down sifts index i0 down within the first n elements (pop shortens
-// the live prefix before sifting).
-//
-//mc:hotpath
-func (h *eventHeap) down(i0, n int) {
-	i := i0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n {
-			break
-		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && h.Less(j2, j1) {
-			j = j2 // right child
-		}
-		if !h.Less(j, i) {
-			break
-		}
-		h.Swap(i, j)
-		i = j
-	}
-}

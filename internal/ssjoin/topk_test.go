@@ -69,41 +69,3 @@ func TestTopkHeapKthScoreMonotone(t *testing.T) {
 		}
 	}
 }
-
-// Property: the event heap pops events in non-increasing cap order.
-func TestEventHeapOrder(t *testing.T) {
-	f := func(caps []float64) bool {
-		var h eventHeap
-		for i, c := range caps {
-			if c != c { // NaN caps cannot occur; skip them in generation
-				continue
-			}
-			if c < 0 {
-				c = -c
-			}
-			c = math.Mod(c, 1) // wrap into [0,1)
-			h.items = append(h.items, event{cap: c, rec: int32(i)})
-		}
-		initHeap(&h)
-		prev := 2.0
-		for h.Len() > 0 {
-			ev := popEvent(&h)
-			if ev.cap > prev {
-				return false
-			}
-			prev = ev.cap
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func initHeap(h *eventHeap) {
-	for i := h.Len()/2 - 1; i >= 0; i-- {
-		h.down(i, h.Len())
-	}
-}
-
-func popEvent(h *eventHeap) event { return h.pop() }

@@ -9,7 +9,7 @@
 #      including the 4xx contract on out-of-order operations.
 #   4. Byte-compare the HTTP canonical report against the CLI's — the
 #      transport-determinism acceptance check.
-#   5. Start a 5x-scale join and, while it is in flight, read the live
+#   5. Start a 15x-scale join and, while it is in flight, read the live
 #      progress surface (JSON snapshot + one SSE `event: progress`
 #      frame, disconnecting mid-stream), then SIGTERM the server: the
 #      join must still answer 200 (graceful drain), the process must
@@ -51,7 +51,7 @@ go build -o "$TMP" ./cmd/mcgen ./cmd/mcdebug ./cmd/mcserve
 echo "== generate datasets"
 "$TMP/mcgen" -dataset F-Z -out "$TMP"
 mkdir -p "$TMP/big"
-"$TMP/mcgen" -dataset F-Z -scale 5 -out "$TMP/big"
+"$TMP/mcgen" -dataset F-Z -scale 15 -out "$TMP/big"
 
 echo "== CLI reference session"
 "$TMP/mcdebug" -a "$TMP/F-Z-A.csv" -b "$TMP/F-Z-B.csv" -gold "$TMP/F-Z-gold.csv" \

@@ -5,7 +5,7 @@ blocker rule, seed, and join options — asserting every status code and
 response shape along the way, and writes the canonical report for the
 byte-compare against the CLI's.
 
-Phase 2 is the graceful-drain check: it starts a 5x-scale join, reads
+Phase 2 is the graceful-drain check: it starts a 15x-scale join, reads
 the live progress surface while the join is in flight (a JSON snapshot
 and one SSE `event: progress` frame, then disconnects mid-stream to
 prove teardown leaves the join running), sends the server SIGTERM,
@@ -129,13 +129,13 @@ if page["total"] <= 0 or len(page["pairs"]) > 5:
 expect("DELETE", f"{su}", 204)
 expect("GET", f"{su}", 404)
 
-# ---- phase 2: SIGTERM with the 5x-scale join in flight ----
+# ---- phase 2: SIGTERM with the 15x-scale join in flight ----
 
 result = {}
 
 
 def check_progress_live(su):
-    """Read the progress surface while the 5x-scale join is running.
+    """Read the progress surface while the 15x-scale join is running.
 
     First a plain JSON snapshot (joining must be true, the probe plan
     sized), then an SSE stream: read one live `event: progress` frame
@@ -173,7 +173,7 @@ def check_drain_dump():
     """Assert the SIGTERM auto-dump carries the in-flight join.
 
     BeginShutdown writes the "drain" dump the moment SIGTERM lands,
-    while the 5x-scale join is still running, so its inflight section
+    while the 15x-scale join is still running, so its inflight section
     must hold the join's request event. The dump is preserved as
     flight_drain.json because the close-time dump overwrites the file
     on clean exit. If the join outraced our first read (the file already
@@ -216,7 +216,7 @@ def drive_drain(su):
     time.sleep(0.5)  # let the join get going
     check_progress_live(su)
     if not t.is_alive():
-        sys.exit("5x join finished before the SSE check; scale the dataset up")
+        sys.exit("15x join finished before the SSE check; scale the dataset up")
     os.kill(SRV_PID, signal.SIGTERM)
     check_drain_dump()
     t.join(timeout=120)
