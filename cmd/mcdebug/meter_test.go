@@ -11,7 +11,7 @@ import (
 func TestMeterLineGolden(t *testing.T) {
 	base := ssjoin.ProgressSnapshot{
 		ConfigsDone: 3, ConfigsTotal: 10,
-		ProbesDone: 12_345, ProbesSkipped: 655, ProbesTotal: 2_500_000,
+		ProbesDone: 13_000, ProbesTotal: 2_500_000,
 		PruneKillPushCap: 1_234_567, PruneKillLoopBreak: 42, PruneKillFlushBound: 9_999,
 		PruneKillLengthFilter: 10_000, PruneKillPrefixPos: 3_000_000_000,
 		Fraction: 0.4231, ETASeconds: 75,

@@ -54,7 +54,7 @@ func meterLine(s ssjoin.ProgressSnapshot) string {
 	}
 	line := fmt.Sprintf("join %5.1f%% | configs %d/%d | rows %s/%s | pruned %s (%s)",
 		s.Fraction*100, s.ConfigsDone, s.ConfigsTotal,
-		countShort(s.ProbesDone+s.ProbesSkipped), countShort(s.ProbesTotal),
+		countShort(s.ProbesDone), countShort(s.ProbesTotal),
 		countShort(total), tiers.String())
 	switch {
 	case s.Done && s.Cancelled:

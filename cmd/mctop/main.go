@@ -243,7 +243,6 @@ type joinProgress struct {
 		ConfigsTotal   int64   `json:"configs_total"`
 		ConfigsDone    int64   `json:"configs_done"`
 		ProbesDone     int64   `json:"probes_done"`
-		ProbesSkipped  int64   `json:"probes_skipped"`
 		ProbesTotal    int64   `json:"probes_total"`
 		PushCap        int64   `json:"prune_kill_push_cap"`
 		LoopBreak      int64   `json:"prune_kill_loop_break"`
@@ -488,7 +487,7 @@ func (f *frame) render(w io.Writer, prev *frame) {
 			j := jp.Join
 			line := fmt.Sprintf("  %-8s %5.1f%%  configs %d/%d  rows %.2g/%.2g  pruned %.2g",
 				jp.Session, j.Fraction*100, j.ConfigsDone, j.ConfigsTotal,
-				float64(j.ProbesDone+j.ProbesSkipped), float64(j.ProbesTotal),
+				float64(j.ProbesDone), float64(j.ProbesTotal),
 				float64(j.PushCap+j.LoopBreak+j.FlushBound+j.LengthFilter+j.PrefixPos))
 			if !j.Done && j.ETASeconds >= 0 {
 				line += fmt.Sprintf("  eta %s", fmtDur(j.ETASeconds))

@@ -160,7 +160,7 @@ func TestRunningJoinsPane(t *testing.T) {
 			"session": "s000001", "state": "blocked", "joining": true,
 			"join": {
 				"elapsed_seconds": 1.5, "configs_total": 7, "configs_done": 3,
-				"probes_done": 600, "probes_skipped": 150, "probes_total": 1500,
+				"probes_done": 750, "probes_total": 1500,
 				"prune_kill_push_cap": 40, "prune_kill_loop_break": 9, "prune_kill_flush_bound": 3,
 				"prune_kill_length_filter": 12, "prune_kill_prefix_pos": 7,
 				"fraction": 0.5, "eta_seconds": 1.5, "done": false, "cancelled": false

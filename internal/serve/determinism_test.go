@@ -73,8 +73,8 @@ func cliReport(t *testing.T) []byte {
 // Workers is pinned to 1 on both sides because the canonical report
 // embeds JoinStats, whose work counters depend on the list-reuse handoff
 // at Workers > 1: whether a child config starts from its parent's
-// finished list, merges it mid-run or misses it is timing (the ranked
-// output never depends on it — see internal/ssjoin's determinism suite).
+// finished list or misses it and runs cold is timing (the ranked output
+// never depends on it — see internal/ssjoin's determinism suite).
 func TestHTTPReportMatchesCLIReport(t *testing.T) {
 	want := cliReport(t)
 	_, ts := newTestServer(t, Options{})

@@ -197,9 +197,8 @@ func TestProgressEndpointLifecycle(t *testing.T) {
 	if fin.Join.Fraction != 1 {
 		t.Errorf("terminal fraction = %v, want 1", fin.Join.Fraction)
 	}
-	if fin.Join.ProbesDone+fin.Join.ProbesSkipped != fin.Join.ProbesTotal {
-		t.Errorf("terminal accounting: done %d + skipped %d != total %d",
-			fin.Join.ProbesDone, fin.Join.ProbesSkipped, fin.Join.ProbesTotal)
+	if fin.Join.ProbesDone != fin.Join.ProbesTotal {
+		t.Errorf("terminal accounting: done %d != total %d", fin.Join.ProbesDone, fin.Join.ProbesTotal)
 	}
 	if fin.Join.Samples == 0 {
 		t.Errorf("terminal frame counts no progress samples: %+v", fin.Join)

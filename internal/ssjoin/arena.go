@@ -130,17 +130,16 @@ var filterKillHook func(a, b int32, tier int8)
 // is a slice index. The struct doubles as the pooled scratch block —
 // join() tokenizes into ids, wire() grows the other buffers to the
 // join's sizes and resets per-join state, and release() drops the
-// per-join references (C, channels, span) while keeping
+// per-join references (C, the done channel, span) while keeping
 // the buffers for the next join.
 type rowProbe struct {
 	// Per-join wiring (cleared on release).
-	m       simfunc.SetMeasure
-	c       *blocker.PairSet
-	rs      *runStats
-	cur     progCursor
-	done    <-chan struct{}
-	mergeCh <-chan []ScoredPair
-	span    *telemetry.TraceSpan
+	m    simfunc.SetMeasure
+	c    *blocker.PairSet
+	rs   *runStats
+	cur  progCursor
+	done <-chan struct{}
+	span *telemetry.TraceSpan
 
 	// ids is the config's instance-id lists, filled before wire; top is
 	// the config's top-k heap, emptied by wire. Both keep their storage
@@ -161,8 +160,8 @@ type rowProbe struct {
 	row   []int32
 	cands []int32
 
-	// marks holds the absorbed seed and merge pairs whose rows have not
-	// run yet, sorted by (A, B) from markAt on: a row marks its own
+	// marks holds the absorbed seed pairs, sorted by (A, B); those from
+	// markAt on belong to rows that have not run yet. A row marks its own
 	// before it probes, so no pair is offered twice.
 	marks  []ScoredPair
 	markAt int
@@ -178,13 +177,9 @@ type rowProbe struct {
 	prefGen []uint32
 
 	// steps counts rows and posting entries walked; the loop reaches a
-	// checkpoint (progress, cancellation, merge arrivals) each time it
-	// passes nextCheck.
+	// checkpoint (progress and cancellation) each time it passes
+	// nextCheck.
 	steps, nextCheck int
-
-	// pending is a parent list taken at a checkpoint inside a row,
-	// absorbed when the next row starts.
-	pending []ScoredPair
 }
 
 // probePool recycles rowProbe blocks across joins and configs:
@@ -228,8 +223,6 @@ func (p *rowProbe) release() {
 	p.rs = nil
 	p.cur = progCursor{}
 	p.done = nil
-	p.mergeCh = nil
-	p.pending = nil
 	p.span = nil
 }
 

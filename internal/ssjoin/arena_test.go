@@ -24,9 +24,9 @@ func pairKey(a, b int32) int64 { return int64(a)<<32 | int64(uint32(b)) }
 // hold adversarial garbage — a dirty row array and candidate list,
 // stale marks past their cursor, prefix-end caches stamped at the
 // current generation, a stale index and threshold, stale top-k heaps
-// (items past len included, scored above any real pair), stale instance
-// ids and a pending parent list — and joins through that pool must
-// still match the reference bit for bit, counters included.
+// (items past len included, scored above any real pair) and stale
+// instance ids — and joins through that pool must still match the
+// reference bit for bit, counters included.
 func TestPoolReusePoisonInvisible(t *testing.T) {
 	rng := rand.New(rand.NewSource(400))
 	cor, _, c := randomCorpus(t, rng, 30, 30)
@@ -56,7 +56,6 @@ func TestPoolReusePoisonInvisible(t *testing.T) {
 				p.post[j] = postEntry{cap: 2, b: rng.Int31n(30), pos: rng.Int31n(8)}
 			}
 			p.steps, p.nextCheck = 1<<20, 1
-			p.pending = []ScoredPair{{A: 29, B: 29, Score: 5}}
 			stale := make([]ScoredPair, 32)
 			for j := range stale {
 				stale[j] = ScoredPair{A: rng.Int31n(30), B: rng.Int31n(30), Score: 2}
@@ -276,7 +275,7 @@ func TestFlatProbePathZeroAllocs(t *testing.T) {
 		p.ids.tokenize(cor, mask)
 		run := func() {
 			p.wire(cor, mask, opt)
-			p.absorb(opt.seeds, 0)
+			p.absorb(opt.seeds)
 			p.raise()
 			p.index()
 			p.probe()

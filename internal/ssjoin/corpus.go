@@ -66,10 +66,6 @@ type Corpus struct {
 	// than popcount(tokMask[t]∧γ) instances of it, which bounds the id
 	// range each token needs (see denseInstances).
 	tokMask []uint16
-	// AvgTokens is the average multiset token length per tuple under the
-	// full config, across both tables: the tuple length Section 4.2
-	// compares with t = 20 to decide on score reuse.
-	AvgTokens float64
 }
 
 // NewCorpus tokenizes both tables under res.Promising. Tokens are ranked
@@ -103,9 +99,6 @@ func NewCorpus(a, b *table.Table, res *config.Result) *Corpus {
 			slices.SortFunc(es, func(x, y tokenEntry) int { return cmp.Compare(x.tok, y.tok) })
 		}
 	}
-	if n := len(c.recsA) + len(c.recsB); n > 0 {
-		c.AvgTokens = float64(cb.total) / float64(n)
-	}
 	return c
 }
 
@@ -120,7 +113,6 @@ type corpusBuilder struct {
 	rowMask []uint16
 	touched []int32
 	buf     []byte // the current value, lowercased
-	total   int    // Σ attrLen over every record so far
 }
 
 // side tokenizes one table whose tuples average avgTokens word tokens.
@@ -163,7 +155,6 @@ func (cb *corpusBuilder) side(t *table.Table, avgTokens float64) []record {
 				n++
 			}
 			lens[row*nattr+i] = n
-			cb.total += int(n)
 		}
 		if len(slab)+len(cb.touched) > cap(slab) {
 			// The first chunk holds the word-token estimate, which a

@@ -2,7 +2,6 @@ package ssjoin
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -96,21 +95,12 @@ func referenceCorpus(a, b *table.Table, res *config.Result) *Corpus {
 		}
 		return recs
 	}
-	c := &Corpus{Res: res, recsA: finish(rawA), recsB: finish(rawB), tokMask: tokMask}
-	full := config.Mask(1)<<uint(len(res.Promising)) - 1
-	n, total := len(c.recsA)+len(c.recsB), 0
-	for i := 0; i < n; i++ {
-		total += c.rec(i).lenUnder(full)
-	}
-	if n > 0 {
-		c.AvgTokens = float64(total) / float64(n)
-	}
-	return c
+	return &Corpus{Res: res, recsA: finish(rawA), recsB: finish(rawB), tokMask: tokMask}
 }
 
 // corpusDiff describes the first difference between two corpora — token
-// ranks and masks of every entry, attribute lengths, tokMask and
-// AvgTokens — or returns "" when they are equal by value.
+// ranks and masks of every entry, attribute lengths and tokMask — or
+// returns "" when they are equal by value.
 func corpusDiff(got, want *Corpus) string {
 	for side, recs := range [2][2][]record{{got.recsA, want.recsA}, {got.recsB, want.recsB}} {
 		g, w := recs[0], recs[1]
@@ -128,9 +118,6 @@ func corpusDiff(got, want *Corpus) string {
 	}
 	if !slices.Equal(got.tokMask, want.tokMask) {
 		return fmt.Sprintf("tokMask %v, want %v", got.tokMask, want.tokMask)
-	}
-	if math.Float64bits(got.AvgTokens) != math.Float64bits(want.AvgTokens) {
-		return fmt.Sprintf("AvgTokens %v, want %v", got.AvgTokens, want.AvgTokens)
 	}
 	return ""
 }
@@ -201,8 +188,8 @@ func decodeFuzzTables(data []byte) (a, b *table.Table) {
 }
 
 // FuzzNewCorpus holds NewCorpus to referenceCorpus on fuzzed two-sided
-// tables: every token rank, mask and length, tokMask and AvgTokens must
-// agree by value.
+// tables: every token rank, mask and length and tokMask must agree by
+// value.
 func FuzzNewCorpus(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 2, 1, 2, 25, 3, 4, 3})

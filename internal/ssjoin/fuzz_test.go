@@ -36,10 +36,10 @@ func decodeMergeInput(data []byte) (k, parts int, pairs []ScoredPair) {
 // another into one heap must reproduce — bit for bit — the heap produced
 // by serially offering every pair. The top-k retention is a pure function
 // of the offered pairs, whatever their order or grouping; that is what
-// keeps a parent list merged into a running child join (at whatever
-// moment it arrives) and the Workers count out of the output, minimized
-// to the data structure so the fuzzer can hammer the tie and boundary
-// cases directly.
+// keeps the list-reuse handoff (a child seeded with its finished
+// parent's list, or run cold) and the Workers count out of the output,
+// minimized to the data structure so the fuzzer can hammer the tie and
+// boundary cases directly.
 func FuzzMergeTopK(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0})

@@ -12,15 +12,11 @@ type runOpts struct {
 	k int
 	m simfunc.SetMeasure
 	c *blocker.PairSet // blocker output: pairs to exclude (may be nil)
-	// seeds are pre-scored pairs (scores already under THIS config,
-	// already C-filtered) used to initialize the top-k list.
+	// seeds is a parent config's finished top-k list, absorbed (rescored
+	// under this config, C pairs dropped) before the index is built. The
+	// join is exact (see runJoin), so whether a list is given changes
+	// only the work done, never the result.
 	seeds []ScoredPair
-	// mergeCh optionally delivers a late parent top-k list (adjusted to
-	// this config) while the join runs; taken at a checkpoint and
-	// absorbed at the next row start. The join is exact (see runJoin), so
-	// whether and when the list arrives changes only the work done, never
-	// the result.
-	mergeCh <-chan []ScoredPair
 	// done aborts the run once closed: the index and row loops read it
 	// every progressStride records, rows or posting entries. Nil never
 	// fires.
@@ -53,10 +49,10 @@ type runOpts struct {
 // All pruning is strict (a bound must fall below the k-th retained score
 // before anything is skipped), so the returned list is the exact top-k of
 // D under the total order (score desc, idA asc, idB asc) — a pure
-// function of (corpus, mask, k, C, measure). Seeds and mid-run merges
-// change only how much work the join does, never its output; that
-// invariance is what lets JoinAll run configs concurrently and hand
-// parent lists over at any time and still return the serial bytes.
+// function of (corpus, mask, k, C, measure). Seeds change only how much
+// work the join does, never its output; that invariance is what lets
+// JoinAll run configs concurrently, seed a child only when its parent
+// has already finished, and still return the serial bytes.
 func runJoin(cor *Corpus, mask config.Mask, opt runOpts) TopKList {
 	if opt.stats == nil {
 		opt.stats = &runStats{}

@@ -31,8 +31,7 @@ func (p *rowProbe) wire(cor *Corpus, mask config.Mask, opt runOpts) {
 	p.rs = opt.stats
 	p.top.k, p.top.items = opt.k, p.top.items[:0]
 	p.cur = progCursor{block: opt.prog.counters()}
-	p.done, p.mergeCh, p.span = opt.done, opt.mergeCh, opt.span
-	p.pending = nil
+	p.done, p.span = opt.done, opt.span
 
 	nB := len(p.ids.b)
 	p.row = grow(p.row, nB)
@@ -117,22 +116,21 @@ func sortByCap(list []postEntry) {
 	}
 }
 
-// absorb folds a parent config's top-k pairs into this join. Each pair
-// is rescored under this config — a child drops attributes, so both
-// lengths and the overlap change — and offered to the heap. Pairs in C
-// and pairs whose row already ran (A < from) are dropped: a finished
-// row is exact without them. The rest are marked for their rows, so no
-// row offers them again. A list is a top-k list, which holds no pair
-// twice, and a join absorbs seeds or one merge, never both.
-func (p *rowProbe) absorb(list []ScoredPair, from int32) {
+// absorb folds the seeds, a parent config's finished top-k pairs, into
+// this join before the index is built. Each pair is rescored under this
+// config — a child drops attributes, so both lengths and the overlap
+// change — and offered to the heap. Pairs in C are dropped. The rest are
+// marked for their rows, so no row offers them again; a seed list is a
+// top-k list, which holds no pair twice.
+func (p *rowProbe) absorb(list []ScoredPair) {
 	for _, pr := range list {
-		if pr.A >= from && !p.c.Contains(int(pr.A), int(pr.B)) {
+		if !p.c.Contains(int(pr.A), int(pr.B)) {
 			sp := ScoredPair{A: pr.A, B: pr.B, Score: p.score(pr.A, pr.B)}
 			p.top.offer(sp)
 			p.marks = append(p.marks, sp)
 		}
 	}
-	slices.SortFunc(p.marks[p.markAt:], byPair)
+	slices.SortFunc(p.marks, byPair)
 }
 
 // index builds B's posting lists over the positions whose cap reaches
@@ -174,41 +172,25 @@ func (p *rowProbe) index() bool {
 }
 
 // checkpoint runs once per progressStride rows or posting entries: it
-// publishes progress, reads cancellation, and takes a parent list that
-// arrived since (absorbed at the next row start). Returns true if the
-// join was cancelled.
+// publishes progress and reads cancellation. Returns true if the join
+// was cancelled.
 //
 //mc:hotpath
 func (p *rowProbe) checkpoint() bool {
 	p.nextCheck = p.steps + progressStride
 	p.cur.flush(p.rs, len(p.cands), p.top.Len())
-	if p.cancelled() {
-		return true
-	}
-	if p.mergeCh != nil {
-		select {
-		case list := <-p.mergeCh:
-			p.pending = list
-			p.mergeCh = nil
-		default:
-		}
-	}
-	return false
+	return p.cancelled()
 }
 
 // probe walks A's rows in id order (or until cancelled — returns true).
-// Before a row runs it absorbs a pending parent list, raises the
-// threshold to the k-th score and marks the row's absorbed pairs.
+// Before a row runs it raises the threshold to the k-th score and marks
+// the row's absorbed seeds.
 //
 //mc:hotpath
 func (p *rowProbe) probe() bool {
 	for a := int32(0); a < int32(len(p.ids.a)); a++ {
 		if p.steps++; p.steps >= p.nextCheck && p.checkpoint() {
 			return true
-		}
-		if p.pending != nil {
-			p.absorb(p.pending, a)
-			p.pending = nil
 		}
 		p.raise()
 		for ; p.markAt < len(p.marks) && p.marks[p.markAt].A == a; p.markAt++ {
@@ -431,7 +413,7 @@ func (p *rowProbe) join(cor *Corpus, mask config.Mask, opt runOpts) TopKList {
 	opt.prog.configStarted()
 	defer opt.prog.configDone()
 	p.wire(cor, mask, opt)
-	p.absorb(opt.seeds, 0)
+	p.absorb(opt.seeds)
 	p.raise()
 
 	idxSpan := span.Child("ssjoin.index")

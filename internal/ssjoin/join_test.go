@@ -363,13 +363,14 @@ func TestListReuseSeedsDoNotCorrupt(t *testing.T) {
 	}
 }
 
-func TestCorpusAvgTokens(t *testing.T) {
+func TestCorpusRecordLengths(t *testing.T) {
 	cor, _ := corpusFor(t, []string{"v"},
 		[][]string{{"a b c d"}},
 		[][]string{{"e f"}},
 	)
-	if math.Abs(cor.AvgTokens-3) > 1e-12 {
-		t.Errorf("AvgTokens = %g, want 3", cor.AvgTokens)
+	full := config.Mask(1)
+	if la, lb := cor.recsA[0].lenUnder(full), cor.recsB[0].lenUnder(full); la != 4 || lb != 2 {
+		t.Errorf("record lengths = %d, %d, want 4, 2", la, lb)
 	}
 	if cor.NumA() != 1 || cor.NumB() != 1 {
 		t.Error("sizes wrong")

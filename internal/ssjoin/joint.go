@@ -32,9 +32,9 @@ type Options struct {
 	// Workers bounds the number of configs processed concurrently
 	// (default GOMAXPROCS). Every single-config join returns the exact
 	// top-k of its config under the total order (score desc, idA, idB),
-	// so neither Workers nor the list-reuse handoff (seed vs. mid-run
-	// merge) can change any output bit: runs are bit-reproducible at
-	// every worker count.
+	// so neither Workers nor the list-reuse handoff (a child seeded from
+	// its finished parent, or run cold) can change any output bit: runs
+	// are bit-reproducible at every worker count.
 	Workers int
 	// DisableListReuse turns off the Section 4.2 list reuse (a child
 	// config starting from its parent's top-k), for the §6.5 ablation.
@@ -101,9 +101,6 @@ type Stats struct {
 	// are not part of the PruneKills grand total.
 	PruneKillsLengthFilter int64
 	PruneKillsPrefixPos    int64
-	// Deprecated: always zero. The row loop writes no token instance
-	// off: progress counts rows (Rows), every one of which runs.
-	SkippedInstances int64
 	// Deprecated: always zero. The row-local kernel scores every
 	// candidate at its row's end; there is no q.
 	QUsed int
@@ -159,8 +156,8 @@ func (r *joinRun) end() { r.opt.Progress.finishRun(r.cancelled()) }
 
 // join runs one config under its ssjoin.config span, then flushes the
 // config's counts into the registry and its lineage into provenance. ro
-// carries the caller's per-config inputs (seeds, mergeCh); reuse,
-// when set, is the span's list_reuse attr.
+// carries the caller's per-config seeds; reuse, when set, is the span's
+// list_reuse attr.
 func (r *joinRun) join(mask config.Mask, ro runOpts, reuse string) (TopKList, *runStats) {
 	rs := &runStats{}
 	csp := r.opt.Trace.Child("ssjoin.config",
@@ -191,10 +188,11 @@ func JoinOne(cor *Corpus, mask config.Mask, c *blocker.PairSet, opt Options) Top
 }
 
 // JoinAll processes every config of the tree jointly (Section 4.2) on
-// min(Workers, configs) workers in breadth-first order. A child seeds its
-// top-k list from its parent's finished list, or starts empty and merges
-// the parent's list when it arrives mid-run. Scores are not reused: each
-// is one exact merge of two token lists (EXPERIMENTS.md §6.5 item 3).
+// min(Workers, configs) workers in breadth-first order. A child whose
+// parent has finished when it starts is seeded with the parent's list
+// (list_reuse=seed); one whose parent is still running runs cold
+// (list_reuse=miss). Scores are not reused: each is one exact merge of
+// two token lists (EXPERIMENTS.md §6.5 item 3).
 // Once Ctx is done a worker starts no further config; those keep an
 // empty list.
 func JoinAll(cor *Corpus, c *blocker.PairSet, opt Options) *JoinResult {
@@ -213,12 +211,6 @@ func JoinAll(cor *Corpus, c *blocker.PairSet, opt Options) *JoinResult {
 	// deterministically (node order) after the workers join.
 	nodeStats := make([]*runStats, len(nodes))
 	finished := make([]atomic.Bool, len(nodes))
-	mergeChs := make([]chan []ScoredPair, len(nodes))
-	for i, n := range nodes {
-		if n.Parent != nil && !opt.DisableListReuse {
-			mergeChs[i] = make(chan []ScoredPair, 1)
-		}
-	}
 
 	jobs := make(chan int)
 	var wg sync.WaitGroup
@@ -233,24 +225,13 @@ func JoinAll(cor *Corpus, c *blocker.PairSet, opt Options) *JoinResult {
 				n := nodes[i]
 				ro, reuse := runOpts{}, ""
 				if n.Parent != nil && !opt.DisableListReuse {
+					reuse = "miss"
 					if pi := idxOf[n.Parent]; finished[pi].Load() {
 						ro.seeds, reuse = lists[pi].Pairs, "seed"
-					} else {
-						ro.mergeCh, reuse = mergeChs[i], "merge"
 					}
 				}
 				lists[i], nodeStats[i] = r.join(n.Mask, ro, reuse)
 				finished[i].Store(true)
-				for _, ch := range n.Children {
-					ci := idxOf[ch]
-					if mergeChs[ci] == nil {
-						continue
-					}
-					select {
-					case mergeChs[ci] <- lists[i].Pairs:
-					default:
-					}
-				}
 			}
 		}()
 	}

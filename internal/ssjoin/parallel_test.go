@@ -7,8 +7,8 @@ package ssjoin
 // concurrent config joins with live telemetry, tracing, and provenance
 // attached. The underlying invariant is that every single-config join
 // returns the exact top-k of D = A×B−C under the total order (score
-// desc, idA, idB), whichever worker runs it and whenever its parent's
-// list arrives.
+// desc, idA, idB), whichever worker runs it and whether or not its
+// parent's list seeds it.
 
 import (
 	"fmt"
@@ -257,5 +257,66 @@ func TestParallelRaceStress(t *testing.T) {
 	}
 	if reg.Snapshot() == nil {
 		t.Fatal("registry snapshot unavailable after stress")
+	}
+}
+
+// TestListReuseHandoffSeedOrMiss pins JoinAll's list-reuse handoff
+// through the list_reuse attr of each ssjoin.config span: at Workers 1
+// every parent finishes before its children start, so every non-root
+// config is seeded; at Workers 2 and 8 a child is seeded or runs cold
+// (miss), with lists bit-identical to Workers 1; DisableListReuse sets
+// the attr on no span.
+func TestListReuseHandoffSeedOrMiss(t *testing.T) {
+	rng := rand.New(rand.NewSource(700))
+	cor, res, c := randomCorpus(t, rng, 40, 40)
+	if len(res.Nodes()) < 3 {
+		t.Fatalf("config tree has %d nodes, too few to hand a list over", len(res.Nodes()))
+	}
+	root := res.String(res.Root.Mask)
+	// run joins every config under a fresh tracer and returns the lists
+	// and each config's list_reuse attr ("" when the span has none).
+	run := func(w int, disable bool) ([]TopKList, map[string]string) {
+		tracer := telemetry.NewTracer(telemetry.Disabled())
+		sp := tracer.Start("handoff")
+		got := JoinAll(cor, c, Options{K: 10, Workers: w, DisableListReuse: disable, Trace: sp})
+		sp.End()
+		reuse := map[string]string{}
+		for _, e := range tracer.Export() {
+			if e.Name == "ssjoin.config" {
+				reuse[e.Attrs["config"]] = e.Attrs["list_reuse"]
+			}
+		}
+		if len(reuse) != len(got.Lists) {
+			t.Fatalf("workers=%d: %d config spans for %d configs", w, len(reuse), len(got.Lists))
+		}
+		return got.Lists, reuse
+	}
+
+	ref, reuse := run(1, false)
+	for cfg, v := range reuse {
+		want := "seed"
+		if cfg == root {
+			want = ""
+		}
+		if v != want {
+			t.Errorf("workers=1 config %s: list_reuse %q, want %q", cfg, v, want)
+		}
+	}
+	_, reuse = run(1, true)
+	for cfg, v := range reuse {
+		if v != "" {
+			t.Errorf("DisableListReuse config %s: list_reuse %q, want none", cfg, v)
+		}
+	}
+	for _, w := range []int{2, 8} {
+		for rep := 0; rep < 5; rep++ {
+			lists, reuse := run(w, false)
+			requireIdenticalLists(t, fmt.Sprintf("workers=%d rep=%d", w, rep), lists, ref)
+			for cfg, v := range reuse {
+				if cfg == root && v != "" || cfg != root && v != "seed" && v != "miss" {
+					t.Errorf("workers=%d config %s: list_reuse %q", w, cfg, v)
+				}
+			}
+		}
 	}
 }

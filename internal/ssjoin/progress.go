@@ -144,11 +144,9 @@ type ProgressSnapshot struct {
 	// Row accounting over the configs started so far: ProbesDone counts
 	// A rows walked to their end, ProbesTotal the A rows of every config
 	// whose index is built, so done converges to total as configs
-	// finish. ProbesSkipped is always zero (the row loop writes no row
-	// off); done+skipped stays the accounted work.
-	ProbesDone    int64 `json:"probes_done"`
-	ProbesSkipped int64 `json:"probes_skipped"`
-	ProbesTotal   int64 `json:"probes_total"`
+	// finish.
+	ProbesDone  int64 `json:"probes_done"`
+	ProbesTotal int64 `json:"probes_total"`
 	// Candidates killed per prune tier (DESIGN.md "Join progress
 	// observability").
 	PruneKillPushCap    int64 `json:"prune_kill_push_cap"`
@@ -159,11 +157,11 @@ type ProgressSnapshot struct {
 	// proved they can never reach the running top-k.
 	PruneKillLengthFilter int64 `json:"prune_kill_length_filter"`
 	PruneKillPrefixPos    int64 `json:"prune_kill_prefix_pos"`
-	// EventHeapLive is the candidates of the row in flight at the last
-	// sample (the row array's touched entries); 0 once the run ends.
-	EventHeapLive int64 `json:"event_heap_live"`
-	TopKLive      int64 `json:"topk_live"`
-	Samples       int64 `json:"samples"`
+	// RowLive is the candidates of the row in flight at the last sample
+	// (the row array's touched entries); 0 once the run ends.
+	RowLive  int64 `json:"row_live"`
+	TopKLive int64 `json:"topk_live"`
+	Samples  int64 `json:"samples"`
 	// Fraction estimates run completion in [0, 1]; ETASeconds is -1 until
 	// enough work has been accounted to extrapolate.
 	Fraction   float64 `json:"fraction"`
@@ -192,7 +190,7 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 		*f = p.c.n[k].Load()
 	}
 	snap.ProbesTotal = p.c.probesTotal.Load()
-	snap.EventHeapLive = p.c.rowLive.Load()
+	snap.RowLive = p.c.rowLive.Load()
 	snap.TopKLive = p.c.topkLive.Load()
 	snap.Samples = p.c.samples.Load()
 	snap.Fraction, snap.ETASeconds = estimate(&snap)
@@ -230,7 +228,7 @@ func (s *ProgressSnapshot) PruneTiers() []TierKills {
 }
 
 // estimate derives (fraction, eta). The per-config row fraction
-// (done+skipped over total) covers only the configs started, so it is
+// (done over total) covers only the configs started, so it is
 // scaled down by started/total; unstarted configs are extrapolated at
 // the average cost of the started ones. ETA is a straight-line
 // extrapolation of elapsed time over the remaining fraction.
@@ -241,7 +239,7 @@ func estimate(s *ProgressSnapshot) (float64, float64) {
 	if s.ConfigsTotal == 0 || s.ConfigsStarted == 0 || s.ProbesTotal == 0 {
 		return 0, -1
 	}
-	accounted := float64(s.ProbesDone + s.ProbesSkipped)
+	accounted := float64(s.ProbesDone)
 	estTotal := float64(s.ProbesTotal) * float64(s.ConfigsTotal) / float64(s.ConfigsStarted)
 	f := accounted / estTotal
 	if f > 1 {

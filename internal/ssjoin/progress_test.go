@@ -51,25 +51,20 @@ func TestProgressAccountingConverges(t *testing.T) {
 		if want := int64(40 * len(res.Lists)); snap.ProbesTotal != want {
 			t.Fatalf("workers=%d: %d rows accounted, want 40 rows x %d configs", w, snap.ProbesTotal, len(res.Lists))
 		}
-		if got := snap.ProbesDone + snap.ProbesSkipped; got != snap.ProbesTotal {
-			t.Fatalf("workers=%d: done %d + skipped %d = %d, want total %d",
-				w, snap.ProbesDone, snap.ProbesSkipped, got, snap.ProbesTotal)
+		if snap.ProbesDone != snap.ProbesTotal {
+			t.Fatalf("workers=%d: done %d, want total %d", w, snap.ProbesDone, snap.ProbesTotal)
 		}
 		if snap.ConfigsDone != snap.ConfigsTotal || snap.ConfigsStarted != snap.ConfigsTotal {
 			t.Fatalf("workers=%d: configs done/started/total = %d/%d/%d",
 				w, snap.ConfigsDone, snap.ConfigsStarted, snap.ConfigsTotal)
 		}
-		if snap.EventHeapLive != 0 {
-			t.Fatalf("workers=%d: finished run reports a live row of %d candidates", w, snap.EventHeapLive)
+		if snap.RowLive != 0 {
+			t.Fatalf("workers=%d: finished run reports a live row of %d candidates", w, snap.RowLive)
 		}
 		// The tracker and Stats report through the same counter stream.
 		if snap.ProbesDone != res.Stats.Rows {
 			t.Fatalf("workers=%d: snapshot rows %d != Stats.Rows %d",
 				w, snap.ProbesDone, res.Stats.Rows)
-		}
-		if snap.ProbesSkipped != 0 || res.Stats.SkippedInstances != 0 {
-			t.Fatalf("workers=%d: skipped %d / Stats.SkippedInstances %d, want 0",
-				w, snap.ProbesSkipped, res.Stats.SkippedInstances)
 		}
 	}
 }

@@ -98,7 +98,7 @@ def drive_gold(su):
     snap = json.loads(expect("GET", f"{su}/progress", 200))
     if snap["joining"] or not snap["join"]["done"]:
         sys.exit(f"finished-join progress shape: {snap}")
-    if snap["join"]["probes_done"] + snap["join"].get("probes_skipped", 0) <= 0:
+    if snap["join"]["probes_done"] <= 0:
         sys.exit(f"finished-join progress counted no probes: {snap}")
     for _ in range(200):
         n = json.loads(expect("POST", f"{su}/next", 200))
