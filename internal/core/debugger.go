@@ -207,6 +207,16 @@ func (d *Debugger) Ranking() []blocker.Pair {
 	return d.verif.Ranking()
 }
 
+// RankingPage returns the pairs of Ranking from offset on, at most limit
+// of them, and the length of the whole ranking. The page is the
+// caller's to keep; a session host pages with it without copying the
+// whole ranking per request.
+func (d *Debugger) RankingPage(offset, limit int) ([]blocker.Pair, int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.verif.RankingPage(offset, limit)
+}
+
 // Candidates returns E as a pair set.
 func (d *Debugger) Candidates() *blocker.PairSet {
 	e := blocker.NewPairSet()

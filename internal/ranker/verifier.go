@@ -106,9 +106,10 @@ type Verifier struct {
 	// Round buffers, reused so a warm round allocates only Next's batch.
 	pending []int             // item indices returned by the last Next
 	train   []rforest.Example // the labelled set, in item order
-	ranked  []scored          // unlabelled items with their confidence
+	ranked  []scored          // unlabelled items under forest, byConfidence
+	contro  []scored          // a hybrid round's controversial picks
 	forest  rforest.Forest    // refitted in place each round
-	stale   bool
+	stale   bool              // labels changed since forest and ranked were made
 
 	vm    verifierMetrics
 	trace *telemetry.TraceSpan
@@ -294,45 +295,45 @@ func (v *Verifier) NumCandidates() int { return len(v.ids) }
 // mode) it is the aggregated bootstrap order; afterwards pairs are
 // ordered by the forest's positive confidence, ties broken by pool
 // index — the same order Next's confident phase consumes. Its only
-// side effect is lazily training the seed-deterministic forest that
-// the next Next would train anyway, so a caller may page through the
-// ranking between iterations without perturbing the session's
-// trajectory (the same-seed report stays byte-identical whether or not
-// Ranking was ever called).
+// side effect is lazily training and scoring the seed-deterministic
+// forest that the next Next would use anyway, so a caller may page
+// through the ranking between iterations without perturbing the
+// session's trajectory (the same-seed report stays byte-identical
+// whether or not Ranking was ever called). The slice is the caller's
+// to keep.
 func (v *Verifier) Ranking() []blocker.Pair {
-	if v.opt.Mode == ModeWMR || !v.haveMatch || !v.haveNon {
-		out := make([]blocker.Pair, 0, len(v.ids)-v.nLabeled)
-		for _, p := range v.order {
-			if v.state[v.item(p)] == unlabeled {
-				out = append(out, p)
-			}
-		}
-		return out
-	}
-	v.ensureForest()
-	ranked := v.score()
-	slices.SortFunc(ranked, byConfidence)
-	out := make([]blocker.Pair, len(ranked))
-	for i, s := range ranked {
-		out[i] = idPair(v.ids[s.idx])
-	}
-	return out
+	page, _ := v.RankingPage(0, len(v.ids))
+	return page
 }
 
-// score fills the reused ranked buffer with every unlabelled item not
-// taken by this Next, and its forest confidence, in item order.
-func (v *Verifier) score() []scored {
-	if v.ranked == nil {
-		v.ranked = make([]scored, 0, len(v.state))
-	}
-	ranked := v.ranked[:0]
-	for i, st := range v.state {
-		if st == unlabeled {
-			ranked = append(ranked, scored{i, v.forest.Confidence(v.vec(i))})
+// RankingPage returns the pairs of Ranking from offset on, at most
+// limit of them, in a fresh slice, and the length of the whole ranking.
+// An offset past the end gives an empty page. The forest's ranking is
+// scored and sorted once per Feedback, so paging costs only the page.
+func (v *Verifier) RankingPage(offset, limit int) ([]blocker.Pair, int) {
+	total := len(v.ids) - v.nLabeled
+	offset = min(max(offset, 0), total)
+	end := offset + min(max(limit, 0), total-offset)
+	out := make([]blocker.Pair, 0, end-offset)
+	if v.opt.Mode == ModeWMR || !v.haveMatch || !v.haveNon {
+		k := 0
+		for _, p := range v.order {
+			if k == end {
+				break
+			}
+			if v.state[v.item(p)] == unlabeled {
+				if k >= offset {
+					out = append(out, p)
+				}
+				k++
+			}
 		}
+		return out, total
 	}
-	v.ranked = ranked
-	return ranked
+	for _, s := range v.rank()[offset:end] {
+		out = append(out, idPair(v.ids[s.idx]))
+	}
+	return out, total
 }
 
 // Iterations returns the number of completed Feedback rounds.
@@ -408,14 +409,25 @@ func (v *Verifier) nextFromOrder() {
 // fills the rest with the highest-confidence pairs (Section 5's hybrid
 // that serves both the learner and the user's hunt for matches).
 func (v *Verifier) nextHybrid() {
-	v.ensureForest()
-	nContro := v.opt.N / 4
-	ranked := v.predict()
-	slices.SortFunc(ranked, byControversy)
-	for _, s := range ranked {
-		if len(v.pending) >= nContro {
-			break
+	// The n/4 items first in byControversy order, kept sorted by
+	// insertion in one pass over the ranking: no pool-sized copy.
+	best := v.contro[:0]
+	if nContro := v.opt.N / 4; nContro > 0 {
+		for _, s := range v.rank() {
+			if len(best) == nContro {
+				if byControversy(s, best[nContro-1]) >= 0 {
+					continue
+				}
+				best = best[:nContro-1]
+			}
+			best = append(best, s)
+			for k := len(best) - 1; k > 0 && byControversy(best[k], best[k-1]) < 0; k-- {
+				best[k], best[k-1] = best[k-1], best[k]
+			}
 		}
+	}
+	v.contro = best
+	for _, s := range best {
 		v.pending = append(v.pending, s.idx)
 		v.state[s.idx] = taken
 	}
@@ -429,14 +441,16 @@ func (v *Verifier) nextHybrid() {
 
 // nextConfident appends to pending the n unlabeled pairs with the
 // highest positive prediction confidence, skipping any already taken.
+// Skipping in the ranking of the whole pool gives the order of the
+// untaken pairs alone, since byConfidence is a total order.
 func (v *Verifier) nextConfident(n int) {
-	v.ensureForest()
-	ranked := v.predict()
-	slices.SortFunc(ranked, byConfidence)
 	picked := 0
-	for _, s := range ranked {
+	for _, s := range v.rank() {
 		if picked >= n {
 			break
+		}
+		if v.state[s.idx] != unlabeled {
+			continue
 		}
 		v.pending = append(v.pending, s.idx)
 		picked++
@@ -444,21 +458,37 @@ func (v *Verifier) nextConfident(n int) {
 	v.vm.confident.Add(int64(picked))
 }
 
-// predict scores the pool under a verifier.predict span.
-func (v *Verifier) predict() []scored {
+// rank returns the unlabelled pool under the current forest, highest
+// confidence first. After a Feedback it refits the forest, scores the
+// pool under one verifier.predict span and sorts it; until the next
+// Feedback, Next and every Ranking page read that result.
+func (v *Verifier) rank() []scored {
+	if !v.stale {
+		return v.ranked
+	}
+	v.fit()
 	predStart := time.Now()
 	psp := v.trace.Child("verifier.predict")
-	ranked := v.score()
+	if v.ranked == nil {
+		v.ranked = make([]scored, 0, len(v.state))
+	}
+	ranked := v.ranked[:0]
+	for i, st := range v.state {
+		if st == unlabeled {
+			ranked = append(ranked, scored{i, v.forest.Confidence(v.vec(i))})
+		}
+	}
 	psp.SetAttrInt("pairs", int64(len(ranked)))
 	psp.End()
 	v.vm.predictSeconds.Observe(time.Since(predStart).Seconds())
+	slices.SortFunc(ranked, byConfidence)
+	v.ranked = ranked
+	v.stale = false
 	return ranked
 }
 
-func (v *Verifier) ensureForest() {
-	if !v.stale {
-		return
-	}
+// fit refits the forest on the labelled set under a verifier.fit span.
+func (v *Verifier) fit() {
 	// Train on the labeled set in item order: the forest's bootstrap
 	// draws examples by slice position, so the build order must be fixed
 	// for the seeded training to be reproducible.
@@ -483,7 +513,6 @@ func (v *Verifier) ensureForest() {
 		// safe and fall back to a trivial forest via a single negative.
 		_ = v.forest.Fit([]rforest.Example{{X: make([]float64, len(v.vec(0))), Y: false}}, fopt)
 	}
-	v.stale = false
 }
 
 // Feedback records the user's labels for the pairs of the last Next call

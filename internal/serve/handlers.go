@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
+	"sync"
 	"time"
 
 	"matchcatcher/internal/blocker"
@@ -72,12 +73,54 @@ type labelsRequest struct {
 	Labels []bool `json:"labels"`
 }
 
+// jsonBuf is a response buffer with an indenting encoder bound to it,
+// so a response builds neither.
+type jsonBuf struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+// maxPooledJSON caps the buffers jsonBufs keeps: one large response
+// (a 1000-pair candidates page is ~40 KiB) must not pin its memory.
+const maxPooledJSON = 64 << 10
+
+var jsonBufs = sync.Pool{New: func() any {
+	b := new(jsonBuf)
+	b.enc = json.NewEncoder(&b.buf)
+	b.enc.SetIndent("", "  ")
+	return b
+}}
+
+// writeJSON answers v as indented JSON plus a newline: the bytes of
+// json.MarshalIndent(v, "", "  ") and "\n".
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	b := jsonBufs.Get().(*jsonBuf)
+	defer releaseJSON(b)
+	b.buf.Reset()
+	err := b.enc.Encode(v)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	if err == nil {
+		_, _ = w.Write(b.buf.Bytes()) // a failed write is the client's loss; the status is sent
+	}
+}
+
+func releaseJSON(b *jsonBuf) {
+	if b.buf.Cap() <= maxPooledJSON {
+		jsonBufs.Put(b)
+	}
+}
+
+// byteCounter counts the bytes read through it.
+type byteCounter struct {
+	r io.Reader
+	n int64
+}
+
+func (c *byteCounter) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // writeError answers an error and annotates the request's wide event
@@ -220,7 +263,11 @@ func (s *Server) handleUploadTable(w http.ResponseWriter, r *http.Request, sess 
 		writeError(w, http.StatusConflict, "session already joined; tables are frozen")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, remaining))
+	// Parse straight from the capped body: the upload is never held
+	// whole, and no buffer is sized from the client's Content-Length.
+	// A malformed row before the budget runs out answers 400 first.
+	body := &byteCounter{r: http.MaxBytesReader(w, r.Body, remaining)}
+	t, err := table.ReadCSV(name, body)
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -229,11 +276,6 @@ func (s *Server) handleUploadTable(w http.ResponseWriter, r *http.Request, sess 
 				fmt.Sprintf("upload exceeds the session's remaining memory budget (%d bytes left)", remaining))
 			return
 		}
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	t, err := table.ReadCSV(name, bytes.NewReader(body))
-	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -248,14 +290,14 @@ func (s *Server) handleUploadTable(w http.ResponseWriter, r *http.Request, sess 
 	} else {
 		sess.b = t
 	}
-	sess.memUsed += int64(len(body))
+	sess.memUsed += body.n
 	if sess.st == stateCreated || sess.st == stateTables {
 		// Re-uploads while blocked stay blocked; the blocker result is
 		// replaced on the next /blocker call, not invalidated here.
 		_ = sess.advanceLocked(stateTables)
 	}
 	sess.mu.Unlock()
-	telemetry.SpanFromContext(r.Context()).SetAttrInt("bytes", int64(len(body)))
+	telemetry.SpanFromContext(r.Context()).SetAttrInt("bytes", body.n)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"table": t.Name(), "rows": t.NumRows(), "attrs": t.Attrs(),
 	})
@@ -391,21 +433,13 @@ func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request, sess *
 		writeError(w, http.StatusBadRequest, "want offset >= 0 and 0 < limit <= 1000")
 		return
 	}
-	ranking := dbg.Ranking()
-	total := len(ranking)
-	if offset > total {
-		offset = total
-	}
-	end := offset + limit
-	if end > total {
-		end = total
-	}
-	pairs := make([]pairJSON, 0, end-offset)
-	for _, p := range ranking[offset:end] {
-		pairs = append(pairs, pairJSON{A: p.A, B: p.B})
+	page, total := dbg.RankingPage(offset, limit)
+	pairs := make([]pairJSON, len(page))
+	for i, p := range page {
+		pairs[i] = pairJSON{A: p.A, B: p.B}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"total": total, "offset": offset, "pairs": pairs,
+		"total": total, "offset": min(offset, total), "pairs": pairs,
 	})
 }
 
