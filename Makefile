@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check mclint lint-hotalloc lint vuln fuzz-smoke perf-baseline perf-check serve-smoke
+.PHONY: all build test race vet fmt-check mclint lint-hotalloc lint vuln fuzz-smoke serve-smoke overhead-bench overhead-check overhead-baseline
 
 all: build test
 
@@ -66,95 +66,100 @@ vuln:
 serve-smoke:
 	bash scripts/smoke_mcserve.sh
 
+# fuzz-smoke runs a 10s fuzz pass per target; CI's fuzz-smoke job runs
+# this target, so a new target is listed here only.
 fuzz-smoke:
+# The blocker's rule parser and the Soundex normalizer chew raw user
+# input (Magellan-style rule strings, arbitrary attribute values), so
+# a 10s smoke per target catches panics cheaply without a long
+# fuzzing job.
 	$(GO) test ./internal/blocker -run '^$$' -fuzz FuzzParse -fuzztime 10s
 	$(GO) test ./internal/blocker -run '^$$' -fuzz FuzzSoundex -fuzztime 10s
+# Differential fuzz over the rule executor: a rule from the zoo with
+# fuzzed thresholds, as a drop or keep rule, on two fuzzed tables
+# (accents, punctuation, padded numbers, empty values) must keep
+# exactly the brute-force keep set, serially and through Concurrent
+# (DESIGN.md "Rule-blocker execution").
 	$(GO) test ./internal/blocker -run '^$$' -fuzz FuzzRuleBlock -fuzztime 10s
+# Differential fuzz over the sealed candidate set: interleaved Adds,
+# Unions (self-unions included) and reads that re-seal it must agree
+# with a map reference and iterate in ascending (A, B) order, with
+# negative B ids, and A ids up to 2^31-1 that must not get a giant
+# row index (DESIGN.md "Session preparation").
 	$(GO) test ./internal/blocker -run '^$$' -fuzz FuzzPairSet -fuzztime 10s
+# The one-pass value normalizer against strings.Join(strings.Fields(
+# strings.ToLower(s)), " "): invalid UTF-8, Unicode spaces and case
+# folds that change byte length.
 	$(GO) test ./internal/tokenize -run '^$$' -fuzz FuzzNormalize -fuzztime 10s
+# Differential fuzz over the verifier's forest kernel: the presorted
+# kernel (one sort per feature per fit, weighted sweeps over stably
+# partitioned lists) on the flat node slab must grow exactly the
+# trees of the rescanning reference trainer (ties, NaN, ±Inf values)
+# and give bit-equal confidences (DESIGN.md "Verifier forest kernel").
 	$(GO) test ./internal/rforest -run '^$$' -fuzz FuzzTrain -fuzztime 10s
+# Differential fuzz over MedRank's flat aggregation: the sorted entry
+# array must give the order, and leave the rng in the state, of the
+# map-based reference for any lists and weights — ties, missing and
+# repeated pairs, negative and zero weights included (DESIGN.md
+# inventory row 9).
 	$(GO) test ./internal/ranker -run '^$$' -fuzz FuzzAggregate -fuzztime 10s
+# Differential fuzz over top-k list merging: per-part bounded top-k
+# lists offered into one heap must be bit-identical to serial
+# insertion for any pair multiset — exact float ties and duplicate
+# pairs included. Order-free retention is what keeps the seed-or-miss
+# list-reuse handoff (a child seeded from its finished parent, or run
+# cold) and Workers out of the output (DESIGN.md "Determinism").
 	$(GO) test ./internal/ssjoin -run '^$$' -fuzz FuzzMergeTopK -fuzztime 10s
+# Differential fuzz over the row-local kernel's strict pair filters
+# and row-end bound: arbitrary corpora under any of the four
+# measures, unseeded and seeded, through the kernel vs. filter-free
+# BruteForce must agree bit for bit (DESIGN.md "Row-local join
+# kernel").
 	$(GO) test ./internal/ssjoin -run '^$$' -fuzz FuzzPrefixFilter -fuzztime 10s
+# Differential fuzz over session preparation: the one-pass slab
+# corpus build must give every token the rank, mask and lengths of
+# the reference build on fuzzed tables (case folds that change byte
+# length, invalid UTF-8, missing and repeated words) (DESIGN.md
+# "Session preparation").
 	$(GO) test ./internal/ssjoin -run '^$$' -fuzz FuzzNewCorpus -fuzztime 10s
+# CSV round trip: ReadCSV must never panic on arbitrary bytes, and any
+# table it accepts must come back identical (attrs and rows) through
+# WriteCSV and ReadCSV — one-column rows with an empty value included.
 	$(GO) test ./internal/table -run '^$$' -fuzz FuzzTableCSV -fuzztime 10s
+# The column-statistics helpers against the standard library: the
+# allocation-free field counter must equal len(strings.Fields) and the
+# ParseFloat prefilter must never reject a parsable value.
 	$(GO) test ./internal/config -run '^$$' -fuzz FuzzColumnHelpers -fuzztime 10s
 
-# Performance regression observability (DESIGN.md "Performance
-# Regression Observability"). perf-baseline reruns the pinned perf-gate
-# workload PERF_COUNT times on this machine and regenerates the
-# committed baseline mechanically with `mcperf report` — never edit
-# BENCH_perf_gate.json by hand. perf-check repeats the workload and
-# compares against the committed baseline; it exits non-zero on a
-# statistically significant regression (recall always blocks; latency
-# blocks only when the baseline came from a comparable machine).
-PERF_LEDGER  ?= perf-ledger.jsonl
-PERF_COUNT   ?= 5
-PERF_SCALE   ?= 0.1
-PERF_SEED    ?= 1
-
-perf-baseline:
-	rm -f $(PERF_LEDGER)
-	$(GO) run ./cmd/mcbench -exp perf-gate -scale $(PERF_SCALE) -seed $(PERF_SEED) \
-		-count $(PERF_COUNT) -ledger $(PERF_LEDGER)
-	$(GO) run ./cmd/mcperf report -ledger $(PERF_LEDGER) -format json \
-		-desc "pinned perf-gate workload: M2 joins (HASH1/HASH2/SIM1, k=1000) + M2/HASH1 debug session at scale $(PERF_SCALE), seed $(PERF_SEED)" \
-		-out BENCH_perf_gate.json
-
-perf-check:
-	rm -f $(PERF_LEDGER)
-	$(GO) run ./cmd/mcbench -exp perf-gate -scale $(PERF_SCALE) -seed $(PERF_SEED) \
-		-count 4 -ledger $(PERF_LEDGER)
-	$(GO) run ./cmd/mcperf check -baseline BENCH_perf_gate.json -ledger $(PERF_LEDGER)
-
-# On/off overhead gates, one per paired benchmark set. Each gate G
-# declares its package, benchmark regex and baseline description below;
-# one set of pattern recipes serves them all:
+# One on/off overhead gate for every paired …On/…Off benchmark in the
+# module (DESIGN.md "Performance Regression Observability"):
 #
-#   make G-overhead-bench     run the pairs and enforce the 5% budget
-#   make G-overhead-check     ...then mcperf check against BENCH_G_overhead.json
-#   make G-overhead-baseline  ...then regenerate BENCH_G_overhead.json
+#   make overhead-bench     run the pairs and enforce the 5% budget
+#   make overhead-check     ...then mcperf check against BENCH_overhead.json
+#   make overhead-baseline  ...then regenerate BENCH_overhead.json
 #
-# scripts/overhead_bench.sh runs the set OVERHEAD_COUNT times so each
-# invocation's On rep pairs with an Off rep taken seconds later under
-# correlated load, and retries once after a cooldown if a load burst
-# shifted the window. The median paired on/off ratio must stay inside
-# the 5% budget (mcperf overhead — same-process ratios, so meaningful on
-# any machine); -cpu 1 pins the benchmark names (no -N suffix) so ledger
-# keys stay stable across hosts. mcperf check blocks on absolute drift
-# only when the host matches the committed baseline's fingerprint. CI's
-# overhead matrix runs the same steps, one row per gate.
+# scripts/overhead_bench.sh runs all pairs in one `go test ./...` per
+# invocation, OVERHEAD_COUNT times, so each invocation's On rep pairs
+# with an Off rep taken seconds later under correlated load, and retries
+# once after a cooldown if a load burst shifted the window. The median
+# paired on/off ratio must stay inside the 5% budget (mcperf overhead —
+# same-process ratios, so meaningful on any machine). mcperf check
+# blocks on absolute drift only when the host matches the committed
+# baseline's fingerprint. CI's overhead job runs the same steps. Never
+# edit BENCH_overhead.json by hand.
 OVERHEAD_COUNT ?= 6
 
-# The bench step is a prerequisite of the other two, not a file: keep
-# make from treating it as an intermediate to delete.
-.SECONDARY:
+overhead-bench:
+	bash scripts/overhead_bench.sh overhead-bench.out $(OVERHEAD_COUNT)
+	rm -f overhead-ledger.jsonl
+	$(GO) run ./cmd/mcperf record -ledger overhead-ledger.jsonl -from-bench \
+		-exp overhead -seed 1 < overhead-bench.out
 
-# serve: the full HTTP envelope with the flight recorder on vs off.
-serve_PKG   := ./internal/serve
-serve_BENCH := Recorder
-serve_DESC  := serve request envelope with the flight recorder on vs off: full HTTP stack (mux, envelope, metrics, canonical log) via httptest on GET /healthz and GET /v1/sessions/<id>
-# progress: JoinAll with and without a Progress tracker attached.
-progress_PKG   := ./internal/ssjoin
-progress_BENCH := JoinProgress
-progress_DESC  := JoinAll with a Progress tracker attached vs not: 900x900 synthetic corpus, city blocker, k=500
-# join: the M2 JoinOne with a live registry vs telemetry.Disabled()
-# (Telemetry pair) and with a trace tree vs without (Trace pair).
-join_PKG   := .
-join_BENCH := JoinOneM2
-join_DESC  := M2 JoinOne (Music2 at 1/10 scale, HASH1 artist_name, root config, k=1000): live registry vs telemetry.Disabled() (Telemetry pair), and a per-run trace tree on a live registry vs none (Trace pair)
+overhead-baseline: overhead-bench
+	$(GO) run ./cmd/mcperf report -ledger overhead-ledger.jsonl -format json \
+		-desc "every …On/…Off benchmark pair in the module, -cpu 1, $(OVERHEAD_COUNT) paired invocations; budget: each On arm adds <5% on the median paired on/off ratio (gated by mcperf overhead via scripts/overhead_bench.sh)" \
+		-out BENCH_overhead.json
 
-%-overhead-bench:
-	bash scripts/overhead_bench.sh $($*_PKG) $($*_BENCH) $*-bench.out $(OVERHEAD_COUNT)
-	rm -f $*-overhead-ledger.jsonl
-	$(GO) run ./cmd/mcperf record -ledger $*-overhead-ledger.jsonl -from-bench \
-		-exp $*-overhead -seed 1 < $*-bench.out
-
-%-overhead-baseline: %-overhead-bench
-	$(GO) run ./cmd/mcperf report -ledger $*-overhead-ledger.jsonl -format json \
-		-desc "$($*_DESC), -cpu 1, $(OVERHEAD_COUNT) paired invocations; budget: the On arm adds <5% on the median paired on/off ratio (gated by mcperf overhead via scripts/overhead_bench.sh)" \
-		-out BENCH_$*_overhead.json
-
-%-overhead-check: %-overhead-bench
-	$(GO) run ./cmd/mcperf check -baseline BENCH_$*_overhead.json \
-		-ledger $*-overhead-ledger.jsonl
+overhead-check: overhead-bench
+	$(GO) run ./cmd/mcperf check -baseline BENCH_overhead.json \
+		-ledger overhead-ledger.jsonl

@@ -7,7 +7,6 @@ package matchcatcher
 // full-size reports.
 
 import (
-	"os"
 	"sync"
 	"testing"
 
@@ -264,10 +263,9 @@ func BenchmarkMedRank(b *testing.B) {
 // TraceOn/Off adds a root span per iteration on top of the live
 // registry, under which JoinOne hangs its config / tokenize / index /
 // probe / topk spans; span starts are per-config, not per-candidate.
-// Each On arm must stay within 5% of its Off arm (mcperf overhead, the
-// join-overhead CI row; baseline BENCH_join_overhead.json). Set
-// MC_TRACE_OUT=<path> to have TraceOn also write its final iteration's
-// Chrome trace, which CI uploads for about:tracing / Perfetto.
+// Each On arm must stay within 5% of its Off arm (make overhead-check,
+// which gates every On/Off pair in the module; baseline
+// BENCH_overhead.json).
 func BenchmarkJoinOneM2TelemetryOn(b *testing.B)  { benchJoinOneM2(b, telemetry.New(), false) }
 func BenchmarkJoinOneM2TelemetryOff(b *testing.B) { benchJoinOneM2(b, telemetry.Disabled(), false) }
 func BenchmarkJoinOneM2TraceOn(b *testing.B)      { benchJoinOneM2(b, telemetry.New(), true) }
@@ -275,30 +273,14 @@ func BenchmarkJoinOneM2TraceOff(b *testing.B)     { benchJoinOneM2(b, telemetry.
 
 func benchJoinOneM2(b *testing.B, reg *telemetry.Registry, trace bool) {
 	cor, res, c := benchCorpus(b, datagen.Music2().Scaled(0.1), "artist_name")
-	var tr *telemetry.Tracer
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		opt := ssjoin.Options{K: 1000, Metrics: reg}
 		if trace {
-			tr = telemetry.NewTracer(reg)
-			opt.Trace = tr.Start("debug.session")
+			opt.Trace = telemetry.NewTracer(reg).Start("debug.session")
 		}
 		ssjoin.JoinOne(cor, res.Root.Mask, c, opt)
 		opt.Trace.End()
-	}
-	b.StopTimer()
-	if path := os.Getenv("MC_TRACE_OUT"); path != "" && tr != nil {
-		f, err := os.Create(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := tr.WriteChromeTrace(f); err != nil {
-			f.Close()
-			b.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

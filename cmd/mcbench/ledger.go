@@ -37,26 +37,16 @@ func metricsOf(rows interface{}) map[string]float64 {
 			m[fmt.Sprintf("fig9/%s/%s/k%d/pct%d:join_seconds", p.Dataset, p.Blocker, p.K, p.Pct)] = p.Seconds
 		}
 	case []experiments.Table3Row:
+		// Latency plus the deterministic, scale-free accuracy quantities.
 		for _, r := range rs {
-			table3Metrics(m, "table3", r)
+			key := "table3/" + r.Dataset + "/" + r.Blocker
+			m[key+":topk_seconds"] = r.TopKTime.Seconds()
+			m[key+":recall_f"] = float64(r.F)
+			m[key+":recall_me"] = float64(r.ME)
+			m[key+":iterations"] = float64(r.I)
 		}
-	case experiments.PerfGateResult:
-		for _, p := range rs.Fig9 {
-			m[fmt.Sprintf("perfgate/%s/%s/k%d:join_seconds", p.Dataset, p.Blocker, p.K)] = p.Seconds
-		}
-		table3Metrics(m, "perfgate", rs.Recall)
 	}
 	return m
-}
-
-// table3Metrics records one debug session's latency and (deterministic,
-// scale-free) accuracy quantities under the given workload prefix.
-func table3Metrics(m map[string]float64, prefix string, r experiments.Table3Row) {
-	key := prefix + "/" + r.Dataset + "/" + r.Blocker
-	m[key+":topk_seconds"] = r.TopKTime.Seconds()
-	m[key+":recall_f"] = float64(r.F)
-	m[key+":recall_me"] = float64(r.ME)
-	m[key+":iterations"] = float64(r.I)
 }
 
 // medianTable summarizes the repetitions' pooled samples, the -count N

@@ -6,8 +6,7 @@
 //
 // Experiments: table1, table3, table4, hashdebug, learned, fig9,
 // ablate-config, ablate-long, ablate-joint, ablate-verifier, sensitivity,
-// perf-gate, all. -datasets filters table3 to a comma-separated dataset
-// list.
+// all. -datasets filters table3 to a comma-separated dataset list.
 //
 // Regression observability: -ledger appends one runlog record per run
 // (metrics + env fingerprint + telemetry snapshot) to a JSONL ledger,
@@ -286,19 +285,6 @@ func (c *bench) run(env *experiments.Env, exp, datasets string, opt experiments.
 			}
 		}
 		return nil
-
-	case "perf-gate":
-		// The pinned CI regression workload: three M2 joins plus one
-		// M2/HASH1 debug session. Frozen — changing it invalidates the
-		// committed BENCH_perf_gate.json baseline (make perf-baseline).
-		res, err := env.RunPerfGate(opt)
-		if err != nil {
-			return err
-		}
-		for _, p := range res.Fig9 {
-			c.progress("join %s/%s k=%d %.2fs\n", p.Dataset, p.Blocker, p.K, p.Seconds)
-		}
-		return c.emit(res, experiments.FormatPerfGate(res))
 
 	case "table1":
 		rows, err := env.RunTable1([]string{"A-G", "W-A", "A-D", "F-Z", "M1", "M2", "Papers"})

@@ -49,11 +49,11 @@ func TestParseFlagsErrors(t *testing.T) {
 }
 
 func TestParseFlagsLedgerMode(t *testing.T) {
-	o, err := parseFlags([]string{"-exp", "perf-gate", "-count", "5", "-ledger", "runs.jsonl"})
+	o, err := parseFlags([]string{"-exp", "table3", "-count", "5", "-ledger", "runs.jsonl"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Exp != "perf-gate" || o.Count != 5 || o.Ledger != "runs.jsonl" {
+	if o.Exp != "table3" || o.Count != 5 || o.Ledger != "runs.jsonl" {
 		t.Errorf("parsed = %+v", o)
 	}
 	if o, _ := parseFlags(nil); o.Count != 1 || o.Ledger != "" {
@@ -75,11 +75,6 @@ func TestMetricsOf(t *testing.T) {
 	if m["table3/M2/HASH1:recall_f"] != 42 || m["table3/M2/HASH1:topk_seconds"] != 2 ||
 		m["table3/M2/HASH1:recall_me"] != 50 || m["table3/M2/HASH1:iterations"] != 3 {
 		t.Errorf("table3 metrics = %v", m)
-	}
-
-	m = metricsOf(experiments.PerfGateResult{Fig9: fig9, Recall: row})
-	if m["perfgate/M2/HASH1/k1000:join_seconds"] != 1.5 || m["perfgate/M2/HASH1:recall_f"] != 42 {
-		t.Errorf("perf-gate metrics = %v", m)
 	}
 
 	// Non-perf rows contribute nothing (the wall clock still lands via
@@ -203,7 +198,23 @@ func TestProfileAndTraceCapture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !json.Valid(data) || !strings.Contains(string(data), "debug.session") {
-		t.Errorf("chrome trace invalid or missing debug.session spans:\n%.400s", data)
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatalf("chrome trace is not JSON: %v\n%.400s", err, data)
+	}
+	// The join's per-config spans must reach the trace too, not just
+	// the session roots.
+	names := map[string]bool{}
+	for _, e := range doc.TraceEvents {
+		names[e.Name] = true
+	}
+	for _, want := range []string{"debug.session", "ssjoin.config"} {
+		if !names[want] {
+			t.Errorf("chrome trace has no %s span:\n%.400s", want, data)
+		}
 	}
 }

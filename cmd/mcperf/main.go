@@ -5,8 +5,8 @@
 //	mcperf record -ledger runs.jsonl -exp myexp -metric my/key:wall_seconds=1.23
 //	go test -bench . | mcperf record -ledger runs.jsonl -from-bench
 //	mcperf diff old.jsonl new.jsonl
-//	mcperf check -baseline BENCH_perf_gate.json -ledger runs.jsonl
-//	mcperf report -ledger runs.jsonl -format json -out BENCH_perf_gate.json
+//	mcperf check -baseline BENCH_overhead.json -ledger runs.jsonl
+//	mcperf report -ledger runs.jsonl -format json -out BENCH_overhead.json
 //	go test -bench 'On$|Off$' | mcperf overhead
 //
 // diff compares two ledgers arm-by-arm (median, ~95% CI, Mann–Whitney
@@ -15,7 +15,7 @@
 // scale-free metrics (recall, counts) always block; latency metrics
 // block only when the baseline was recorded on a comparable machine
 // (same GOOS/GOARCH/CPU model — cross-machine nanosecond comparisons
-// are statistically meaningless), or always under -strict-env. report
+// are statistically meaningless). report
 // regenerates the committed BENCH_*.json baseline format (or a
 // markdown trend table) mechanically from the ledger. overhead gates
 // paired …On/…Off benchmarks against the on/off overhead budget.
@@ -309,7 +309,6 @@ func cmdCheck(args []string, stdout, stderr io.Writer) int {
 	th := statFlags(fs)
 	baselinePath := fs.String("baseline", "", "committed baseline file (required)")
 	ledgerPath := fs.String("ledger", "", "ledger with the current samples (required)")
-	strictEnv := fs.Bool("strict-env", false, "block on latency regressions even when the baseline was measured on a different machine")
 	jsonOut := fs.Bool("json", false, "emit the check result as JSON")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -349,7 +348,7 @@ func cmdCheck(args []string, stdout, stderr io.Writer) int {
 		// Latency across machines is advisory: nanoseconds measured on
 		// different CPUs do not compare (benchstat methodology).
 		// Scale-free quantities (recall, counts) always block.
-		if c.Direction == perfstat.LowerIsBetter && !comparable && !*strictEnv {
+		if c.Direction == perfstat.LowerIsBetter && !comparable {
 			rep.Advisory = append(rep.Advisory, c.Metric)
 		} else {
 			rep.Blocking = append(rep.Blocking, c.Metric)
@@ -367,7 +366,7 @@ func cmdCheck(args []string, stdout, stderr io.Writer) int {
 	} else {
 		fmt.Fprint(stdout, perfstat.FormatTable(cs))
 		if !comparable {
-			fmt.Fprintf(stdout, "\nenv mismatch: baseline %s/%s %q vs current %s/%s %q — latency regressions are advisory (use -strict-env to block)\n",
+			fmt.Fprintf(stdout, "\nenv mismatch: baseline %s/%s %q vs current %s/%s %q — latency regressions are advisory\n",
 				base.Environment.GOOS, base.Environment.GOARCH, base.Environment.CPU,
 				firstEnv(recs).GOOS, firstEnv(recs).GOARCH, firstEnv(recs).CPU)
 		}

@@ -24,7 +24,7 @@ func writeLedger(t *testing.T, path string, samples map[string][]float64) {
 	}
 	var recs []runlog.Record
 	for i := 0; i < n; i++ {
-		r := runlog.New("mcbench", "perf-gate", 1, map[string]any{"scale": 0.1})
+		r := runlog.New("mcbench", "table3", 1, map[string]any{"scale": 0.1})
 		r.Metrics = map[string]float64{}
 		for k, vs := range samples {
 			r.Metrics[k] = vs[i]
@@ -56,7 +56,7 @@ func TestCheckFlagsInjectedSlowdown(t *testing.T) {
 		"perfgate/m2/HASH1:recall_f":           {12, 12, 12, 12, 12},
 	})
 
-	baseline := filepath.Join(dir, "BENCH_perf_gate.json")
+	baseline := filepath.Join(dir, "BENCH_test.json")
 	code, _, errb := runCmd(t, "", "report", "-ledger", baseLedger, "-format", "json", "-out", baseline)
 	if code != 0 {
 		t.Fatalf("report exit = %d, stderr: %s", code, errb)
@@ -113,7 +113,7 @@ func TestCheckFlagsInjectedSlowdown(t *testing.T) {
 }
 
 // TestCheckEnvMismatchAdvisory: latency regressions against a baseline
-// from a different machine are advisory (exit 0) unless -strict-env.
+// from a different machine are advisory (exit 0).
 func TestCheckEnvMismatchAdvisory(t *testing.T) {
 	dir := t.TempDir()
 	baseLedger := filepath.Join(dir, "base.jsonl")
@@ -148,11 +148,6 @@ func TestCheckEnvMismatchAdvisory(t *testing.T) {
 	}
 	if !strings.Contains(out, "advisory regression: x:join_seconds") {
 		t.Errorf("missing advisory line:\n%s", out)
-	}
-	// -strict-env turns it back into a blocker.
-	code, _, _ = runCmd(t, "", "check", "-baseline", base, "-ledger", slow, "-strict-env")
-	if code != 1 {
-		t.Errorf("-strict-env exit = %d, want 1", code)
 	}
 }
 

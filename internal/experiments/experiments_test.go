@@ -98,6 +98,25 @@ func TestRunTable3RowFZ(t *testing.T) {
 	}
 }
 
+// TestRunTable3RowM2Recall pins the Table-3 recall counts of one M2
+// debug session (HASH1, 1/10 scale, k=1000, seed 1). F, M_E and I are
+// deterministic for a fixed seed and do not depend on the host, so a
+// change in the blocker, the join, the verifier or the data generator
+// that moves any of them fails here, on every host.
+func TestRunTable3RowM2Recall(t *testing.T) {
+	spec := SpecsFor("M2")[0]
+	if spec.Label != "HASH1" {
+		t.Fatalf("SpecsFor(M2)[0] = %s, want HASH1", spec.Label)
+	}
+	row, err := NewEnv(0.1).RunTable3Row(spec, DebugOptions{K: 1000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := [3]int{row.F, row.ME, row.I}, [3]int{53, 55, 6}; got != want {
+		t.Errorf("M2/HASH1 F, M_E, I = %v, want %v", got, want)
+	}
+}
+
 func TestRunTable4(t *testing.T) {
 	e := smallEnv()
 	specs := Table4Specs()

@@ -11,7 +11,7 @@ import (
 )
 
 // BaselineSchema identifies the committed baseline file layout
-// (BENCH_perf_gate.json). The file is generated mechanically by
+// (BENCH_overhead.json). The file is generated mechanically by
 // `mcperf report -format json` from a runlog ledger — never edited by
 // hand — and consumed by `mcperf check`.
 const BaselineSchema = "mc.perfstat.baseline/v1"

@@ -44,22 +44,24 @@ func idPair(id int64) blocker.Pair {
 	return blocker.Pair{A: int(id >> 32), B: int(int32(uint32(id)))}
 }
 
-// aggregate computes the weighted-median-rank order of every pair in the
-// lists. An item missing from a list receives rank len(list)+1 there (the
-// paper's Example 5.1). Ties in global rank break randomly via rng.
+// medianOrder computes the weighted-median-rank order of every pair in
+// the lists. It returns the distinct pair ids in ascending order, and
+// the order as positions in ids. An item missing from a list receives
+// rank len(list)+1 there (the paper's Example 5.1). Ties in global rank
+// break randomly via rng. Zero total weight gives nil.
 //
 // One flat array holds every (pair, list, rank) entry, sorted by pair
 // id, so each pair's entries are contiguous and the pairs come out in
 // ascending id order: that fixed order is what lets the seeded rng
 // decide ties (same seed, same permutation). A pair listed twice in one
 // list keeps its last (largest) rank there.
-func aggregate(lists []ssjoin.TopKList, weights []float64, rng *rand.Rand) []blocker.Pair {
+func medianOrder(lists []ssjoin.TopKList, weights []float64, rng *rand.Rand) (ids []int64, order []int32) {
 	total := 0.0
 	for _, w := range weights {
 		total += w
 	}
 	if total == 0 {
-		return nil
+		return nil, nil
 	}
 	n := 0
 	for _, l := range lists {
@@ -80,9 +82,9 @@ func aggregate(lists []ssjoin.TopKList, weights []float64, rng *rand.Rand) []blo
 	})
 
 	type scored struct {
-		id  int64
 		med int32
 		tie int32
+		pos int32 // index in ids
 	}
 	type rw struct {
 		r int32
@@ -94,6 +96,7 @@ func aggregate(lists []ssjoin.TopKList, weights []float64, rng *rand.Rand) []blo
 			pairs++
 		}
 	}
+	ids = make([]int64, 0, pairs)
 	items := make([]scored, 0, pairs)
 	// rws is one pair's rank and weight in every list, laid out in list
 	// order and then sorted by rank for the median; reused across pairs.
@@ -124,7 +127,8 @@ func aggregate(lists []ssjoin.TopKList, weights []float64, rng *rand.Rand) []blo
 				break
 			}
 		}
-		items = append(items, scored{id: id, med: med})
+		items = append(items, scored{med: med, pos: int32(len(ids))})
+		ids = append(ids, id)
 	}
 	// Random tie-breaking (seeded): assign tiebreak numbers in ascending
 	// id order, then sort.
@@ -138,9 +142,22 @@ func aggregate(lists []ssjoin.TopKList, weights []float64, rng *rand.Rand) []blo
 		}
 		return cmp.Compare(x.tie, y.tie)
 	})
-	out := make([]blocker.Pair, len(items))
+	order = make([]int32, len(items))
 	for i, it := range items {
-		out[i] = idPair(it.id)
+		order[i] = it.pos
+	}
+	return ids, order
+}
+
+// aggregate is medianOrder as pairs.
+func aggregate(lists []ssjoin.TopKList, weights []float64, rng *rand.Rand) []blocker.Pair {
+	ids, order := medianOrder(lists, weights, rng)
+	if order == nil {
+		return nil
+	}
+	out := make([]blocker.Pair, len(order))
+	for i, j := range order {
+		out[i] = idPair(ids[j])
 	}
 	return out
 }

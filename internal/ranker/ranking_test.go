@@ -44,7 +44,7 @@ func freshRanking(t *testing.T, v *Verifier) []blocker.Pair {
 // that the pages concatenate to Ranking and report its length.
 func checkPages(t *testing.T, v *Verifier, want []blocker.Pair) {
 	t.Helper()
-	for _, size := range []int{13, 50, len(want) + 5} {
+	for _, size := range []int{1, 13, 50, len(want) + 5} {
 		var got []blocker.Pair
 		for off := 0; ; off += size {
 			page, total := v.RankingPage(off, size)
@@ -167,6 +167,69 @@ func TestOnePredictPerForest(t *testing.T) {
 	for i := range plain {
 		if !slices.Equal(plain[i], paged[i]) {
 			t.Fatalf("round %d: reading ranking pages changed the batch", i+1)
+		}
+	}
+}
+
+// TestRepeatedNextReturnsTheSameBatch: a second Next before Feedback (a
+// client retrying POST .../next, say) returns the first one's batch
+// again, and the rest of the session is the one without the repeat, in
+// every phase: the bootstrap order, hybrid and confident forest rounds,
+// and WMR.
+func TestRepeatedNextReturnsTheSameBatch(t *testing.T) {
+	lists, feats, gold := fzSession(t)
+	const (
+		bootstrap = iota
+		hybrid
+		confident
+		wmr
+	)
+	seen := map[int]bool{}
+	for _, mode := range []Mode{ModeLearning, ModeWMR} {
+		session := func(repeat bool) [][]blocker.Pair {
+			v := NewVerifier(lists, feats, Options{N: 10, Seed: 3, Mode: mode, StopAfterEmpty: 1 << 30, MaxIterations: 8, Metrics: telemetry.New()})
+			var out [][]blocker.Pair
+			for !v.Done() {
+				phase := confident
+				switch {
+				case mode == ModeWMR:
+					phase = wmr
+				case !v.haveMatch || !v.haveNon:
+					phase = bootstrap
+				case v.alRounds < v.opt.ALIterations:
+					phase = hybrid
+				}
+				batch := v.Next()
+				if repeat {
+					seen[phase] = true
+					if again := v.Next(); !slices.Equal(again, batch) {
+						t.Fatalf("mode %d round %d (phase %d): second Next gave %v, first %v", mode, v.iter+1, phase, again, batch)
+					}
+				}
+				out = append(out, batch)
+				labels := make([]bool, len(batch))
+				for i, p := range batch {
+					labels[i] = gold.Contains(p.A, p.B)
+				}
+				if err := v.Feedback(labels); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return out
+		}
+		once, twice := session(false), session(true)
+		if len(once) != len(twice) {
+			t.Fatalf("mode %d: %d rounds with single Next calls, %d with repeats", mode, len(once), len(twice))
+		}
+		for i := range once {
+			if !slices.Equal(once[i], twice[i]) {
+				t.Fatalf("mode %d round %d: a repeated Next changed the batch", mode, i+1)
+			}
+		}
+	}
+	for _, phase := range []int{bootstrap, hybrid, confident, wmr} {
+		if !seen[phase] {
+			t.Errorf("phase %d never reached", phase)
 		}
 	}
 }

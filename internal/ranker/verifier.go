@@ -98,8 +98,10 @@ type Verifier struct {
 	haveMatch   bool
 	haveNon     bool
 
-	order   []blocker.Pair // bootstrap/WMR global order
-	cursor  int
+	// order is the bootstrap/WMR global order of the unlabelled items,
+	// rebuilt once per Feedback: Next takes its head, RankingPage slices
+	// it.
+	order   []int32
 	weights []float64 // WMR per-list weights
 	rng     *rand.Rand
 
@@ -207,24 +209,18 @@ func NewVerifier(lists []ssjoin.TopKList, feats FeatureFunc, opt Options) *Verif
 	for i := range v.weights {
 		v.weights[i] = 1
 	}
-	v.order = aggregate(lists, v.weights, v.rng)
+	v.aggregate()
 	v.vm.candidates.Set(float64(len(v.ids)))
 	if v.prov.Active() {
 		for _, w := range v.prov.WatchedPairs() {
-			if v.item(blocker.Pair{A: w[0], B: w[1]}) < 0 {
+			item := v.item(blocker.Pair{A: w[0], B: w[1]})
+			if item < 0 {
 				v.prov.Record(w[0], w[1], "verifier", "not_in_pool",
 					telemetry.L("e_size", strconv.Itoa(len(v.ids))))
 				continue
 			}
-			pos := 0
-			for i, p := range v.order {
-				if p.A == w[0] && p.B == w[1] {
-					pos = i + 1
-					break
-				}
-			}
 			v.prov.Record(w[0], w[1], "verifier", "in_pool",
-				telemetry.L("aggregate_rank", strconv.Itoa(pos)),
+				telemetry.L("aggregate_rank", strconv.Itoa(slices.Index(v.order, int32(item))+1)),
 				telemetry.L("e_size", strconv.Itoa(len(v.ids))))
 		}
 	}
@@ -272,6 +268,24 @@ func newPool(lists []ssjoin.TopKList) (ids []int64, index []int32) {
 	return ids, index
 }
 
+// aggregate sets order to the lists' weighted-median-rank order under
+// the current weights, as item indices: medianOrder's positions index
+// the pool's ids in ascending order, which is the pool index's order.
+func (v *Verifier) aggregate() {
+	_, order := medianOrder(v.lists, v.weights, v.rng)
+	for i, j := range order {
+		order[i] = v.index[j]
+	}
+	v.order = order
+}
+
+// bootstrapping reports whether Next and Ranking read order rather than
+// the forest: in WMR mode always, otherwise until the labels hold both
+// classes.
+func (v *Verifier) bootstrapping() bool {
+	return v.opt.Mode == ModeWMR || !v.haveMatch || !v.haveNon
+}
+
 // item returns p's item index, or -1 when p is not in E.
 func (v *Verifier) item(p blocker.Pair) int {
 	id := pairID(int32(p.A), int32(p.B))
@@ -315,18 +329,9 @@ func (v *Verifier) RankingPage(offset, limit int) ([]blocker.Pair, int) {
 	offset = min(max(offset, 0), total)
 	end := offset + min(max(limit, 0), total-offset)
 	out := make([]blocker.Pair, 0, end-offset)
-	if v.opt.Mode == ModeWMR || !v.haveMatch || !v.haveNon {
-		k := 0
-		for _, p := range v.order {
-			if k == end {
-				break
-			}
-			if v.state[v.item(p)] == unlabeled {
-				if k >= offset {
-					out = append(out, p)
-				}
-				k++
-			}
+	if v.bootstrapping() {
+		for _, i := range v.order[offset:end] {
+			out = append(out, idPair(v.ids[i]))
 		}
 		return out, total
 	}
@@ -367,15 +372,18 @@ func (v *Verifier) vec(i int) []float64 {
 }
 
 // Next returns up to N unlabeled pairs to show the user. It returns nil
-// when the verifier is done. Every Next must be followed by Feedback.
+// when the verifier is done. Every Next must be followed by Feedback;
+// a repeated Next before it returns the same batch.
 func (v *Verifier) Next() []blocker.Pair {
 	if v.Done() {
 		return nil
 	}
 	v.pending = v.pending[:0]
 	switch {
-	case v.opt.Mode == ModeWMR, !v.haveMatch || !v.haveNon:
-		v.nextFromOrder()
+	case v.bootstrapping():
+		for _, i := range v.order[:min(v.opt.N, len(v.order))] {
+			v.pending = append(v.pending, int(i))
+		}
 	case v.alRounds < v.opt.ALIterations:
 		v.nextHybrid()
 	default:
@@ -391,18 +399,6 @@ func (v *Verifier) Next() []blocker.Pair {
 		}
 	}
 	return out
-}
-
-// nextFromOrder appends the next unlabelled pairs of the aggregated
-// global list to pending.
-func (v *Verifier) nextFromOrder() {
-	for v.cursor < len(v.order) && len(v.pending) < v.opt.N {
-		idx := v.item(v.order[v.cursor])
-		v.cursor++
-		if v.state[idx] == unlabeled {
-			v.pending = append(v.pending, idx)
-		}
-	}
 }
 
 // nextHybrid picks n/4 controversial pairs (confidence nearest 0.5) and
@@ -521,7 +517,7 @@ func (v *Verifier) Feedback(labels []bool) error {
 	if len(labels) != len(v.pending) {
 		return fmt.Errorf("ranker: %d labels for %d pending pairs", len(labels), len(v.pending))
 	}
-	wasHybrid := v.opt.Mode == ModeLearning && v.haveMatch && v.haveNon && v.alRounds < v.opt.ALIterations
+	wasHybrid := !v.bootstrapping() && v.alRounds < v.opt.ALIterations
 	newMatches := 0
 	var roundPairs map[int64]bool // this round's matches, for WMR's reweighting
 	if v.opt.Mode == ModeWMR {
@@ -591,8 +587,10 @@ func (v *Verifier) Feedback(labels []bool) error {
 		for i := range v.weights {
 			v.weights[i] /= total
 		}
-		v.order = aggregate(v.lists, v.weights, v.rng)
-		v.cursor = 0
+		v.aggregate()
+	}
+	if v.bootstrapping() {
+		v.order = slices.DeleteFunc(v.order, func(i int32) bool { return v.state[i] != unlabeled })
 	}
 	return nil
 }

@@ -9,11 +9,12 @@ import (
 )
 
 // Request-path overhead benchmarks: the same envelope with the flight
-// recorder on (default) and off (FlightRecorderCap < 0). The pair feeds
-// BENCH_serve_overhead.json — the mcperf gate's check that wide-event
-// recording stays inside the <5% overhead budget. /healthz is the
-// measured route because it is all envelope and no handler: the
-// worst-case ratio for observability overhead.
+// recorder on (default) and off (FlightRecorderCap < 0). The pairs feed
+// the module's one overhead gate (make overhead-check, baseline
+// BENCH_overhead.json), which checks that wide-event recording stays
+// inside the <5% overhead budget. /healthz is the measured route
+// because it is all envelope and no handler: the worst-case ratio for
+// observability overhead.
 
 func benchServer(b *testing.B, opt Options) *Server {
 	b.Helper()

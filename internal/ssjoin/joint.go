@@ -57,7 +57,7 @@ type Options struct {
 	// Progress.Snapshot from any goroutine for completion/ETA estimates
 	// while the run is in flight. Observe-only: attaching it
 	// never changes an output bit, and its overhead is bounded by the
-	// progress-overhead CI gate (<5%, BENCH_progress_overhead.json).
+	// overhead gate's JoinProgress pair (<5%, BENCH_overhead.json).
 	// One Progress tracks one JoinOne/JoinAll call.
 	Progress *Progress
 }

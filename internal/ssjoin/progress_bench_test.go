@@ -10,7 +10,7 @@ import (
 
 // The paired progress-overhead benchmarks: the same JoinAll workload
 // with and without a Progress tracker attached. They exist for the
-// blocking CI gate (`mcperf overhead` pairs each On invocation with its
+// module's one overhead gate (`mcperf overhead` pairs each On invocation with its
 // Off twin and bounds the median ratio at 5%), so their names must keep
 // the On/Off suffix convention the pairing keys on.
 
