@@ -264,11 +264,43 @@ func (r *idRows) addRow(dict map[string]int32, tok tokenize.Tokenizer, s string)
 	r.off = append(r.off, int32(len(r.ids)))
 }
 
-func newIDRows(n int) idRows { return idRows{off: make([]int32, 1, n+1)} }
+// newIDRows returns empty rows with room for n rows and maxIDs ids, so
+// the ids slab is allocated once when maxIDs bounds what the rows add.
+func newIDRows(n, maxIDs int) idRows {
+	return idRows{off: make([]int32, 1, n+1), ids: make([]int32, 0, maxIDs)}
+}
+
+// maxTokens bounds the distinct tokens tok yields for a value of n
+// bytes: a q-gram starts at each rune, and a value has at most one rune
+// per byte. It is 0 for other tokenizers, whose slab grows by append (a
+// bound on words is about three times their count).
+func maxTokens(tok tokenize.Tokenizer, n int) int {
+	if _, ok := tok.(tokenize.QGramTokenizer); ok {
+		return n
+	}
+	return 0
+}
+
+// maxTokensOf sums maxTokens over vals.
+func maxTokensOf(tok tokenize.Tokenizer, vals []string) int {
+	n := 0
+	for _, v := range vals {
+		n += maxTokens(tok, len(v))
+	}
+	return n
+}
 
 // idColumn compiles feature f's tokens of every row of t into dict's ids.
+// A q-gram slab is sized from the raw values' lengths: f's transforms
+// keep one word of a value, which has no more runes than the value.
 func idColumn(t *table.Table, f Feature, dict map[string]int32) idRows {
-	r := newIDRows(t.NumRows())
+	maxIDs := 0
+	if col := t.AttrIndex(f.Attr); col >= 0 {
+		for i := 0; i < t.NumRows(); i++ {
+			maxIDs += maxTokens(f.Tok, len(t.Value(i, col)))
+		}
+	}
+	r := newIDRows(t.NumRows(), maxIDs)
 	for i := 0; i < t.NumRows(); i++ {
 		r.addRow(dict, f.Tok, featValue(t, i, f))
 	}
@@ -642,7 +674,7 @@ func driveEditDistance(drv compiled, d int, emit func(ra, rb int)) {
 	gram := tokenize.QGramTokenizer{Q: q}
 	aNorm, bNorm := drv.data.aNorm, drv.data.bNorm
 	dict := make(map[string]int32)
-	aGrams, bGrams := newIDRows(len(aNorm)), newIDRows(len(bNorm))
+	aGrams, bGrams := newIDRows(len(aNorm), maxTokensOf(gram, aNorm)), newIDRows(len(bNorm), maxTokensOf(gram, bNorm))
 	for _, n := range aNorm {
 		aGrams.addRow(dict, gram, n)
 	}

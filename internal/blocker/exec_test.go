@@ -356,3 +356,48 @@ func TestJaroRulesMatchBruteForce(t *testing.T) {
 		}
 	}
 }
+
+// TestIDSlabsAllocatedOnce holds the CSR q-gram id slabs of the
+// token-set and edit-distance drivers to their length bound: every
+// column of random product tables and of values built to stress it
+// (case folds that change a rune's byte length, invalid UTF-8, one-rune
+// words, values shorter than a gram) ends within the capacity it
+// started with, so no slab was ever regrown.
+func TestIDSlabsAllocatedOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	a := randomProductTable("A", 300, rng)
+	hostile := table.MustNew("H", []string{"v"})
+	for _, v := range []string{"", "a", "ab", "a b c d", "İİİ", "ẞ ß ẞ", "Ⱥ Ⱥ", "\xff\xfe", "x\xffy z",
+		"a-b-c-d-e", "日本語", "KK k", "  ", "x  y"} {
+		hostile.MustAppend([]string{v})
+	}
+	cols := []struct {
+		t    *table.Table
+		attr string
+	}{{a, "title"}, {a, "brand"}, {a, "price"}, {hostile, "v"}}
+	for _, c := range cols {
+		for _, tr := range []Transform{TransformNone, TransformLastWord} {
+			for _, tok := range []tokenize.Tokenizer{tokenize.QGramTokenizer{Q: 2}, tokenize.QGramTokenizer{Q: 3}} {
+				f := Feature{Attr: c.attr, Transform: tr, Kind: FeatSetSim, Tok: tok}
+				r := idColumn(c.t, f, map[string]int32{})
+				bound := 0
+				for i := 0; i < c.t.NumRows(); i++ {
+					v, _ := c.t.ValueByName(i, c.attr)
+					bound += maxTokens(tok, len(v))
+				}
+				if cap(r.ids) != bound {
+					t.Errorf("%s %s/%v/%s: ids slab capacity %d (%d ids), want the bound %d", c.t.Name(), c.attr, tr, tok.Name(), cap(r.ids), len(r.ids), bound)
+				}
+			}
+		}
+		norm := normColumn(c.t, Feature{Attr: c.attr})
+		gram := tokenize.QGramTokenizer{Q: 3}
+		r, dict := newIDRows(len(norm), maxTokensOf(gram, norm)), map[string]int32{}
+		for _, n := range norm {
+			r.addRow(dict, gram, n)
+		}
+		if bound := maxTokensOf(gram, norm); cap(r.ids) != bound {
+			t.Errorf("%s %s: edit-distance gram slab capacity %d, want the bound %d", c.t.Name(), c.attr, cap(r.ids), bound)
+		}
+	}
+}

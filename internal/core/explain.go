@@ -164,9 +164,28 @@ func isAbbreviation(ta, tb []string) bool {
 // the "summarize explanations, fix the most pervasive problems first"
 // extension sketched in the paper's conclusion. Keys are "attr: problem".
 func (d *Debugger) ProblemCount(matches []blocker.Pair) map[string]int {
+	return problemCount(d.explainAll(matches))
+}
+
+// TopProblems renders the n most frequent problems, most pervasive first.
+func (d *Debugger) TopProblems(matches []blocker.Pair, n int) []string {
+	return topProblems(d.ProblemCount(matches), n)
+}
+
+// explainAll explains each pair once.
+func (d *Debugger) explainAll(pairs []blocker.Pair) []Explanation {
+	exs := make([]Explanation, len(pairs))
+	for i, p := range pairs {
+		exs[i] = d.Explain(p)
+	}
+	return exs
+}
+
+// problemCount is ProblemCount over explanations already made.
+func problemCount(exs []Explanation) map[string]int {
 	out := map[string]int{}
-	for _, p := range matches {
-		for _, diag := range d.Explain(p).Diags {
+	for _, ex := range exs {
+		for _, diag := range ex.Diags {
 			if diag.Problem == ProblemNone {
 				continue
 			}
@@ -176,9 +195,8 @@ func (d *Debugger) ProblemCount(matches []blocker.Pair) map[string]int {
 	return out
 }
 
-// TopProblems renders the n most frequent problems, most pervasive first.
-func (d *Debugger) TopProblems(matches []blocker.Pair, n int) []string {
-	counts := d.ProblemCount(matches)
+// topProblems renders the n largest counts, ties by key.
+func topProblems(counts map[string]int, n int) []string {
 	type kv struct {
 		k string
 		v int

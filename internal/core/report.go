@@ -68,6 +68,9 @@ func (d *Debugger) report(telemetrySnapshot bool) Report {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	matches := d.verif.Matches()
+	// One explanation per match feeds both its notes and the problem
+	// summary.
+	exs := d.explainAll(matches)
 	r := Report{
 		TableA:      d.a.Name(),
 		TableB:      d.b.Name(),
@@ -78,7 +81,7 @@ func (d *Debugger) report(telemetrySnapshot bool) Report {
 		Configs:     len(d.join.Lists),
 		Candidates:  d.verif.NumCandidates(),
 		Iterations:  d.verif.Iterations(),
-		TopProblems: d.TopProblems(matches, 5),
+		TopProblems: topProblems(problemCount(exs), 5),
 		JoinStats:   d.join.Stats,
 	}
 	if telemetrySnapshot {
@@ -87,13 +90,13 @@ func (d *Debugger) report(telemetrySnapshot bool) Report {
 	if d.prov.Active() {
 		r.Provenance = d.prov.Traces()
 	}
-	for _, m := range matches {
+	for i, m := range matches {
 		r.Matches = append(r.Matches, MatchReport{
 			ARow:    m.A,
 			BRow:    m.B,
 			ValuesA: d.RowA(m.A),
 			ValuesB: d.RowB(m.B),
-			Notes:   d.Explain(m).Notes,
+			Notes:   exs[i].Notes,
 		})
 	}
 	return r

@@ -12,17 +12,12 @@ import (
 // Extractor computes feature vectors for tuple pairs over a corpus.
 type Extractor struct {
 	cor   *ssjoin.Corpus
-	full  config.Mask
 	names []string
 }
 
 // NewExtractor builds an extractor over the corpus's promising attributes.
 func NewExtractor(cor *ssjoin.Corpus) *Extractor {
-	n := len(cor.Res.Promising)
-	e := &Extractor{
-		cor:  cor,
-		full: config.Mask(1)<<uint(n) - 1,
-	}
+	e := &Extractor{cor: cor}
 	for _, attr := range cor.Res.Promising {
 		e.names = append(e.names, attr+"_jac")
 	}
@@ -40,28 +35,28 @@ func (e *Extractor) Names() []string { return e.names }
 func (e *Extractor) Dim() int { return len(e.names) }
 
 // Vector computes the feature vector for the pair (A-row a, B-row b).
+// One merge of the two records (Corpus.Overlaps) gives every
+// per-attribute overlap and the full-mask one; each feature equals what
+// Corpus.Sim and Corpus.LenUnder give under its mask.
 func (e *Extractor) Vector(a, b int32) []float64 {
 	n := len(e.cor.Res.Promising)
-	out := make([]float64, 0, 2*n+2)
+	out := make([]float64, 2*n+2)
+	var o [config.MaxAttrs]int32
+	full := e.cor.Overlaps(a, b, &o)
+	lensA, lensB := e.cor.AttrLens(0, a), e.cor.AttrLens(1, b)
+	la, lb := 0, 0
 	for i := 0; i < n; i++ {
-		m := config.Mask(1) << uint(i)
-		out = append(out, e.cor.Sim(a, b, m, simfunc.Jaccard))
-	}
-	for i := 0; i < n; i++ {
-		m := config.Mask(1) << uint(i)
-		if e.cor.LenUnder(0, a, m) > 0 && e.cor.LenUnder(1, b, m) > 0 {
-			out = append(out, 1)
-		} else {
-			out = append(out, 0)
+		lx, ly := int(lensA[i]), int(lensB[i])
+		la += lx
+		lb += ly
+		if lx > 0 && ly > 0 {
+			out[i] = simfunc.Jaccard.FromOverlap(int(o[i]), lx, ly)
+			out[n+i] = 1
 		}
 	}
-	out = append(out, e.cor.Sim(a, b, e.full, simfunc.Jaccard))
-	la := e.cor.LenUnder(0, a, e.full)
-	lb := e.cor.LenUnder(1, b, e.full)
-	if la == 0 || lb == 0 {
-		out = append(out, 0)
-	} else {
-		out = append(out, float64(min(la, lb))/float64(max(la, lb)))
+	if la > 0 && lb > 0 {
+		out[2*n] = simfunc.Jaccard.FromOverlap(full, la, lb)
+		out[2*n+1] = float64(min(la, lb)) / float64(max(la, lb))
 	}
 	return out
 }

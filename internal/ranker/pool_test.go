@@ -8,7 +8,15 @@ import (
 	"testing"
 
 	"matchcatcher/internal/blocker"
+	"matchcatcher/internal/ssjoin"
 )
+
+// newPool returns the pool's ids and its index alone, the part the
+// verifier's item lookups read.
+func newPool(lists []ssjoin.TopKList) (ids []int64, index []int32) {
+	ids, index, _ = buildPool(lists)
+	return ids, index
+}
 
 // TestNewPoolMatchesFirstSeenMap holds the sorted pool index to the map
 // it replaced: ids in first-seen order over the lists, every pool pair
@@ -82,5 +90,45 @@ func TestPoolIndexBytesPerPair(t *testing.T) {
 	const budget = 64
 	if perPair := float64(got) / float64(len(ids)); perPair > budget {
 		t.Errorf("newPool allocated %.1f B per pool pair, want at most %d", perPair, budget)
+	}
+}
+
+// TestMedRankBytesPerEntry bounds what MedRank allocates beyond the pool
+// on the F-Z session lists (about three list entries per pool pair), for
+// unit and for WMR-style weights: per pool pair its median, its tie
+// number and their inverse, which the order overwrites (12 B, about 4 B
+// per list entry), one count per rank and one rank and weight per list.
+// Sorting a (pair, list, rank) entry per list position took 28 B per
+// entry.
+func TestMedRankBytesPerEntry(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	lists, _, _ := fzSession(t)
+	entries := 0
+	for _, l := range lists {
+		entries += len(l.Pairs)
+	}
+	_, index, r := buildPool(lists)
+	unit, wmr := make([]float64, len(lists)), make([]float64, len(lists))
+	for i := range unit {
+		unit[i], wmr[i] = 1, float64(i+1)/float64(len(lists))
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, w := range []struct {
+		name    string
+		weights []float64
+	}{{"unit", unit}, {"wmr", wmr}} {
+		rng := rand.New(rand.NewSource(1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		order := r.order(lists, w.weights, index, rng)
+		runtime.ReadMemStats(&after)
+		got := int(after.TotalAlloc - before.TotalAlloc)
+		t.Logf("%s weights: %d list entries, %d pool pairs, %d bytes", w.name, entries, len(order), got)
+		const budget = 8
+		if perEntry := float64(got) / float64(entries); perEntry > budget {
+			t.Errorf("%s weights: MedRank allocated %.1f B per list entry beyond the pool, want at most %d", w.name, perEntry, budget)
+		}
 	}
 }

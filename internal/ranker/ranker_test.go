@@ -28,13 +28,9 @@ func lists51() []ssjoin.TopKList {
 
 func TestCompetitionRanks(t *testing.T) {
 	l := lists51()[0]
-	got := appendRanks(nil, l, 2)
-	want := []rankEntry{
-		{id: pairID(0, 0), list: 2, rank: 1},
-		{id: pairID(1, 1), list: 2, rank: 2},
-		{id: pairID(2, 2), list: 2, rank: 2},
-		{id: pairID(3, 3), list: 2, rank: 4},
-	}
+	got := make([]int64, len(l.Pairs))
+	packRanks(got, l, 2)
+	want := []int64{packRank(2, 1), packRank(2, 2), packRank(2, 2), packRank(2, 4)}
 	if !slices.Equal(got, want) {
 		t.Errorf("entries = %+v, want %+v", got, want)
 	}

@@ -87,6 +87,7 @@ type Verifier struct {
 
 	ids      []int64 // E's pair ids in item order: first seen in the lists
 	index    []int32 // every item once, sorted by its id
+	runs     runs    // the lists' runs, which WMR re-aggregates every round
 	vecs     [][]float64
 	state    []itemState // per item index
 	nLabeled int
@@ -202,7 +203,7 @@ func NewVerifier(lists []ssjoin.TopKList, feats FeatureFunc, opt Options) *Verif
 		trace: opt.Trace,
 		prov:  opt.Provenance,
 	}
-	v.ids, v.index = newPool(lists)
+	v.ids, v.index, v.runs = buildPool(lists)
 	v.vecs = make([][]float64, len(v.ids))
 	v.state = make([]itemState, len(v.ids))
 	v.weights = make([]float64, len(lists))
@@ -210,6 +211,9 @@ func NewVerifier(lists []ssjoin.TopKList, feats FeatureFunc, opt Options) *Verif
 		v.weights[i] = 1
 	}
 	v.aggregate()
+	if opt.Mode != ModeWMR {
+		v.runs = runs{} // only WMR aggregates again
+	}
 	v.vm.candidates.Set(float64(len(v.ids)))
 	if v.prov.Active() {
 		for _, w := range v.prov.WatchedPairs() {
@@ -227,56 +231,10 @@ func NewVerifier(lists []ssjoin.TopKList, feats FeatureFunc, opt Options) *Verif
 	return v
 }
 
-// newPool returns E's pair ids in first-seen order over the lists — the
-// item order, which breaks ties in the confidence ranking — and the pool
-// index: every item once, sorted by pair id, for binary search.
-func newPool(lists []ssjoin.TopKList) (ids []int64, index []int32) {
-	n := 0
-	for _, l := range lists {
-		n += len(l.Pairs)
-	}
-	all := make([]int64, 0, n)
-	for _, l := range lists {
-		for _, p := range l.Pairs {
-			all = append(all, pairID(p.A, p.B))
-		}
-	}
-	// One sort of the list positions by (id, position) leaves each pair's
-	// first position at the head of its run.
-	index = make([]int32, n)
-	for i := range index {
-		index[i] = int32(i)
-	}
-	slices.SortFunc(index, func(x, y int32) int {
-		if c := cmp.Compare(all[x], all[y]); c != 0 {
-			return c
-		}
-		return cmp.Compare(x, y)
-	})
-	index = slices.CompactFunc(index, func(x, y int32) bool { return all[x] == all[y] })
-	firsts := slices.Clone(index)
-	slices.Sort(firsts)
-	ids = make([]int64, len(firsts))
-	for i, pos := range firsts {
-		ids[i] = all[pos]
-	}
-	// Turn the index's first positions into item numbers.
-	for j, pos := range index {
-		item, _ := slices.BinarySearch(firsts, pos)
-		index[j] = int32(item)
-	}
-	return ids, index
-}
-
 // aggregate sets order to the lists' weighted-median-rank order under
-// the current weights, as item indices: medianOrder's positions index
-// the pool's ids in ascending order, which is the pool index's order.
+// the current weights, as item indices.
 func (v *Verifier) aggregate() {
-	_, order := medianOrder(v.lists, v.weights, v.rng)
-	for i, j := range order {
-		order[i] = v.index[j]
-	}
-	v.order = order
+	v.order = v.runs.order(v.lists, v.weights, v.index, v.rng)
 }
 
 // bootstrapping reports whether Next and Ranking read order rather than

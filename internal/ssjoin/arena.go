@@ -62,7 +62,7 @@ func (d *denseInstances) tokenize(cor *Corpus, mask config.Mask) {
 	}
 	d.n = int(n)
 
-	recs := len(cor.recsA) + len(cor.recsB)
+	recs := cor.NumA() + cor.NumB()
 	d.lens = grow(d.lens, recs)
 	total := 0
 	for i := range d.lens {
@@ -78,7 +78,7 @@ func (d *denseInstances) tokenize(cor *Corpus, mask config.Mask) {
 		d.lists[i] = d.backing[off:end:end]
 		off = end
 	}
-	d.a, d.b = d.lists[:len(cor.recsA)], d.lists[len(cor.recsA):]
+	d.a, d.b = d.lists[:cor.NumA()], d.lists[cor.NumA():]
 	d.fill(cor, mm)
 }
 

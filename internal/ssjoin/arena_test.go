@@ -420,7 +420,7 @@ func TestFlushBoundSound(t *testing.T) {
 						old := min(int(cnt)+lx-pa+ly-p.visible(ly), lx, ly)
 						lag, other := p.lagging(a, b, pa)
 						bound := min(int(cnt)+len(lag), lx, ly)
-						exact := overlapUnder(&cor.recsA[a], &cor.recsB[b], mask)
+						exact := overlapUnder(cor.a.rec(int(a)), cor.b.rec(int(b)), mask)
 						if exact > bound || bound > old || overlap(cnt, lag, other) != exact {
 							t.Fatalf("seed=%d mask=%b k=%d pair (%d,%d) c=%d: overlap %d (completed %d), bound %d, two-suffix bound %d",
 								seed, mask, k, a, b, cnt, exact, overlap(cnt, lag, other), bound, old)

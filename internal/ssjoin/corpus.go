@@ -34,8 +34,8 @@ type tokenEntry struct {
 	mask uint16 // attribute bitmask over config.Result.Promising (config.MaxAttrs bits)
 }
 
-// record is a tokenized tuple. Both slices are windows into slabs shared
-// by every record of the same table.
+// record is a tokenized tuple: a value view of one row of a table's
+// CSR slabs, made on demand by Corpus.rec.
 type record struct {
 	entries []tokenEntry
 	// attrLen[i] is the number of distinct tokens of attribute i, so the
@@ -44,7 +44,7 @@ type record struct {
 }
 
 // lenUnder returns the multiset token length of the record under γ.
-func (r *record) lenUnder(m config.Mask) int {
+func (r record) lenUnder(m config.Mask) int {
 	n := 0
 	for i, l := range r.attrLen {
 		if m.Has(i) {
@@ -54,13 +54,33 @@ func (r *record) lenUnder(m config.Mask) int {
 	return n
 }
 
+// csr is one table's records in compressed-row form: row i's entries
+// are entries[off[i]:off[i+1]] and its attribute lengths
+// attrLen[i*nattr:(i+1)*nattr]. Three slabs per table, no per-row
+// slice headers.
+type csr struct {
+	off     []int32 // rows+1 offsets into entries
+	entries []tokenEntry
+	attrLen []uint32
+	nattr   int
+}
+
+func (s *csr) rows() int { return len(s.off) - 1 }
+
+// rec returns row i's view.
+func (s *csr) rec(i int) record {
+	return record{
+		entries: s.entries[s.off[i]:s.off[i+1]:s.off[i+1]],
+		attrLen: s.attrLen[i*s.nattr : (i+1)*s.nattr : (i+1)*s.nattr],
+	}
+}
+
 // Corpus is the tokenized view of two tables under the promising
 // attributes of a config generation result. Building it once up front
 // shares tokenization across every config's join.
 type Corpus struct {
-	Res   *config.Result
-	recsA []record
-	recsB []record
+	Res  *config.Result
+	a, b csr
 	// tokMask[t] is the OR over both tables' records of the attribute
 	// mask of the token of rank t. Under config γ no record holds more
 	// than popcount(tokMask[t]∧γ) instances of it, which bounds the id
@@ -75,8 +95,8 @@ type Corpus struct {
 //
 // Each table is tokenized in one pass (DESIGN.md "Session preparation"):
 // values are lowercased into one reused buffer, a token's string is
-// allocated only the first time it is seen, and a record's entries and
-// attribute lengths are windows into per-table slabs.
+// allocated only the first time it is seen, and the records are written
+// straight into the table's CSR slabs.
 func NewCorpus(a, b *table.Table, res *config.Result) *Corpus {
 	tokA, tokB := res.AvgTokens(0), res.AvgTokens(1)
 	// The dictionary is presized to one token per tuple, capped at one
@@ -86,17 +106,17 @@ func NewCorpus(a, b *table.Table, res *config.Result) *Corpus {
 	rows := a.NumRows() + b.NumRows()
 	words := tokA*float64(a.NumRows()) + tokB*float64(b.NumRows())
 	cb := corpusBuilder{attrs: res.Promising, dict: make(map[string]int32, min(rows, int(words/16)))}
-	c := &Corpus{Res: res, recsA: cb.side(a, tokA), recsB: cb.side(b, tokB)}
+	c := &Corpus{Res: res, a: cb.side(a, tokA), b: cb.side(b, tokB)}
 	rank := ranks(cb.df)
 	c.tokMask = make([]uint16, len(rank))
-	for _, recs := range [][]record{c.recsA, c.recsB} {
-		for i := range recs {
-			es := recs[i].entries
-			for j := range es {
-				es[j].tok = rank[es[j].tok]
-				c.tokMask[es[j].tok] |= es[j].mask
-			}
-			slices.SortFunc(es, func(x, y tokenEntry) int { return cmp.Compare(x.tok, y.tok) })
+	for _, s := range []*csr{&c.a, &c.b} {
+		for j := range s.entries {
+			e := &s.entries[j]
+			e.tok = rank[e.tok]
+			c.tokMask[e.tok] |= e.mask
+		}
+		for i := range s.rows() {
+			slices.SortFunc(s.entries[s.off[i]:s.off[i+1]], func(x, y tokenEntry) int { return cmp.Compare(x.tok, y.tok) })
 		}
 	}
 	return c
@@ -119,16 +139,24 @@ type corpusBuilder struct {
 // Its records' entries carry token ids, not ranks, and are unsorted;
 // NewCorpus ranks and sorts them once both sides have counted their
 // document frequencies.
-func (cb *corpusBuilder) side(t *table.Table, avgTokens float64) []record {
-	nattr, rows, allocated := len(cb.attrs), t.NumRows(), 0
+//
+// The entry slab starts at the word-token estimate: a tuple's distinct
+// tokens rarely exceed its word tokens (1% under on M2, 7-32% under on
+// A-G and F-Z). Past it the slab grows by append; rows hold offsets, not
+// windows, so a move costs only the copy.
+func (cb *corpusBuilder) side(t *table.Table, avgTokens float64) csr {
+	nattr, rows := len(cb.attrs), t.NumRows()
 	cols := make([]int, nattr)
 	for i, attr := range cb.attrs {
 		cols[i] = t.AttrIndex(attr)
 	}
-	recs := make([]record, rows)
-	lens := make([]uint32, rows*nattr)
-	var slab []tokenEntry // the current chunk of the entry slab
-	for row := range recs {
+	s := csr{
+		off:     make([]int32, rows+1),
+		entries: make([]tokenEntry, 0, max(int(avgTokens*float64(rows))+1, rows*nattr)),
+		attrLen: make([]uint32, rows*nattr),
+		nattr:   nattr,
+	}
+	for row := range rows {
 		for i, col := range cols {
 			if col < 0 {
 				continue
@@ -154,34 +182,17 @@ func (cb *corpusBuilder) side(t *table.Table, avgTokens float64) []record {
 				cb.rowMask[id] = m | bit
 				n++
 			}
-			lens[row*nattr+i] = n
+			s.attrLen[row*nattr+i] = n
 		}
-		if len(slab)+len(cb.touched) > cap(slab) {
-			// The first chunk holds the word-token estimate, which a
-			// table's distinct tokens per value rarely exceed; past it, a
-			// new chunk as large as all earlier ones together: the slab
-			// is never copied, takes O(log n) allocations, and at most
-			// the last chunk's tail goes unused.
-			allocated += cap(slab)
-			want := allocated
-			if want == 0 {
-				want = max(int(avgTokens*float64(rows))+1, rows*nattr)
-			}
-			slab = make([]tokenEntry, 0, max(len(cb.touched), want))
-		}
-		lo := len(slab)
 		for _, id := range cb.touched {
-			slab = append(slab, tokenEntry{tok: id, mask: cb.rowMask[id]})
+			s.entries = append(s.entries, tokenEntry{tok: id, mask: cb.rowMask[id]})
 			cb.df[id]++
 			cb.rowMask[id] = 0
 		}
 		cb.touched = cb.touched[:0]
-		recs[row] = record{
-			entries: slab[lo:len(slab):len(slab)],
-			attrLen: lens[row*nattr : (row+1)*nattr : (row+1)*nattr],
-		}
+		s.off[row+1] = int32(len(s.entries))
 	}
-	return recs
+	return s
 }
 
 // ranks returns each id's global rank: ids ordered by document frequency
@@ -207,24 +218,24 @@ func ranks(df []int32) []int32 {
 }
 
 // rec returns record i, numbering A's records first, then B's.
-func (c *Corpus) rec(i int) *record {
-	if i < len(c.recsA) {
-		return &c.recsA[i]
+func (c *Corpus) rec(i int) record {
+	if n := c.a.rows(); i >= n {
+		return c.b.rec(i - n)
 	}
-	return &c.recsB[i-len(c.recsA)]
+	return c.a.rec(i)
 }
 
 // NumA and NumB return the table sizes.
-func (c *Corpus) NumA() int { return len(c.recsA) }
+func (c *Corpus) NumA() int { return c.a.rows() }
 
 // NumB returns the B-side table size.
-func (c *Corpus) NumB() int { return len(c.recsB) }
+func (c *Corpus) NumB() int { return c.b.rows() }
 
 // overlapUnder computes the multiset overlap of two records under γ by
 // merging their rank-sorted token entries.
 //
 //mc:hotpath
-func overlapUnder(x, y *record, m config.Mask) int {
+func overlapUnder(x, y record, m config.Mask) int {
 	o := 0
 	i, j := 0, 0
 	mm := uint16(m)
@@ -248,11 +259,11 @@ func overlapUnder(x, y *record, m config.Mask) int {
 	return o
 }
 
-// Sim computes a pair's multiset similarity under any config mask — the
-// feature extractor uses this with single-attribute masks to build the
-// verifier's per-attribute similarity features.
+// Sim computes a pair's multiset similarity under any config mask. It
+// is the per-mask form of what Overlaps gives the feature extractor in
+// one merge, and that path's test oracle.
 func (c *Corpus) Sim(a, b int32, m config.Mask, meas simfunc.SetMeasure) float64 {
-	ra, rb := &c.recsA[a], &c.recsB[b]
+	ra, rb := c.a.rec(int(a)), c.b.rec(int(b))
 	lx, ly := ra.lenUnder(m), rb.lenUnder(m)
 	if lx == 0 || ly == 0 {
 		return 0
@@ -264,7 +275,48 @@ func (c *Corpus) Sim(a, b int32, m config.Mask, meas simfunc.SetMeasure) float64
 // side 0 is table A, side 1 is table B.
 func (c *Corpus) LenUnder(side int, rec int32, m config.Mask) int {
 	if side == 0 {
-		return c.recsA[rec].lenUnder(m)
+		return c.a.rec(int(rec)).lenUnder(m)
 	}
-	return c.recsB[rec].lenUnder(m)
+	return c.b.rec(int(rec)).lenUnder(m)
+}
+
+// AttrLens returns the distinct-token count of each promising attribute
+// of a record, indexed like Res.Promising; side 0 is table A, side 1 is
+// table B. The slice is the corpus's own: read it, do not write it.
+func (c *Corpus) AttrLens(side int, rec int32) []uint32 {
+	if side == 0 {
+		return c.a.rec(int(rec)).attrLen
+	}
+	return c.b.rec(int(rec)).attrLen
+}
+
+// Overlaps merges A-row a with B-row b once and returns their overlap
+// under the full mask of every promising attribute; attr[i] receives
+// their overlap under the single attribute i (the common tokens both
+// hold in attribute i). Each equals the overlap Sim computes under that
+// mask.
+//
+//mc:hotpath
+func (c *Corpus) Overlaps(a, b int32, attr *[config.MaxAttrs]int32) int {
+	*attr = [config.MaxAttrs]int32{}
+	x, y := c.a.rec(int(a)).entries, c.b.rec(int(b)).entries
+	full := 0
+	i, j := 0, 0
+	for i < len(x) && j < len(y) {
+		ex, ey := x[i], y[j]
+		switch {
+		case ex.tok < ey.tok:
+			i++
+		case ex.tok > ey.tok:
+			j++
+		default:
+			full += min(bits.OnesCount16(ex.mask), bits.OnesCount16(ey.mask))
+			for both := ex.mask & ey.mask; both != 0; both &= both - 1 {
+				attr[bits.TrailingZeros16(both)]++
+			}
+			i++
+			j++
+		}
+	}
+	return full
 }

@@ -2,10 +2,14 @@ package ssjoin
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"matchcatcher/internal/config"
 	"matchcatcher/internal/datagen"
@@ -16,8 +20,8 @@ import (
 
 // referenceCorpus is NewCorpus as it was before the one-pass slab build:
 // tokenize.WordSet per value, a mask map per row, a record per row with
-// its own entries and lengths, and a comparison sort for the global
-// order. It is the oracle TestCorpusMatchesReference and FuzzNewCorpus
+// its own entries and lengths (packed into the CSR slabs at the end),
+// and a comparison sort for the global order. It is the oracle TestCorpusMatchesReference and FuzzNewCorpus
 // hold NewCorpus to.
 func referenceCorpus(a, b *table.Table, res *config.Result) *Corpus {
 	dict := map[string]int32{}
@@ -82,37 +86,39 @@ func referenceCorpus(a, b *table.Table, res *config.Result) *Corpus {
 	}
 
 	tokMask := make([]uint16, len(df))
-	finish := func(raw []rawRec) []record {
-		recs := make([]record, len(raw))
-		for i, rr := range raw {
+	finish := func(raw []rawRec) csr {
+		s := csr{off: []int32{0}, nattr: len(res.Promising)}
+		for _, rr := range raw {
 			entries := make([]tokenEntry, len(rr.toks))
 			for j, id := range rr.toks {
 				entries[j] = tokenEntry{tok: rank[id], mask: rr.masks[j]}
 				tokMask[rank[id]] |= rr.masks[j]
 			}
 			sort.Slice(entries, func(x, y int) bool { return entries[x].tok < entries[y].tok })
-			recs[i] = record{entries: entries, attrLen: rr.attrs}
+			s.entries = append(s.entries, entries...)
+			s.attrLen = append(s.attrLen, rr.attrs...)
+			s.off = append(s.off, int32(len(s.entries)))
 		}
-		return recs
+		return s
 	}
-	return &Corpus{Res: res, recsA: finish(rawA), recsB: finish(rawB), tokMask: tokMask}
+	return &Corpus{Res: res, a: finish(rawA), b: finish(rawB), tokMask: tokMask}
 }
 
 // corpusDiff describes the first difference between two corpora — token
 // ranks and masks of every entry, attribute lengths and tokMask — or
 // returns "" when they are equal by value.
 func corpusDiff(got, want *Corpus) string {
-	for side, recs := range [2][2][]record{{got.recsA, want.recsA}, {got.recsB, want.recsB}} {
+	for side, recs := range [2][2]*csr{{&got.a, &want.a}, {&got.b, &want.b}} {
 		g, w := recs[0], recs[1]
-		if len(g) != len(w) {
-			return fmt.Sprintf("side %d: %d records, want %d", side, len(g), len(w))
+		if g.rows() != w.rows() {
+			return fmt.Sprintf("side %d: %d records, want %d", side, g.rows(), w.rows())
 		}
-		for i := range g {
-			if !slices.Equal(g[i].entries, w[i].entries) {
-				return fmt.Sprintf("side %d record %d: entries %v, want %v", side, i, g[i].entries, w[i].entries)
+		for i := range g.rows() {
+			if ge, we := g.rec(i).entries, w.rec(i).entries; !slices.Equal(ge, we) {
+				return fmt.Sprintf("side %d record %d: entries %v, want %v", side, i, ge, we)
 			}
-			if !slices.Equal(g[i].attrLen, w[i].attrLen) {
-				return fmt.Sprintf("side %d record %d: attrLen %v, want %v", side, i, g[i].attrLen, w[i].attrLen)
+			if gl, wl := g.rec(i).attrLen, w.rec(i).attrLen; !slices.Equal(gl, wl) {
+				return fmt.Sprintf("side %d record %d: attrLen %v, want %v", side, i, gl, wl)
 			}
 		}
 	}
@@ -259,4 +265,44 @@ func TestNewCorpusAllocsFlatInRows(t *testing.T) {
 		t.Errorf("NewCorpus allocs: %v for %d+%d rows, %v for twice the rows", once, d.A.NumRows(), d.B.NumRows(), twice)
 	}
 	t.Logf("allocs %v -> %v", once, twice)
+}
+
+// TestCorpusBytesPerRow checks that NewCorpus keeps its records in the
+// CSR slabs alone: on 8,000 rows over a 40-word vocabulary, everything
+// it allocates beyond the slabs (offsets, entries, attribute lengths,
+// tokMask) comes to under 12 B per row. That leaves room for the
+// presized dictionary and the scratch, not for a record's two slice
+// headers (48 B).
+func TestCorpusBytesPerRow(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	rng := rand.New(rand.NewSource(36))
+	attrs := []string{"name", "city"}
+	a, b := table.MustNew("A", attrs), table.MustNew("B", attrs)
+	for _, tb := range []*table.Table{a, b} {
+		for i := 0; i < 4000; i++ {
+			tb.MustAppend([]string{fmt.Sprintf("w%d", rng.Intn(40)), fmt.Sprintf("w%d", rng.Intn(40))})
+		}
+	}
+	res, err := config.Generate(a, b, config.Options{CuratedAttrs: attrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	cor := NewCorpus(a, b, res)
+	runtime.ReadMemStats(&after)
+	slabs := 2 * cap(cor.tokMask)
+	for _, s := range []*csr{&cor.a, &cor.b} {
+		slabs += 4*cap(s.off) + int(unsafe.Sizeof(tokenEntry{}))*cap(s.entries) + 4*cap(s.attrLen)
+	}
+	rows := a.NumRows() + b.NumRows()
+	rest := int(after.TotalAlloc-before.TotalAlloc) - slabs
+	t.Logf("%d rows: %d B in slabs, %d B beyond them", rows, slabs, rest)
+	const budget = 12
+	if perRow := float64(rest) / float64(rows); perRow > budget {
+		t.Errorf("NewCorpus allocated %.1f B per row beyond its slabs, want at most %d", perRow, budget)
+	}
 }

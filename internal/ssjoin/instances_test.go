@@ -34,17 +34,17 @@ func TestDenseIDs(t *testing.T) {
 			d.tokenize(cor, mask)
 			idOf := map[inst]int32{}
 			instOf := map[int32]inst{}
-			check := func(side string, recs []record, lists [][]int32) {
-				for i := range recs {
+			check := func(side string, s *csr, lists [][]int32) {
+				for i := range s.rows() {
 					var want []inst
-					for _, e := range recs[i].entries {
+					for _, e := range s.rec(i).entries {
 						for occ := 0; occ < bits.OnesCount16(e.mask&uint16(mask)); occ++ {
 							want = append(want, inst{e.tok, occ})
 						}
 					}
 					ids := lists[i]
 					label := fmt.Sprintf("seed=%d mask=%b %s[%d]", seed, mask, side, i)
-					if len(ids) != len(want) || len(ids) != recs[i].lenUnder(mask) {
+					if len(ids) != len(want) || len(ids) != s.rec(i).lenUnder(mask) {
 						t.Fatalf("%s: %d ids, want %d instances", label, len(ids), len(want))
 					}
 					for j, id := range ids {
@@ -65,8 +65,8 @@ func TestDenseIDs(t *testing.T) {
 					}
 				}
 			}
-			check("A", cor.recsA, d.a)
-			check("B", cor.recsB, d.b)
+			check("A", &cor.a, d.a)
+			check("B", &cor.b, d.b)
 		}
 	}
 }

@@ -405,7 +405,7 @@ func (p *rowProbe) join(cor *Corpus, mask config.Mask, opt runOpts) TopKList {
 	rs, span := opt.stats, opt.span
 	tokSpan := span.Child("ssjoin.tokenize")
 	p.ids.tokenize(cor, mask)
-	tokSpan.SetAttrInt("records", int64(len(cor.recsA)+len(cor.recsB)))
+	tokSpan.SetAttrInt("records", int64(cor.NumA()+cor.NumB()))
 	tokSpan.SetAttrInt("instances", int64(len(p.ids.backing)))
 	tokSpan.SetAttrInt("ids", int64(p.ids.n))
 	tokSpan.End()

@@ -90,11 +90,11 @@ func TestMultisetSemantics(t *testing.T) {
 		[][]string{{"jim smith", "smith ville"}},
 	)
 	full := res.Root.Mask
-	ra := &cor.recsA[0]
+	ra := cor.a.rec(0)
 	if got := ra.lenUnder(full); got != 4 {
 		t.Fatalf("multiset length = %d, want 4 (smith counted per attribute)", got)
 	}
-	o := overlapUnder(ra, &cor.recsB[0], full)
+	o := overlapUnder(ra, cor.b.rec(0), full)
 	if o != 4 {
 		t.Errorf("self overlap = %d, want 4", o)
 	}
@@ -113,11 +113,11 @@ func TestOverlapUnderSubConfig(t *testing.T) {
 	)
 	want := map[string]int{"name": 1, "addr": 1} // alpha / gamma; beta straddles
 	for i, attr := range res.Promising {
-		if got := overlapUnder(&cor.recsA[0], &cor.recsB[0], config.Mask(1)<<uint(i)); got != want[attr] {
+		if got := overlapUnder(cor.a.rec(0), cor.b.rec(0), config.Mask(1)<<uint(i)); got != want[attr] {
 			t.Errorf("overlap under {%s} = %d, want %d", attr, got, want[attr])
 		}
 	}
-	if got := overlapUnder(&cor.recsA[0], &cor.recsB[0], res.Root.Mask); got != 3 {
+	if got := overlapUnder(cor.a.rec(0), cor.b.rec(0), res.Root.Mask); got != 3 {
 		t.Errorf("overlap under the full config = %d, want 3", got)
 	}
 }
@@ -369,7 +369,7 @@ func TestCorpusRecordLengths(t *testing.T) {
 		[][]string{{"e f"}},
 	)
 	full := config.Mask(1)
-	if la, lb := cor.recsA[0].lenUnder(full), cor.recsB[0].lenUnder(full); la != 4 || lb != 2 {
+	if la, lb := cor.a.rec(0).lenUnder(full), cor.b.rec(0).lenUnder(full); la != 4 || lb != 2 {
 		t.Errorf("record lengths = %d, %d, want 4, 2", la, lb)
 	}
 	if cor.NumA() != 1 || cor.NumB() != 1 {
@@ -384,7 +384,7 @@ func TestGlobalOrderIsRareFirst(t *testing.T) {
 		[][]string{{"common rare"}, {"common x1"}, {"common x2"}},
 		[][]string{{"common y1"}, {"common y2"}},
 	)
-	r := cor.recsA[0]
+	r := cor.a.rec(0)
 	if len(r.entries) != 2 {
 		t.Fatalf("entries = %d", len(r.entries))
 	}
@@ -395,7 +395,7 @@ func TestGlobalOrderIsRareFirst(t *testing.T) {
 	// i.e. the token shared with every other record. Verify via overlap:
 	// dropping the last entry should kill overlap with A[1].
 	full := config.Mask(1)
-	o := overlapUnder(&cor.recsA[0], &cor.recsA[1], full)
+	o := overlapUnder(cor.a.rec(0), cor.a.rec(1), full)
 	if o != 1 {
 		t.Fatalf("overlap = %d", o)
 	}

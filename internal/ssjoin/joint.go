@@ -255,17 +255,17 @@ func JoinAll(cor *Corpus, c *blocker.PairSet, opt Options) *JoinResult {
 // the row-local kernel against, and a usable fallback for tiny tables.
 func BruteForce(cor *Corpus, mask config.Mask, c *blocker.PairSet, k int, m simfunc.SetMeasure) TopKList {
 	top := newTopkHeap(k)
-	for a := range cor.recsA {
-		ra := &cor.recsA[a]
+	for a := range cor.NumA() {
+		ra := cor.a.rec(a)
 		lx := ra.lenUnder(mask)
 		if lx == 0 {
 			continue
 		}
-		for b := range cor.recsB {
+		for b := range cor.NumB() {
 			if c.Contains(a, b) {
 				continue
 			}
-			rb := &cor.recsB[b]
+			rb := cor.b.rec(b)
 			ly := rb.lenUnder(mask)
 			if ly == 0 {
 				continue

@@ -18,6 +18,19 @@
 # sustained load burst shifting an entire bench window; a genuine
 # overhead regression fails both attempts. Only an over-budget verdict
 # (exit 1) is retried: no complete pair (exit 2) fails at once.
+#
+# Pairs under 100 µs/op (the serve request envelopes, 4-13 µs) swing by
+# ±15-20% between invocations on a shared host, On and Off arms alike.
+# The load drifts over seconds, so a longer -benchtime does not average
+# it out (at 2 s the paired ratio still read 0.85-1.22 on unchanged
+# code). What narrows their median is more paired ratios: after the
+# <invocations> full runs, each such pair runs 5 × <invocations> more
+# times alone, at -benchtime .1s, which costs about a second each.
+# Those short runs go to <out-file>.fast, which only the gate reads:
+# <out-file> keeps <invocations> samples per benchmark at .5s, the
+# population `mcperf record -from-bench` ledgers and BENCH_overhead.json
+# was taken from. Sub-benchmark pairs (names with '/') get no short
+# runs, since go test splits a -bench pattern at '/'.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -38,7 +51,29 @@ run() {
         go test ./... -vet=off -run '^$' -bench 'On$|Off$' -cpu 1 \
             -benchtime .5s >> "$OUT"
     done
-    "$BIN/mcperf" overhead < "$OUT"
+    # One line per package holding a top-level pair under 100 µs/op:
+    # the package and a -bench pattern naming those pairs' two arms.
+    fast=$(awk '
+        /^pkg: / { pkg = $2 }
+        /^Benchmark[^ \t\/]*(On|Off)[ \t]/ && $3 + 0 < 100000 {
+            base = $1; sub(/(On|Off)$/, "", base)
+            if (!((pkg, base) in seen)) {
+                seen[pkg, base] = 1
+                pats[pkg] = pats[pkg] (pats[pkg] == "" ? "" : "|") base
+            }
+        }
+        END { for (p in pats) print p, "^(" pats[p] ")(On|Off)$" }
+    ' "$OUT" | sort)
+    : > "$OUT.fast"
+    if [ -n "$fast" ]; then
+        for _ in $(seq $((5 * N))); do
+            while read -r pkg pat; do
+                go test "$pkg" -vet=off -run '^$' -bench "$pat" -cpu 1 \
+                    -benchtime .1s >> "$OUT.fast"
+            done <<< "$fast"
+        done
+    fi
+    cat "$OUT" "$OUT.fast" | "$BIN/mcperf" overhead
 }
 
 rc=0
