@@ -66,70 +66,19 @@ vuln:
 serve-smoke:
 	bash scripts/smoke_mcserve.sh
 
-# fuzz-smoke runs a 10s fuzz pass per target; CI's fuzz-smoke job runs
-# this target, so a new target is listed here only.
+# fuzz-smoke runs a 10s fuzz pass over every Fuzz target in the module,
+# stopping at the first failure; CI's fuzz-smoke job runs this target.
+# The targets are listed by `go test -list`, so adding or deleting one
+# needs no edit here; each target's doc comment says what it checks.
 fuzz-smoke:
-# The blocker's rule parser and the Soundex normalizer chew raw user
-# input (Magellan-style rule strings, arbitrary attribute values), so
-# a 10s smoke per target catches panics cheaply without a long
-# fuzzing job.
-	$(GO) test ./internal/blocker -run '^$$' -fuzz FuzzParse -fuzztime 10s
-	$(GO) test ./internal/blocker -run '^$$' -fuzz FuzzSoundex -fuzztime 10s
-# Differential fuzz over the rule executor: a rule from the zoo with
-# fuzzed thresholds, as a drop or keep rule, on two fuzzed tables
-# (accents, punctuation, padded numbers, empty values) must keep
-# exactly the brute-force keep set, serially and through Concurrent
-# (DESIGN.md "Rule-blocker execution").
-	$(GO) test ./internal/blocker -run '^$$' -fuzz FuzzRuleBlock -fuzztime 10s
-# Differential fuzz over the sealed candidate set: interleaved Adds,
-# Unions (self-unions included) and reads that re-seal it must agree
-# with a map reference and iterate in ascending (A, B) order, with
-# negative B ids, and A ids up to 2^31-1 that must not get a giant
-# row index (DESIGN.md "Session preparation").
-	$(GO) test ./internal/blocker -run '^$$' -fuzz FuzzPairSet -fuzztime 10s
-# The one-pass value normalizer against strings.Join(strings.Fields(
-# strings.ToLower(s)), " "): invalid UTF-8, Unicode spaces and case
-# folds that change byte length.
-	$(GO) test ./internal/tokenize -run '^$$' -fuzz FuzzNormalize -fuzztime 10s
-# Differential fuzz over the verifier's forest kernel: the presorted
-# kernel (one sort per feature per fit, weighted sweeps over stably
-# partitioned lists) on the flat node slab must grow exactly the
-# trees of the rescanning reference trainer (ties, NaN, ±Inf values)
-# and give bit-equal confidences (DESIGN.md "Verifier forest kernel").
-	$(GO) test ./internal/rforest -run '^$$' -fuzz FuzzTrain -fuzztime 10s
-# Differential fuzz over MedRank's flat aggregation: the sorted entry
-# array must give the order, and leave the rng in the state, of the
-# map-based reference for any lists and weights — ties, missing and
-# repeated pairs, negative and zero weights included (DESIGN.md
-# inventory row 9).
-	$(GO) test ./internal/ranker -run '^$$' -fuzz FuzzAggregate -fuzztime 10s
-# Differential fuzz over top-k list merging: per-part bounded top-k
-# lists offered into one heap must be bit-identical to serial
-# insertion for any pair multiset — exact float ties and duplicate
-# pairs included. Order-free retention is what keeps the seed-or-miss
-# list-reuse handoff (a child seeded from its finished parent, or run
-# cold) and Workers out of the output (DESIGN.md "Determinism").
-	$(GO) test ./internal/ssjoin -run '^$$' -fuzz FuzzMergeTopK -fuzztime 10s
-# Differential fuzz over the row-local kernel's strict pair filters
-# and row-end bound: arbitrary corpora under any of the four
-# measures, unseeded and seeded, through the kernel vs. filter-free
-# BruteForce must agree bit for bit (DESIGN.md "Row-local join
-# kernel").
-	$(GO) test ./internal/ssjoin -run '^$$' -fuzz FuzzPrefixFilter -fuzztime 10s
-# Differential fuzz over session preparation: the one-pass slab
-# corpus build must give every token the rank, mask and lengths of
-# the reference build on fuzzed tables (case folds that change byte
-# length, invalid UTF-8, missing and repeated words) (DESIGN.md
-# "Session preparation").
-	$(GO) test ./internal/ssjoin -run '^$$' -fuzz FuzzNewCorpus -fuzztime 10s
-# CSV round trip: ReadCSV must never panic on arbitrary bytes, and any
-# table it accepts must come back identical (attrs and rows) through
-# WriteCSV and ReadCSV — one-column rows with an empty value included.
-	$(GO) test ./internal/table -run '^$$' -fuzz FuzzTableCSV -fuzztime 10s
-# The column-statistics helpers against the standard library: the
-# allocation-free field counter must equal len(strings.Fields) and the
-# ParseFloat prefilter must never reject a parsable value.
-	$(GO) test ./internal/config -run '^$$' -fuzz FuzzColumnHelpers -fuzztime 10s
+	@set -e; pkgs=$$($(GO) list ./...); \
+	for pkg in $$pkgs; do \
+		names=$$($(GO) test "$$pkg" -list '^Fuzz'); \
+		for name in $$(echo "$$names" | grep '^Fuzz' || true); do \
+			echo "fuzz-smoke: $$pkg $$name"; \
+			$(GO) test "$$pkg" -run '^$$' -fuzz "^$$name$$" -fuzztime 10s; \
+		done; \
+	done
 
 # One on/off overhead gate for every paired …On/…Off benchmark in the
 # module (DESIGN.md "Performance Regression Observability"):

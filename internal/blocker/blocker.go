@@ -2,15 +2,15 @@ package blocker
 
 import (
 	"fmt"
-	"sort"
 
 	"matchcatcher/internal/table"
 	"matchcatcher/internal/tokenize"
 )
 
 // A Blocker produces the candidate set C for two tables. Implementations
-// cover the blocker types of Section 2 of the paper: attribute equivalence,
-// hash, sorted neighborhood, overlap, similarity-based, and rule-based.
+// cover the blocker types every front builds: attribute equivalence,
+// hash, rule-based (overlap and similarity-based included), learned and
+// union.
 type Blocker interface {
 	// Name returns a short human-readable identifier for reports.
 	Name() string
@@ -106,74 +106,4 @@ func (u *Union) Name() string { return u.ID }
 // Block implements Blocker.
 func (u *Union) Block(a, b *table.Table) (*PairSet, error) {
 	return u.union(func(m Blocker) (*PairSet, error) { return m.Block(a, b) })
-}
-
-// SortedNeighborhood keeps a pair when the tuples' keys fall within a
-// sliding window of size Window in the merged key-sorted order of both
-// tables (Section 2's sorted-neighborhood blocking).
-type SortedNeighborhood struct {
-	ID     string
-	Key    KeyFunc
-	Window int
-}
-
-// Name implements Blocker.
-func (s *SortedNeighborhood) Name() string { return s.ID }
-
-type snRec struct {
-	key   string
-	row   int
-	fromA bool
-}
-
-// Block implements Blocker.
-func (s *SortedNeighborhood) Block(a, b *table.Table) (*PairSet, error) {
-	if s.Key == nil {
-		return nil, fmt.Errorf("blocker %s: nil key function", s.ID)
-	}
-	if s.Window < 2 {
-		return nil, fmt.Errorf("blocker %s: window must be at least 2, got %d", s.ID, s.Window)
-	}
-	recs := make([]snRec, 0, a.NumRows()+b.NumRows())
-	for i := 0; i < a.NumRows(); i++ {
-		if k := s.Key(a, i); k != "" {
-			recs = append(recs, snRec{key: k, row: i, fromA: true})
-		}
-	}
-	for j := 0; j < b.NumRows(); j++ {
-		if k := s.Key(b, j); k != "" {
-			recs = append(recs, snRec{key: k, row: j})
-		}
-	}
-	sortStable(recs)
-	out := NewPairSet()
-	for i := range recs {
-		hi := i + s.Window
-		if hi > len(recs) {
-			hi = len(recs)
-		}
-		for j := i + 1; j < hi; j++ {
-			x, y := recs[i], recs[j]
-			switch {
-			case x.fromA && !y.fromA:
-				out.Add(x.row, y.row)
-			case !x.fromA && y.fromA:
-				out.Add(y.row, x.row)
-			}
-		}
-	}
-	return out, nil
-}
-
-func sortStable(recs []snRec) {
-	// Stable by key, then table, then row for determinism.
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].key != recs[j].key {
-			return recs[i].key < recs[j].key
-		}
-		if recs[i].fromA != recs[j].fromA {
-			return recs[i].fromA
-		}
-		return recs[i].row < recs[j].row
-	})
 }

@@ -126,51 +126,6 @@ func TestHashNilKey(t *testing.T) {
 	}
 }
 
-func TestSortedNeighborhood(t *testing.T) {
-	a := table.MustNew("A", []string{"k"})
-	for _, v := range []string{"aa", "cc", "ee"} {
-		a.MustAppend([]string{v})
-	}
-	b := table.MustNew("B", []string{"k"})
-	for _, v := range []string{"ab", "cd", "zz"} {
-		b.MustAppend([]string{v})
-	}
-	sn := &SortedNeighborhood{ID: "sn", Key: AttrKey("k"), Window: 2}
-	got := pairsOf(t, sn, a, b)
-	// Sorted order: aa(a0) ab(b0) cc(a1) cd(b1) ee(a2) zz(b2). A sliding
-	// window of 2 emits every adjacent cross-table pair.
-	want := []Pair{{0, 0}, {1, 0}, {1, 1}, {2, 1}, {2, 2}}
-	if len(got) != len(want) {
-		t.Fatalf("sn pairs = %v", got)
-	}
-	for _, p := range want {
-		if !got[p] {
-			t.Errorf("missing %v", p)
-		}
-	}
-	// Tables alternate in sorted order, so distance-2 neighbours are
-	// same-table and window 3 adds nothing; window 4 reaches distance 3,
-	// adding (a0,b1), (a2,b0), (a1,b2).
-	got3 := pairsOf(t, &SortedNeighborhood{ID: "sn3", Key: AttrKey("k"), Window: 3}, a, b)
-	if len(got3) != 5 {
-		t.Errorf("window 3 pair count = %d, want 5", len(got3))
-	}
-	got4 := pairsOf(t, &SortedNeighborhood{ID: "sn4", Key: AttrKey("k"), Window: 4}, a, b)
-	if len(got4) != 8 || !got4[(Pair{0, 1})] || !got4[(Pair{2, 0})] || !got4[(Pair{1, 2})] {
-		t.Errorf("window 4 pairs = %v", got4)
-	}
-}
-
-func TestSortedNeighborhoodValidation(t *testing.T) {
-	a, b := figure1Tables()
-	if _, err := (&SortedNeighborhood{ID: "x", Key: AttrKey("City"), Window: 1}).Block(a, b); err == nil {
-		t.Error("want error for window < 2")
-	}
-	if _, err := (&SortedNeighborhood{ID: "x", Window: 3}).Block(a, b); err == nil {
-		t.Error("want error for nil key")
-	}
-}
-
 func TestUnionPropagatesErrors(t *testing.T) {
 	a, b := figure1Tables()
 	u := NewUnion("u", &Hash{ID: "bad"})

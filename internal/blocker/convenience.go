@@ -14,22 +14,31 @@ import (
 // members combine as a union named "union". It is the one construction
 // path mcdebug and mcserve share, so a scripted HTTP session and a CLI
 // session given the same rule strings build blockers with the same
-// names — names the canonical session report embeds.
+// names — names the canonical session report embeds. A rule whose DNF
+// would hold more than maxConjuncts conjunctions is an error.
 func BuildFromRules(drops, keeps, equals []string) (Blocker, error) {
 	var members []Blocker
-	for i, src := range drops {
+	add := func(id, src string, wrap func(string, Expr) *Rule) error {
 		e, err := Parse(src)
 		if err != nil {
+			return err
+		}
+		r := wrap(id, e)
+		if conjuncts(r.Keep, false) > maxConjuncts {
+			return fmt.Errorf("rule %s expands to more than %d conjunctions; split it into smaller rules", id, maxConjuncts)
+		}
+		members = append(members, r)
+		return nil
+	}
+	for i, src := range drops {
+		if err := add(fmt.Sprintf("drop%d", i), src, DropRule); err != nil {
 			return nil, err
 		}
-		members = append(members, DropRule(fmt.Sprintf("drop%d", i), e))
 	}
 	for i, src := range keeps {
-		e, err := Parse(src)
-		if err != nil {
+		if err := add(fmt.Sprintf("keep%d", i), src, KeepRule); err != nil {
 			return nil, err
 		}
-		members = append(members, KeepRule(fmt.Sprintf("keep%d", i), e))
 	}
 	for _, attr := range equals {
 		members = append(members, NewAttrEquivalence(attr))

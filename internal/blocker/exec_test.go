@@ -93,8 +93,7 @@ func TestRuleExecutionMatchesBruteForce(t *testing.T) {
 		}
 	}
 	// Second case: the zoo on larger, dirtier tables (accented and
-	// non-Latin titles, empty titles, padded prices), serially and
-	// through Concurrent.
+	// non-Latin titles, empty titles, padded prices).
 	for seed := int64(0); seed < 3; seed++ {
 		t.Run(fmt.Sprintf("dirty200x300/seed%d", seed), func(t *testing.T) {
 			t.Parallel()
@@ -117,14 +116,12 @@ func TestRuleExecutionMatchesBruteForce(t *testing.T) {
 					r    *Rule
 					want *PairSet
 				}{{DropRule("drop:"+src, expr), misses}, {KeepRule("keep:"+src, expr), hits}} {
-					for _, q := range []Blocker{c.r, &Concurrent{Inner: c.r, Workers: 3}} {
-						got, err := q.Block(a, b)
-						if err != nil {
-							t.Fatalf("%s: %v", q.Name(), err)
-						}
-						if !samePairSet(got, c.want) {
-							t.Errorf("%s: got %d pairs, want %d", q.Name(), got.Len(), c.want.Len())
-						}
+					got, err := c.r.Block(a, b)
+					if err != nil {
+						t.Fatalf("%s: %v", c.r.Name(), err)
+					}
+					if !samePairSet(got, c.want) {
+						t.Errorf("%s: got %d pairs, want %d", c.r.Name(), got.Len(), c.want.Len())
 					}
 				}
 			}

@@ -277,6 +277,38 @@ func DNF(e Expr) [][]Atom {
 	return dnf(pushNot(e, false))
 }
 
+// maxConjuncts bounds the DNF of one rule given as text. DNF grows
+// exponentially with a rule's length: a kill rule that ORs n two-atom
+// conjunctions negates to 2^n conjuncts, so a 700-byte rule of 16
+// clauses would expand to 65,536 before blocking starts. Every Table-2
+// rule expands to at most 2, so 256 leaves hand-written rules ample room.
+const maxConjuncts = 256
+
+// conjuncts returns the number of conjunctions DNF(e), or DNF(Not{e})
+// when neg, would hold, without expanding it; counts above maxConjuncts
+// saturate at maxConjuncts+1.
+func conjuncts(e Expr, neg bool) int {
+	var l, r Expr
+	sum := neg // a negated AND becomes an OR
+	switch t := e.(type) {
+	case Atom:
+		return 1
+	case Not:
+		return conjuncts(t.E, !neg)
+	case And:
+		l, r = t.L, t.R
+	case Or:
+		l, r, sum = t.L, t.R, !neg
+	default:
+		panic(fmt.Sprintf("blocker: unknown expression node %T", e))
+	}
+	x, y := conjuncts(l, neg), conjuncts(r, neg)
+	if sum {
+		return min(x+y, maxConjuncts+1)
+	}
+	return min(x*y, maxConjuncts+1)
+}
+
 // pushNot applies De Morgan's laws, flipping atoms when neg is true.
 func pushNot(e Expr, neg bool) Expr {
 	switch t := e.(type) {

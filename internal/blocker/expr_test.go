@@ -1,8 +1,10 @@
 package blocker
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"matchcatcher/internal/simfunc"
 	"matchcatcher/internal/table"
@@ -216,5 +218,61 @@ func TestExprStrings(t *testing.T) {
 	fs := Feature{Attr: "title", Kind: FeatSetSim, Measure: simfunc.Cosine, Tok: tokenize.WordTokenizer{}}
 	if got := fs.String(); got != "title_cos_word" {
 		t.Errorf("feature string = %q", got)
+	}
+}
+
+// wideKillRule ORs n two-atom conjunctions. As a drop rule its keep
+// condition negates to an AND of n two-atom ORs: 2^n conjuncts.
+func wideKillRule(n int) string {
+	parts := make([]string, n)
+	for i := range parts {
+		parts[i] = fmt.Sprintf("(title_jac_word<0.%d AND brand_jac_3gram<0.%d)", i%9+1, i%9+1)
+	}
+	return strings.Join(parts, " OR ")
+}
+
+// TestConjunctsCountsDNF: the non-expanding count equals the length of
+// the expanded DNF, negated or not, and saturates past maxConjuncts.
+func TestConjunctsCountsDNF(t *testing.T) {
+	srcs := append([]string{wideKillRule(1), wideKillRule(3), wideKillRule(6)}, ruleZoo...)
+	for _, src := range srcs {
+		e := MustParse(src)
+		if got, want := conjuncts(e, false), len(DNF(e)); got != want {
+			t.Errorf("%s: conjuncts = %d, DNF has %d", src, got, want)
+		}
+		if got, want := conjuncts(e, true), len(DNF(Not{e})); got != want {
+			t.Errorf("NOT %s: conjuncts = %d, DNF has %d", src, got, want)
+		}
+	}
+	if got := conjuncts(MustParse(wideKillRule(16)), true); got != maxConjuncts+1 {
+		t.Errorf("2^16 conjuncts counted as %d, want saturation at %d", got, maxConjuncts+1)
+	}
+}
+
+// TestBuildFromRulesBoundsDNF: a drop rule whose DNF exceeds
+// maxConjuncts is rejected before anything expands it, while the same
+// text as a keep rule (16 conjuncts), a rule exactly at the bound, and
+// every zoo rule (at most 2 conjuncts) are accepted.
+func TestBuildFromRulesBoundsDNF(t *testing.T) {
+	for _, n := range []int{9, 16} {
+		start := time.Now()
+		_, err := BuildFromRules([]string{wideKillRule(n)}, nil, nil)
+		if err == nil || !strings.Contains(err.Error(), "conjunctions") {
+			t.Errorf("%d-clause kill rule: err = %v, want a conjunction-bound error", n, err)
+		}
+		if d := time.Since(start); d > 100*time.Millisecond {
+			t.Errorf("%d-clause kill rule took %v to reject", n, d)
+		}
+	}
+	if _, err := BuildFromRules([]string{wideKillRule(8)}, []string{wideKillRule(16)}, nil); err != nil {
+		t.Errorf("rules within the bound rejected: %v", err)
+	}
+	for _, src := range ruleZoo {
+		if _, err := BuildFromRules([]string{src}, []string{src}, nil); err != nil {
+			t.Errorf("%s: %v", src, err)
+		}
+		if n := max(conjuncts(MustParse(src), false), conjuncts(MustParse(src), true)); n > 2 {
+			t.Errorf("%s expands to %d conjuncts, want at most 2", src, n)
+		}
 	}
 }

@@ -147,7 +147,8 @@ func comparePairs(x, y Pair) int {
 // reads, so that every read re-seals a set that has grown since the last
 // one. Every read must agree with the reference, iteration must be in
 // ascending (A, B) order, and a sealed set's row index must never exceed
-// the dense bound, however sparse the A ids.
+// the dense bound, however sparse the A ids: B ids may be negative and A
+// ids reach 2^31-1 (DESIGN.md "Session preparation").
 func FuzzPairSet(f *testing.F) {
 	f.Add([]byte{0, 4, 0, 6, 3, 0, 4, 5, 6, 7})
 	f.Add([]byte{0, 1, 0xff, 0xff, 0xff, 0x7f, 2, 0, 1, 0xff, 0xff, 0xff, 0x7f, 3, 0, 1, 7})

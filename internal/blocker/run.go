@@ -13,9 +13,9 @@ import (
 // span's pairs_out, and records a kept/dropped event for every pair prov
 // watches. A Union's members run through Run as well, so each member's
 // span nests under the union's and its events precede the union's. Any
-// other blocker — Concurrent included — is a leaf, observed once on its
-// final output. Either of span and prov may be nil, and concurrent calls
-// with their own span and prov never see each other.
+// other blocker is a leaf, observed once on its final output. Either of
+// span and prov may be nil, and concurrent calls with their own span and
+// prov never see each other.
 func Run(q Blocker, a, b *table.Table, span *telemetry.TraceSpan, prov *telemetry.Provenance) (*PairSet, error) {
 	ts := span.Child("blocker.block", telemetry.L("blocker", q.Name()))
 	var out *PairSet

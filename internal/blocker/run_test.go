@@ -3,7 +3,6 @@ package blocker
 import (
 	"fmt"
 	"slices"
-	"strconv"
 	"sync"
 	"testing"
 
@@ -12,8 +11,8 @@ import (
 )
 
 // cityTables returns one-column tables: A holds cities x, y, z and B
-// holds nine rows whose row 4 is "x", so under Concurrent{Workers: 3}
-// the pair (0, 4) lives in B's second chunk.
+// holds nine rows whose row 4 is "x", so attribute equality on City
+// keeps the pair (0, 4).
 func cityTables() (*table.Table, *table.Table) {
 	a := table.MustNew("A", []string{"City"})
 	for _, c := range []string{"x", "y", "z"} {
@@ -33,31 +32,6 @@ func provEvents(prov *telemetry.Provenance, a, b int) []string {
 		out = append(out, ev.Attrs["blocker"]+":"+ev.Event)
 	}
 	return out
-}
-
-// TestRunConcurrentRecordsGlobalProvenance: a partitioned blocker is a
-// leaf of Run, so a watched pair gets exactly one event, decided on the
-// merged output in global B rows — not one per chunk in chunk-local rows.
-func TestRunConcurrentRecordsGlobalProvenance(t *testing.T) {
-	a, b := cityTables()
-	prov := telemetry.NewProvenance([2]int{0, 4})
-	q := &Concurrent{Inner: NewAttrEquivalence("City"), Workers: 3}
-	c, err := Run(q, a, b, nil, prov)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.Contains(0, 4) {
-		t.Fatal("attr-equality dropped (0, 4)")
-	}
-	evs := prov.Trace(0, 4).Events
-	if len(evs) != 1 {
-		t.Fatalf("events = %v, want exactly one", provEvents(prov, 0, 4))
-	}
-	ev := evs[0]
-	if ev.Stage != "blocker" || ev.Event != "kept" || ev.Attrs["blocker"] != q.Name() ||
-		ev.Attrs["out_size"] != strconv.Itoa(c.Len()) {
-		t.Errorf("event = %+v, want blocker/kept by %s with out_size %d", ev, q.Name(), c.Len())
-	}
 }
 
 // gateBlocker holds its Block call until release is closed.

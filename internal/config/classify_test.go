@@ -35,11 +35,10 @@ func TestMayParseFloatSound(t *testing.T) {
 }
 
 // FuzzColumnHelpers checks the column-statistics helpers on arbitrary
-// values: the field counter against strings.Fields and its invariance
+// values: the allocation-free field counter against strings.Fields and its invariance
 // under normalization (a column profile counts raw values), and the
 // ParseFloat prefilter's soundness (raw and as the profile normalizes
 // values).
-// Registered in the Makefile fuzz-smoke target.
 func FuzzColumnHelpers(f *testing.F) {
 	for _, s := range []string{"", "a b", "x\u0085y z　", "\xff\xfe", "-infinity", "0x1p-2", "0_1", ".5", "+1e3", "NaN"} {
 		f.Add(s)

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"matchcatcher/internal/blocker"
 )
 
 // Experiments run at a small scale in tests; the full-scale runs are
@@ -41,6 +43,21 @@ func TestTable2BlockersCoverPaper(t *testing.T) {
 	}
 	if got := len(SpecsFor("M2")); got != 5 {
 		t.Errorf("SpecsFor(M2) = %d", got)
+	}
+}
+
+// TestTable2RulesWithinDNFBound: every Table-2 rule, sent as text to
+// either front, passes BuildFromRules' conjunction bound and expands
+// to at most 2 conjuncts.
+func TestTable2RulesWithinDNFBound(t *testing.T) {
+	for _, s := range Table2Blockers() {
+		r := s.Blocker.(*blocker.Rule)
+		if _, err := blocker.BuildFromRules(nil, []string{r.Keep.String()}, nil); err != nil {
+			t.Errorf("%s %s: %v", s.Dataset, s.Label, err)
+		}
+		if n := len(blocker.DNF(r.Keep)); n > 2 {
+			t.Errorf("%s %s expands to %d conjuncts, want at most 2", s.Dataset, s.Label, n)
+		}
 	}
 }
 

@@ -192,7 +192,8 @@ func TestAggregateMatchesReference(t *testing.T) {
 // to 31), each following 3-byte group adds a pair to one list (a pair
 // may repeat within a list), and the weights are read from the tail as
 // small fixed-point values (negative, zero and tied weights included).
-// Registered in the Makefile fuzz-smoke target.
+// The flat aggregation must give the order, and leave the rng in the
+// state, of the map-based reference (DESIGN.md inventory row 9).
 func FuzzAggregate(f *testing.F) {
 	f.Add(int64(1), []byte{3, 0, 1, 9, 1, 1, 9, 2, 2, 5, 0, 2, 7})
 	f.Add(int64(2), []byte{20, 0, 0, 1, 19, 0, 1, 5, 5, 5, 5, 5, 5, 0, 0, 0, 0})

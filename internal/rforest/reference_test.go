@@ -267,7 +267,10 @@ func TestTrainMatchesReference(t *testing.T) {
 
 // FuzzTrain runs the differential oracle on fuzzed datasets: the first
 // bytes pick the shape and options, each following byte one feature
-// value from a small level set, the extremes, or NaN.
+// value from a small level set, the extremes, or NaN. The presorted
+// kernel on the flat node slab must grow exactly the trees of the
+// rescanning reference trainer, ties and ±Inf included, and give
+// bit-equal confidences (DESIGN.md "Verifier forest kernel").
 func FuzzTrain(f *testing.F) {
 	f.Add([]byte{3, 2, 0, 0, 0, 1, 7, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte{40, 1, 5, 2, 1, 9, 0, 255, 128, 64, 32, 16, 8, 4, 2, 1, 0, 200, 100, 50})

@@ -152,8 +152,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	var req createSessionRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	if req.K < 0 || req.N < 0 || req.Workers < 0 {
@@ -305,8 +304,7 @@ func (s *Server) handleUploadTable(w http.ResponseWriter, r *http.Request, sess 
 
 func (s *Server) handleSetBlocker(w http.ResponseWriter, r *http.Request, sess *session) {
 	var req blockerRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	sess.mu.Lock()
@@ -473,8 +471,7 @@ func (s *Server) handleLabels(w http.ResponseWriter, r *http.Request, sess *sess
 		return
 	}
 	var req labelsRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	if err := dbg.Feedback(req.Labels); err != nil {
@@ -554,21 +551,33 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, sess *ses
 	}
 }
 
-// decodeJSON decodes a request body, tolerating an empty body (all
-// fields default) but rejecting unknown fields and trailing garbage.
-func decodeJSON(r io.Reader, v any) error {
-	dec := json.NewDecoder(r)
+// maxJSONBody caps a JSON request body (create-session, blocker,
+// labels). The largest legitimate one is a labels batch: one bool per
+// pair, so 1 MiB holds about 200,000 labels, far past any batch size a
+// user labels by hand.
+const maxJSONBody = 1 << 20
+
+// decodeJSON decodes the request body into v, tolerating an empty body
+// (all fields default). It answers 400 to unknown fields and trailing
+// garbage and 413 to a body over maxJSONBody, and reports whether v
+// was decoded.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		return fmt.Errorf("bad request body: %w", err)
+	err := dec.Decode(v)
+	if err == nil && dec.More() {
+		err = errors.New("trailing data")
 	}
-	if dec.More() {
-		return fmt.Errorf("bad request body: trailing data")
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil || errors.Is(err, io.EOF):
+		return true
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", maxJSONBody))
+	default:
+		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 	}
-	return nil
+	return false
 }
 
 func intQuery(r *http.Request, key string, def int) int {

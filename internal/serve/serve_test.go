@@ -387,6 +387,42 @@ func TestUploadBudget(t *testing.T) {
 	}
 }
 
+// TestRequestLimits: a JSON body over maxJSONBody is refused with 413
+// on the create and blocker routes, a 16-clause kill rule (2^16 DNF
+// conjuncts) with 400 before the blocker expands it, and the session
+// still takes a normal blocker body afterwards.
+func TestRequestLimits(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	watch := `{"watch":[` + strings.Repeat("[0,0],", 2<<20/6) + `[0,0]]}`
+	if code, body := do(t, "POST", ts.URL+"/v1/sessions", watch); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("2 MiB create body: status %d, want 413: %.200s", code, body)
+	}
+	id := createSession(t, ts.URL, "")
+	su := ts.URL + "/v1/sessions/" + id
+	code, body := do(t, "PUT", su+"/tables/a?name=A", tableACSV)
+	mustJSON(t, http.StatusOK, code, body, nil)
+	code, body = do(t, "PUT", su+"/tables/b?name=B", tableBCSV)
+	mustJSON(t, http.StatusOK, code, body, nil)
+	drops := `{"drops":["` + strings.Repeat("x", 2<<20) + `"]}`
+	if code, body := do(t, "POST", su+"/blocker", drops); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("2 MiB blocker body: status %d, want 413: %.200s", code, body)
+	}
+	clauses := make([]string, 16)
+	for i := range clauses {
+		clauses[i] = fmt.Sprintf("(Name_jac_word<0.%d AND City_jac_3gram<0.%d)", i%9+1, i%9+1)
+	}
+	start := time.Now()
+	code, body = do(t, "POST", su+"/blocker", `{"drops":["`+strings.Join(clauses, " OR ")+`"]}`)
+	if code != http.StatusBadRequest || !strings.Contains(string(body), "conjunctions") {
+		t.Errorf("16-clause kill rule: status %d, want 400 naming the conjunction bound: %s", code, body)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("16-clause kill rule took %v to reject", d)
+	}
+	code, body = do(t, "POST", su+"/blocker", `{"drops":["Name_jac_word<0.3"]}`)
+	mustJSON(t, http.StatusOK, code, body, nil)
+}
+
 func TestReadyzFlipsWhileDraining(t *testing.T) {
 	s, ts := newTestServer(t, Options{})
 	if code, _ := do(t, "GET", ts.URL+"/readyz", ""); code != http.StatusOK {

@@ -298,8 +298,8 @@ func TestFlatProbePathZeroAllocs(t *testing.T) {
 // degenerate records — shows up as a list mismatch. The fuzz bytes also
 // pick a C set (so filters and suppression meet on the same pairs), and
 // every config of the two-attribute tables is joined, child masks
-// included, unseeded and seeded with a prefix of the config's 2k list.
-// Registered in the Makefile fuzz-smoke target.
+// included, unseeded and seeded with a prefix of the config's 2k list
+// (DESIGN.md "Row-local join kernel").
 func FuzzPrefixFilter(f *testing.F) {
 	f.Add(uint8(1), uint8(2), uint8(0), []byte("abc\ndef g\nhij"))
 	f.Add(uint8(3), uint8(1), uint8(1), []byte("a b c d e f g h i\nz\na b\nq r s"))

@@ -194,8 +194,9 @@ func decodeFuzzTables(data []byte) (a, b *table.Table) {
 }
 
 // FuzzNewCorpus holds NewCorpus to referenceCorpus on fuzzed two-sided
-// tables: every token rank, mask and length and tokMask must agree by
-// value.
+// tables (case folds that change byte length, invalid UTF-8, missing
+// and repeated words): every token rank, mask and length and tokMask
+// must agree by value (DESIGN.md "Session preparation").
 func FuzzNewCorpus(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 2, 1, 2, 25, 3, 4, 3})

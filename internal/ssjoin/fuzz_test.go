@@ -39,7 +39,8 @@ func decodeMergeInput(data []byte) (k, parts int, pairs []ScoredPair) {
 // keeps the list-reuse handoff (a child seeded with its finished
 // parent's list, or run cold) and the Workers count out of the output,
 // minimized to the data structure so the fuzzer can hammer the tie and
-// boundary cases directly.
+// boundary cases (exact float ties, duplicate pairs) directly (DESIGN.md
+// "Determinism").
 func FuzzMergeTopK(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0})

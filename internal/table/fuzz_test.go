@@ -8,8 +8,8 @@ import (
 
 // FuzzTableCSV checks the CSV boundary on arbitrary bytes: ReadCSV must
 // never panic, and any table it accepts must come back identical —
-// attributes and every row — through WriteCSV and a second ReadCSV.
-// Registered in the Makefile fuzz-smoke target.
+// attributes and every row — through WriteCSV and a second ReadCSV,
+// one-column rows with an empty value included.
 func FuzzTableCSV(f *testing.F) {
 	f.Add([]byte("a\n\"\"\nx\n")) // one-column row with an empty value
 	f.Add([]byte("name,city\n\"Dave, Jr.\",New York\n,LA\n"))

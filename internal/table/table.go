@@ -133,22 +133,6 @@ func (t *Table) Slice(n int) *Table {
 	return &Table{name: t.name, attrs: t.attrs, index: t.index, rows: t.rows[:n]}
 }
 
-// Range returns a read-only view of rows [lo, hi). Rows are shared, not
-// copied. It backs the concurrent blocker driver, which partitions one
-// table across workers.
-func (t *Table) Range(lo, hi int) *Table {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(t.rows) {
-		hi = len(t.rows)
-	}
-	if lo > hi {
-		lo = hi
-	}
-	return &Table{name: t.name, attrs: t.attrs, index: t.index, rows: t.rows[lo:hi]}
-}
-
 // String returns a short description of the table.
 func (t *Table) String() string {
 	return fmt.Sprintf("%s(%s)[%d rows]", t.name, strings.Join(t.attrs, ","), len(t.rows))

@@ -38,7 +38,8 @@ func TestNormalizeKeepsNormalizedValues(t *testing.T) {
 }
 
 // FuzzNormalize holds the one-pass Normalize byte-identical to its
-// specification: case folds that change byte length, invalid UTF-8,
+// specification, strings.Join(strings.Fields(strings.ToLower(s)), " "):
+// case folds that change byte length, invalid UTF-8,
 // Unicode spaces (NEL, no-break space, ideographic space) and runs of
 // them at either end.
 func FuzzNormalize(f *testing.F) {

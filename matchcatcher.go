@@ -63,9 +63,8 @@ type PairSet = blocker.PairSet
 // from an external system and need to hand it to the debugger.
 func NewPairSet() *PairSet { return blocker.NewPairSet() }
 
-// Blocker produces a candidate set for two tables. All standard types are
-// available: attribute equivalence, hash, sorted neighborhood, overlap,
-// similarity-based, and rule-based.
+// Blocker produces a candidate set for two tables: attribute equivalence,
+// hash, overlap, similarity-based, rule-based, or a union of these.
 type Blocker = blocker.Blocker
 
 // AttrEquivalence returns an attribute-equivalence blocker
